@@ -226,14 +226,15 @@ def compute_moments(f, I: Interval, N: int, prec: PrecisionConfig = PrecisionCon
 
 
 def _sampled_moments(f: SampledFunction, I: Interval, N: int):
-    def build(j):
-        return lambda y: trig_interp(f, y) * y**j
+    def integrand(y):
+        # y**j with a Python int keeps numpy's scalar-exponent paths, so each
+        # row equals the single-moment integrand bit for bit
+        return trig_interp(f, y) * np.array([y**j for j in range(N + 1)])
 
-    vals = [complex(adaptive_gauss(build(j), I.a, I.b)) for j in range(N + 1)]
-    coarse = [complex(adaptive_gauss(build(j), I.a, I.b, order=32, max_depth=6))
-              for j in range(N + 1)]
-    err = max(abs(v - c) for v, c in zip(vals, coarse))
-    vals = [v.real if abs(v.imag) < 1e-13 * (abs(v) + 1e-300) else v for v in vals]
+    vals = adaptive_gauss(integrand, I.a, I.b)
+    coarse = adaptive_gauss(integrand, I.a, I.b, order=32, max_depth=6)
+    err = float(np.max(np.abs(vals - coarse)))
+    vals = [v.real if abs(v.imag) < 1e-13 * (abs(v) + 1e-300) else v for v in map(complex, vals)]
     return vals, err
 
 

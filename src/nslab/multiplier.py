@@ -334,43 +334,59 @@ def apply_dealiased(spec: SymbolSpec, f: SampledFunction, derivative: int = 0,
 
 def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64,
                    max_depth: int = 24):
-    """Adaptive panel-split Gauss-Legendre quadrature of a vectorized integrand."""
+    """Adaptive panel-split Gauss-Legendre quadrature of a vectorized integrand.
+
+    ``fun(x)`` returns shape ``(..., len(x))`` and the result has shape
+    ``(...)``.  All components share one panel tree but each has its own
+    tolerance, and only the components that have not converged recurse into a
+    sub-panel, so every component gets exactly the sum that integrating it on
+    its own would give.  A non-finite panel sum raises ArithmeticError.
+    """
     t, w = _gauss_rule(order)
 
-    def panel(lo, hi):
-        x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-        return 0.5 * (hi - lo) * np.sum(fun(x) * w, axis=-1)
+    def values(lo, hi):
+        return np.asarray(fun(0.5 * (hi - lo) * t + 0.5 * (hi + lo)))
 
-    def recurse(lo, hi, whole, depth, tol):
+    def panel(lo, hi, vals):
+        s = 0.5 * (hi - lo) * np.sum(vals * w, axis=-1)
+        if not np.all(np.isfinite(s)):
+            raise ArithmeticError(f"non-finite quadrature panel sum on [{lo!r}, {hi!r}]")
+        return s
+
+    def recurse(lo, hi, whole, tol, rows, depth):
         mid = 0.5 * (lo + hi)
-        left, right = panel(lo, mid), panel(mid, hi)
-        if depth >= max_depth or np.max(np.abs(left + right - whole)) <= tol:
-            return left + right
-        return recurse(lo, mid, left, depth + 1, tol) + recurse(mid, hi, right, depth + 1, tol)
+        left = panel(lo, mid, values(lo, mid).reshape(-1, order)[rows])
+        right = panel(mid, hi, values(mid, hi).reshape(-1, order)[rows])
+        total = left + right
+        if depth < max_depth:
+            todo = np.flatnonzero(np.abs(total - whole) > tol)
+            if todo.size:
+                total[todo] = (recurse(lo, mid, left[todo], tol[todo], rows[todo], depth + 1)
+                               + recurse(mid, hi, right[todo], tol[todo], rows[todo], depth + 1))
+        return total
 
-    whole = panel(a, b)
+    first = values(a, b)
+    vals = first.reshape(-1, order)
+    whole = panel(a, b, vals)
     # absolute floor tied to the integrand's mass so that cancellation-dominated
     # integrals (result near zero) terminate at roundoff instead of max depth
-    x0 = 0.5 * (b - a) * t + 0.5 * (b + a)
-    absmass = 0.5 * (b - a) * float(np.max(np.sum(np.abs(fun(x0)) * w, axis=-1)))
-    tol = max(rtol * float(np.max(np.abs(whole))), 1e-15 * absmass, 1e-30)
-    return recurse(a, b, whole, 0, tol)
+    absmass = 0.5 * (b - a) * np.sum(np.abs(vals) * w, axis=-1)
+    tol = np.maximum(np.maximum(rtol * np.abs(whole), 1e-15 * absmass), 1e-30)
+    out = recurse(a, b, whole, tol, np.arange(whole.size), 0)
+    return out.reshape(first.shape[:-1])[()]
 
 
 def trig_interp(f: SampledFunction, pts) -> np.ndarray:
     """Evaluate the trigonometric interpolant of f at arbitrary points."""
     g = f.grid
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    fhat = np.fft.fft(f.values) / g.n
-    xi = g.xi.copy()
-    # make the Nyquist mode symmetric for a real-friendly interpolant
-    coeff = fhat.copy()
+    coeff = np.fft.fft(f.values) / g.n
+    xi = g.xi
     nyq = g.n // 2
-    vals = np.zeros(pts.shape, dtype=complex)
     phase = np.exp(1j * np.outer(pts + g.L, xi))
+    # the Nyquist mode enters as a cosine, so real data interpolate to real values
     phase[:, nyq] = np.cos(xi[nyq] * (pts + g.L))
-    vals = phase @ coeff
-    return vals
+    return phase @ coeff
 
 
 def riesz_constant(alpha: float) -> float:
@@ -378,7 +394,7 @@ def riesz_constant(alpha: float) -> float:
     return 2.0 * math.cos(math.pi * alpha) * math.gamma(2.0 * alpha)
 
 
-def _kernel(spec: SymbolSpec, x: float, y: np.ndarray) -> np.ndarray:
+def _kernel(spec: SymbolSpec, x, y) -> np.ndarray:
     """Off-diagonal kernel matching the symbol normalization of `evaluate`."""
     u = x - y
     k = spec.kind
@@ -412,18 +428,17 @@ def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_po
     (for RieszInverse this includes the 1D Riesz-potential constant; see
     `riesz_constant`).
     """
-    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     if spec.kind == "FourierLaplace":
-        return fourier_laplace(f, I, spec.alpha, spec.beta, pts, rtol=rtol)
-    for x in pts:
-        if I.a <= x <= I.b:
-            raise ValueError(f"evaluation point {x} lies inside the closed source interval")
-    out = np.zeros(pts.shape, dtype=complex)
-    for i, x in enumerate(pts):
-        def integrand(y, x=x):
-            return trig_interp(f, y) * _kernel(spec, x, y)
-        out[i] = adaptive_gauss(integrand, I.a, I.b, rtol=rtol)
-    return out
+        return fourier_laplace(f, I, spec.alpha, spec.beta, eval_points, rtol=rtol)
+    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
+    inside = pts[(pts >= I.a) & (pts <= I.b)]
+    if inside.size:
+        raise ValueError(f"evaluation point {inside[0]} lies inside the closed source interval")
+
+    def integrand(y):
+        return trig_interp(f, y) * _kernel(spec, pts[..., None], y)
+
+    return adaptive_gauss(integrand, I.a, I.b, rtol=rtol)
 
 
 def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,
@@ -431,12 +446,11 @@ def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,
     """T_{a,b} f(x) = int exp((a+ib) x y) f(y) dy over I (x may be complex)."""
     pts = np.atleast_1d(np.asarray(eval_points))
     lam = alpha + 1j * beta
-    out = np.zeros(pts.shape, dtype=complex)
-    for i, x in enumerate(pts):
-        def integrand(y, x=x):
-            return trig_interp(f, y) * np.exp(lam * x * y)
-        out[i] = adaptive_gauss(integrand, I.a, I.b, rtol=rtol)
-    return out
+
+    def integrand(y):
+        return trig_interp(f, y) * np.exp(lam * pts[..., None] * y)
+
+    return adaptive_gauss(integrand, I.a, I.b, rtol=rtol)
 
 
 def _abspow_derivative_kernel(two_s: float, x, y, k: int):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import moments, polyx
-from nslab.gridfn import Interval
+from nslab.gridfn import Interval, make_bump
 from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
                            compute_moments, eval_reconstruction,
                            hilbert_inverse_sigma_max, legendre_ode_residual,
@@ -40,6 +40,16 @@ class TestComputeMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             compute_moments([1], UNIT, -1)
+
+    def test_sampled_function_matches_riemann_sums(self, grid):
+        f = make_bump(UNIT, 0.0, 1.0, grid)
+        m = compute_moments(f, UNIT, 10)
+        x = grid.x[UNIT.contains(grid.x)]
+        fx = f.values[UNIT.contains(grid.x)]
+        for j, v in enumerate(m.values):
+            riemann = np.sum(x**j * fx) * grid.dx
+            assert abs(v - riemann) <= 1e-10 * abs(riemann)
+        assert math.isfinite(m.quad_error) and m.quad_error <= 1e-8
 
 
 class TestHilbertSigmaMax:

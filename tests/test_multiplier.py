@@ -142,6 +142,8 @@ class TestOracleQuadrature:
         f = make_bump(Interval(0.0, 1.0), 0.0, 1.0, grid)
         with pytest.raises(ValueError):
             oracle_quadrature(symbol("HilbertSign"), f, Interval(0.0, 1.0), [0.5])
+        with pytest.raises(ValueError, match="evaluation point 1.0 lies inside"):
+            oracle_quadrature(symbol("HilbertSign"), f, Interval(0.0, 1.0), [2.0, 1.0, 0.5])
 
     def test_odd_function_leading_moment_vanishes(self, grid):
         I = Interval(-1.0, 1.0)
@@ -150,6 +152,61 @@ class TestOracleQuadrature:
         orc = oracle_quadrature(symbol("FourierLaplace", alpha=0.0, beta=-1.0),
                                 f, I, [0.0])[0]
         assert abs(orc) <= 1e-10
+
+
+class TestVectorQuadrature:
+    """One adaptive pass over many points gives each point its own result."""
+
+    @pytest.mark.parametrize("spec", [symbol("HilbertSign"),
+                                      symbol("ModifiedCoth", delta=0.1),
+                                      symbol("RieszInverse", alpha=0.25),
+                                      symbol("AbsPow", two_s=1.5)],
+                             ids=lambda spec: spec.kind)
+    def test_multi_point_oracle_equals_single_points(self, spec):
+        g = Grid(8.0, 1024)
+        I = Interval(0.0, 1.0)
+        f = make_bump(I, 0.0, 1.0, g)
+        pts = np.array([-2.0, -0.3, 1.05, 1.6, 3.5])
+        many = oracle_quadrature(spec, f, I, pts)
+        one = np.concatenate([oracle_quadrature(spec, f, I, [x]) for x in pts])
+        assert np.array_equal(many, one)
+
+    def test_fourier_laplace_complex_points_equal_single_points(self):
+        g = Grid(8.0, 1024)
+        I = Interval(0.0, 1.0)
+        f = make_bump(I, 0.0, 1.0, g)
+        spec = symbol("FourierLaplace", alpha=0.2, beta=-1.0)
+        pts = np.array([0.3 + 0.5j, -1.2j, 2.0, 0.0, 4.0 - 3.0j])
+        many = oracle_quadrature(spec, f, I, pts)
+        one = np.concatenate([fourier_laplace(f, I, 0.2, -1.0, [x]) for x in pts])
+        assert np.array_equal(many, one)
+
+    def test_small_component_keeps_its_own_relative_accuracy(self):
+        # the second component is 1e-12 times the first and needs refinement;
+        # a tolerance shared through max|whole| would stop it after one split
+        eps = 1e-2
+
+        def peak(x):
+            return 1e-12 * eps / ((x - 0.5) ** 2 + eps ** 2)
+
+        exact = 1e-12 * 2.0 * math.atan(0.5 / eps)
+        val = multiplier.adaptive_gauss(
+            lambda x: np.stack([np.ones_like(x), peak(x)]), 0.0, 1.0, rtol=1e-12)
+        assert val.shape == (2,)
+        assert val[0] == pytest.approx(1.0, rel=1e-14)
+        assert abs(val[1] - exact) <= 1e-10 * exact
+        assert val[1] == multiplier.adaptive_gauss(peak, 0.0, 1.0, rtol=1e-12)
+
+    def test_non_finite_integrand_raises_at_once(self):
+        calls = []
+
+        def nan_integrand(x):
+            calls.append(x.size)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(ArithmeticError):
+            multiplier.adaptive_gauss(nan_integrand, 0.0, 1.0, order=8)
+        assert calls == [8]
 
 
 class TestPseudolocality:
