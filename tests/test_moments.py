@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import moments, polyx
-from nslab.gridfn import Interval, make_bump
+from nslab.gridfn import Box, Interval, make_bump
 from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
                            compute_moments, eval_reconstruction,
                            hilbert_inverse_sigma_max, legendre_ode_residual,
@@ -72,6 +72,30 @@ class TestHilbertSigmaMax:
         with pytest.raises(ValueError):
             hilbert_inverse_sigma_max(41)
 
+    @pytest.mark.parametrize("N", [13, 17, 20])
+    def test_matches_600_bit_eigensolve_of_hilbert_matrix(self, N):
+        # independent route: 1 / lambda_min of H_N itself at 600 bits
+        with mpmath.workprec(600):
+            H = mpmath.matrix(N + 1)
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    H[i, j] = mpmath.mpf(1) / (i + j + 1)
+            ref = 1 / min(mpmath.eigsy(H, eigvals_only=True))
+            got = hilbert_inverse_sigma_max(N)
+            assert abs(got - ref) <= mpmath.mpf(10) ** -30 * ref
+
+    def test_order_forty_agrees_with_float64(self):
+        got = float(hilbert_inverse_sigma_max(40))
+        hinv = np.array(LegendreSystem(40).hilbert_inverse_exact(), dtype=float)
+        assert math.isfinite(got)
+        assert got == pytest.approx(np.linalg.eigvalsh(hinv)[-1], rel=1e-12)
+
+    def test_float64_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(moments.np.linalg, "eigvalsh",
+                            lambda a: np.array([2.0 * np.max(np.abs(a))]))
+        with pytest.raises(ArithmeticError):
+            hilbert_inverse_sigma_max(3)
+
 
 class TestGramIdentity:
     @pytest.mark.parametrize("N", [1, 4, 8])
@@ -129,6 +153,69 @@ class TestFestmom:
     def test_domain_check(self):
         with pytest.raises(ValueError):
             verify_festmom([1], Interval(-0.5, 0.5), 2)
+        with pytest.raises(ValueError):
+            verify_festmom([[1.0]], Interval(0.2, 0.5), 2)
+
+
+def _festmom_polyx_reference(f, I, N):
+    """The 1D bound through Fraction convolutions and antiderivatives."""
+    coeffs = polyx.as_exact(list(f))
+    a = Fraction(I.a).limit_denominator(10**12)
+    b = Fraction(I.b).limit_denominator(10**12)
+    lhs = polyx.p_l2sq(coeffs, a, b)
+    lam = b - a
+    pulled = polyx.p_compose_affine(coeffs, a, lam)
+    msum = sum((lam * polyx.p_moment(pulled, j, Fraction(0), Fraction(1))) ** 2
+               for j in range(N + 1))
+    grad = polyx.p_l2sq(polyx.p_deriv(coeffs), a, b)
+    C = moments._box_constant(I, 1)
+    rhs = math.exp(C * (N + 1)) * float(msum) + float(grad) / (4.0 * (N + 1) ** 2)
+    lhs = float(lhs)
+    return lhs, rhs, lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("ab", [(0.1, 0.9), (0.0, 1.0), (0.2, 0.8)])
+def test_festmom_equals_polyx_reference(ab):
+    # the criterion-3 suite (seed 0, 50 degree-10 polynomials, N = 1..8),
+    # then one polynomial of each degree 0..3
+    I = Interval(*ab)
+    rng = np.random.default_rng(0)
+    suite = [rng.standard_normal(11).tolist() for _ in range(50)]
+    suite += [rng.standard_normal(d + 1).tolist() for d in range(4)]
+    for coeffs in suite:
+        for N in range(1, 9):
+            assert verify_festmom(coeffs, I, N) == _festmom_polyx_reference(coeffs, I, N)
+
+
+class TestFestmomBox:
+    BOX = Box((Interval(0.1, 0.9), Interval(0.2, 0.7)))
+
+    def test_zero_function(self):
+        assert verify_festmom([[0.0, 0.0], [0.0, 0.0]], self.BOX, 2) == (0.0, 0.0, True)
+
+    def test_separable_lhs_is_product_of_norms(self):
+        rng = np.random.default_rng(4)
+        p = polyx.as_exact(rng.standard_normal(4).tolist())
+        q = polyx.as_exact(rng.standard_normal(3).tolist())
+        c = [[pi * qj for qj in q] for pi in p]
+        lhs, _, holds = verify_festmom(c, self.BOX, 3)
+        exact = (polyx.p_l2sq(p, Fraction(1, 10), Fraction(9, 10))
+                 * polyx.p_l2sq(q, Fraction(1, 5), Fraction(7, 10)))
+        assert lhs == float(exact) and holds
+
+    @pytest.mark.parametrize("box", [BOX, Box((Interval(0.0, 1.0), Interval(0.0, 1.0)))])
+    def test_random_degree_two_tensors_hold(self, box):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            c = rng.standard_normal((3, 3)).tolist()
+            for N in (0, 1, 3):
+                assert verify_festmom(c, box, N)[2]
+
+    def test_domain_check(self):
+        with pytest.raises(ValueError):
+            verify_festmom([[1.0]], Box((Interval(0.5, 1.5), Interval(0.0, 1.0))), 1)
+        with pytest.raises(ValueError):
+            verify_festmom([[[1.0]]], Box((Interval(0.0, 1.0),) * 3), 1)
 
 
 class TestWeightedBounds:
