@@ -495,12 +495,12 @@ def cost_curve(ctx):
                       0.0, _get(cfg, "target_sharpness", float, 0.5),
                       grid).values[p.omega_idx]
         v = v / (math.sqrt(grid.dx) * np.linalg.norm(v))
-        rows, fit = runge.epsilon_sweep(p, v)
+        svd = runge.poisson_svd(p)
+        rows, fit = runge.epsilon_sweep(p, v, svd=svd)
         art.csv(["eps", "achieved", "cost", "k", "floor"],
                 [{**r, "floor": int(r["floor"])} for r in rows])
         art.svg([r["eps"] for r in rows], [r["cost"] for r in rows],
                 "eps", "cost", logx=True, logy=True)
-        svd = runge.poisson_svd(p)
         slope, r2 = runge.sigma_decay_fit(svd)
         return {"fit": fit, "sigma_decay_slope": slope, "sigma_decay_r2": r2,
                 "condition_number": p.condition_number}

@@ -67,23 +67,18 @@ class HalfPlaneField:
         if ys.size < 2:
             raise ValueError("ball norms need at least two y-levels")
         wy = np.gradient(ys)
+        dist = np.abs(self.grid.x - cx)
         total = 0.0
-        for j, y in enumerate(ys):
-            dy2 = r * r - (y - cy) ** 2
+        # levels outside [cy - r, cy + r] have dy2 <= 0 and add nothing
+        for j in range(ys.searchsorted(cy - r), ys.searchsorted(cy + r, "right")):
+            dy2 = r * r - (ys[j] - cy) ** 2
             if dy2 <= 0:
                 continue
-            half = math.sqrt(dy2)
-            xmask = np.abs(self.grid.x - cx) <= half
+            xmask = dist <= math.sqrt(dy2)
             if not np.any(xmask):
                 continue
             total += np.sum(np.abs(self.values[j][xmask]) ** 2) * self.grid.dx * wy[j]
         return float(math.sqrt(total))
-
-    def export_csv(self, path: str):
-        """Matrix snapshot: first column y, remaining columns Re at grid.x."""
-        header = "y," + ",".join(f"{x:.8g}" for x in self.grid.x)
-        mat = np.column_stack([self.y_levels, self.values.real])
-        np.savetxt(path, mat, delimiter=",", header=header, comments="")
 
 
 def _one_sided_energy(fhat: np.ndarray, xi: np.ndarray, side: int) -> float:
@@ -233,6 +228,35 @@ def plan_ball_chain(I: Interval, J: Interval, tau: float,
     return BallChain(tuple(centers), tuple(radii))
 
 
+def _propagate(field: HalfPlaneField, I: Interval, J: Interval, taus) -> list:
+    """(strip, chain, count) per tau from one walk of the longest chain: the
+    chain for a larger tau is a prefix of it, and the chained bound after its
+    last ball depends on that prefix only."""
+    y_top = float(field.y_levels[-1])
+    chains = [plan_ball_chain(I, J, tau, y_top=y_top) for tau in taus]
+    if not (I.b <= J.a or J.b <= I.a):
+        raise ValueError("target and data regions must have disjoint closures")
+    small = None
+    walk = []
+    for cx, cy in max(chains, key=lambda c: c.count).centers:
+        # measurement radius y/8 keeps the 4r-ball inside y > 0
+        n1, n2, n4, alpha = three_balls_report(field, (cx, cy), cy / 8.0)
+        if small is None:
+            small = n2
+        elif alpha is None or n4 == 0.0:
+            small = max(small, n2)
+        else:
+            carried = min(small, n1) if n1 > 0 else small
+            small = min(n2, carried ** alpha * n4 ** (1.0 - alpha))
+        walk.append(float(small))
+    out = []
+    for tau, chain in zip(taus, chains):
+        strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) \
+            if tau >= field.y_levels[1] else 0.0
+        out.append((float(strip), walk[chain.count - 1], chain.count))
+    return out
+
+
 def propagate_smallness(field: HalfPlaneField, I: Interval, J: Interval,
                         tau: float, s: float = 0.5):
     """(strip_small_y, chain_bound, ball_count) for the smallness experiment.
@@ -244,27 +268,7 @@ def propagate_smallness(field: HalfPlaneField, I: Interval, J: Interval,
     the propagated smallness in place of n_r.
     ball_count: number of balls in the chain (grows ~ -log tau).
     """
-    if not (0.0 < tau < 0.5):
-        raise ValueError("tau must lie in (0, 1/2)")
-    if not (I.b <= J.a or J.b <= I.a):
-        raise ValueError("target and data regions must have disjoint closures")
-    strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) \
-        if tau >= field.y_levels[1] else 0.0
-    chain = plan_ball_chain(I, J, tau, y_top=float(field.y_levels[-1]))
-    small = None
-    for (cx, cy), r in zip(chain.centers, chain.radii):
-        # measurement radius y/8 keeps the 4r-ball inside y > 0
-        rm = cy / 8.0
-        n1, n2, n4, alpha = three_balls_report(field, (cx, cy), rm)
-        if small is None:
-            small = n2
-            continue
-        if alpha is None or n4 == 0.0:
-            small = max(small, n2)
-            continue
-        carried = min(small, n1) if n1 > 0 else small
-        small = min(n2, carried ** alpha * n4 ** (1.0 - alpha))
-    return float(strip), float(small if small is not None else 0.0), chain.count
+    return _propagate(field, I, J, [tau])[0]
 
 
 def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
@@ -281,17 +285,16 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
             break
         taus.append(t)
         t *= fac
+    if not taus:
+        raise ValueError("no admissible tau for this field's y-resolution")
     best = None
     rows = []
-    for tau in taus:
-        strip, chain, count = propagate_smallness(field, I, J, tau, s)
+    for tau, (strip, chain, count) in zip(taus, _propagate(field, I, J, taus)):
         bound = strip + chain
         rows.append({"tau": tau, "strip": strip, "chain": chain,
                      "count": count, "bound": bound})
         if best is None or bound < best[1]:
             best = (tau, bound)
-    if best is None:
-        raise ValueError("no admissible tau for this field's y-resolution")
     return best[0], best[1], rows
 
 

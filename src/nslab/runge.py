@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import multiplier
 from .gridfn import Grid, Interval, SampledFunction, norm
@@ -30,11 +31,19 @@ class DirichletEigenvalueError(ValueError):
         self.near_null = near_null
 
 
+def _circulant(c: np.ndarray, m: int) -> np.ndarray:
+    """Leading m x m block of the circulant matrix with first column c,
+    M[i, j] = c[(i - j) mod n], as a C-contiguous copy."""
+    n = c.size
+    r = np.roll(c[::-1], 1)                   # r[k] = c[-k mod n]
+    rows = sliding_window_view(np.concatenate([r, r]), m)
+    return rows[n:n - m:-1].copy()            # row i is r[n - i:], wrapped
+
+
 def dense_multiplier_matrix(spec: multiplier.SymbolSpec, grid: Grid) -> np.ndarray:
-    """Dense matrix of the Fourier multiplier on the periodic grid."""
-    diag = multiplier.evaluate(spec, grid.xi)
-    F = np.fft.fft(np.eye(grid.n), axis=0)
-    return np.fft.ifft(diag[:, None] * F, axis=0)
+    """Dense matrix of the Fourier multiplier on the periodic grid: the
+    circulant of the column ifft(symbol)."""
+    return _circulant(np.fft.ifft(multiplier.evaluate(spec, grid.xi)), grid.n)
 
 
 def _indices(grid: Grid, region: Interval) -> np.ndarray:
@@ -70,12 +79,14 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
     w_idx = _indices(grid, W)
     if w_idx.size == 0:
         raise ValueError("exterior region W contains no grid points")
-    spec = multiplier.symbol("AbsPow", two_s=2.0 * s)
-    T = dense_multiplier_matrix(spec, grid)
-    asym = np.max(np.abs(T - T.T)) / np.max(np.abs(T))
+    # T is the circulant of c, so max|T - T^T| / max|T| is read off c
+    c = np.fft.ifft(multiplier.evaluate(
+        multiplier.symbol("AbsPow", two_s=2.0 * s), grid.xi))
+    c_t = np.roll(c[::-1], 1)                 # column of T^T
+    asym = np.max(np.abs(c - c_t)) / np.max(np.abs(c))
     if asym > 1e-10:
         raise ValueError(f"operator matrix asymmetry {asym:.2e} exceeds 1e-10")
-    T = np.real(0.5 * (T + T.T))
+    T = _circulant(np.real(0.5 * (c + c_t)), grid.n)
     qv = np.broadcast_to(np.asarray(q, dtype=float), omega_idx.shape).copy()
     prob = RungeProblem(s=s, grid=grid, Omega=Omega, W=W, q=qv, T=T,
                         omega_idx=omega_idx, w_idx=w_idx)
@@ -113,11 +124,10 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
 
 
 def _hs_gram(p: RungeProblem) -> np.ndarray:
-    """Gram matrix of the H^s(W) inner product on zero-extended W-values."""
+    """Gram matrix of the H^s(W) inner product on zero-extended W-values (W's
+    nodes are consecutive, so its block is the circulant's leading block)."""
     weight = (1.0 + p.grid.xi ** 2) ** p.s
-    F = np.fft.fft(np.eye(p.grid.n), axis=0)
-    S = np.real(np.fft.ifft(weight[:, None] * F, axis=0))
-    G = p.grid.dx * S[np.ix_(p.w_idx, p.w_idx)]
+    G = p.grid.dx * _circulant(np.real(np.fft.ifft(weight)), p.w_idx.size)
     return 0.5 * (G + G.T)
 
 
@@ -207,13 +217,15 @@ def runge_approximate(p: RungeProblem, v, eps: float, svd: PoissonSVD = None):
     return f_eps, achieved, cost, k, floor
 
 
-def epsilon_sweep(p: RungeProblem, v, eps_list=(0.5, 0.2, 0.1, 0.05, 0.02)):
+def epsilon_sweep(p: RungeProblem, v, eps_list=(0.5, 0.2, 0.1, 0.05, 0.02),
+                  svd: PoissonSVD = None):
     """Cost curve over the eps ladder with an exp(C2 * eps^-mu) envelope fit.
 
     Fits log cost = log C + C2 * eps^-mu by scanning mu and solving the linear
     subproblem; returns (rows, fit dict with mu_hat, C, C2, r_squared).
     """
-    svd = poisson_svd(p)
+    if svd is None:
+        svd = poisson_svd(p)
     rows = []
     for eps in eps_list:
         _, achieved, cost, k, floor = runge_approximate(p, v, eps, svd=svd)

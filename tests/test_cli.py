@@ -1,5 +1,8 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -76,6 +79,17 @@ class TestPlumbing:
         assert res.exit_code == 0
         svg = _read(tmp_path / "hilbert_growth.svg")
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.linalg takes about as long as the whole CLI import
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    code = ("import sys, nslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestExperiments:

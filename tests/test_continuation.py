@@ -22,6 +22,60 @@ def _poisson_field(n=1024, y_top=1.0, levels=129, support=Interval(1.0, 2.0)):
     return extend(h, ys, mode="poisson")
 
 
+def _ball_norm_reference(field, center, r):
+    """Reference: the masked Riemann sum visited at every y-level."""
+    cx, cy = center
+    wy = np.gradient(field.y_levels)
+    total = 0.0
+    for j, y in enumerate(field.y_levels):
+        dy2 = r * r - (y - cy) ** 2
+        if dy2 <= 0:
+            continue
+        xmask = np.abs(field.grid.x - cx) <= math.sqrt(dy2)
+        if not np.any(xmask):
+            continue
+        total += np.sum(np.abs(field.values[j][xmask]) ** 2) * field.grid.dx * wy[j]
+    return float(math.sqrt(total))
+
+
+def _certificate_reference(field, I, J, decades):
+    """Certificate rows from one full ball-chain walk per tau."""
+    def propagate(tau):
+        strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) \
+            if tau >= field.y_levels[1] else 0.0
+        chain = plan_ball_chain(I, J, tau, y_top=float(field.y_levels[-1]))
+        small = None
+        for (cx, cy), r in zip(chain.centers, chain.radii):
+            n1, n2, n4, alpha = three_balls_report(field, (cx, cy), cy / 8.0)
+            if small is None:
+                small = n2
+                continue
+            if alpha is None or n4 == 0.0:
+                small = max(small, n2)
+                continue
+            carried = min(small, n1) if n1 > 0 else small
+            small = min(n2, carried ** alpha * n4 ** (1.0 - alpha))
+        return float(strip), float(small), chain.count
+
+    rows = []
+    t = 0.45
+    for _ in range(int(decades * 16)):
+        if t < 2.0 * float(field.y_levels[1]):
+            break
+        strip, chain, count = propagate(t)
+        rows.append({"tau": t, "strip": strip, "chain": chain,
+                     "count": count, "bound": strip + chain})
+        t *= 10.0 ** (-1.0 / 16.0)
+    return rows
+
+
+def _zero_field():
+    g = Grid(8.0, 512)
+    ys = np.linspace(0.0, 1.0, 65)
+    return HalfPlaneField(g, ys, np.zeros((65, g.n), dtype=complex),
+                          spectrum="full")
+
+
 class TestExtend:
     def test_single_positive_mode(self):
         g = Grid(np.pi, 256)
@@ -116,6 +170,20 @@ class TestThreeBalls:
         got = field.ball_norm((cx, cy), r)
         assert got == pytest.approx(math.sqrt(want), rel=5e-3)
 
+    def test_ball_norm_equals_per_level_reference(self):
+        field = _poisson_field()
+        rng = np.random.default_rng(3)
+        balls = [((float(cx), float(cy)), float(cy) / 8.0 * k)
+                 for cx, cy in plan_ball_chain(Interval(-2, -1), Interval(1, 2),
+                                               0.02).centers
+                 for k in (1, 2, 4)]
+        balls += [((float(rng.uniform(-3, 3)), float(rng.uniform(0.3, 0.7))),
+                   float(rng.uniform(0.01, 0.3))) for _ in range(40)]
+        balls += [((0.0, 0.5), 0.125), ((1.0, 0.25), 0.25)]  # on lattice levels
+        for center, r in balls:
+            assert field.ball_norm(center, r) == _ball_norm_reference(
+                field, center, r)
+
     def test_monotone_in_radius(self):
         field = _poisson_field()
         n1, n2, n4, _ = three_balls_report(field, (1.5, 0.5), 0.1)
@@ -162,10 +230,7 @@ class TestBallChain:
 
 class TestPropagateSmallness:
     def test_zero_field(self):
-        g = Grid(8.0, 512)
-        ys = np.linspace(0.0, 1.0, 65)
-        field = HalfPlaneField(g, ys, np.zeros((65, g.n), dtype=complex),
-                               spectrum="full")
+        field = _zero_field()
         strip, chain, count = propagate_smallness(
             field, Interval(-2, -1), Interval(1, 2), 0.1)
         assert strip == 0.0 and chain == 0.0 and count > 0
@@ -182,6 +247,34 @@ class TestPropagateSmallness:
         direct = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, 1.0))
         assert bound <= 10.0 * direct
         assert all(r["count"] >= rows[0]["count"] for r in rows)
+
+    @pytest.mark.parametrize("make_field", [_poisson_field, _zero_field])
+    def test_certificate_rows_equal_per_tau_walks(self, make_field):
+        field = make_field()
+        I, J = Interval(-2.0, -1.0), Interval(1.0, 2.0)
+        want = _certificate_reference(field, I, J, 2.5)
+        tau, bound, rows = smallness_certificate(field, I, J, decades=2.5)
+        assert rows == want
+        best = min(want, key=lambda r: r["bound"])
+        assert (tau, bound) == (best["tau"], best["bound"])
+        for row in rows[::7]:
+            assert propagate_smallness(field, I, J, row["tau"]) == (
+                row["strip"], row["chain"], row["count"])
+
+    def test_certificate_walks_the_chain_once(self, monkeypatch):
+        calls = []
+        real = continuation.three_balls_report
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(continuation, "three_balls_report", counted)
+        field = _poisson_field()
+        _, _, rows = smallness_certificate(field, Interval(-2.0, -1.0),
+                                           Interval(1.0, 2.0))
+        assert len(calls) == max(r["count"] for r in rows)
+        assert len(set(calls)) == len(calls)
 
 
 class TestBulkBoundary:

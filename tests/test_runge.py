@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nslab import runge
+from nslab import multiplier, runge
 from nslab.gridfn import Grid, Interval, make_bump, norm
 from nslab.runge import (DirichletEigenvalueError, build, dual_ucp_experiment,
                          epsilon_sweep, poisson_svd, reciprocity_defect,
@@ -30,7 +30,44 @@ def bump_target(problem):
     return v / (math.sqrt(GRID.dx) * np.linalg.norm(v))
 
 
+def _multiplier_matrix_reference(symbol_values):
+    """The multiplier applied to every column of the identity by FFT."""
+    n = symbol_values.size
+    F = np.fft.fft(np.eye(n), axis=0)
+    return np.fft.ifft(symbol_values[:, None] * F, axis=0)
+
+
 class TestBuild:
+    @pytest.mark.parametrize("s,n", [(0.6, 512), (0.5, 1024), (0.9, 2048)])
+    def test_circulant_matches_fft_of_identity(self, s, n):
+        g = Grid(4.0, n)
+        p = build(s, 0.0, OMEGA, W, g)
+        ref = _multiplier_matrix_reference(multiplier.evaluate(
+            multiplier.symbol("AbsPow", two_s=2.0 * s), g.xi))
+        ref = np.real(0.5 * (ref + ref.T))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(p.T - ref)) <= 1e-15 * scale
+        assert np.array_equal(p.T, p.T.T)
+        assert p.T.dtype == np.float64 and p.T.flags.c_contiguous
+        hilbert = multiplier.evaluate(multiplier.symbol("HilbertSign"), g.xi)
+        ref = _multiplier_matrix_reference(hilbert)
+        got = runge.dense_multiplier_matrix(multiplier.symbol("HilbertSign"), g)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_hs_gram_matches_fft_of_identity(self, problem):
+        weight = (1.0 + GRID.xi ** 2) ** problem.s
+        S = np.real(_multiplier_matrix_reference(weight))
+        ref = GRID.dx * S[np.ix_(problem.w_idx, problem.w_idx)]
+        ref = 0.5 * (ref + ref.T)
+        got = runge._hs_gram(problem)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert np.array_equal(got, got.T)
+
+    def test_asymmetric_symbol_rejected(self, monkeypatch):
+        monkeypatch.setattr(multiplier, "evaluate", lambda spec, xi: xi ** 3)
+        with pytest.raises(ValueError, match="asymmetry"):
+            build(0.6, 0.0, OMEGA, W, GRID)
+
     def test_operator_matches_multiplier_on_sine_mode(self):
         p = build(0.5, 0.0, OMEGA, W, GRID)
         k = abs(float(GRID.xi[40]))  # an exact grid frequency, mid-range
@@ -166,6 +203,10 @@ class TestRungeApproximate:
         costs = [row["cost"] for row in rows]
         assert all(b >= a for a, b in zip(costs, costs[1:]))
         assert fit["mu_hat"] > 0 and fit["r_squared"] >= 0.9
+
+    def test_sweep_reuses_given_svd(self, problem, bump_target, svd):
+        assert epsilon_sweep(problem, bump_target, svd=svd) == epsilon_sweep(
+            problem, bump_target)
 
 
 class TestDualUCP:
