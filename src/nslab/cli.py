@@ -457,8 +457,7 @@ def propagate_cmd(ctx):
         I = _interval(cfg, "I", Interval(-2.0, -1.0))
         J = _interval(cfg, "J", Interval(1.0, 2.0))
         tau, bound, rows = continuation.smallness_certificate(
-            field, I, J, s=_get(cfg, "s", float, 0.5),
-            decades=_get(cfg, "decades", float, 2.0))
+            field, I, J, decades=_get(cfg, "decades", float, 2.0))
         art.csv(["tau", "strip", "chain", "count", "bound"], rows)
         art.svg([r["tau"] for r in rows], [r["count"] for r in rows],
                 "tau", "ball count", logx=True)

@@ -258,7 +258,7 @@ def _propagate(field: HalfPlaneField, I: Interval, J: Interval, taus) -> list:
 
 
 def propagate_smallness(field: HalfPlaneField, I: Interval, J: Interval,
-                        tau: float, s: float = 0.5):
+                        tau: float):
     """(strip_small_y, chain_bound, ball_count) for the smallness experiment.
 
     strip_small_y: measured L2 norm over I x [0, tau].
@@ -272,7 +272,7 @@ def propagate_smallness(field: HalfPlaneField, I: Interval, J: Interval,
 
 
 def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
-                          s: float = 0.5, decades: float = 2.5):
+                          decades: float = 2.5):
     """Optimize strip + chain over a logarithmic tau grid (16 points per
     decade); returns (best_tau, best_bound, rows)."""
     y1 = float(field.y_levels[1])

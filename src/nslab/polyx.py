@@ -1,9 +1,9 @@
-"""Exact polynomial algebra on interval/box domains.
+"""Exact polynomial algebra on intervals.
 
 Polynomials are coefficient sequences in the monomial basis (ascending
-powers), with Fraction coefficients in exact mode; 2D polynomials are tensor
-coefficient matrices c[i][j] x^i y^j.  Used by the moment machinery where the
-Hilbert-matrix conditioning makes floating arithmetic meaningless.
+powers), with Fraction coefficients in exact mode.  Used by the moment
+machinery where the Hilbert-matrix conditioning makes floating arithmetic
+meaningless.
 """
 
 from __future__ import annotations
@@ -73,58 +73,3 @@ def p_compose_affine(p, c0, c1):
         acc = p_add(p_mul(acc, lin), [c])
     return acc
 
-
-# --- 2D tensor polynomials -------------------------------------------------
-
-def p2_eval(c, x, y):
-    rows = [p_eval(list(row), y) for row in c]
-    return p_eval(rows, x)
-
-
-def p2_partial(c, axis):
-    c = [list(r) for r in c]
-    if axis == 0:
-        out = [[(i + 1) * c[i + 1][j] for j in range(len(c[0]))] for i in range(len(c) - 1)]
-        return out or [[0 * c[0][0]]]
-    out = [[(j + 1) * row[j + 1] for j in range(len(row) - 1)] or [0 * row[0]] for row in c]
-    return out
-
-
-def p2_mul(a, b):
-    na, ma = len(a), len(a[0])
-    nb, mb = len(b), len(b[0])
-    out = [[0] * (ma + mb - 1) for _ in range(na + nb - 1)]
-    for i in range(na):
-        for j in range(ma):
-            if a[i][j] == 0:
-                continue
-            for k in range(nb):
-                for l in range(mb):
-                    out[i + k][j + l] += a[i][j] * b[k][l]
-    return out
-
-
-def p2_integral(c, box):
-    """int over box = (ax,bx) x (ay,by)."""
-    (ax, bx), (ay, by) = box
-    total = 0
-    for i, row in enumerate(c):
-        fx = (Fraction(bx) ** (i + 1) - Fraction(ax) ** (i + 1)) / (i + 1) \
-            if isinstance(row[0], Fraction) else (bx ** (i + 1) - ax ** (i + 1)) / (i + 1)
-        for j, cij in enumerate(row):
-            if cij == 0:
-                continue
-            fy = (Fraction(by) ** (j + 1) - Fraction(ay) ** (j + 1)) / (j + 1) \
-                if isinstance(cij, Fraction) else (by ** (j + 1) - ay ** (j + 1)) / (j + 1)
-            total += cij * fx * fy
-    return total
-
-
-def p2_moment(c, jx, jy, box):
-    shifted = [[0] * jy + list(r) for r in c]
-    shifted = [[0] * len(shifted[0])] * jx + shifted
-    return p2_integral(shifted, box)
-
-
-def p2_l2sq(c, box):
-    return p2_integral(p2_mul(c, c), box)

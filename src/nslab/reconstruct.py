@@ -7,10 +7,24 @@ the moments; projecting onto a Legendre basis then reconstructs the source.
 The inversion is severely ill-posed, so the least squares runs in extended
 precision and the truncation order N acts as the regularizer (chosen by the
 discrepancy principle under noise).
+
+The fit is set in the Legendre basis: the k-th design column is the operator
+applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
+kernel(x, y) dy, where kernel(x, y) = sum_j y^j expansion_basis(kind, j, x)
+is summed in closed form.  One n-point Gauss-Legendre rule on I computes every
+column and the moment table.  For a kernel analytic off I its error falls like
+rho^(-2n) (Trefethen, SIAM Rev. 50 (2008)), rho = z + sqrt(z^2 - 1) being the
+Bernstein-ellipse parameter of the nearest sample point (distance z from the
+centre of I in half-lengths), so n = ceil(((bits+20) ln 2 / ln rho + m/2)/2)
++ 2 for m samples; FourierLaplace's entire kernel takes its Taylor-term bound
+in place of the first term.  A rule longer than 4000 nodes is refused, and
+the last column is checked against `mp.quad` at the point that set n: a miss
+above 2^-(bits-64) of the integrand's absolute mass raises ArithmeticError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -227,82 +241,114 @@ def _ls_path(qs, R, b, bits: int):
         return residuals, solve, rhs
 
 
-def _orthonormal_legendre_mp(a, b, N: int):
-    """Coefficient lists (mpf, ascending) of the orthonormal Legendre basis on
-    (a, b) — must be called inside an mp.workprec block."""
-    from .moments import legendre_coeff_matrix
-    C = legendre_coeff_matrix(N)
-    lam = mp.mpf(b) - mp.mpf(a)
-    polys = []
-    for k in range(N + 1):
-        unit = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in C[k][: k + 1]]
-        # compose with t = (y - a)/lam, then L2-normalize over (a, b)
-        comp = [mp.mpf(0)] * (k + 1)
-        acc = [unit[-1]]
-        c0, c1 = -mp.mpf(a) / lam, 1 / lam
-        for c in reversed(unit[:-1]):
-            nxt = [mp.mpf(0)] * (len(acc) + 1)
-            for i, v in enumerate(acc):
-                nxt[i] += v * c0
-                nxt[i + 1] += v * c1
-            nxt[0] += c
-            acc = nxt
-        scale = 1 / mp.sqrt(lam * (2 * k + 1))
-        polys.append([v * scale for v in acc])
-    return polys
-
-
-def _legendre_moment_table(a, b, polys, M: int):
-    """mom[k][j] = int_a^b y^j G_k(y) dy for the polys list, j = 0..M."""
-    N = len(polys) - 1
-    deg = N + M + 1
-    pa = [mp.mpf(1)]
-    pb = [mp.mpf(1)]
-    am, bm = mp.mpf(a), mp.mpf(b)
-    for _ in range(deg + 1):
-        pa.append(pa[-1] * am)
-        pb.append(pb[-1] * bm)
-    mom = []
-    for k, g in enumerate(polys):
-        row = []
-        for j in range(M + 1):
-            s = mp.mpf(0)
-            for l, gl in enumerate(g):
-                p = j + l + 1
-                s += gl * (pb[p] - pa[p]) / p
-            row.append(s)
-        mom.append(row)
-    return mom
+def _check_convergence_region(kind: str, pts, itv: Interval):
+    """Fit points must lie off the hull of I (in the fit variable), with room."""
+    if kind == "FourierLaplace":
+        return
+    hull = max(abs(itv.a), abs(itv.b))
+    rmin = float(np.min(np.abs(pts.real)))
+    if rmin <= hull:
+        raise ValueError(
+            "sample points must lie outside the closed convex hull of the "
+            "source (power series diverges there)")
+    if rmin <= hull * 1.02:
+        raise ValueError(
+            "sample points too close to the source hull for a convergent "
+            "expansion fit at this precision")
 
 
 def _fit_points_and_interval(data: RemoteData):
     """Points and source interval in the variable the expansion lives in."""
     if data.kind == "ModifiedHilbert":
-        return tilde_variable(data.points.real, data.delta), _tilde_interval(data.source, data.delta)
-    return data.points, data.source
+        pts = tilde_variable(data.points.real, data.delta)
+        itv = _tilde_interval(data.source, data.delta)
+    else:
+        pts, itv = data.points, data.source
+    _check_convergence_region(data.kind, pts, itv)
+    return pts, itv
 
 
-def _tail_order(data: RemoteData, pts, itv: Interval, bits: int) -> int:
-    """Expansion length M so the dropped tail is below the precision floor."""
-    if data.kind == "FourierLaplace":
-        lam = abs(data.alpha + 1j * data.beta)
-        z = lam * float(np.max(np.abs(pts))) * max(abs(itv.a), abs(itv.b))
-        M, term = 1, z
-        while term > 2.0 ** (-(bits + 20)) and M < 4000:
-            M += 1
-            term *= z / M
-        return max(M, 4)
-    hull = max(abs(itv.a), abs(itv.b))
-    rmin = float(np.min(np.abs(pts)))
-    if rmin <= hull * 1.02:
-        raise ValueError(
-            "sample points too close to the source hull for a convergent "
-            "expansion fit at this precision")
-    M = int(math.ceil((bits + 20) * math.log(2) / math.log(rmin / hull)))
-    return min(M, 4000)
+def _kernel(kind: str, x, y, delta=None, alpha=None, beta=None):
+    """sum_j y^j expansion_basis(kind, j, x) in closed form, for mp scalars."""
+    if kind == "Hilbert":
+        return 1 / (mp.pi * (x - y))
+    if kind == "ModifiedHilbert":
+        return (1 / mp.pi + 2 * delta * x) / (x - y) - delta
+    if kind == "RieszInverse":
+        return x ** (2 * mp.mpf(alpha) - 1) * (1 - y / x) ** (2 * mp.mpf(alpha) - 1)
+    return mp.exp(mp.mpc(alpha, beta) * x * y)
 
 
-_design_cache: dict = {}
+# longest Gauss-Legendre rule a design may use; past it the sample points sit
+# too close to the source (or FourierLaplace's kernel grows too fast)
+_MAX_NODES = 4000
+
+
+def _node_count(kind: str, pts, itv: Interval, bits: int, alpha=None, beta=None):
+    """Gauss-Legendre node count for the design (see the module docstring),
+    and the index of the sample point that sets it.
+
+    The m/2 term covers the degree of any column's Legendre mode (at most
+    m/2), so every design of one sweep shares one rule.
+    """
+    if kind == "FourierLaplace":
+        i0 = int(np.argmax(np.abs(pts)))
+        z = abs(alpha + 1j * beta) * abs(pts[i0]) * max(abs(itv.a), abs(itv.b))
+        deg, term = 1, z
+        while term > 2.0 ** (-(bits + 20)) and deg < 2 * _MAX_NODES:
+            deg += 1
+            term *= z / deg
+    else:
+        dist = np.abs(pts.real - itv.center)
+        i0 = int(np.argmin(dist))
+        z = float(dist[i0]) / (0.5 * itv.length)
+        deg = (bits + 20) * math.log(2) / math.log(z + math.sqrt(z * z - 1))
+    n = math.ceil((deg + pts.size / 2) / 2) + 2
+    if n > _MAX_NODES:
+        raise ArithmeticError(
+            f"design needs {n} Gauss-Legendre nodes, above the {_MAX_NODES} ceiling; "
+            "move the sample points away from the source or lower the precision")
+    return n, i0
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(n: int, bits: int):
+    """n-point Gauss-Legendre rule on [-1, 1], (nodes, weights) as mpf.
+
+    numpy's float64 nodes are polished by Newton steps on the three-term
+    recurrence, each at about twice the precision of the last, up to `bits`;
+    the rule is symmetric, so only nodes >= 0 are computed.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    def p_and_dp(t):  # P_n(t), P_n'(t)
+        p0, p1 = mp.mpf(1), t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        return p1, n * (t * p1 - p0) / (t * t - 1)
+
+    # Newton squares the error times ~n^2 near the ends of [-1, 1], hence the
+    # log2(n) guard bits on each halving
+    precs = [bits]
+    while precs[-1] > 106:
+        precs.append(precs[-1] // 2 + n.bit_length())
+    pos, wts = [], []
+    for t0 in leggauss(n)[0][n // 2:]:
+        t = mp.mpf(float(t0))
+        for prec in reversed(precs):
+            with mp.workprec(prec):
+                p, dp = p_and_dp(t)
+                t = t - p / dp
+        with mp.workprec(bits):
+            _, dp = p_and_dp(t)
+            wts.append(2 / ((1 - t * t) * dp * dp))
+        pos.append(t)
+    # for odd n the first nonnegative node is the middle one: mirror the rest
+    # (mp.fneg, as unary minus would round to the ambient precision)
+    nodes = [mp.fneg(t, exact=True) for t in reversed(pos[n % 2:])] + pos
+    weights = list(reversed(wts[n % 2:])) + wts
+    return nodes, weights
+
 
 # extra fit columns beyond the reported order (tail-absorption buffer); each
 # is kept only while its orthogonalized data coefficient clears the noise gate
@@ -310,70 +356,64 @@ _FIT_BUFFER = 8
 _BUFFER_GATE = 3.0
 
 
+@functools.lru_cache(maxsize=16)
+def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
+            delta=None, alpha=None, beta=None):
+    """QR-factored design and the (N+1)^2 table int_I y^j G_k, both from one
+    Gauss-Legendre rule on I (see `_fit_machinery`).
+
+    Self-check: column N at the point that sets the node count must agree
+    with `mp.quad` of the same integrand to 2^-(bits-64) times the
+    integrand's absolute mass, or ArithmeticError is raised.
+    """
+    pts_arr = np.asarray(pts)
+    n, i0 = _node_count(kind, pts_arr, itv, bits, alpha, beta)
+    wp = bits + 32
+    ts, ws = _gauss_legendre(n, wp)
+    with mp.workprec(wp):
+        c = (mp.mpf(itv.a) + itv.b) / 2
+        h = (mp.mpf(itv.b) - itv.a) / 2
+        ys = [c + h * t for t in ts]
+        # G_k(y) = sqrt((2k+1)/(2h)) P_k((y-c)/h), orthonormal on I;
+        # W[k][l] = h w_l G_k(y_l)
+        P = [[mp.mpf(1)] * n, list(ts)]
+        for k in range(1, N):
+            P.append([((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+                      for t, p0, p1 in zip(ts, P[k - 1], P[k])])
+        W = [[mp.sqrt((2 * k + 1) * h / 2) * w * p for w, p in zip(ws, P[k])]
+             for k in range(N + 1)]
+        xs = _mp_vec(pts_arr)
+        K = [[_kernel(kind, x, y, delta, alpha, beta) for y in ys] for x in xs]
+        cols = [[mp.fdot(Wk, Kx) for Kx in K] for Wk in W]
+        powers = [[mp.mpf(1)] * n]
+        for _ in range(N):
+            powers.append([p * y for p, y in zip(powers[-1], ys)])
+        mom = [[mp.fdot(Wk, yj) for yj in powers] for Wk in W]
+        mass = mp.fsum(abs(w * k) for w, k in zip(W[N], K[i0]))
+    with mp.workprec(bits):
+        ref = mp.quad(lambda y: mp.sqrt((2 * N + 1) / (2 * h)) * mp.legendre(N, (y - c) / h)
+                      * _kernel(kind, xs[i0], y, delta, alpha, beta), [itv.a, itv.b])
+        gap = abs(cols[N][i0] - ref)
+        if gap > mp.ldexp(mass, -(bits - 64)):
+            raise ArithmeticError(
+                f"{kind} design column {N} misses its quadrature check by "
+                f"{float(gap):.3g} (integrand mass {float(mass):.3g}) with "
+                f"{n} Gauss-Legendre nodes")
+    qs, R = _mgs_qr(cols, bits)
+    return qs, R, mom
+
+
 def _fit_machinery(data: RemoteData, N: int, bits: int):
-    """QR-factored design whose k-th column is the far-field response of the
-    k-th orthonormal Legendre mode of the source interval (the full expansion
-    summed to the precision floor), plus the moment table for k, j <= N.
+    """QR-factored design whose k-th column is the operator applied to the
+    k-th orthonormal Legendre mode G_k of the source interval,
+    column_k(x) = int_I G_k(y) kernel(x, y) dy by Gauss-Legendre on I, plus
+    the moment table for k, j <= N.
 
     Cached: sweeps re-use the factorization across noise draws.
     """
     pts, itv = _fit_points_and_interval(data)
-    key = (data.kind, data.delta, data.alpha, data.beta,
-           itv.a, itv.b, pts.tobytes(), N, bits)
-    hit = _design_cache.get(key)
-    if hit is not None:
-        return hit
-    M = _tail_order(data, pts, itv, bits)
-    with mp.workprec(bits):
-        xs = _mp_vec(pts)
-        lam = None
-        if data.kind == "FourierLaplace":
-            lam = mp.mpc(data.alpha, data.beta)
-            base = [lam * x for x in xs]
-        else:
-            base = [1 / x for x in xs]
-        # B[j] = expansion_basis(kind, j, .) at the sample points
-        B = []
-        cur = None
-        for j in range(M + 1):
-            if data.kind == "FourierLaplace":
-                cur = [mp.mpf(1)] * len(xs) if j == 0 else [c * z / j for c, z in zip(cur, base)]
-                B.append(cur)
-            elif data.kind == "Hilbert":
-                cur = [z / mp.pi for z in base] if j == 0 else [c * z for c, z in zip(cur, base)]
-                B.append(cur)
-            elif data.kind == "RieszInverse":
-                if j == 0:
-                    pre = [x ** mp.mpf(2 * data.alpha) for x in xs]
-                    cur = [p * z for p, z in zip(pre, base)]
-                else:
-                    cur = [c * z for c, z in zip(cur, base)]
-                B.append([riesz_coefficient(data.alpha, j) * c for c in cur])
-            else:  # ModifiedHilbert
-                d = mp.mpf(data.delta)
-                if j == 0:
-                    pre = [1 / mp.pi + 2 * d * x for x in xs]
-                    cur = [p * z for p, z in zip(pre, base)]
-                    B.append([c - d for c in cur])
-                else:
-                    cur = [c * z for c, z in zip(cur, base)]
-                    B.append(list(cur))
-        polys = _orthonormal_legendre_mp(itv.a, itv.b, N)
-        mom = _legendre_moment_table(itv.a, itv.b, polys, M)
-        cols = []
-        for k in range(N + 1):
-            col = [mp.mpf(0)] * len(xs)
-            for j in range(M + 1):
-                mkj = mom[k][j]
-                col = [ci + mkj * bj for ci, bj in zip(col, B[j])]
-            cols.append(col)
-        qs, R = _mgs_qr(cols, bits)
-        mom_small = [row[: N + 1] for row in mom]
-    out = (qs, R, mom_small)
-    if len(_design_cache) > 16:
-        _design_cache.clear()
-    _design_cache[key] = out
-    return out
+    return _design(data.kind, itv, tuple(pts.tolist()), N, bits,
+                   data.delta, data.alpha, data.beta)
 
 
 def _fit_values(data: RemoteData) -> np.ndarray:
@@ -383,21 +423,6 @@ def _fit_values(data: RemoteData) -> np.ndarray:
         # coefficients c_j are written for the bare kernel -|x-y|^{2a-1}
         return -multiplier.riesz_constant(data.alpha) * data.values
     return data.values
-
-
-def _check_convergence_region(data: RemoteData):
-    if data.kind == "FourierLaplace":
-        return
-    pts = data.points.real
-    if data.kind == "ModifiedHilbert":
-        pts = tilde_variable(pts, data.delta)
-        hull = max(abs(v) for v in tilde_variable([data.source.a, data.source.b], data.delta))
-    else:
-        hull = max(abs(data.source.a), abs(data.source.b))
-    if np.min(np.abs(pts)) <= hull:
-        raise ValueError(
-            "sample points must lie outside the closed convex hull of the "
-            "source (power series diverges there)")
 
 
 def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
@@ -410,7 +435,7 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
     m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
-    _check_convergence_region(data)
+    _, itv = _fit_points_and_interval(data)
     # fit a few modes beyond N: the extra columns absorb the source's
     # higher-order content, which would otherwise alias O(1) errors into the
     # top reported coefficients (the buffer modes themselves are discarded)
@@ -432,7 +457,6 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
     a = solve(M_use)
     with mp.workprec(prec.bits):
         coeffs = [mp.fsum(a[k] * mom[k][j] for k in range(N + 1)) for j in range(N + 1)]
-    itv = data.source if data.kind != "ModifiedHilbert" else _tilde_interval(data.source, data.delta)
     if data.kind != "FourierLaplace":
         # real-kernel operators: the fitted moments are real by construction,
         # up to quadrature roundoff entering through the sample values
@@ -452,7 +476,6 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
     """
     m = data.points.size
     N_max = min(N_max, m // 2 - 1)
-    _check_convergence_region(data)
     qs, R, _ = _fit_machinery(data, N_max, prec.bits)
     b = _mp_vec(_fit_values(data))
     residuals, _, _ = _ls_path(qs, R, b, prec.bits)
@@ -583,38 +606,3 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
     pairs = list(zip(levels, averaged))
     return StabilityCurve(pairs, {"form": "log", "C": C, "exponent": nu}, r2, rows=rows)
 
-
-def small_delta_threshold(I: Interval, J: Interval, h1_ratio: float,
-                          C0: float = 1.0) -> float:
-    """Largest delta in (0,1) satisfying the smallness inequality that lets the
-    mean-value contribution be absorbed for the coth-kernel operator.
-
-    Solves (by bisection, the left side being increasing in delta)
-      C0 e^{pi d b} e^{Ct mu e^{pi d b} (r + 2 pi d)} d^{1/2} <= 1/(2 max(1, |I|^{1/2}))
-    with b = sup I, mu and Ct computed from the tilde images of I and J.
-    """
-    if h1_ratio < 0:
-        raise ValueError("h1_ratio must be nonnegative")
-    b = I.b
-    target = 1.0 / (2.0 * max(1.0, math.sqrt(I.length)))
-
-    def lhs(d):
-        ti = _tilde_interval(I, d)
-        tj = _tilde_interval(J, d)
-        mu = max(0.5 * (ti.b + tj.a), 1.0)
-        Ct = 6.5 - math.log(ti.length / mu)
-        e = math.exp(math.pi * d * b)
-        return C0 * e * math.exp(Ct * mu * e * (h1_ratio + 2.0 * math.pi * d)) * math.sqrt(d)
-
-    lo, hi = 0.0, 1.0
-    if lhs(1.0) <= target:
-        return 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lhs(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise ArithmeticError("no admissible delta found above the floating floor")
-    return lo

@@ -122,6 +122,20 @@ class TestExperiments:
         summary = json.loads(_read(outs[0] / "operators_crosscheck.json"))
         assert summary["worst_rel_err"] <= 1e-10
 
+    def test_reconstruct_sweep_small_reruns_identical(self, runner, tmp_path):
+        # the second run reuses the cached design and quadrature rule
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                       "reconstruct", "sweep"])
+            assert res.exit_code == 0
+        for ext in ("csv", "json", "svg"):
+            assert filecmp.cmp(outs[0] / f"reconstruct_sweep.{ext}",
+                               outs[1] / f"reconstruct_sweep.{ext}",
+                               shallow=False)
+
     def test_continuation_three_balls(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "continuation",
                                    "three-balls"])

@@ -52,30 +52,3 @@ def test_mul_evaluates_as_product(p, q):
 def test_l2sq_nonnegative_exact(p):
     assert polyx.p_l2sq(p, Fraction(0), Fraction(1)) >= 0
 
-
-class Test2D:
-    def test_eval_tensor(self):
-        # c[i][j] x^i y^j: x*y
-        c = [[0, 0], [0, 1]]
-        assert polyx.p2_eval(c, 2, 3) == 6
-
-    def test_partials(self):
-        c = [[0, 0], [0, 1]]  # xy
-        assert polyx.p2_eval(polyx.p2_partial(c, 0), 5, 3) == 3
-        assert polyx.p2_eval(polyx.p2_partial(c, 1), 5, 3) == 5
-
-    def test_integral_unit_box(self):
-        c = [[Fraction(1)]]
-        assert polyx.p2_integral(c, ((0, 1), (0, 1))) == 1
-
-    def test_moment_2d(self):
-        c = [[Fraction(1)]]
-        assert polyx.p2_moment(c, 1, 1, ((Fraction(0), Fraction(1)),
-                                         (Fraction(0), Fraction(1)))) \
-            == Fraction(1, 4)
-
-    def test_l2sq_matches_1d_product(self):
-        # (x*y)^2 integrates to 1/9 on the unit box
-        c = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert polyx.p2_l2sq(c, ((Fraction(0), Fraction(1)),
-                                 (Fraction(0), Fraction(1)))) == Fraction(1, 9)

@@ -51,6 +51,91 @@ class TestExpansionBasis:
         assert val == pytest.approx(-0.5)
 
 
+def _design_columns(data, N, bits):
+    """Columns 0..N of the fit design, rebuilt from its QR factors."""
+    qs, R, _ = reconstruct._fit_machinery(data, N, bits)
+    with mpmath.workprec(bits):
+        return [[mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1))
+                 for p in range(data.points.size)] for k in range(N + 1)]
+
+
+def _orthonormal_legendre(k, y, I):
+    c, h = (I.a + I.b) / 2, (I.b - I.a) / 2
+    return mpmath.sqrt((2 * k + 1) / (2 * mpmath.mpf(h))) * \
+        mpmath.legendre(k, (y - c) / h)
+
+
+class TestDesign:
+    @pytest.mark.parametrize("kind,params", [
+        ("Hilbert", {}), ("ModifiedHilbert", {"delta": 0.05}),
+        ("RieszInverse", {"alpha": 0.25}),
+        ("FourierLaplace", {"alpha": 0.3, "beta": -1.0})])
+    def test_kernel_sums_expansion_basis(self, kind, params):
+        x, y = 2.5, 0.7
+        series = sum(complex(expansion_basis(kind, j, x, **params)) * y ** j
+                     for j in range(120))
+        with mpmath.workprec(128):
+            closed = complex(reconstruct._kernel(kind, mpmath.mpf(x),
+                                                 mpmath.mpf(y), **params))
+        assert abs(closed - series) <= 1e-14 * abs(series)
+
+    @pytest.mark.parametrize("bits,tol", [(256, 1e-55), (384, 1e-86)])
+    def test_hilbert_columns_match_legendre_q(self, bits, tol):
+        # column k is (2/pi) sqrt((2k+1)/(2h)) Q_k(z), z = (x - c)/h; relative
+        # error, as the far columns fall to ~1e-17
+        data = RemoteData("Hilbert", I01, np.linspace(1.05, 2.05, 64),
+                          np.zeros(64))
+        cols = _design_columns(data, 20, bits)
+        with mpmath.workprec(bits):
+            worst = max(
+                abs(cols[k][p] / (2 / mpmath.pi * mpmath.sqrt(2 * k + 1) * mpmath.legenq(
+                    k, 0, 2 * mpmath.mpf(x) - 1, type=3)) - 1)
+                for k in range(21) for p, x in enumerate(data.points))
+        assert worst <= tol
+
+    def test_riesz_columns_match_quadrature(self):
+        alpha = 0.25
+        data = RemoteData("RieszInverse", I01, np.linspace(1.05, 2.05, 64),
+                          np.zeros(64), alpha=alpha)
+        cols = _design_columns(data, 14, 256)
+        worst = 0
+        with mpmath.workprec(256):
+            for p in (0, 31, 63):
+                x = mpmath.mpf(data.points[p])
+                for k in range(15):
+                    ref = mpmath.quad(
+                        lambda y: _orthonormal_legendre(k, y, I01)
+                        * (x - y) ** (2 * mpmath.mpf(alpha) - 1), [0, 1])
+                    worst = max(worst, abs(cols[k][p] - ref))
+        assert worst <= 1e-50
+
+    def test_too_few_nodes_fail_the_self_check(self, monkeypatch):
+        reconstruct._design.cache_clear()
+        reconstruct._gauss_legendre.cache_clear()
+        count = reconstruct._node_count
+        monkeypatch.setattr(reconstruct, "_node_count",
+                            lambda *a: (8, count(*a)[1]))
+        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.zeros(16))
+        with pytest.raises(ArithmeticError, match="quadrature check"):
+            select_order(data, 6)
+        reconstruct._gauss_legendre.cache_clear()
+
+    @pytest.mark.parametrize("lo,hi,message", [
+        (-0.9, -0.5, "convex hull"), (1.01, 2.0, "too close")])
+    def test_points_near_the_source_rejected(self, lo, hi, message):
+        data = RemoteData("Hilbert", I01, np.linspace(lo, hi, 16), np.zeros(16))
+        for fit in (select_order, recover_moments):
+            with pytest.raises(ValueError, match=message):
+                fit(data, 3)
+
+    def test_repeated_fit_hits_design_cache(self):
+        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
+        select_order(data, 6)
+        hits = reconstruct._design.cache_info().hits
+        select_order(data, 6)
+        assert reconstruct._design.cache_info().hits == hits + 1
+
+
 class TestRemoteData:
     def test_sample_points_inside_source_rejected(self):
         with pytest.raises(ValueError):
