@@ -31,14 +31,6 @@ def _check_s(s: float):
         raise ValueError("s must lie in [1/2, 1)")
 
 
-def _support_interval(g: SampledFunction) -> Interval:
-    scale = float(np.max(np.abs(g.values)))
-    if scale == 0.0:
-        raise ValueError("zero function has no support interval")
-    idx = np.flatnonzero(np.abs(g.values) > 1e-13 * scale)
-    return Interval(float(g.grid.x[idx[0]]), float(g.grid.x[idx[-1]]))
-
-
 @dataclass
 class ComparisonPair:
     s: float
@@ -92,6 +84,25 @@ def comparison_pair(g: SampledFunction, s: float,
     return ComparisonPair(s, g, h1, h2, ext1, ext2)
 
 
+def _check_side(g: SampledFunction, j: int, J: Interval, what: str):
+    """Raise unless J lies right (j = 1) or left (j = 2) of supp g."""
+    if j not in (1, 2):
+        raise ValueError("branch j must be 1 or 2")
+    lo, hi, _ = multiplier._support_extent(g.grid, g.values)
+    if (J.a < hi) if j == 1 else (J.b > lo):
+        raise ValueError(f"{what} is measured to the {('right', 'left')[j - 1]} of supp g")
+
+
+def _branch_cut(g: SampledFunction, s: float, j: int) -> np.ndarray:
+    spec = multiplier.symbol("BranchCut", two_s=2.0 * s, branch=j)
+    return multiplier.apply_dealiased(spec, g).values
+
+
+def _ratio(vals: np.ndarray, grid: Grid, J: Interval, den: float) -> float:
+    """|vals|_{L2(J)} / den, and 0 for den = 0."""
+    return float(norm(SampledFunction(grid, vals), "L2", region=J) / den) if den else 0.0
+
+
 def support_defect(g: SampledFunction, s: float, j: int, J_far: Interval) -> float:
     """|P_s^j(D) g|_{L2(J_far)} / |g|_{L2}: zero in theory, discretization
     floor in practice.
@@ -100,44 +111,42 @@ def support_defect(g: SampledFunction, s: float, j: int, J_far: Interval) -> flo
     measured to the right of supp g (branch 2 mirrors this).
     """
     _check_s(s)
-    if j not in (1, 2):
-        raise ValueError("branch j must be 1 or 2")
     scale = norm(g, "L2")
-    if scale == 0.0:
+    if scale == 0.0 and j in (1, 2):
         return 0.0
-    supp = _support_interval(g)
-    if j == 1 and J_far.a < supp.b:
-        raise ValueError("branch 1 defect is measured to the right of supp g")
-    if j == 2 and J_far.b > supp.a:
-        raise ValueError("branch 2 defect is measured to the left of supp g")
-    spec = multiplier.symbol("BranchCut", two_s=2.0 * s, branch=j)
-    out = multiplier.apply_dealiased(spec, g)
-    return float(norm(out, "L2", region=J_far) / scale)
+    _check_side(g, j, J_far, f"branch {j} defect")
+    return _ratio(_branch_cut(g, s, j), g.grid, J_far, scale)
 
 
 def imag_defect(pair: ComparisonPair, J_j: Interval, j: int = 1) -> float:
     """|Im h_j|_{L2(J_j)} / |h_j|_{L2} on the side where theory makes the
-    imaginary part vanish (right of supp g for j=1, left for j=2)."""
+    imaginary part vanish (right of supp g for j=1, left for j=2).
+
+    The pair is built with plain FFT symbols; the defect is measured with the
+    dealiased operator so the grid's wrap-around tail does not dominate.
+    """
     if j not in (1, 2):
         raise ValueError("branch j must be 1 or 2")
-    h = pair.h1 if j == 1 else pair.h2
-    tot = norm(h, "L2")
+    tot = norm(pair.h1 if j == 1 else pair.h2, "L2")
     if tot == 0.0:
         return 0.0
-    supp = _support_interval(pair.g)
-    if j == 1 and J_j.a < supp.b:
-        raise ValueError("Im h1 vanishes to the right of supp g")
-    if j == 2 and J_j.b > supp.a:
-        raise ValueError("Im h2 vanishes to the left of supp g")
-    # the pair is built with plain FFT symbols; measure the defect with the
-    # dealiased operator so the grid's wrap-around tail does not dominate
-    spec = multiplier.symbol("BranchCut", two_s=2.0 * pair.s, branch=j)
-    tail = multiplier.apply_dealiased(spec, pair.g)
-    full = multiplier.apply_dealiased(
-        multiplier.symbol("AbsPow", two_s=2.0 * pair.s), pair.g)
-    href = SampledFunction(pair.g.grid, full.values - tail.values)
-    im = SampledFunction(pair.g.grid, np.imag(href.values).astype(float))
-    return float(norm(im, "L2", region=J_j) / tot)
+    _check_side(pair.g, j, J_j, f"Im h{j}")
+    full = multiplier.apply_dealiased(multiplier.symbol("AbsPow", two_s=2.0 * pair.s), pair.g)
+    return _ratio(np.imag(full.values - _branch_cut(pair.g, pair.s, j)), pair.g.grid, J_j, tot)
+
+
+def defects(pair: ComparisonPair, J1: Interval, J2: Interval) -> dict:
+    """`support_defect` and `imag_defect` of both branches (J1 left, J2 right
+    of supp g), from one dealiased application each of P^1, P^2 and |D|^{2s}."""
+    g, s = pair.g, pair.s
+    full = multiplier.apply_dealiased(multiplier.symbol("AbsPow", two_s=2.0 * s), g).values
+    out = {}
+    for j, J, h in ((1, J2, pair.h1), (2, J1, pair.h2)):
+        _check_side(g, j, J, f"branch {j} defect")
+        Pg = _branch_cut(g, s, j)
+        out[f"support_defect_b{j}"] = _ratio(Pg, g.grid, J, norm(g, "L2"))
+        out[f"imag_defect_b{j}"] = _ratio(np.imag(full - Pg), g.grid, J, norm(h, "L2"))
+    return out
 
 
 def frequency_content(g: SampledFunction, s: float) -> float:
@@ -186,10 +195,11 @@ def stability_experiment_fraclap(family, s: float, I: Interval,
     if not (J1.b <= I.a and I.b <= J2.a):
         raise ValueError("J1 must lie left of I and J2 right of I")
     spec = multiplier.symbol("AbsPow", two_s=2.0 * s)
+    Pg = multiplier.dealiased_rows(spec, family[0].grid, np.array([g.values for g in family]))
     rows = []
-    for k, g in enumerate(family):
+    for k, (g, Pg_k) in enumerate(zip(family, Pg)):
         F = frequency_content(g, s)
-        out = multiplier.apply_dealiased(spec, g)
+        out = SampledFunction(g.grid, Pg_k)
         r1 = norm(out, "HnegS_local", region=J1, s=s)
         r2 = norm(out, "HnegS_local", region=J2, s=s)
         r = math.sqrt(r1 * r1 + r2 * r2) / norm(g, "Hs", s=2.0 * s)
@@ -223,17 +233,6 @@ def modulated_family(I: Interval, grid: Grid, ks, sharpness: float = 1.0):
 _LOCAL_SYMBOLS = ("zero", "neg_dxx1")
 
 
-def _apply_1d_rows(spec, g2: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.zeros_like(g2)
-    for i in range(g2.shape[0]):
-        row = g2[i]
-        if np.max(np.abs(row)) == 0.0:
-            continue
-        out[i] = multiplier.apply_dealiased(
-            spec, SampledFunction(grid, row)).values
-    return out
-
-
 def _apply_2d(g2: np.ndarray, grid: Grid, s: float, local: str) -> np.ndarray:
     """P(D) g for P = |D_{x2}|^{2s} + L(D_{x1}) applied axis by axis with the
     dealiased 1D operator (axis 0 = x1 rows, axis 1 = x2); the first-order
@@ -241,11 +240,10 @@ def _apply_2d(g2: np.ndarray, grid: Grid, s: float, local: str) -> np.ndarray:
     if local not in _LOCAL_SYMBOLS:
         raise ValueError(f"unsupported local symbol {local!r}")
     g2 = np.asarray(g2, dtype=complex)
-    out = _apply_1d_rows(multiplier.symbol("AbsPow", two_s=2.0 * s), g2, grid)
+    out = multiplier.dealiased_rows(multiplier.symbol("AbsPow", two_s=2.0 * s), grid, g2)
     if local == "neg_dxx1":
         # local operators have no periodization tail; plain spectral suffices
-        out = out + np.fft.ifft(
-            (grid.xi ** 2)[:, None] * np.fft.fft(g2, axis=0), axis=0)
+        out += np.fft.ifft((grid.xi ** 2)[:, None] * np.fft.fft(g2, axis=0), axis=0)
     return out
 
 

@@ -376,13 +376,8 @@ def defects_cmd(ctx):
             g = make_bump(I, 0.0, _get(cfg, "sharpness", float, 1.0), grid)
             for s in s_list:
                 pair = branchcut.comparison_pair(g, s)
-                rows.append({
-                    "n": n, "s": s,
-                    "support_defect_b1": branchcut.support_defect(g, s, 1, J2),
-                    "support_defect_b2": branchcut.support_defect(g, s, 2, J1),
-                    "imag_defect_b1": branchcut.imag_defect(pair, J2, 1),
-                    "imag_defect_b2": branchcut.imag_defect(pair, J1, 2),
-                    "sum_identity_residual": pair.sum_identity_residual()})
+                rows.append({"n": n, "s": s, **branchcut.defects(pair, J1, J2),
+                             "sum_identity_residual": pair.sum_identity_residual()})
         art.csv(["n", "s", "support_defect_b1", "support_defect_b2",
                  "imag_defect_b1", "imag_defect_b2", "sum_identity_residual"],
                 rows)
@@ -515,10 +510,9 @@ def dual_ucp(ctx, trials):
         cfg = obj["cfg"]
         p, grid = _runge_problem(cfg)
         rng = np.random.default_rng(obj["seed"])
+        V = rng.standard_normal((trials, p.omega_idx.size))  # row t: trial t's draw
         rows = []
-        for t in range(trials):
-            v = rng.standard_normal(p.omega_idx.size)
-            rep = runge.dual_ucp_experiment(p, v)
+        for t, (v, rep) in enumerate(zip(V, runge.dual_ucp_experiment(p, V))):
             vnorm = math.sqrt(grid.dx) * float(np.linalg.norm(v))
             rows.append({"trial": t, "lhs": rep["lhs"], "rhs": rep["rhs"],
                          "rhs_over_vnorm": rep["rhs"] / vnorm,

@@ -62,7 +62,7 @@ class MomentSequence:
 
 @lru_cache(maxsize=64)
 def legendre_coeff_matrix(N: int):
-    """Exact C[m][l] = (2m+1)(-1)^l (m+l)! / ((m-l)! (l!)^2), 0 <= l <= m <= N."""
+    """Exact C[m][l] = (2m+1)(-1)^(m+l) (m+l)! / ((m-l)! (l!)^2), 0 <= l <= m <= N."""
     C = []
     for m in range(N + 1):
         row = []

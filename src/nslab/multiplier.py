@@ -17,9 +17,11 @@ Two evaluation routes are provided for every operator:
   1e-6+ agreement with direct kernel quadrature.  The Taylor polynomial has
   degree `degree` in x - y and its weights do not depend on x, so the
   correction is a polynomial of that degree in x: it is summed at the
-  K = degree + 1 Chebyshev points and interpolated onto the grid.  With
-  N = n*pad and s support samples one call costs
-  O(N log N + K*s*degree + n*K).
+  K = degree + 1 Chebyshev points and interpolated onto the grid.
+  :func:`dealiased_rows` does this for a stack of r rows: it evaluates the
+  symbol once, runs the padded FFTs in batches of about 2^18 points, and
+  builds one table of Taylor powers per distinct support.  With N = n*pad and
+  s support samples it costs O(r*N log N + K*s*(degree + r) + r*n*K).
 
 Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 """
@@ -170,38 +172,33 @@ def _rest_values(spec: SymbolSpec, xi: np.ndarray) -> np.ndarray:
     return np.zeros_like(xi, dtype=complex)
 
 
-def _support_extent(f: SampledFunction) -> tuple[float, float, np.ndarray]:
-    """(lo, hi, mask): the samples with |f| > 1e-14 max|f| and the first and last of their x.
-
-    For the zero function the mask is empty and lo = hi = 0.
-    """
-    a = np.abs(f.values)
-    mask = a > 1e-14 * max(np.max(a), 1e-300)
-    nz = np.flatnonzero(mask)
-    if nz.size == 0:
-        return 0.0, 0.0, mask
-    x = f.grid.x
-    return float(x[nz[0]]), float(x[nz[-1]]), mask
+def _support_extent(grid: Grid, values: np.ndarray):
+    """(lo, hi, mask) per row of values: the samples with |v| > 1e-14 max|v| of
+    their row and the first and last of their x (lo = hi = 0 for a zero row)."""
+    a = np.abs(values)
+    mask = a > 1e-14 * np.maximum(np.max(a, axis=-1, keepdims=True), 1e-300)
+    live = mask.any(axis=-1)
+    x = grid.x
+    return (np.where(live, x[np.argmax(mask, axis=-1)], 0.0),
+            np.where(live, x[::-1][np.argmax(mask[..., ::-1], axis=-1)], 0.0), mask)
 
 
-def _check_support(f: SampledFunction) -> tuple[float, float, np.ndarray]:
-    """Reject f whose support reaches past [-L/2, L/2]; returns `_support_extent(f)`."""
-    g = f.grid
-    extent = _support_extent(f)
-    lo, hi, _ = extent
-    if lo <= -g.L + g.dx and hi >= g.L - 2 * g.dx:
-        # globally supported (periodic data such as pure modes): no compactness claim
-        return extent
-    over = max(-g.L / 2 - lo, hi - g.L / 2, 0.0)
-    if over > g.dx:
-        raise ValueError(f"support extends {over:.3g} beyond [-L/2, L/2]; periodization uncontrolled")
-    return extent
+def _check_support(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Reject rows whose support reaches past [-L/2, L/2]; returns their support masks."""
+    lo, hi, mask = _support_extent(grid, values)
+    L, dx = grid.L, grid.dx
+    # globally supported rows (periodic data such as pure modes): no compactness claim
+    local = (lo > -L + dx) | (hi < L - 2 * dx)
+    over = np.where(local, np.maximum(np.maximum(-L / 2 - lo, hi - L / 2), 0.0), 0.0)
+    if np.any(over > dx):
+        raise ValueError(f"support extends {np.max(over):.3g} beyond [-L/2, L/2]; periodization uncontrolled")
+    return mask
 
 
 def apply(spec: SymbolSpec, f: SampledFunction, derivative: int = 0) -> SampledFunction:
     """Raw route: FFT, multiply by evaluate(spec, xi_k) (and (i xi)^k), inverse FFT."""
     g = f.grid
-    _check_support(f)
+    _check_support(g, f.values)
     m = evaluate(spec, g.xi)
     if derivative:
         m = m * (1j * g.xi) ** derivative
@@ -291,7 +288,8 @@ def _correction_weights(spec: SymbolSpec, derivative: int, grid_key, pad: int,
 
 
 def _cheb_interp(nodes: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate at x the polynomial through vals at K first-kind Chebyshev nodes.
+    """Evaluate at x the polynomial through vals (K, or rows x K) at K
+    first-kind Chebyshev nodes; one matrix-vector product per row.
 
     nodes[k] = mid + half*cos((2k+1) pi / 2K) on any interval.  Second-kind
     barycentric formula (Berrut & Trefethen 2004) with the weights
@@ -305,71 +303,78 @@ def _cheb_interp(nodes: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarr
     hit_row, hit_col = np.nonzero(diff == 0.0)
     diff[hit_row] = 1.0  # keep the division finite; these rows are overwritten
     c = w / diff
-    out = (c @ vals) / c.sum(axis=1)
-    out[hit_row] = vals[hit_col]
+    out = (c @ vals[..., None])[..., 0] / c.sum(axis=1)
+    out[..., hit_row] = vals[..., hit_col]
     return out
 
 
-def _taylor_correction(spec: SymbolSpec, f: SampledFunction, supp: np.ndarray,
+def _taylor_correction(spec: SymbolSpec, grid: Grid, F: np.ndarray, supp: np.ndarray,
                        derivative: int, pad: int, xi0: float, degree: int) -> np.ndarray:
-    """corr(x) / 2 pi on the grid, from the samples y in supp, where
+    """corr(x) / 2 pi on the grid for each row f of F (r x n), all supported
+    on the samples y in supp, where
 
         corr(x) = sum_{q <= degree} i^q W_q sum_y ((x - y)/R)^q f(y) dx,
 
-    summed at the K = degree + 1 Chebyshev points of [x_0, x_{n-1}] and
-    interpolated: O(K*s*degree + n*K) for s support samples, not O(n*s*degree).
+    summed at the K = degree + 1 Chebyshev points of [x_0, x_{n-1}] from one
+    table of powers and interpolated: O(K*s*(degree + r) + r*n*K) for s
+    support samples, not O(r*n*s*degree).
     """
-    g = f.grid
-    x = g.x
+    x = grid.x
     ys = x[supp]
-    fy = f.values[supp] * g.dx
-    R = max(abs(x[0] - ys[-1]), abs(x[-1] + g.dx - ys[0]), 1e-9)
-    W = _correction_weights(spec, derivative, (g.L, g.n), pad, xi0, degree, R)
+    FY = (F[:, supp] * grid.dx)[..., None]    # rows x s x 1: one matvec per row
+    R = max(abs(x[0] - ys[-1]), abs(x[-1] + grid.dx - ys[0]), 1e-9)
+    W = _correction_weights(spec, derivative, (grid.L, grid.n), pad, xi0, degree, R)
 
     K = degree + 1
     theta = (2 * np.arange(K) + 1) * np.pi / (2 * K)
     xc = 0.5 * (x[-1] + x[0]) + 0.5 * (x[-1] - x[0]) * np.cos(theta)
     T = (xc[:, None] - ys[None, :]) / R    # |T| <= 1
     Z = np.ones_like(T)
-    corr = np.zeros(K, dtype=complex)
+    corr = np.zeros((F.shape[0], K), dtype=complex)
     for q in range(degree + 1):
-        corr += (1j) ** q * (Z @ fy) * W[q]
+        corr += (1j) ** q * (Z @ FY)[..., 0] * W[q]
         if q < degree:
             Z *= T
     return _cheb_interp(xc, corr, x) / (2.0 * np.pi)
 
 
-def apply_dealiased(spec: SymbolSpec, f: SampledFunction, derivative: int = 0,
-                    pad: int = 32, xi0: float = 0.45, degree: int = 44) -> SampledFunction:
-    """Line-accurate operator evaluation for compactly supported f.
-
-    The multiplier acts on a pad-times-larger periodic domain (same spacing),
-    and the windowed-Taylor correction restores the contribution that discrete
-    frequency sampling misses at the symbol's xi = 0 singularity.  Its Taylor
-    polynomial has degree `degree` in x - y with weights that do not depend on
-    x, so the correction is a polynomial of that degree in x: it is summed at
-    K = degree + 1 Chebyshev points and interpolated onto the grid.  With
-    N = n*pad and s support samples the cost is O(N log N + K*s*degree + n*K).
-    """
-    g = f.grid
-    _, _, supp = _check_support(f)
-    if not supp.any():
-        return SampledFunction(g, np.zeros(g.n, dtype=complex))
-
-    nbig = g.n * pad
-    gbig = Grid(g.L * pad, nbig)
-    big = np.zeros(nbig, dtype=complex)
-    # embed: x = -L + p dx maps to index of same coordinate on the big grid
-    off = (gbig.n - g.n) // 2
-    big[off:off + g.n] = f.values
-    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
+def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int = 0,
+                   pad: int = 32, xi0: float = 0.45, degree: int = 44) -> np.ndarray:
+    """`apply_dealiased` on every row of F (rows x n, each compactly supported):
+    the complex rows x n result, each row bit for bit its single-row result.
+    The multiplier acts on a pad-times-larger periodic domain (same spacing);
+    the windowed-Taylor correction is described in the module docstring."""
+    supp = _check_support(grid, F)
+    n = grid.n
+    out = np.zeros(F.shape, dtype=complex)
+    live = np.flatnonzero(supp.any(axis=1))   # zero rows stay zero
+    nbig = n * pad
+    off = (nbig - n) // 2     # x = -L + p dx keeps its coordinate on the big grid
+    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=grid.dx)
     m = evaluate(spec, xib)
     if derivative:
         m = m * (1j * xib) ** derivative
-    out_big = np.fft.ifft(m * np.fft.fft(big))
-    out = out_big[off:off + g.n].copy()
-    out += _taylor_correction(spec, f, supp, derivative, pad, xi0, degree)
-    return SampledFunction(g, out)
+    step = max(1, (1 << 18) // nbig)  # FFT batches of ~2^18 points: 4 MB per complex array
+    for i in range(0, live.size, step):
+        rows = live[i:i + step]
+        big = np.zeros((rows.size, nbig), dtype=complex)
+        big[:, off:off + n] = F[rows]
+        big = np.fft.fft(big, axis=-1)
+        big *= m
+        out[rows] = np.fft.ifft(big, axis=-1)[:, off:off + n]
+    groups = {}
+    for r in live:
+        groups.setdefault(supp[r].tobytes(), []).append(r)
+    for rows in groups.values():
+        out[rows] += _taylor_correction(spec, grid, F[rows], supp[rows[0]], derivative, pad, xi0, degree)
+    return out
+
+
+def apply_dealiased(spec: SymbolSpec, f: SampledFunction, derivative: int = 0,
+                    pad: int = 32, xi0: float = 0.45, degree: int = 44) -> SampledFunction:
+    """Line-accurate operator evaluation for compactly supported f: one row of `dealiased_rows`."""
+    return SampledFunction(f.grid, dealiased_rows(spec, f.grid, f.values[None], derivative,
+                                                  pad, xi0, degree)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +526,7 @@ def pseudolocality_profile(f: SampledFunction, two_s: float, J: Interval, kmax: 
     """
     if kmax > 8:
         raise ValueError("kmax must be at most 8")
-    lo, hi, supp = _support_extent(f)
+    lo, hi, supp = _support_extent(f.grid, f.values)
     if not (J.b < lo or J.a > hi):
         raise ValueError("profile region must be disjoint from supp f")
     g = f.grid

@@ -274,8 +274,8 @@ def _kernel(kind: str, x, y, delta=None, alpha=None, beta=None):
         return 1 / (mp.pi * (x - y))
     if kind == "ModifiedHilbert":
         return (1 / mp.pi + 2 * delta * x) / (x - y) - delta
-    if kind == "RieszInverse":
-        return x ** (2 * mp.mpf(alpha) - 1) * (1 - y / x) ** (2 * mp.mpf(alpha) - 1)
+    if kind == "RieszInverse":  # |x - y|^(2a-1) on either side of the source
+        return abs(x) ** (2 * mp.mpf(alpha) - 1) * abs(1 - y / x) ** (2 * mp.mpf(alpha) - 1)
     return mp.exp(mp.mpc(alpha, beta) * x * y)
 
 

@@ -257,25 +257,28 @@ def dual_ucp_experiment(p: RungeProblem, v):
     """Dual unique-continuation ratio: solve (T+q) w = v on Omega with w = 0
     outside, then compare ||v||_{H^-s(Omega)} against ||L_s w||_{H^-s(W)}
     (smooth-cutoff surrogates).  Returns a report dict including the empirical
-    equivalence constant between ||w||_{H^s} and ||v||_{H^-s}."""
+    equivalence constant between ||w||_{H^s} and ||v||_{H^-s}; for a 2-D v
+    (trials x |Omega|) a list of them, from one solve with every target as a
+    right-hand side."""
     vv = np.asarray(v, dtype=float)
-    if vv.shape != p.omega_idx.shape:
+    if vv.ndim not in (1, 2) or vv.shape[-1:] != p.omega_idx.shape:
         raise ValueError("v must be sampled on the Omega nodes")
-    w = np.zeros(p.grid.n)
-    w[p.omega_idx] = np.linalg.solve(p.interior_block, vv)
-    wf = SampledFunction(p.grid, w)
-    v_full = np.zeros(p.grid.n)
-    v_full[p.omega_idx] = vv
-    vf = SampledFunction(p.grid, v_full)
-    Lw = p.T @ w
-    Lw[p.omega_idx] += p.q * w[p.omega_idx]
-    Lwf = SampledFunction(p.grid, Lw)
-    lhs = norm(vf, "HnegS_local", region=p.Omega, s=p.s)
-    rhs = norm(Lwf, "HnegS_local", region=p.W, s=p.s)
-    w_hs = norm(wf, "Hs", s=p.s)
-    equiv = w_hs / lhs if lhs > 0 else 0.0
-    return {"lhs": lhs, "rhs": rhs, "w": wf, "w_hs": w_hs,
-            "equivalence_constant": equiv}
+    V = vv.reshape(-1, p.omega_idx.size)
+    lo, hi = p.omega_idx[0], p.omega_idx[-1] + 1   # Omega's nodes are consecutive
+    Wo = np.linalg.solve(p.interior_block, V.T)
+    Lw = p.T[:, lo:hi] @ Wo
+    Lw[lo:hi] += p.q[:, None] * Wo
+    w, v_full = np.zeros((2, V.shape[0], p.grid.n))
+    w[:, lo:hi], v_full[:, lo:hi] = Wo.T, V
+    reports = []
+    for v_k, w_k, Lw_k in zip(v_full, w, Lw.T):
+        wf = SampledFunction(p.grid, w_k)
+        lhs = norm(SampledFunction(p.grid, v_k), "HnegS_local", region=p.Omega, s=p.s)
+        rhs = norm(SampledFunction(p.grid, Lw_k), "HnegS_local", region=p.W, s=p.s)
+        w_hs = norm(wf, "Hs", s=p.s)
+        reports.append({"lhs": lhs, "rhs": rhs, "w": wf, "w_hs": w_hs,
+                        "equivalence_constant": w_hs / lhs if lhs > 0 else 0.0})
+    return reports if vv.ndim == 2 else reports[0]
 
 
 def reciprocity_defect(p: RungeProblem, rng=None, trials: int = 5) -> float:

@@ -103,6 +103,22 @@ class TestImagDefect:
             imag_defect(pair, J_LEFT, 1)
 
 
+class TestDefects:
+    @pytest.mark.parametrize("s", [0.6, 0.75])
+    def test_equal_to_single_defects(self, unit_bump, s):
+        pair = comparison_pair(unit_bump, s)
+        assert branchcut.defects(pair, J_LEFT, J_RIGHT) == {
+            "support_defect_b1": support_defect(unit_bump, s, 1, J_RIGHT),
+            "support_defect_b2": support_defect(unit_bump, s, 2, J_LEFT),
+            "imag_defect_b1": imag_defect(pair, J_RIGHT, 1),
+            "imag_defect_b2": imag_defect(pair, J_LEFT, 2)}
+
+    def test_wrong_side_rejected(self, unit_bump):
+        pair = comparison_pair(unit_bump, 0.6)
+        with pytest.raises(ValueError):
+            branchcut.defects(pair, J_RIGHT, J_LEFT)
+
+
 class TestPoincare:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
     def test_ratio_dilation_invariant(self, lam):

@@ -263,7 +263,8 @@ class TestDealiasedCorrection:
     def test_matches_grid_point_sum(self, spec, derivative, source):
         f = self._sources()[source]
         fft_part, supp, corr = _reference_dealiased(spec, f, derivative)
-        got = multiplier._taylor_correction(spec, f, supp, derivative, 32, 0.45, 44)
+        got = multiplier._taylor_correction(spec, f.grid, f.values[None], supp, derivative,
+                                             32, 0.45, 44)[0]
         assert np.max(np.abs(got - corr)) <= 1e-13 * np.max(np.abs(corr))
         # the output is the FFT part plus that correction; comparing the sums
         # instead would measure roundoff of the FFT part, up to 1e20 |corr| here
@@ -284,6 +285,91 @@ class TestDealiasedCorrection:
         assert np.all(np.isfinite(got))
         assert np.array_equal(got[:3], p(nodes)[[0, 3, 6]])
         assert np.max(np.abs(got - p(x))) <= 1e-13 * np.max(np.abs(p(x)))
+
+def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
+    """The one-function route as it was before stacks of rows: ifft(m * fft)
+    on the padded grid plus the Taylor correction summed by one matrix-vector
+    product per power at the Chebyshev points and interpolated."""
+    g = f.grid
+    nbig = g.n * pad
+    off = (nbig - g.n) // 2
+    big = np.zeros(nbig, dtype=complex)
+    big[off:off + g.n] = f.values
+    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
+    m = evaluate(spec, xib)
+    if derivative:
+        m = m * (1j * xib) ** derivative
+    out = np.fft.ifft(m * np.fft.fft(big))[off:off + g.n].copy()
+
+    x = g.x
+    a = np.abs(f.values)
+    supp = a > 1e-14 * max(np.max(a), 1e-300)
+    ys = x[supp]
+    fy = f.values[supp] * g.dx
+    R = max(abs(x[0] - ys[-1]), abs(x[-1] + g.dx - ys[0]), 1e-9)
+    W = multiplier._correction_weights(spec, derivative, (g.L, g.n), pad, xi0, degree, R)
+    K = degree + 1
+    theta = (2 * np.arange(K) + 1) * np.pi / (2 * K)
+    xc = 0.5 * (x[-1] + x[0]) + 0.5 * (x[-1] - x[0]) * np.cos(theta)
+    T = (xc[:, None] - ys[None, :]) / R
+    Z = np.ones_like(T)
+    corr = np.zeros(K, dtype=complex)
+    for q in range(degree + 1):
+        corr += (1j) ** q * (Z @ fy) * W[q]
+        if q < degree:
+            Z *= T
+    k = np.arange(K)
+    w = (-1.0) ** k * np.sin((2 * k + 1) * np.pi / (2 * K))
+    diff = x[:, None] - xc[None, :]
+    hit_row, hit_col = np.nonzero(diff == 0.0)
+    diff[hit_row] = 1.0
+    c = w / diff
+    interp = (c @ corr) / c.sum(axis=1)
+    interp[hit_row] = corr[hit_col]
+    out += interp / (2.0 * np.pi)
+    return out
+
+
+class TestDealiasedRows:
+    KERNELS = [symbol("HilbertSign"), symbol("ModifiedCoth", delta=0.1),
+               symbol("RieszInverse", alpha=0.75), symbol("BranchCut", two_s=1.2, branch=1),
+               symbol("AbsPow", two_s=1.5)]
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("derivative", [0, 1])
+    @pytest.mark.parametrize("spec", KERNELS, ids=[k.kind for k in KERNELS])
+    def test_single_row_matches_padded_route(self, spec, derivative, n):
+        g = Grid(8.0, n)
+        f = make_bump(Interval(-0.7, 1.3), 0.0, 1.0, g)
+        f = SampledFunction(g, f.values * np.cos(3.0 * g.x))
+        got = apply_dealiased(spec, f, derivative=derivative).values
+        assert np.array_equal(got, _parent_padded_route(spec, f, derivative))
+
+    @pytest.mark.parametrize("derivative", [0, 1])
+    @pytest.mark.parametrize("spec", KERNELS, ids=[k.kind for k in KERNELS])
+    def test_stack_equals_single_rows(self, spec, derivative):
+        g = Grid(8.0, 1024)
+        centred = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values
+        shifted = make_bump(Interval(0.3, 3.1), 0.0, 1.0, g).values
+        # two support groups of several rows each, a zero row, complex rows,
+        # and more rows than one FFT batch holds (8 at n = 1024)
+        F = np.array([centred, 2.5 * shifted, np.zeros(g.n), -3.0 * centred,
+                      centred * np.sin(5.0 * g.x), 1j * shifted, shifted * np.cos(g.x),
+                      0.5 * centred, 7.25 * centred, shifted, centred * np.exp(2j * g.x)])
+        rows = multiplier.dealiased_rows(spec, g, F, derivative=derivative)
+        assert rows.shape == F.shape and rows.dtype == complex
+        for row, f in zip(rows, F):
+            assert np.array_equal(row, apply_dealiased(spec, SampledFunction(g, f),
+                                                       derivative=derivative).values)
+        assert not rows[2].any()
+
+    def test_rejects_row_reaching_past_half_width(self):
+        g = Grid(8.0, 1024)
+        F = np.array([make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values,
+                      make_bump(Interval(2.0, 5.5), 0.0, 1.0, g).values])
+        with pytest.raises(ValueError, match="beyond"):
+            multiplier.dealiased_rows(symbol("HilbertSign"), g, F)
+
 
 class TestPseudolocality:
     def test_k0_matches_sup(self, grid, unit_bump):

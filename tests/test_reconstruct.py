@@ -209,6 +209,17 @@ class TestRecoverMoments:
         f0 = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(float(got.values[0].real) - f0) <= 1e-5
 
+    def test_riesz_f0_recovery_left_of_source(self, grid):
+        # the kernel |x - y|^(2a-1) is real on both sides of the source
+        f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
+        f0 = float(np.sum(f.values[I01.contains(grid.x)]) * grid.dx)
+        got = []
+        for J in (J23, Interval(-3.0, -2.0)):
+            data = sample_remote("RieszInverse", f, I01, J, num=64, alpha=0.25)
+            got.append(float(recover_moments(data, 4, PrecisionConfig()).values[0].real))
+        assert abs(got[1] - f0) <= 1e-5
+        assert abs(got[1] - got[0]) <= 1e-5
+
 
 class TestInvert:
     def test_polynomial_roundtrip(self, grid):

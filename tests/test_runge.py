@@ -237,6 +237,29 @@ class TestDualUCP:
         assert c < 100.0
 
 
+class TestDualUCPStacked:
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_stacked_targets_match_single_calls(self, q):
+        p = build(0.6, q, OMEGA, W, GRID)
+        V = np.random.default_rng(8).standard_normal((7, p.omega_idx.size))
+        reports = dual_ucp_experiment(p, V)
+        assert isinstance(reports, list) and len(reports) == len(V)
+        for v, rep in zip(V, reports):
+            one = dual_ucp_experiment(p, v)
+            assert isinstance(one, dict)
+            assert rep["lhs"] == one["lhs"]
+            for key in ("rhs", "w_hs", "equivalence_constant"):
+                assert rep[key] == pytest.approx(one[key], rel=1e-13, abs=0.0)
+            w1, w2 = one["w"].values, rep["w"].values
+            assert np.max(np.abs(w2 - w1)) <= 1e-13 * np.max(np.abs(w1))
+
+    def test_bad_shapes_rejected(self, problem):
+        m = problem.omega_idx.size
+        for bad in (np.zeros(m + 1), np.zeros((2, m - 1)), np.zeros((1, 2, m))):
+            with pytest.raises(ValueError):
+                dual_ucp_experiment(problem, bad)
+
+
 class TestReciprocity:
     def test_matrix_level_duality(self, problem):
         assert reciprocity_defect(problem, 0) <= 1e-8
