@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import continuation, multiplier
+from . import continuation, multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
 from .reconstruct import StabilityCurve
 
@@ -50,13 +50,8 @@ class ComparisonPair:
 
     def spectral_leakage(self) -> tuple[float, float]:
         """Relative energy of h1 on xi < 0 and of h2 on xi > 0."""
-        out = []
-        for h, side in ((self.h1, 1), (self.h2, -1)):
-            fh = np.fft.fft(h.values)
-            tot = float(np.sum(np.abs(fh) ** 2))
-            off = float(np.sum(np.abs(fh[h.grid.xi * side < 0]) ** 2))
-            out.append(off / tot if tot > 0 else 0.0)
-        return tuple(out)
+        return tuple(continuation._one_sided_energy(np.fft.fft(h.values), h.grid.xi, side)
+                     for h, side in ((self.h1, 1), (self.h2, -1)))
 
 
 def comparison_pair(g: SampledFunction, s: float,
@@ -207,15 +202,8 @@ def stability_experiment_fraclap(family, s: float, I: Interval,
     rows.sort(key=lambda row: row["F"])
     F = np.array([row["F"] for row in rows])
     r = np.array([row["r"] for row in rows])
-    x = np.log(F)
-    y = np.log(1.0 / r)
-    A = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    denom = float(np.sum((y - np.mean(y)) ** 2))
-    r2fit = 1.0 - float(np.sum((y - pred) ** 2)) / denom if denom > 0 else 1.0
-    model = {"form": "exp", "C": float(math.exp(-coef[0])),
-             "exponent": float(coef[1]), "norms": "surrogate"}
+    c0, c1, r2fit = polyx.linear_fit(np.log(F), np.log(1.0 / r))
+    model = {"form": "exp", "C": math.exp(-c0), "exponent": c1, "norms": "surrogate"}
     return StabilityCurve(pairs=list(zip(F.tolist(), r.tolist())),
                           model=model, r_squared=r2fit, rows=rows)
 

@@ -30,7 +30,6 @@ from .multiplier import adaptive_gauss, trig_interp
 @dataclass(frozen=True)
 class PrecisionConfig:
     bits: int = 256
-    exact: bool = False
 
     def __post_init__(self):
         if self.bits < 64:
@@ -169,14 +168,15 @@ def compute_moments(f, I: Interval, N: int, prec: PrecisionConfig = PrecisionCon
         vals, err = _sampled_moments(f, I, N)
         return MomentSequence(I, N, vals, precision_bits=prec.bits, quad_error=err)
     coeffs = list(f)
-    exact = all(isinstance(c, (Fraction, int)) for c in coeffs)
-    if exact:
-        a, b = Fraction(I.a).limit_denominator(10**12), Fraction(I.b).limit_denominator(10**12)
-        vals = [polyx.p_moment(polyx.as_exact(coeffs), j, a, b) for j in range(N + 1)]
-        return MomentSequence(I, N, vals, precision_bits=prec.bits)
+    # f_j = sum_i c_i h_{i+j} with h_k = int_I x^k dx, on Fractions or on mpf
     with mp.workprec(prec.bits):
-        a, b = mp.mpf(I.a), mp.mpf(I.b)
-        vals = [polyx.p_moment([mp.mpf(c) for c in coeffs], j, a, b) for j in range(N + 1)]
+        if all(isinstance(c, (Fraction, int)) for c in coeffs):
+            a, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
+            c = polyx.as_exact(coeffs)
+        else:
+            a, b, c = mp.mpf(I.a), mp.mpf(I.b), [mp.mpf(v) for v in coeffs]
+        h = [(b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(len(c) + N)]
+        vals = [sum(ci * h[i + j] for i, ci in enumerate(c)) for j in range(N + 1)]
     return MomentSequence(I, N, vals, precision_bits=prec.bits)
 
 
@@ -200,25 +200,16 @@ def unit_interval_moments(m: MomentSequence):
     """
     I = m.interval
     exact = all(isinstance(v, (Fraction, int)) for v in m.values)
-    if exact:
-        x0 = Fraction(I.a).limit_denominator(10**12)
-        lam = Fraction(I.b).limit_denominator(10**12) - x0
-        out = []
-        for j in range(m.N + 1):
-            s = sum(math.comb(j, k) * (-x0) ** (j - k) * m.values[k] for k in range(j + 1))
-            out.append(s / lam ** (j + 1))
-        return out, True
     with mp.workprec(m.precision_bits):
-        x0, lam = mp.mpf(I.a), mp.mpf(I.b) - mp.mpf(I.a)
-        out = []
-        for j in range(m.N + 1):
-            s = mp.mpf(0) if not any(isinstance(v, complex) for v in m.values) else mp.mpc(0)
-            for k in range(j + 1):
-                vk = m.values[k]
-                vk = _to_mp(vk)
-                s += mp.binomial(j, k) * (-x0) ** (j - k) * vk
-            out.append(s / lam ** (j + 1))
-        return out, False
+        if exact:
+            x0, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
+            vals = m.values
+        else:
+            x0, b, vals = mp.mpf(I.a), mp.mpf(I.b), [_to_mp(v) for v in m.values]
+        lam = b - x0
+        out = [sum(math.comb(j, k) * (-x0) ** (j - k) * vals[k] for k in range(j + 1))
+               / lam ** (j + 1) for j in range(m.N + 1)]
+    return out, exact
 
 
 def reconstruct_from_moments(m: MomentSequence, N: int):
@@ -238,22 +229,16 @@ def reconstruct_from_moments(m: MomentSequence, N: int):
             f"insufficient precision: need at least {bits_needed} bits for N={N}")
     F, exact = unit_interval_moments(m)
     C = legendre_coeff_matrix(N)
-    if exact:
-        coeffs = [Fraction(0)] * (N + 1)
+    with mp.workprec(m.precision_bits):
+        if not exact:
+            C = [[_to_mp(c) for c in row] for row in C]
+        coeffs = [0] * (N + 1)
         for k in range(N + 1):
             lam_k = sum(C[k][l] * F[l] for l in range(k + 1))
-            scale = lam_k / Fraction(2 * k + 1)
-            for l in range(k + 1):
-                coeffs[l] += scale * C[k][l]
-        return coeffs, m.interval
-    with mp.workprec(m.precision_bits):
-        coeffs = [mp.mpf(0)] * (N + 1)
-        for k in range(N + 1):
-            lam_k = sum(_to_mp(C[k][l]) * F[l] for l in range(k + 1))
             scale = lam_k / (2 * k + 1)
             for l in range(k + 1):
-                coeffs[l] = coeffs[l] + scale * _to_mp(C[k][l])
-        return coeffs, m.interval
+                coeffs[l] += scale * C[k][l]
+    return coeffs, m.interval
 
 
 def _to_mp(v):
@@ -382,14 +367,18 @@ def _hilbert_sums(f, factors, N):
     return l2, msum, grad
 
 
-def weighted_moment_bounds(f, I: Interval, gamma, signed: bool,
-                           C0: float = 1.0, series_terms: int = 400):
+_SERIES_TERMS = 400  # moments of f summed into G
+
+
+def weighted_moment_bounds(f, I: Interval, gamma, signed: bool):
     """Both sides of the weighted moment bounds.
 
     Positive weights (signed=False):
-        ||f||_{L2(I)} <= C0 e^{C r} / min_{j<=N_f} gamma_j * ||G||_{L2(I)},
-        G(x) = sum_j gamma_j f_j x^j,  r = ||f'|| / ||f||,  C = 6.5 - 2 log|I|.
+        ||f||_{L2(I)} <= e^{C r} / min_{j<=N_f} gamma_j * ||G||_{L2(I)},
+        G(x) = sum_{j<400} gamma_j f_j x^j,  r = ||f'|| / ||f||,  C = 6.5 - 2 log|I|.
     Signed weights (signed=True) add the gradient term ||G'|| / (N_f + 1).
+    The moments f_j are exact Hankel sums (`compute_moments`), each rounded
+    to float once.
     """
     if not (0.0 <= I.a < I.b <= 1.0):
         raise ValueError("interval must lie inside (0,1)")
@@ -400,24 +389,24 @@ def weighted_moment_bounds(f, I: Interval, gamma, signed: bool,
     grad = math.sqrt(max(polyx.p_l2sq(polyx.p_deriv(coeffs), I.a, I.b), 0.0))
     r = grad / l2
     Nf = max(1, round(r)) - 1
-    gam = [float(gamma(j)) if callable(gamma) else float(gamma[j]) for j in range(series_terms)]
+    gam = [float(gamma(j)) if callable(gamma) else float(gamma[j]) for j in range(_SERIES_TERMS)]
     if any(g == 0 for g in gam[: Nf + 1]):
         raise ValueError("weights must be nonzero up to N_f")
     if not signed and any(g <= 0 for g in gam):
         raise ValueError("unsigned bound requires positive weights")
-    moms = [float(polyx.p_moment(coeffs, j, I.a, I.b)) for j in range(series_terms)]
-    wmoms = [g * m for g, m in zip(gam, moms)]
+    moms = compute_moments(polyx.as_exact(coeffs), I, _SERIES_TERMS - 1).values
+    wmoms = [g * float(m) for g, m in zip(gam, moms)]
 
     def G(x):
         return polyx.p_eval(wmoms, np.asarray(x, dtype=float))
 
     Gnorm = math.sqrt(abs(adaptive_gauss(lambda x: G(x) ** 2, I.a, I.b, rtol=1e-10)))
     Cbox = 6.5 - 2.0 * math.log(I.length)
-    front = C0 * math.exp(Cbox * r) / min(abs(g) for g in gam[: Nf + 1])
+    front = math.exp(Cbox * r) / min(abs(g) for g in gam[: Nf + 1])
     if not signed:
         rhs = front * Gnorm
     else:
-        dmoms = [j * wmoms[j] for j in range(1, series_terms)]
+        dmoms = [j * wmoms[j] for j in range(1, _SERIES_TERMS)]
 
         def Gp(x):
             return polyx.p_eval(dmoms, np.asarray(x, dtype=float))

@@ -14,14 +14,15 @@ Two evaluation routes are provided for every operator:
   are moments of f about x) and the resulting one-sided power integrals are
   evaluated in closed form (finite part where needed).  This removes the
   slow spatial decay that aliasing cannot handle and brings FFT output into
-  1e-6+ agreement with direct kernel quadrature.  The Taylor polynomial has
-  degree `degree` in x - y and its weights do not depend on x, so the
-  correction is a polynomial of that degree in x: it is summed at the
-  K = degree + 1 Chebyshev points and interpolated onto the grid.
+  1e-6+ agreement with direct kernel quadrature.  The padding factor (32),
+  window width (0.45) and Taylor degree (44) are fixed.  The Taylor
+  polynomial has degree 44 in x - y and its weights do not depend on x, so
+  the correction is a polynomial of that degree in x: it is summed at the
+  K = 45 Chebyshev points and interpolated onto the grid.
   :func:`dealiased_rows` does this for a stack of r rows: it evaluates the
   symbol once, runs the padded FFTs in batches of about 2^18 points, and
-  builds one table of Taylor powers per distinct support.  With N = n*pad and
-  s support samples it costs O(r*N log N + K*s*(degree + r) + r*n*K).
+  builds one table of Taylor powers per distinct support.  With N = 32 n and
+  s support samples it costs O(r*N log N + K*s*(K + r) + r*n*K).
 
 Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 """
@@ -35,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import polyx
 from .gridfn import Grid, Interval, SampledFunction
 
 KINDS = (
@@ -211,6 +213,7 @@ def apply(spec: SymbolSpec, f: SampledFunction, derivative: int = 0) -> SampledF
 # ---------------------------------------------------------------------------
 
 _GAUSS_NODES = 200
+_PAD, _XI0, _DEGREE = 32, 0.45, 44  # padding factor, window width, Taylor degree
 
 
 @lru_cache(maxsize=8)
@@ -338,17 +341,16 @@ def _taylor_correction(spec: SymbolSpec, grid: Grid, F: np.ndarray, supp: np.nda
     return _cheb_interp(xc, corr, x) / (2.0 * np.pi)
 
 
-def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int = 0,
-                   pad: int = 32, xi0: float = 0.45, degree: int = 44) -> np.ndarray:
+def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int = 0) -> np.ndarray:
     """`apply_dealiased` on every row of F (rows x n, each compactly supported):
     the complex rows x n result, each row bit for bit its single-row result.
-    The multiplier acts on a pad-times-larger periodic domain (same spacing);
+    The multiplier acts on a _PAD-times-larger periodic domain (same spacing);
     the windowed-Taylor correction is described in the module docstring."""
     supp = _check_support(grid, F)
     n = grid.n
     out = np.zeros(F.shape, dtype=complex)
     live = np.flatnonzero(supp.any(axis=1))   # zero rows stay zero
-    nbig = n * pad
+    nbig = n * _PAD
     off = (nbig - n) // 2     # x = -L + p dx keeps its coordinate on the big grid
     xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=grid.dx)
     m = evaluate(spec, xib)
@@ -366,15 +368,14 @@ def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int 
     for r in live:
         groups.setdefault(supp[r].tobytes(), []).append(r)
     for rows in groups.values():
-        out[rows] += _taylor_correction(spec, grid, F[rows], supp[rows[0]], derivative, pad, xi0, degree)
+        out[rows] += _taylor_correction(spec, grid, F[rows], supp[rows[0]], derivative,
+                                        _PAD, _XI0, _DEGREE)
     return out
 
 
-def apply_dealiased(spec: SymbolSpec, f: SampledFunction, derivative: int = 0,
-                    pad: int = 32, xi0: float = 0.45, degree: int = 44) -> SampledFunction:
+def apply_dealiased(spec: SymbolSpec, f: SampledFunction, derivative: int = 0) -> SampledFunction:
     """Line-accurate operator evaluation for compactly supported f: one row of `dealiased_rows`."""
-    return SampledFunction(f.grid, dealiased_rows(spec, f.grid, f.values[None], derivative,
-                                                  pad, xi0, degree)[0])
+    return SampledFunction(f.grid, dealiased_rows(spec, f.grid, f.values[None], derivative)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +470,16 @@ def hilbert_derivative_kernel(x: float, y: np.ndarray, k: int) -> np.ndarray:
     return (sign * math.factorial(k) / math.pi) * (x - y) ** (-(k + 1))
 
 
-def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_points,
-                      rtol: float = 1e-12) -> np.ndarray:
-    """Direct Gauss-Legendre evaluation of the operator at points outside I-bar.
+def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
+    """Direct Gauss-Legendre evaluation (relative tolerance 1e-12) of the
+    operator at points outside I-bar.
 
     Values match the symbol normalization used by `apply`/`apply_dealiased`
     (for RieszInverse this includes the 1D Riesz-potential constant; see
     `riesz_constant`).
     """
     if spec.kind == "FourierLaplace":
-        return fourier_laplace(f, I, spec.alpha, spec.beta, eval_points, rtol=rtol)
+        return fourier_laplace(f, I, spec.alpha, spec.beta, eval_points)
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     inside = pts[(pts >= I.a) & (pts <= I.b)]
     if inside.size:
@@ -487,11 +488,11 @@ def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_po
     def integrand(y):
         return trig_interp(f, y) * _kernel(spec, pts[..., None], y)
 
-    return adaptive_gauss(integrand, I.a, I.b, rtol=rtol)
+    return adaptive_gauss(integrand, I.a, I.b)
 
 
 def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,
-                    eval_points, rtol: float = 1e-12) -> np.ndarray:
+                    eval_points) -> np.ndarray:
     """T_{a,b} f(x) = int exp((a+ib) x y) f(y) dy over I (x may be complex)."""
     pts = np.atleast_1d(np.asarray(eval_points))
     lam = alpha + 1j * beta
@@ -499,7 +500,7 @@ def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,
     def integrand(y):
         return trig_interp(f, y) * np.exp(lam * pts[..., None] * y)
 
-    return adaptive_gauss(integrand, I.a, I.b, rtol=rtol)
+    return adaptive_gauss(integrand, I.a, I.b)
 
 
 def _abspow_derivative_kernel(two_s: float, x, y, k: int):
@@ -542,6 +543,5 @@ def pseudolocality_profile(f: SampledFunction, two_s: float, J: Interval, kmax: 
     ks = np.array([p[0] for p in profile], dtype=float)
     vals = np.array([p[1] for p in profile])
     y = np.log(vals) - np.array([math.lgamma(k + 1) for k in ks])
-    slope = np.polyfit(ks, y, 1)[0]
-    rho_hat = float(np.exp(-slope))
+    rho_hat = float(np.exp(-polyx.linear_fit(ks, y)[1]))
     return profile, rho_hat

@@ -3,7 +3,8 @@
 Polynomials are coefficient sequences in the monomial basis (ascending
 powers), with Fraction coefficients in exact mode.  Used by the moment
 machinery where the Hilbert-matrix conditioning makes floating arithmetic
-meaningless.
+meaningless.  `linear_fit` is the one least-squares line (with R^2) that
+every fitted exponent in the package goes through.
 """
 
 from __future__ import annotations
@@ -73,3 +74,14 @@ def p_compose_affine(p, c0, c1):
         acc = p_add(p_mul(acc, lin), [c])
     return acc
 
+
+def linear_fit(x, y):
+    """Least-squares line y ~ c0 + c1 x over the columns [1, x]; returns
+    (c0, c1, r_squared), with r_squared = 1 when y is constant."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    A = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 - float(np.sum((y - A @ coef) ** 2)) / ss if ss > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r2

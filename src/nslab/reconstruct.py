@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from . import multiplier
+from . import multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
 from .moments import (MomentSequence, PrecisionConfig, eval_reconstruction,
                       reconstruct_from_moments)
@@ -562,12 +562,8 @@ def fit_log_modulus(deltas, errors):
     y = np.log(np.asarray(errors, dtype=float))
     if x.size < 4:
         raise ValueError("need at least 4 points to fit the log modulus")
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(np.exp(intercept)), float(-slope), r2
+    c0, c1, r2 = polyx.linear_fit(x, y)
+    return float(np.exp(c0)), -c1, r2
 
 
 def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,

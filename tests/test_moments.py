@@ -294,6 +294,62 @@ class TestReconstructFromMoments:
             reconstruct_from_moments(m, 12)
 
 
+def _mp_pullback_reference(m):
+    """The extended-precision pullback as a separate mp-only loop."""
+    with mpmath.workprec(m.precision_bits):
+        x0, lam = mpmath.mpf(m.interval.a), mpmath.mpf(m.interval.b) - mpmath.mpf(m.interval.a)
+        out = []
+        for j in range(m.N + 1):
+            s = mpmath.mpc(0) if any(isinstance(v, complex) for v in m.values) else mpmath.mpf(0)
+            for k in range(j + 1):
+                s += mpmath.binomial(j, k) * (-x0) ** (j - k) * moments._to_mp(m.values[k])
+            out.append(s / lam ** (j + 1))
+        return out
+
+
+def _mp_reconstruction_reference(m, N):
+    """The extended-precision projection as a separate mp-only loop."""
+    F = _mp_pullback_reference(m)
+    C = moments.legendre_coeff_matrix(N)
+    with mpmath.workprec(m.precision_bits):
+        coeffs = [mpmath.mpf(0)] * (N + 1)
+        for k in range(N + 1):
+            lam_k = sum(moments._to_mp(C[k][l]) * F[l] for l in range(k + 1))
+            scale = lam_k / (2 * k + 1)
+            for l in range(k + 1):
+                coeffs[l] = coeffs[l] + scale * moments._to_mp(C[k][l])
+        return coeffs
+
+
+class TestOneArithmeticRoute:
+    """Exact and extended-precision moments run one code path; on float and
+    complex moments it gives bit for bit what an mp-only loop gives."""
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_pullback_and_reconstruction_match_mp_loop(self, complex_values):
+        rng = np.random.default_rng(17 + complex_values)
+        N = 9
+        vals = rng.standard_normal(N + 1)
+        if complex_values:
+            vals = vals + 1j * rng.standard_normal(N + 1)
+        m = MomentSequence(Interval(0.2, 0.7), N, [v.item() for v in vals],
+                           precision_bits=required_bits(N))
+        F, exact = moments.unit_interval_moments(m)
+        assert not exact
+        assert F == _mp_pullback_reference(m)
+        coeffs, _ = reconstruct_from_moments(m, N)
+        assert coeffs == _mp_reconstruction_reference(m, N)
+
+    def test_float_coefficients_match_exact_moments(self):
+        coeffs = [0.25, -1.5, 2.0, 0.75]
+        I = Interval(0.1, 0.9)
+        mp_vals = compute_moments(coeffs, I, 8).values
+        exact = compute_moments(polyx.as_exact(coeffs), I, 8).values
+        assert all(isinstance(v, Fraction) for v in exact)
+        for a, b in zip(mp_vals, exact):
+            assert abs(float(a) - float(b)) <= 1e-15 * abs(float(b))
+
+
 class TestPrecisionPolicy:
     def test_required_bits_formula(self):
         assert required_bits(7) == math.ceil(3.5 * 8 / math.log(2.0)) + 64

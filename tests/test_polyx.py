@@ -52,3 +52,23 @@ def test_mul_evaluates_as_product(p, q):
 def test_l2sq_nonnegative_exact(p):
     assert polyx.p_l2sq(p, Fraction(0), Fraction(1)) >= 0
 
+
+
+class TestLinearFit:
+    def test_matches_polyfit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x = rng.standard_normal(12)
+            y = 0.7 - 2.5 * x + 0.1 * rng.standard_normal(12)
+            c0, c1, r2 = polyx.linear_fit(x, y)
+            slope, intercept = np.polyfit(x, y, 1)
+            assert c0 == pytest.approx(intercept, rel=1e-12, abs=1e-12)
+            assert c1 == pytest.approx(slope, rel=1e-12, abs=1e-12)
+            pred = slope * x + intercept
+            want = 1.0 - np.sum((y - pred) ** 2) / np.sum((y - np.mean(y)) ** 2)
+            assert r2 == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_constant_y_has_unit_r_squared(self):
+        c0, c1, r2 = polyx.linear_fit([1.0, 2.0, 3.0, 4.0], [2.5] * 4)
+        assert r2 == 1.0
+        assert c0 == pytest.approx(2.5, abs=1e-12) and c1 == pytest.approx(0.0, abs=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -263,3 +264,9 @@ class TestDualUCPStacked:
 class TestReciprocity:
     def test_matrix_level_duality(self, problem):
         assert reciprocity_defect(problem, 0) <= 1e-8
+
+    def test_detects_one_perturbed_coupling_entry(self, problem):
+        T = problem.T.copy()
+        T[problem.omega_idx[3], problem.w_idx[5]] *= 1.0 + 1e-6
+        perturbed = dataclasses.replace(problem, T=T)
+        assert reciprocity_defect(perturbed, 0) > 1e-13
