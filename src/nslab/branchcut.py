@@ -54,8 +54,7 @@ class ComparisonPair:
                      for h, side in ((self.h1, 1), (self.h2, -1)))
 
 
-def comparison_pair(g: SampledFunction, s: float,
-                    y_levels=None) -> ComparisonPair:
+def comparison_pair(g: SampledFunction, s: float) -> ComparisonPair:
     """Build (h1, h2) and attach their half-plane extensions.
 
     h_j = (|D|^{2s} - P_s^j(D)) g, computed with plain FFT multipliers so the
@@ -64,8 +63,7 @@ def comparison_pair(g: SampledFunction, s: float,
     """
     _check_s(s)
     grid = g.grid
-    if y_levels is None:
-        y_levels = np.linspace(0.0, 1.0, 33)
+    y_levels = np.linspace(0.0, 1.0, 33)
     fhat = np.fft.fft(np.asarray(g.values, dtype=complex))
     xi = grid.xi
     mag = np.abs(xi) ** (2.0 * s)
@@ -208,10 +206,10 @@ def stability_experiment_fraclap(family, s: float, I: Interval,
                           model=model, r_squared=r2fit, rows=rows)
 
 
-def modulated_family(I: Interval, grid: Grid, ks, sharpness: float = 1.0):
+def modulated_family(I: Interval, grid: Grid, ks):
     """g_k = bump * sin(2^k x): the standard increasing-frequency family."""
     from .gridfn import make_bump
-    base = make_bump(I, 0.0, sharpness, grid)
+    base = make_bump(I, 0.0, 1.0, grid)
     return [SampledFunction(grid, base.values * np.sin(2.0 ** k * grid.x))
             for k in ks]
 

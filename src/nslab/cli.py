@@ -13,8 +13,6 @@ import hashlib
 import json
 import math
 import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -42,7 +40,7 @@ def _load_config(path) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise click.ClickException(
+                raise _Invalid(
                     f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, val = line.split("=", 1)
             cfg[key.strip()] = val.strip()
@@ -146,14 +144,6 @@ class Artifacts:
         return self._path("svg")
 
 
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, worker pool when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def _run(ctx, name, compute):
     """Dispatch wrapper: validation -> exit 2, numerical failure -> exit 3."""
     obj = ctx.obj
@@ -176,17 +166,13 @@ def _run(ctx, name, compute):
               help="flat key=value config file")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--threads", type=int, default=None,
-              help="worker threads (default: NSL_THREADS or 1)")
 @click.option("--precision-bits", type=int, default=256, show_default=True)
 @click.pass_context
-def main(ctx, config, seed, out, threads, precision_bits):
+def main(ctx, config, seed, out, precision_bits):
     """Moment-inversion, comparison-operator, continuation, and
     exterior-approximation experiments."""
-    if threads is None:
-        threads = int(os.environ.get("NSL_THREADS", "1"))
     ctx.obj = {"cfg": _load_config(config), "seed": seed, "out": out,
-               "threads": max(1, threads), "bits": precision_bits}
+               "bits": precision_bits}
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +305,8 @@ def crosscheck(ctx):
         # dealiased output is exact on the grid, off-grid it carries the
         # periodization tail's interpolation error
         idx = np.flatnonzero(J.contains(grid.x))
+        if not idx.size:
+            raise ValueError(f"J = [{J.a}, {J.b}] holds no grid node")
         pts = grid.x[np.linspace(idx[0], idx[-1],
                                  _get(cfg, "points", int, 16)).astype(int)]
         cases = [("Hilbert", multiplier.symbol("HilbertSign")),
@@ -326,17 +314,11 @@ def crosscheck(ctx):
                  ("ModifiedHilbert_1", multiplier.symbol("ModifiedCoth", delta=1.0)),
                  ("RieszInverse_0.25", multiplier.symbol("RieszInverse", alpha=0.25)),
                  ("RieszInverse_0.75", multiplier.symbol("RieszInverse", alpha=0.75))]
-
-        def one(case):
-            name, spec = case
-            fft_vals = multiplier.trig_interp(
-                multiplier.apply_dealiased(spec, f), pts)
-            orc_vals = multiplier.oracle_quadrature(spec, f, I, pts)
-            return name, fft_vals, orc_vals
-
+        oracle = multiplier.oracle_symbols([spec for _, spec in cases], f, I, pts)
         rows = []
         worst = 0.0
-        for name, fv, ov in _pmap(one, cases, obj["threads"]):
+        for (name, spec), ov in zip(cases, oracle):
+            fv = multiplier.trig_interp(multiplier.apply_dealiased(spec, f), pts)
             scale = float(np.max(np.abs(ov)))
             for x, a, b in zip(pts, fv, ov):
                 rel = abs(a - b) / scale
@@ -414,7 +396,7 @@ def continuation_grp():
     """Half-plane extension and propagation of smallness."""
 
 
-def _default_field(cfg, seed):
+def _default_field(cfg):
     grid = Grid(_get(cfg, "grid_L", float, 8.0), _get(cfg, "grid_n", int, 1024))
     h = make_bump(_interval(cfg, "support", Interval(1.0, 2.0)), 0.0,
                   _get(cfg, "sharpness", float, 1.0), grid)
@@ -429,7 +411,7 @@ def three_balls_cmd(ctx):
     """Three-balls norms and realized exponent for a harmonic extension."""
     def compute(obj, art):
         cfg = obj["cfg"]
-        field = _default_field(cfg, obj["seed"])
+        field = _default_field(cfg)
         cx = _get(cfg, "center_x", float, 1.5)
         cy = _get(cfg, "center_y", float, 0.5)
         r = _get(cfg, "radius", float, 0.1)
@@ -448,7 +430,7 @@ def propagate_cmd(ctx):
     """Smallness certificate: strip + chained three-balls bound over tau."""
     def compute(obj, art):
         cfg = obj["cfg"]
-        field = _default_field(cfg, obj["seed"])
+        field = _default_field(cfg)
         I = _interval(cfg, "I", Interval(-2.0, -1.0))
         J = _interval(cfg, "J", Interval(1.0, 2.0))
         tau, bound, rows = continuation.smallness_certificate(

@@ -234,9 +234,9 @@ def _smooth_cutoff_values(x, a, b, a_out, b_out):
     return rise * fall
 
 
-def smooth_cutoff(region: Interval, grid: Grid, widen: float = 1.1) -> np.ndarray:
-    """Fixed C^inf cutoff equal to 1 on the region, supported in widen*region."""
-    outer = region.dilate(widen)
+def smooth_cutoff(region: Interval, grid: Grid) -> np.ndarray:
+    """Fixed C^inf cutoff equal to 1 on the region, supported in 1.1*region."""
+    outer = region.dilate(1.1)
     return _cutoff_cache((grid.L, grid.n), region.a, region.b, outer.a, outer.b)
 
 

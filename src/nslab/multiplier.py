@@ -457,10 +457,7 @@ def _kernel(spec: SymbolSpec, x, y) -> np.ndarray:
         a = spec.alpha
         return -np.abs(u) ** (2.0 * a - 1.0) / riesz_constant(a)
     if k == "AbsPow":
-        # |D|^{2s} f(x) off supp f: A_s int f(y)|x-y|^{-1-2s} dy
-        s2 = spec.two_s
-        A = -math.gamma(s2 + 1.0) * math.sin(math.pi * s2 / 2.0) / math.pi
-        return A * np.abs(u) ** (-1.0 - s2)
+        return _abspow_derivative_kernel(spec.two_s, x, y, 0)
     raise ValueError(f"no off-support kernel for {k!r}")
 
 
@@ -470,25 +467,33 @@ def hilbert_derivative_kernel(x: float, y: np.ndarray, k: int) -> np.ndarray:
     return (sign * math.factorial(k) / math.pi) * (x - y) ** (-(k + 1))
 
 
-def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
-    """Direct Gauss-Legendre evaluation (relative tolerance 1e-12) of the
-    operator at points outside I-bar.
+def oracle_symbols(specs, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
+    """Direct Gauss-Legendre evaluation (relative tolerance 1e-12) of every
+    real-kernel operator in `specs` at points outside I-bar, in one adaptive
+    pass: the (len(specs), points) result, each entry bit for bit its own
+    single-symbol, single-point integral.
 
     Values match the symbol normalization used by `apply`/`apply_dealiased`
     (for RieszInverse this includes the 1D Riesz-potential constant; see
     `riesz_constant`).
     """
-    if spec.kind == "FourierLaplace":
-        return fourier_laplace(f, I, spec.alpha, spec.beta, eval_points)
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     inside = pts[(pts >= I.a) & (pts <= I.b)]
     if inside.size:
         raise ValueError(f"evaluation point {inside[0]} lies inside the closed source interval")
 
     def integrand(y):
-        return trig_interp(f, y) * _kernel(spec, pts[..., None], y)
+        fy = trig_interp(f, y)
+        return np.stack([fy * _kernel(spec, pts[..., None], y) for spec in specs])
 
     return adaptive_gauss(integrand, I.a, I.b)
+
+
+def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
+    """One row of `oracle_symbols`; FourierLaplace goes to `fourier_laplace`."""
+    if spec.kind == "FourierLaplace":
+        return fourier_laplace(f, I, spec.alpha, spec.beta, eval_points)
+    return oracle_symbols([spec], f, I, eval_points)[0]
 
 
 def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,

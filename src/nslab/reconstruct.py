@@ -93,15 +93,11 @@ class RemoteData:
 
 def sample_remote(kind: str, f: SampledFunction, I: Interval, J: Interval,
                   num: int = 64, noise_level: float = 0.0, rng=None,
-                  chebyshev: bool = False, **params) -> RemoteData:
-    """Quadrature-oracle samples of the operator on `num` points of J."""
+                  **params) -> RemoteData:
+    """Quadrature-oracle samples of the operator on `num` equispaced points of J."""
     if num < 2:
         raise ValueError("need at least two sample points")
-    if chebyshev:
-        t = np.cos(np.pi * (2 * np.arange(num) + 1) / (2 * num))
-        pts = J.center + 0.5 * J.length * t[::-1]
-    else:
-        pts = np.linspace(J.a, J.b, num)
+    pts = np.linspace(J.a, J.b, num)
     data = RemoteData(kind, I, pts, np.zeros(num, dtype=complex),
                       noise_level=noise_level, **params)
     spec = _SYMBOL_OF[kind](data)

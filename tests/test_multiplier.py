@@ -8,7 +8,7 @@ from nslab import multiplier
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
 from nslab.multiplier import (apply, apply_dealiased, evaluate,
                               fourier_laplace, hilbert_derivative_kernel,
-                              oracle_quadrature, pseudolocality_profile,
+                              oracle_quadrature, oracle_symbols, pseudolocality_profile,
                               riesz_constant, symbol, trig_interp)
 
 
@@ -170,6 +170,19 @@ class TestVectorQuadrature:
         many = oracle_quadrature(spec, f, I, pts)
         one = np.concatenate([oracle_quadrature(spec, f, I, [x]) for x in pts])
         assert np.array_equal(many, one)
+
+    def test_stacked_symbols_equal_single_symbols(self):
+        g = Grid(8.0, 1024)
+        I = Interval(0.0, 1.0)
+        f = make_bump(I, 0.0, 1.0, g)
+        pts = np.array([-2.0, -0.3, 1.05, 1.6, 3.5])
+        specs = [symbol("HilbertSign"), symbol("ModifiedCoth", delta=0.1),
+                 symbol("ModifiedCoth", delta=1.0), symbol("RieszInverse", alpha=0.25),
+                 symbol("RieszInverse", alpha=0.75), symbol("AbsPow", two_s=1.5)]
+        stacked = oracle_symbols(specs, f, I, pts)
+        assert stacked.shape == (len(specs), pts.size)
+        for spec, row in zip(specs, stacked):
+            assert np.array_equal(row, oracle_quadrature(spec, f, I, pts)), spec
 
     def test_fourier_laplace_complex_points_equal_single_points(self):
         g = Grid(8.0, 1024)
