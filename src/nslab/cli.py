@@ -307,8 +307,10 @@ def crosscheck(ctx):
         idx = np.flatnonzero(J.contains(grid.x))
         if not idx.size:
             raise ValueError(f"J = [{J.a}, {J.b}] holds no grid node")
-        pts = grid.x[np.linspace(idx[0], idx[-1],
-                                 _get(cfg, "points", int, 16)).astype(int)]
+        num = _get(cfg, "points", int, 16)
+        if num < 1:
+            raise _Invalid(f"config key 'points': must be >= 1, got {num}")
+        pts = grid.x[np.linspace(idx[0], idx[-1], num).astype(int)]
         cases = [("Hilbert", multiplier.symbol("HilbertSign")),
                  ("ModifiedHilbert_0.1", multiplier.symbol("ModifiedCoth", delta=0.1)),
                  ("ModifiedHilbert_1", multiplier.symbol("ModifiedCoth", delta=1.0)),

@@ -7,9 +7,10 @@ a function from finitely many moments.  The problem is severely ill-posed
 floating point.  The identities are exact: H_N^{-1} has a closed binomial
 formula in integers, and the stability bound is a set of Hilbert sums
 sum_k p_k / (j + k + 1) over integer numerators.  sigma_max(H_N^{-1}) is the
-top eigenvalue of that integer matrix, a perfectly conditioned problem.  The
-remaining mpmath routes (sampled and float moments, reconstruction) carry
-`PrecisionConfig.bits`, checked against `required_bits`.
+top eigenvalue of that integer matrix, a perfectly conditioned problem, found
+by certified power iteration on the integers.  The remaining mpmath routes
+(sampled and float moments, reconstruction) carry `PrecisionConfig.bits`,
+checked against `required_bits`.
 """
 
 from __future__ import annotations
@@ -127,28 +128,42 @@ def legendre_ode_residual(m: int):
 # ---------------------------------------------------------------------------
 
 def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig()) -> mp.mpf:
-    """sigma_max(H_N^{-1}) = lambda_max of the exact integer matrix H_N^{-1}.
+    """sigma_max(H_N^{-1}) = lambda_1 of the exact integer matrix A = H_N^{-1}.
 
-    One symmetric eigensolve (`mp.eigsy`) at `prec.bits` on the integers of
-    `LegendreSystem.hilbert_inverse_exact`.  lambda_max of a symmetric matrix
-    is perfectly conditioned: by Weyl's inequality a perturbation E moves it by
-    at most ||E||_2, so rounding the entries and the backward-stable solve
-    leave a relative error of a few units of 2^-bits (about 1e-77 at 256 bits
-    against a 600-bit eigensolve of H_N itself).  A float64 `eigvalsh` of the
-    same matrix must agree to 1e-12 relative (measured <= 7e-16 for N <= 40),
-    else ArithmeticError.
+    Power iteration on the integers of `LegendreSystem.hilbert_inverse_exact`
+    from v = ((-1)^i), Av shifted right to about bits + 64 bits each step.
+    With the exact Rayleigh quotient rho and eps^2 = |Av|^2/|v|^2 - rho^2, and
+    lambda_2 <= trace - rho (A is positive definite), Kato-Temple gives
+    0 <= lambda_1 - rho <= eps^2/(2 rho - trace); the iteration stops once that
+    is at most rho 2^-(bits+8) (at most 32 steps at 256 bits for N <= 40).
+    No certificate in `bits` steps raises ArithmeticError, as does a float64
+    `eigvalsh` of A that differs by more than 1e-12 relative (measured
+    <= 7e-16 for N <= 40).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N > 40:
         raise ValueError("N > 40 not supported under the default precision policy")
     hinv = LegendreSystem(N).hilbert_inverse_exact()
+    trace = sum(row[i] for i, row in enumerate(hinv))
+    v = [(-1) ** i for i in range(N + 1)]
+    for _ in range(prec.bits):
+        Av = [sum(a * x for a, x in zip(row, v)) for row in hinv]
+        vv = sum(x * x for x in v)
+        rho = Fraction(sum(x * y for x, y in zip(v, Av)), vv)
+        eps2 = Fraction(sum(y * y for y in Av), vv) - rho * rho
+        if 2 * rho > trace and eps2 <= (2 * rho - trace) * rho / 2 ** (prec.bits + 8):
+            break
+        shift = max(max(abs(y) for y in Av).bit_length() - (prec.bits + 64), 0)
+        v = [y >> shift for y in Av]
+    else:
+        raise ArithmeticError(f"sigma_max(H_{N}^-1): no certificate in {prec.bits} steps")
     with mp.workprec(prec.bits):
-        lam = max(mp.eigsy(mp.matrix(hinv), eigvals_only=True))
+        lam = mp.mpf(rho.numerator) / rho.denominator
     check = np.linalg.eigvalsh(np.array(hinv, dtype=float))[-1]
     if not abs(float(lam) - check) <= 1e-12 * check:
         raise ArithmeticError(
-            f"sigma_max(H_{N}^-1): eigsy {mp.nstr(lam, 17)} and float64 {check!r} disagree")
+            f"sigma_max(H_{N}^-1): {mp.nstr(lam, 17)} and float64 {check!r} disagree")
     return lam
 
 

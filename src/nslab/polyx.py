@@ -60,12 +60,6 @@ def p_l2sq(p, a, b):
     return p_integral(p_mul(p, p), a, b)
 
 
-def p_moment(p, j, a, b):
-    """int_a^b x^j p(x) dx."""
-    shifted = [0] * j + list(p)
-    return p_integral(shifted, a, b)
-
-
 def p_compose_affine(p, c0, c1):
     """Coefficients of p(c0 + c1 t), by Horner composition."""
     acc = [p[-1]]

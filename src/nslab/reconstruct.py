@@ -11,15 +11,10 @@ discrepancy principle under noise).
 The fit is set in the Legendre basis: the k-th design column is the operator
 applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
 kernel(x, y) dy, where kernel(x, y) = sum_j y^j expansion_basis(kind, j, x)
-is summed in closed form.  One n-point Gauss-Legendre rule on I computes every
-column and the moment table.  For a kernel analytic off I its error falls like
-rho^(-2n) (Trefethen, SIAM Rev. 50 (2008)), rho = z + sqrt(z^2 - 1) being the
-Bernstein-ellipse parameter of the nearest sample point (distance z from the
-centre of I in half-lengths), so n = ceil(((bits+20) ln 2 / ln rho + m/2)/2)
-+ 2 for m samples; FourierLaplace's entire kernel takes its Taylor-term bound
-in place of the first term.  A rule longer than 4000 nodes is refused, and
-the last column is checked against `mp.quad` at the point that set n: a miss
-above 2^-(bits-64) of the integrand's absolute mass raises ArithmeticError.
+is summed in closed form.  No quadrature rule computes it: each column is a
+closed-form factor times int_{-1}^1 P_k(t) kappa(z, t) dt, a three-term
+recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
+`_design`), and the moment table int_I y^j G_k is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -27,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -34,7 +30,7 @@ import numpy as np
 from . import multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
 from .moments import (MomentSequence, PrecisionConfig, eval_reconstruction,
-                      reconstruct_from_moments)
+                      legendre_coeff_matrix, reconstruct_from_moments)
 
 OPERATOR_KINDS = ("Hilbert", "ModifiedHilbert", "RieszInverse", "FourierLaplace")
 
@@ -275,76 +271,55 @@ def _kernel(kind: str, x, y, delta=None, alpha=None, beta=None):
     return mp.exp(mp.mpc(alpha, beta) * x * y)
 
 
-# longest Gauss-Legendre rule a design may use; past it the sample points sit
-# too close to the source (or FourierLaplace's kernel grows too fast)
-_MAX_NODES = 4000
-
-
-def _node_count(kind: str, pts, itv: Interval, bits: int, alpha=None, beta=None):
-    """Gauss-Legendre node count for the design (see the module docstring),
-    and the index of the sample point that sets it.
-
-    The m/2 term covers the degree of any column's Legendre mode (at most
-    m/2), so every design of one sweep shares one rule.
-    """
-    if kind == "FourierLaplace":
-        i0 = int(np.argmax(np.abs(pts)))
-        z = abs(alpha + 1j * beta) * abs(pts[i0]) * max(abs(itv.a), abs(itv.b))
-        deg, term = 1, z
-        while term > 2.0 ** (-(bits + 20)) and deg < 2 * _MAX_NODES:
-            deg += 1
-            term *= z / deg
+def _power_integrals(z, beta, N: int):
+    """f_k(z) = int_{-1}^1 P_k(t) |z - t|^beta dt, k <= N, |z| > 1: closed-form
+    f_0 and f_1, then (k+beta+2) f_{k+1} = (2k+1) z f_k - (k-beta-1) f_{k-1}
+    and f_k(-z) = (-1)^k f_k(z).  f_k is the recurrence's minimal solution,
+    so the caller supplies the 2N log2(z + sqrt(z^2 - 1)) bits it loses."""
+    s, z = (1, z) if z > 0 else (-1, -z)
+    if beta == -1:  # f_k = 2 Q_k(z)
+        f = [mp.log((z + 1) / (z - 1))]
+        f.append(z * f[0] - 2)
     else:
-        dist = np.abs(pts.real - itv.center)
-        i0 = int(np.argmin(dist))
-        z = float(dist[i0]) / (0.5 * itv.length)
-        deg = (bits + 20) * math.log(2) / math.log(z + math.sqrt(z * z - 1))
-    n = math.ceil((deg + pts.size / 2) / 2) + 2
-    if n > _MAX_NODES:
-        raise ArithmeticError(
-            f"design needs {n} Gauss-Legendre nodes, above the {_MAX_NODES} ceiling; "
-            "move the sample points away from the source or lower the precision")
-    return n, i0
+        f = [((z + 1) ** (beta + 1) - (z - 1) ** (beta + 1)) / (beta + 1)]
+        f.append(z * f[0] - ((z + 1) ** (beta + 2) - (z - 1) ** (beta + 2)) / (beta + 2))
+    for k in range(1, N):
+        f.append(((2 * k + 1) * z * f[k] - (k - beta - 1) * f[k - 1]) / (k + beta + 2))
+    return [s ** k * v for k, v in enumerate(f[:N + 1])]
 
 
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(n: int, bits: int):
-    """n-point Gauss-Legendre rule on [-1, 1], (nodes, weights) as mpf.
+def _exp_integrals(w, N: int):
+    """f_k(w) = int_{-1}^1 P_k(t) e^(wt) dt = 2 w^k/(2k+1)!! 0F1(; k+3/2; w^2/4),
+    k <= N: the Taylor series with the exact int P_k t^m, which `mp.hyp0f1`
+    sums to working precision, with bits added for its cancellation."""
+    return [2 * w ** k / mp.fac2(2 * k + 1) * mp.hyp0f1(k + mp.mpf(3) / 2, w * w / 4)
+            for k in range(N + 1)]
 
-    numpy's float64 nodes are polished by Newton steps on the three-term
-    recurrence, each at about twice the precision of the last, up to `bits`;
-    the rule is symmetric, so only nodes >= 0 are computed.
-    """
-    from numpy.polynomial.legendre import leggauss
 
-    def p_and_dp(t):  # P_n(t), P_n'(t)
-        p0, p1 = mp.mpf(1), t
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
-        return p1, n * (t * p1 - p0) / (t * t - 1)
+def _moment_table(itv: Interval, N: int):
+    """int_I y^j G_k(y) dy for k, j <= N, exact until one final rounding.
 
-    # Newton squares the error times ~n^2 near the ends of [-1, 1], hence the
-    # log2(n) guard bits on each halving
-    precs = [bits]
-    while precs[-1] > 106:
-        precs.append(precs[-1] // 2 + n.bit_length())
-    pos, wts = [], []
-    for t0 in leggauss(n)[0][n // 2:]:
-        t = mp.mpf(float(t0))
-        for prec in reversed(precs):
-            with mp.workprec(prec):
-                p, dp = p_and_dp(t)
-                t = t - p / dp
-        with mp.workprec(bits):
-            _, dp = p_and_dp(t)
-            wts.append(2 / ((1 - t * t) * dp * dp))
-        pos.append(t)
-    # for odd n the first nonnegative node is the middle one: mirror the rest
-    # (mp.fneg, as unary minus would round to the ambient precision)
-    nodes = [mp.fneg(t, exact=True) for t in reversed(pos[n % 2:])] + pos
-    weights = list(reversed(wts[n % 2:])) + wts
-    return nodes, weights
+    With s = (y - a)/L, G_k = sqrt((2k+1)/L) L_k(s)/(2k+1) for the integer rows
+    C of `legendre_coeff_matrix`, and int_0^1 s^i L_k = sum_l C[k][l]/(i+l+1);
+    the float ends are dyadic, a = A/q and L = B/q, and (A + B s)^j / q^j
+    expands y^j."""
+    C = legendre_coeff_matrix(N)
+    D = math.lcm(*range(1, 2 * N + 2))
+    S = [[sum(int(C[k][l]) * (D // (i + l + 1)) for l in range(k + 1)) if i >= k else 0
+          for i in range(N + 1)] for k in range(N + 1)]
+    a, L = Fraction(itv.a), Fraction(itv.b) - Fraction(itv.a)
+    q = math.lcm(a.denominator, L.denominator)
+    A, B = int(a * q), int(L * q)
+    T = [[math.comb(j, i) * A ** (j - i) * B ** i for i in range(j + 1)] for j in range(N + 1)]
+    return [[mp.sqrt(mp.mpf(L.numerator) / (L.denominator * (2 * k + 1)))
+             * mp.ldexp(mp.mpf(sum(T[j][i] * S[k][i] for i in range(k, j + 1))) / D,
+                        -j * (q.bit_length() - 1)) if j >= k else mp.mpf(0)
+             for j in range(N + 1)] for k in range(N + 1)]
 
+
+# bits a design carries past `bits`: rounding of the closed forms and of
+# z = (x - c)/h, and the polynomial factors of the recurrence's growth
+_GUARD_BITS = 32
 
 # extra fit columns beyond the reported order (tail-absorption buffer); each
 # is kept only while its orthogonalized data coefficient clears the noise gate
@@ -355,58 +330,64 @@ _BUFFER_GATE = 3.0
 @functools.lru_cache(maxsize=16)
 def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
             delta=None, alpha=None, beta=None):
-    """QR-factored design and the (N+1)^2 table int_I y^j G_k, both from one
-    Gauss-Legendre rule on I (see `_fit_machinery`).
+    """QR-factored design and the moment table (`_moment_table`).
 
-    Self-check: column N at the point that sets the node count must agree
-    with `mp.quad` of the same integrand to 2^-(bits-64) times the
-    integrand's absolute mass, or ArithmeticError is raised.
+    For I = [c - h, c + h] and z = (x - c)/h, column k at x is
+    sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
+    `_power_integrals` at beta = -1; ModifiedHilbert (tilde variable) the
+    same times 1 + 2 pi delta x, less delta int_I G_0 = delta sqrt(2h) for
+    k = 0; RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c),
+    f_k from `_exp_integrals` at w = lambda x h.  At the sample point that
+    loses most bits, column N must match `mp.quad` to 2^-(bits-64) of its
+    size, else ArithmeticError; the quadrature adds bits for the integrand's
+    mass, at most sqrt(2h) max_I |kernel(x, .)| by Cauchy-Schwarz.
     """
     pts_arr = np.asarray(pts)
-    n, i0 = _node_count(kind, pts_arr, itv, bits, alpha, beta)
-    wp = bits + 32
-    ts, ws = _gauss_legendre(n, wp)
-    with mp.workprec(wp):
+    if kind == "FourierLaplace":
+        i0, loss = int(np.argmax(np.abs(pts_arr))), 0
+    else:
+        z_abs = np.abs(pts_arr.real - itv.center) / (0.5 * itv.length)
+        i0 = int(np.argmin(z_abs))
+        loss = 2 * N * math.log2(z_abs[i0] + math.sqrt(z_abs[i0] ** 2 - 1))
+    with mp.workprec(bits + _GUARD_BITS + math.ceil(loss)):
         c = (mp.mpf(itv.a) + itv.b) / 2
         h = (mp.mpf(itv.b) - itv.a) / 2
-        ys = [c + h * t for t in ts]
-        # G_k(y) = sqrt((2k+1)/(2h)) P_k((y-c)/h), orthonormal on I;
-        # W[k][l] = h w_l G_k(y_l)
-        P = [[mp.mpf(1)] * n, list(ts)]
-        for k in range(1, N):
-            P.append([((2 * k + 1) * t * p1 - k * p0) / (k + 1)
-                      for t, p0, p1 in zip(ts, P[k - 1], P[k])])
-        W = [[mp.sqrt((2 * k + 1) * h / 2) * w * p for w, p in zip(ws, P[k])]
-             for k in range(N + 1)]
         xs = _mp_vec(pts_arr)
-        K = [[_kernel(kind, x, y, delta, alpha, beta) for y in ys] for x in xs]
-        cols = [[mp.fdot(Wk, Kx) for Kx in K] for Wk in W]
-        powers = [[mp.mpf(1)] * n]
-        for _ in range(N):
-            powers.append([p * y for p, y in zip(powers[-1], ys)])
-        mom = [[mp.fdot(Wk, yj) for yj in powers] for Wk in W]
-        mass = mp.fsum(abs(w * k) for w, k in zip(W[N], K[i0]))
-    with mp.workprec(bits):
+        if kind == "FourierLaplace":
+            lam = mp.mpc(alpha, beta)
+            f = [_exp_integrals(lam * x * h, N) for x in xs]
+            scale = [h * mp.exp(lam * x * c) for x in xs]
+        elif kind == "RieszInverse":
+            f = [_power_integrals((x - c) / h, 2 * mp.mpf(alpha) - 1, N) for x in xs]
+            scale = [h ** (2 * mp.mpf(alpha))] * len(xs)
+        else:
+            f = [_power_integrals((x - c) / h, -1, N) for x in xs]
+            scale = [mp.sign(x - c) / mp.pi for x in xs]
+            if kind == "ModifiedHilbert":
+                scale = [(1 + 2 * mp.pi * delta * x) * s for x, s in zip(xs, scale)]
+        cols = [[mp.sqrt((2 * k + 1) / (2 * h)) * s * fx[k] for s, fx in zip(scale, f)]
+                for k in range(N + 1)]
+        if kind == "ModifiedHilbert":
+            cols[0] = [v - delta * mp.sqrt(2 * h) for v in cols[0]]
+        col = cols[N][i0]
+        mass = mp.sqrt(2 * h) * max(abs(_kernel(kind, xs[i0], y, delta, alpha, beta))
+                                    for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
+        extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
+        mom = _moment_table(itv, N)
+    with mp.workprec(bits + extra):
         ref = mp.quad(lambda y: mp.sqrt((2 * N + 1) / (2 * h)) * mp.legendre(N, (y - c) / h)
                       * _kernel(kind, xs[i0], y, delta, alpha, beta), [itv.a, itv.b])
-        gap = abs(cols[N][i0] - ref)
-        if gap > mp.ldexp(mass, -(bits - 64)):
-            raise ArithmeticError(
-                f"{kind} design column {N} misses its quadrature check by "
-                f"{float(gap):.3g} (integrand mass {float(mass):.3g}) with "
-                f"{n} Gauss-Legendre nodes")
+    gap = abs(col - ref)
+    if gap > mp.ldexp(abs(col), -(bits - 64)):
+        raise ArithmeticError(f"{kind} design column {N} misses its quadrature check by "
+                              f"{float(gap):.3g} (column {float(abs(col)):.3g})")
     qs, R = _mgs_qr(cols, bits)
     return qs, R, mom
 
 
 def _fit_machinery(data: RemoteData, N: int, bits: int):
-    """QR-factored design whose k-th column is the operator applied to the
-    k-th orthonormal Legendre mode G_k of the source interval,
-    column_k(x) = int_I G_k(y) kernel(x, y) dy by Gauss-Legendre on I, plus
-    the moment table for k, j <= N.
-
-    Cached: sweeps re-use the factorization across noise draws.
-    """
+    """`_design` at the data's points and source in the fit variable; cached,
+    so sweeps re-use the factorization across noise draws."""
     pts, itv = _fit_points_and_interval(data)
     return _design(data.kind, itv, tuple(pts.tolist()), N, bits,
                    data.delta, data.alpha, data.beta)

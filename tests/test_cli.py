@@ -144,8 +144,18 @@ class TestExperiments:
         assert res.exit_code == 2
         assert "J = [9.5, 10.0]" in res.output
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_operators_crosscheck_nonpositive_points_exit_2(self, runner,
+                                                             tmp_path, points):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"points={points}\n")
+        res = runner.invoke(main, ["--config", str(cfg), "--out",
+                                   str(tmp_path), "operators", "crosscheck"])
+        assert res.exit_code == 2
+        assert f"config key 'points': must be >= 1, got {points}" in res.output
+
     def test_reconstruct_sweep_small_reruns_identical(self, runner, tmp_path):
-        # the second run reuses the cached design and quadrature rule
+        # the second run reuses the cached design
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n")
         outs = [tmp_path / "a", tmp_path / "b"]

@@ -96,6 +96,32 @@ class TestHilbertSigmaMax:
         with pytest.raises(ArithmeticError):
             hilbert_inverse_sigma_max(3)
 
+    def test_float_equals_full_eigensolve(self):
+        # reference: every eigenvalue of the integer matrix at 256 bits
+        for N in range(21):
+            hinv = LegendreSystem(N).hilbert_inverse_exact()
+            with mpmath.workprec(256):
+                ref = max(mpmath.eigsy(mpmath.matrix(hinv), eigvals_only=True))
+            assert float(hilbert_inverse_sigma_max(N)) == float(ref)
+
+    def test_certified_to_512_bits(self):
+        N = 20
+        with mpmath.workprec(1100):
+            H = mpmath.matrix(N + 1)
+            for i in range(N + 1):
+                for j in range(N + 1):
+                    H[i, j] = mpmath.mpf(1) / (i + j + 1)
+            ref = 1 / min(mpmath.eigsy(H, eigvals_only=True))
+            got = hilbert_inverse_sigma_max(N, PrecisionConfig(bits=512))
+            assert abs(got - ref) <= mpmath.mpf(2) ** -500 * ref
+
+    def test_double_top_eigenvalue_raises(self, monkeypatch):
+        # lambda_1 = lambda_2: no gap, so no Kato-Temple certificate
+        monkeypatch.setattr(LegendreSystem, "hilbert_inverse_exact",
+                            lambda self: [[1, 0], [0, 1]])
+        with pytest.raises(ArithmeticError, match="certificate"):
+            hilbert_inverse_sigma_max(1)
+
 
 class TestGramIdentity:
     @pytest.mark.parametrize("N", [1, 4, 8])
@@ -165,7 +191,8 @@ def _festmom_polyx_reference(f, I, N):
     lhs = polyx.p_l2sq(coeffs, a, b)
     lam = b - a
     pulled = polyx.p_compose_affine(coeffs, a, lam)
-    msum = sum((lam * polyx.p_moment(pulled, j, Fraction(0), Fraction(1))) ** 2
+    # int_0^1 t^j pulled(t) dt
+    msum = sum((lam * polyx.p_integral([0] * j + pulled, Fraction(0), Fraction(1))) ** 2
                for j in range(N + 1))
     grad = polyx.p_l2sq(polyx.p_deriv(coeffs), a, b)
     C = moments._box_constant(I, 1)

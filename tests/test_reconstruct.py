@@ -109,16 +109,58 @@ class TestDesign:
                     worst = max(worst, abs(cols[k][p] - ref))
         assert worst <= 1e-50
 
-    def test_too_few_nodes_fail_the_self_check(self, monkeypatch):
+    @staticmethod
+    def _worst_against_quadrature(data, N, kernel, pts, itv):
+        """Largest gap between columns 0, N/2, N at three points and `mp.quad`
+        at 400 bits, relative to the column's largest entry; `pts` and `itv`
+        are in the variable of the fit."""
+        cols = _design_columns(data, N, 256)
+        worst = 0
+        with mpmath.workprec(400):
+            for k in (0, N // 2, N):
+                size = max(abs(v) for v in cols[k])
+                for p in (0, 31, 63):
+                    x = mpmath.mpmathify(pts[p])
+                    ref = mpmath.quad(lambda y: _orthonormal_legendre(k, y, itv)
+                                      * kernel(x, y), [itv.a, itv.b])
+                    worst = max(worst, abs(cols[k][p] - ref) / size)
+        return worst
+
+    def test_riesz_columns_left_of_the_source(self):
+        alpha = 0.75
+        data = RemoteData("RieszInverse", I01, np.linspace(-3, -2, 64),
+                          np.zeros(64), alpha=alpha)
+        worst = self._worst_against_quadrature(
+            data, 28, lambda x, y: abs(x - y) ** (2 * mpmath.mpf(alpha) - 1),
+            data.points, I01)
+        assert worst <= 1e-60
+
+    def test_modified_hilbert_columns_match_quadrature(self):
+        delta = 0.05
+        data = RemoteData("ModifiedHilbert", I01, np.linspace(1.25, 2.25, 64),
+                          np.zeros(64), delta=delta)
+        # the fit runs in the tilde variable, on the tilde image of I
+        worst = self._worst_against_quadrature(
+            data, 20, lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
+            reconstruct.tilde_variable(data.points, delta),
+            reconstruct._tilde_interval(I01, delta))
+        assert worst <= 1e-60
+
+    def test_fourier_laplace_columns_match_quadrature(self):
+        data = RemoteData("FourierLaplace", I01, np.linspace(-0.5, 0.5, 64),
+                          np.zeros(64), alpha=0.0, beta=-1.0)
+        worst = self._worst_against_quadrature(
+            data, 20, lambda x, y: mpmath.exp(-1j * x * y), data.points, I01)
+        assert worst <= 1e-60
+
+    def test_starved_guard_bits_fail_the_self_check(self, monkeypatch):
+        # 200 bits below the requested precision: column N is good to about
+        # 2^-56 of its size, far outside the 2^-(bits-64) check
         reconstruct._design.cache_clear()
-        reconstruct._gauss_legendre.cache_clear()
-        count = reconstruct._node_count
-        monkeypatch.setattr(reconstruct, "_node_count",
-                            lambda *a: (8, count(*a)[1]))
+        monkeypatch.setattr(reconstruct, "_GUARD_BITS", -200)
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.zeros(16))
         with pytest.raises(ArithmeticError, match="quadrature check"):
             select_order(data, 6)
-        reconstruct._gauss_legendre.cache_clear()
 
     @pytest.mark.parametrize("lo,hi,message", [
         (-0.9, -0.5, "convex hull"), (1.01, 2.0, "too close")])
