@@ -245,6 +245,11 @@ def reconstruct_grp():
     """Moment recovery from remote operator samples."""
 
 
+# the symbol parameters each operator reads from the config
+_SWEEP_PARAMS = {"ModifiedHilbert": ("delta",), "RieszInverse": ("alpha",),
+                 "FourierLaplace": ("alpha", "beta")}
+
+
 @reconstruct_grp.command("sweep")
 @click.pass_context
 def sweep_cmd(ctx):
@@ -258,6 +263,7 @@ def sweep_cmd(ctx):
                 "I and J overlap: the remote-sampling hypothesis (data taken "
                 "at positive distance from the source interval) is violated")
         kind = _get(cfg, "operator", str, "Hilbert")
+        params = {k: _get(cfg, k, float, None) for k in _SWEEP_PARAMS.get(kind, ())}
         grid = Grid(_get(cfg, "grid_L", float, 8.0), _get(cfg, "grid_n", int, 4096))
         f = make_bump(_interval(cfg, "support", Interval(0.2, 0.8)),
                       _get(cfg, "center_offset", float, 0.0),
@@ -272,7 +278,7 @@ def sweep_cmd(ctx):
             num_samples=_get(cfg, "num_samples", int, 64),
             N_max=_get(cfg, "N_max", int, 10),
             prec=PrecisionConfig(bits=obj["bits"]),
-            tau=_get(cfg, "tau", float, 1.5))
+            tau=_get(cfg, "tau", float, 1.5), **params)
         art.csv(["operator", "delta_noise", "trial", "N", "error_L2"], curve.rows)
         deltas = [d for d, _ in curve.pairs]
         errs = [e for _, e in curve.pairs]

@@ -15,14 +15,14 @@ Two evaluation routes are provided for every operator:
   evaluated in closed form (finite part where needed).  This removes the
   slow spatial decay that aliasing cannot handle and brings FFT output into
   1e-6+ agreement with direct kernel quadrature.  The padding factor (32),
-  window width (0.45) and Taylor degree (44) are fixed.  The Taylor
-  polynomial has degree 44 in x - y and its weights do not depend on x, so
-  the correction is a polynomial of that degree in x: it is summed at the
-  K = 45 Chebyshev points and interpolated onto the grid.
-  :func:`dealiased_rows` does this for a stack of r rows: it evaluates the
-  symbol once, runs the padded FFTs in batches of about 2^18 points, and
-  builds one table of Taylor powers per distinct support.  With N = 32 n and
-  s support samples it costs O(r*N log N + K*s*(K + r) + r*n*K).
+  window width (0.45) and Taylor degree (44) are fixed.  On the n-point grid
+  both parts are one Toeplitz matrix t[i - j]: the padded multiplier is
+  circulant on the 32n-point domain, and the correction is a polynomial of
+  degree 44 in x - y whose weights do not depend on x.
+  :func:`dealiased_rows` builds t at the offsets k = -(n-1)..n-1 from one
+  32n-point inverse FFT of the symbol plus that polynomial, and applies it to
+  a stack of r rows as one 2n-point FFT convolution per row: one 32n-point
+  inverse FFT per call plus O(r*n log n).
 
 Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 """
@@ -290,86 +290,40 @@ def _correction_weights(spec: SymbolSpec, derivative: int, grid_key, pad: int,
     return (I - D) * scale
 
 
-def _cheb_interp(nodes: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate at x the polynomial through vals (K, or rows x K) at K
-    first-kind Chebyshev nodes; one matrix-vector product per row.
-
-    nodes[k] = mid + half*cos((2k+1) pi / 2K) on any interval.  Second-kind
-    barycentric formula (Berrut & Trefethen 2004) with the weights
-    (-1)^k sin((2k+1) pi / 2K); their common factor, and that of the affine map
-    to the interval, cancels.  A point equal to a node takes that node's value.
-    """
-    K = nodes.size
-    k = np.arange(K)
-    w = (-1.0) ** k * np.sin((2 * k + 1) * np.pi / (2 * K))
-    diff = x[:, None] - nodes[None, :]
-    hit_row, hit_col = np.nonzero(diff == 0.0)
-    diff[hit_row] = 1.0  # keep the division finite; these rows are overwritten
-    c = w / diff
-    out = (c @ vals[..., None])[..., 0] / c.sum(axis=1)
-    out[..., hit_row] = vals[..., hit_col]
-    return out
-
-
-def _taylor_correction(spec: SymbolSpec, grid: Grid, F: np.ndarray, supp: np.ndarray,
-                       derivative: int, pad: int, xi0: float, degree: int) -> np.ndarray:
-    """corr(x) / 2 pi on the grid for each row f of F (r x n), all supported
-    on the samples y in supp, where
-
-        corr(x) = sum_{q <= degree} i^q W_q sum_y ((x - y)/R)^q f(y) dx,
-
-    summed at the K = degree + 1 Chebyshev points of [x_0, x_{n-1}] from one
-    table of powers and interpolated: O(K*s*(degree + r) + r*n*K) for s
-    support samples, not O(r*n*s*degree).
-    """
-    x = grid.x
-    ys = x[supp]
-    FY = (F[:, supp] * grid.dx)[..., None]    # rows x s x 1: one matvec per row
-    R = max(abs(x[0] - ys[-1]), abs(x[-1] + grid.dx - ys[0]), 1e-9)
-    W = _correction_weights(spec, derivative, (grid.L, grid.n), pad, xi0, degree, R)
-
-    K = degree + 1
-    theta = (2 * np.arange(K) + 1) * np.pi / (2 * K)
-    xc = 0.5 * (x[-1] + x[0]) + 0.5 * (x[-1] - x[0]) * np.cos(theta)
-    T = (xc[:, None] - ys[None, :]) / R    # |T| <= 1
-    Z = np.ones_like(T)
-    corr = np.zeros((F.shape[0], K), dtype=complex)
-    for q in range(degree + 1):
-        corr += (1j) ** q * (Z @ FY)[..., 0] * W[q]
-        if q < degree:
-            Z *= T
-    return _cheb_interp(xc, corr, x) / (2.0 * np.pi)
+def _correction_kernel(spec: SymbolSpec, grid: Grid, derivative: int) -> np.ndarray:
+    """The windowed-Taylor correction at the offsets x - y = k dx, k = -(n-1)..n-1:
+    sum_q i^q W_q (k/(n-1))^q dx / 2 pi, summed by Horner with R = (n-1) dx,
+    so that |k/(n-1)| <= 1."""
+    n = grid.n
+    W = _correction_weights(spec, derivative, (grid.L, n), _PAD, _XI0, _DEGREE, (n - 1) * grid.dx)
+    u = 1j * np.arange(-(n - 1), n) / (n - 1)
+    corr = np.full(u.size, W[-1])
+    for w in W[-2::-1]:
+        corr = corr * u + w
+    return corr * (grid.dx / (2.0 * np.pi))
 
 
 def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int = 0) -> np.ndarray:
     """`apply_dealiased` on every row of F (rows x n, each compactly supported):
     the complex rows x n result, each row bit for bit its single-row result.
-    The multiplier acts on a _PAD-times-larger periodic domain (same spacing);
-    the windowed-Taylor correction is described in the module docstring."""
+    Every live row is one 2n-point FFT convolution with the Toeplitz kernel
+    t[k], k = -(n-1)..n-1, described in the module docstring."""
     supp = _check_support(grid, F)
-    n = grid.n
     out = np.zeros(F.shape, dtype=complex)
     live = np.flatnonzero(supp.any(axis=1))   # zero rows stay zero
-    nbig = n * _PAD
-    off = (nbig - n) // 2     # x = -L + p dx keeps its coordinate on the big grid
-    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=grid.dx)
+    if not live.size:
+        return out
+    n = grid.n
+    # circulant column of the multiplier on the _PAD-times-larger periodic domain
+    xib = 2.0 * np.pi * np.fft.fftfreq(n * _PAD, d=grid.dx)
     m = evaluate(spec, xib)
     if derivative:
         m = m * (1j * xib) ** derivative
-    step = max(1, (1 << 18) // nbig)  # FFT batches of ~2^18 points: 4 MB per complex array
-    for i in range(0, live.size, step):
-        rows = live[i:i + step]
-        big = np.zeros((rows.size, nbig), dtype=complex)
-        big[:, off:off + n] = F[rows]
-        big = np.fft.fft(big, axis=-1)
-        big *= m
-        out[rows] = np.fft.ifft(big, axis=-1)[:, off:off + n]
-    groups = {}
-    for r in live:
-        groups.setdefault(supp[r].tobytes(), []).append(r)
-    for rows in groups.values():
-        out[rows] += _taylor_correction(spec, grid, F[rows], supp[rows[0]], derivative,
-                                        _PAD, _XI0, _DEGREE)
+    t = np.fft.ifft(m)[np.arange(-(n - 1), n)]    # a negative k wraps to k mod 32n
+    t += _correction_kernel(spec, grid, derivative)
+    circ = np.zeros(2 * n, dtype=complex)   # linear convolution as a 2n-point circulant
+    circ[:n], circ[n + 1:] = t[n - 1:], t[:n - 1]
+    out[live] = np.fft.ifft(np.fft.fft(F[live], 2 * n, axis=-1) * np.fft.fft(circ), axis=-1)[:, :n]
     return out
 
 

@@ -168,6 +168,42 @@ class TestExperiments:
                                outs[1] / f"reconstruct_sweep.{ext}",
                                shallow=False)
 
+    def test_reconstruct_sweep_riesz_reads_alpha(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n"
+                       "operator=RieszInverse\nalpha=0.25\n")
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path),
+                                   "reconstruct", "sweep"])
+        assert res.exit_code == 0, res.output
+        summary = json.loads(_read(tmp_path / "reconstruct_sweep.json"))
+        assert summary["operator"] == "RieszInverse"
+        assert len(summary["pairs"]) == 5
+
+    def test_reconstruct_sweep_riesz_without_alpha_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n"
+                       "operator=RieszInverse\n")
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path),
+                                   "reconstruct", "sweep"])
+        assert res.exit_code == 2
+        assert "alpha" in res.output
+
+    def test_reconstruct_sweep_hilbert_ignores_symbol_keys(self, runner, tmp_path):
+        # Hilbert reads none of delta, alpha, beta: only the config hash moves
+        base = "num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n"
+        arts = []
+        for name, extra in (("plain", ""), ("keys", "delta=0.5\nalpha=0.25\nbeta=1\n")):
+            cfg = tmp_path / f"{name}.txt"
+            cfg.write_text(base + extra)
+            out = tmp_path / name
+            res = runner.invoke(main, ["--config", str(cfg), "--out", str(out),
+                                       "reconstruct", "sweep"])
+            assert res.exit_code == 0, res.output
+            summary = json.loads(_read(out / "reconstruct_sweep.json"))
+            arts.append((_read(out / "reconstruct_sweep.csv").split("\n", 1)[1],
+                         {k: v for k, v in summary.items() if k != "config_hash"}))
+        assert arts[0] == arts[1]
+
     def test_continuation_three_balls(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "continuation",
                                    "three-balls"])

@@ -223,18 +223,9 @@ class TestVectorQuadrature:
 
 
 def _reference_dealiased(spec, f, derivative=0, pad=32, xi0=0.45, degree=44):
-    """The FFT part and the Taylor correction summed at every grid point, O(n*s*degree)."""
+    """The Taylor correction summed at every grid point over the support of f,
+    with R the support's largest distance to the grid, O(n*s*degree)."""
     g = f.grid
-    nbig = g.n * pad
-    off = (nbig - g.n) // 2
-    big = np.zeros(nbig, dtype=complex)
-    big[off:off + g.n] = f.values
-    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
-    m = evaluate(spec, xib)
-    if derivative:
-        m = m * (1j * xib) ** derivative
-    fft_part = np.fft.ifft(m * np.fft.fft(big))[off:off + g.n]
-
     x = g.x
     supp = np.abs(f.values) > 1e-14 * np.max(np.abs(f.values))
     ys = x[supp]
@@ -248,12 +239,12 @@ def _reference_dealiased(spec, f, derivative=0, pad=32, xi0=0.45, degree=44):
         corr += (1j) ** q * (Z @ fy) * W[q]
         if q < degree:
             Z *= T
-    return fft_part, supp, corr / (2.0 * np.pi)
+    return supp, corr / (2.0 * np.pi)
 
 
 class TestDealiasedCorrection:
-    """The correction summed at Chebyshev points and interpolated equals the
-    sum at every grid point."""
+    """The polynomial part of the Toeplitz kernel, at R = (n-1) dx, gives the
+    correction that the Taylor sum at every grid point gives."""
 
     CASES = [(symbol("HilbertSign"), 0),
              (symbol("ModifiedCoth", delta=0.1), 0),
@@ -275,34 +266,19 @@ class TestDealiasedCorrection:
                              ids=[f"{spec.kind}-d{d}" for spec, d in CASES])
     def test_matches_grid_point_sum(self, spec, derivative, source):
         f = self._sources()[source]
-        fft_part, supp, corr = _reference_dealiased(spec, f, derivative)
-        got = multiplier._taylor_correction(spec, f.grid, f.values[None], supp, derivative,
-                                             32, 0.45, 44)[0]
+        n = f.grid.n
+        supp, corr = _reference_dealiased(spec, f, derivative)
+        kernel = multiplier._correction_kernel(spec, f.grid, derivative)
+        ys = np.flatnonzero(supp)
+        # kernel[k + n - 1] is the correction at the offset x - y = k dx
+        got = kernel[np.arange(n)[:, None] - ys[None, :] + n - 1] @ f.values[supp]
         assert np.max(np.abs(got - corr)) <= 1e-13 * np.max(np.abs(corr))
-        # the output is the FFT part plus that correction; comparing the sums
-        # instead would measure roundoff of the FFT part, up to 1e20 |corr| here
-        out = apply_dealiased(spec, f, derivative=derivative).values
-        assert np.array_equal(out, fft_part + got)
 
-
-    def test_interpolant_takes_node_values_on_nodes(self):
-        K = 7
-        nodes = 0.5 + 2.0 * np.cos((2 * np.arange(K) + 1) * np.pi / (2 * K))
-        coeffs = np.array([0.3, -1.0 + 2.0j, 0.5, 0.25j, -0.125, 0.0625, 1.0])
-
-        def p(x):
-            return np.polyval(coeffs, x)
-
-        x = np.concatenate([nodes[[0, 3, 6]], np.linspace(-1.5, 2.5, 11)])
-        got = multiplier._cheb_interp(nodes, p(nodes), x)
-        assert np.all(np.isfinite(got))
-        assert np.array_equal(got[:3], p(nodes)[[0, 3, 6]])
-        assert np.max(np.abs(got - p(x))) <= 1e-13 * np.max(np.abs(p(x)))
 
 def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
-    """The one-function route as it was before stacks of rows: ifft(m * fft)
-    on the padded grid plus the Taylor correction summed by one matrix-vector
-    product per power at the Chebyshev points and interpolated."""
+    """The one-row route the Toeplitz kernel replaced: ifft(m * fft) on the
+    padded grid plus the Taylor correction summed by one matrix-vector product
+    per power at the Chebyshev points and interpolated."""
     g = f.grid
     nbig = g.n * pad
     off = (nbig - g.n) // 2
@@ -356,7 +332,11 @@ class TestDealiasedRows:
         f = make_bump(Interval(-0.7, 1.3), 0.0, 1.0, g)
         f = SampledFunction(g, f.values * np.cos(3.0 * g.x))
         got = apply_dealiased(spec, f, derivative=derivative).values
-        assert np.array_equal(got, _parent_padded_route(spec, f, derivative))
+        ref = _parent_padded_route(spec, f, derivative)
+        # the two routes round differently; the parent's own error against a
+        # long-double evaluation of its sum reaches 9.2e-12 max|out| at d = 1
+        tol = 1e-12 if derivative == 0 else 1e-10
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("derivative", [0, 1])
     @pytest.mark.parametrize("spec", KERNELS, ids=[k.kind for k in KERNELS])
@@ -364,8 +344,7 @@ class TestDealiasedRows:
         g = Grid(8.0, 1024)
         centred = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values
         shifted = make_bump(Interval(0.3, 3.1), 0.0, 1.0, g).values
-        # two support groups of several rows each, a zero row, complex rows,
-        # and more rows than one FFT batch holds (8 at n = 1024)
+        # rows of two supports, a zero row and complex rows
         F = np.array([centred, 2.5 * shifted, np.zeros(g.n), -3.0 * centred,
                       centred * np.sin(5.0 * g.x), 1j * shifted, shifted * np.cos(g.x),
                       0.5 * centred, 7.25 * centred, shifted, centred * np.exp(2j * g.x)])
