@@ -294,14 +294,16 @@ def _box_constant(I, n_dim: int) -> float:
 
 
 def verify_festmom(f, I, N: int):
-    """Both sides of the moment stability bound; moments taken in the unit-
-    interval pullback variable of each box factor (the rescaled estimate).
+    """Both sides of the moment stability bound at every order 0..N; moments
+    taken in the unit-interval pullback variable of each box factor (the
+    rescaled estimate).
 
-    Returns (lhs, rhs, holds) with lhs = ||f||^2_{L2(I)} and
-    rhs = e^{C(N+1)} sum_{|j| <= N} |f_j|^2 + ||grad f||^2_{L2(I)} / (4(N+1)^2).
-    f is a coefficient list on an Interval or a matrix c[i][j] x^i y^j on a
-    2D Box.  ||f||^2, the moment sum and ||grad f||^2 are exact rationals
-    (see `_hilbert_sums`), each rounded to float once.
+    Returns one (lhs, rhs, holds) per order n = 0..N, with lhs =
+    ||f||^2_{L2(I)} and rhs = e^{C(n+1)} sum_{|j| <= n} |f_j|^2 +
+    ||grad f||^2_{L2(I)} / (4(n+1)^2).  f is a coefficient list on an
+    Interval or a matrix c[i][j] x^i y^j on a 2D Box.  ||f||^2, each moment
+    sum and ||grad f||^2 are exact rationals from one `_hilbert_sums` pass,
+    each rounded to float once.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -315,11 +317,14 @@ def verify_festmom(f, I, N: int):
             raise ValueError("box must lie inside the unit square")
     else:
         raise ValueError("verify_festmom supports intervals and 2D boxes")
-    lhs, msum, grad = _hilbert_sums(f, factors, N)
+    lhs, msums, grad = _hilbert_sums(f, factors, N)
     C = _box_constant(I, len(factors))
-    rhs = math.exp(C * (N + 1)) * float(msum) + float(grad) / (4.0 * (N + 1) ** 2)
     lhs = float(lhs)
-    return lhs, rhs, lhs <= rhs * (1 + 1e-12)
+    out = []
+    for n, msum in enumerate(msums):
+        rhs = math.exp(C * (n + 1)) * float(msum) + float(grad) / (4.0 * (n + 1) ** 2)
+        out.append((lhs, rhs, lhs <= rhs * (1 + 1e-12)))
+    return out
 
 
 def _along(p, k, M):
@@ -341,7 +346,8 @@ def _hilbert_apply(p, rows):
 
 
 def _hilbert_sums(f, factors, N):
-    """Exact ||f||^2_{L2(I)}, sum_{|j|<=N} |f_j|^2 and ||grad f||^2_{L2(I)}.
+    """Exact ||f||^2_{L2(I)}, the list of sum_{|j|<=n} |f_j|^2 for n = 0..N,
+    and ||grad f||^2_{L2(I)}.
 
     The pullback F(t) = f(a + lam t) onto the unit box is p(t)/D with integer
     coefficients p (one axis per factor) and one integer D.  Since
@@ -350,6 +356,8 @@ def _hilbert_sums(f, factors, N):
     1/(i+m+1): each is one integer sum over one common denominator.  The
     Jacobian prod(lam) and the chain-rule factor 1/lam_k of d/dx_k carry
     these back to I; the moments f_j are prod(lam) times the pullback ones.
+    The Hilbert block is applied once, at N: the sum for order n is over the
+    leading (n+1)^d block of its result.
     """
     c = np.frompyfunc(Fraction, 1, 1)(np.array(f, dtype=object))
     if c.ndim != len(factors):
@@ -372,14 +380,16 @@ def _hilbert_sums(f, factors, N):
     Hp, L = _hilbert_apply(p, p.shape)
     l2 = vol * Fraction(np.sum(p * Hp), D * D * L)
     mom, L = _hilbert_apply(p, [N + 1] * p.ndim)
-    msum = vol ** 2 * Fraction(np.sum(mom * mom), (D * L) ** 2)
+    sq = mom * mom
+    msums = [vol ** 2 * Fraction(np.sum(sq[(slice(n + 1),) * p.ndim]), (D * L) ** 2)
+             for n in range(N + 1)]
     grad = Fraction(0)
     for k, n in enumerate(p.shape):
         if n > 1:
             dp = _along(p, k, [[i if i == m + 1 else 0 for i in range(n)] for m in range(n - 1)])
             Hdp, L = _hilbert_apply(dp, dp.shape)
             grad += vol / lams[k] ** 2 * Fraction(np.sum(dp * Hdp), D * D * L)
-    return l2, msum, grad
+    return l2, msums, grad
 
 
 _SERIES_TERMS = 400  # moments of f summed into G

@@ -10,8 +10,9 @@ discrepancy principle under noise).
 
 The fit is set in the Legendre basis: the k-th design column is the operator
 applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
-kernel(x, y) dy, where kernel(x, y) = sum_j y^j expansion_basis(kind, j, x)
-is summed in closed form.  No quadrature rule computes it: each column is a
+kernel(x, y) dy, with the far-field kernel summed in closed form:
+|x - y|^beta up to a factor for the three singular operators, e^(lambda x y)
+for FourierLaplace.  No quadrature rule computes it: each column is a
 closed-form factor times int_{-1}^1 P_k(t) kappa(z, t) dt, a three-term
 recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
 `_design`), and the moment table int_I y^j G_k is exact integer arithmetic.
@@ -106,49 +107,8 @@ def sample_remote(kind: str, f: SampledFunction, I: Interval, J: Interval,
 
 
 # ---------------------------------------------------------------------------
-# Expansion bases
+# Change of variable
 # ---------------------------------------------------------------------------
-
-def riesz_coefficient(alpha: float, j: int) -> float:
-    """c_0 = 1, c_j = prod_{k=1..j} (1 - 2 alpha / k)."""
-    c = 1.0
-    for k in range(1, j + 1):
-        c *= 1.0 - 2.0 * alpha / k
-    return c
-
-
-def expansion_basis(kind: str, j: int, x, delta: float | None = None,
-                    alpha: float | None = None, beta: float | None = None):
-    """j-th far-field basis function at x (tilde variable for ModifiedHilbert).
-
-    Hilbert: pi^-1 x^{-j-1}; RieszInverse: c_j x^{-j-1+2a}; ModifiedHilbert:
-    (pi^-1 + 2 delta x) x^{-j-1}, with the constant -delta folded into j = 0;
-    FourierLaplace: ((a+ib) x)^j / j!.  Valid for |x| > sup I in the
-    power-series cases; everywhere for FourierLaplace.
-    """
-    if j < 0:
-        raise ValueError("basis index must be nonnegative")
-    x = np.asarray(x)
-    if kind == "Hilbert":
-        return x ** (-j - 1.0) / np.pi
-    if kind == "ModifiedHilbert":
-        if delta is None or delta <= 0:
-            raise ValueError("ModifiedHilbert requires delta > 0")
-        out = (1.0 / np.pi + 2.0 * delta * x) * x ** (-j - 1.0)
-        if j == 0:
-            out = out - delta
-        return out
-    if kind == "RieszInverse":
-        if alpha is None or not 0 < alpha < 1:
-            raise ValueError("RieszInverse requires alpha in (0,1)")
-        return riesz_coefficient(alpha, j) * x ** (-j - 1.0 + 2.0 * alpha)
-    if kind == "FourierLaplace":
-        if alpha is None or beta is None:
-            raise ValueError("FourierLaplace requires alpha and beta")
-        lam = alpha + 1j * beta
-        return (lam * x) ** j / math.factorial(j)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
 
 def tilde_variable(x, delta: float):
     """x-tilde = (e^{2 pi delta x} - 1) / (2 pi delta), the exponential change
@@ -260,17 +220,6 @@ def _fit_points_and_interval(data: RemoteData):
     return pts, itv
 
 
-def _kernel(kind: str, x, y, delta=None, alpha=None, beta=None):
-    """sum_j y^j expansion_basis(kind, j, x) in closed form, for mp scalars."""
-    if kind == "Hilbert":
-        return 1 / (mp.pi * (x - y))
-    if kind == "ModifiedHilbert":
-        return (1 / mp.pi + 2 * delta * x) / (x - y) - delta
-    if kind == "RieszInverse":  # |x - y|^(2a-1) on either side of the source
-        return abs(x) ** (2 * mp.mpf(alpha) - 1) * abs(1 - y / x) ** (2 * mp.mpf(alpha) - 1)
-    return mp.exp(mp.mpc(alpha, beta) * x * y)
-
-
 def _power_integrals(z, beta, N: int):
     """f_k(z) = int_{-1}^1 P_k(t) |z - t|^beta dt, k <= N, |z| > 1: closed-form
     f_0 and f_1, then (k+beta+2) f_{k+1} = (2k+1) z f_k - (k-beta-1) f_{k-1}
@@ -286,6 +235,18 @@ def _power_integrals(z, beta, N: int):
     for k in range(1, N):
         f.append(((2 * k + 1) * z * f[k] - (k - beta - 1) * f[k - 1]) / (k + beta + 2))
     return [s ** k * v for k, v in enumerate(f[:N + 1])]
+
+
+def _power_closed_form(z, beta, N: int):
+    """f_N(z) of `_power_integrals`, |z| > 1, without the recurrence: N
+    integrations by parts of Rodrigues' formula and the binomial series of
+    (1 - t/z)^(beta-N) give sgn(z)^N (-beta)_N / (2^N N!) |z|^(beta-N)
+    B(1/2, N+1) 2F1((N-beta)/2, (N-beta+1)/2; N+3/2; 1/z^2), a series whose
+    terms after the first share one sign (2 Q_N(z) at beta = -1, DLMF 14.3)."""
+    beta, s, z = mp.mpf(beta), mp.sign(z) ** N, abs(z)
+    return (s * mp.rf(-beta, N) / (2 ** N * mp.factorial(N)) * z ** (beta - N)
+            * mp.beta(mp.mpf(1) / 2, N + 1)
+            * mp.hyp2f1((N - beta) / 2, (N - beta + 1) / 2, N + mp.mpf(3) / 2, 1 / z ** 2))
 
 
 def _exp_integrals(w, N: int):
@@ -338,9 +299,12 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
     same times 1 + 2 pi delta x, less delta int_I G_0 = delta sqrt(2h) for
     k = 0; RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c),
     f_k from `_exp_integrals` at w = lambda x h.  At the sample point that
-    loses most bits, column N must match `mp.quad` to 2^-(bits-64) of its
-    size, else ArithmeticError; the quadrature adds bits for the integrand's
-    mass, at most sqrt(2h) max_I |kernel(x, .)| by Cauchy-Schwarz.
+    loses most bits, column N must match an independent value to
+    2^-(bits-64) of its size, else ArithmeticError.  For the three power
+    kernels that value is `_power_closed_form` at bits + 16, which catches the
+    recurrence losing precision; FourierLaplace's is `mp.quad` of
+    G_N e^(lambda x y), with bits added for the integrand's mass, at most
+    sqrt(2h) max_I |e^(lambda x y)| by Cauchy-Schwarz.
     """
     pts_arr = np.asarray(pts)
     if kind == "FourierLaplace":
@@ -357,12 +321,14 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
             lam = mp.mpc(alpha, beta)
             f = [_exp_integrals(lam * x * h, N) for x in xs]
             scale = [h * mp.exp(lam * x * c) for x in xs]
-        elif kind == "RieszInverse":
-            f = [_power_integrals((x - c) / h, 2 * mp.mpf(alpha) - 1, N) for x in xs]
-            scale = [h ** (2 * mp.mpf(alpha))] * len(xs)
         else:
-            f = [_power_integrals((x - c) / h, -1, N) for x in xs]
-            scale = [mp.sign(x - c) / mp.pi for x in xs]
+            power = 2 * mp.mpf(alpha) - 1 if kind == "RieszInverse" else -1
+            zs = [(x - c) / h for x in xs]
+            f = [_power_integrals(z, power, N) for z in zs]
+            if kind == "RieszInverse":
+                scale = [h ** (2 * mp.mpf(alpha))] * len(xs)
+            else:
+                scale = [mp.sign(x - c) / mp.pi for x in xs]
             if kind == "ModifiedHilbert":
                 scale = [(1 + 2 * mp.pi * delta * x) * s for x, s in zip(xs, scale)]
         cols = [[mp.sqrt((2 * k + 1) / (2 * h)) * s * fx[k] for s, fx in zip(scale, f)]
@@ -370,16 +336,25 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
         if kind == "ModifiedHilbert":
             cols[0] = [v - delta * mp.sqrt(2 * h) for v in cols[0]]
         col = cols[N][i0]
-        mass = mp.sqrt(2 * h) * max(abs(_kernel(kind, xs[i0], y, delta, alpha, beta))
-                                    for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
-        extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
+        if kind == "FourierLaplace":
+            mass = mp.sqrt(2 * h) * max(abs(mp.exp(lam * xs[i0] * y))
+                                        for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
+            extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
         mom = _moment_table(itv, N)
-    with mp.workprec(bits + extra):
-        ref = mp.quad(lambda y: mp.sqrt((2 * N + 1) / (2 * h)) * mp.legendre(N, (y - c) / h)
-                      * _kernel(kind, xs[i0], y, delta, alpha, beta), [itv.a, itv.b])
+    if kind == "FourierLaplace":
+        check = "quadrature"
+        with mp.workprec(bits + extra):
+            ref = mp.quad(lambda y: mp.sqrt((2 * N + 1) / (2 * h)) * mp.legendre(N, (y - c) / h)
+                          * mp.exp(lam * xs[i0] * y), [itv.a, itv.b])
+    else:
+        check = "closed-form"
+        with mp.workprec(bits + 16):
+            ref = mp.sqrt((2 * N + 1) / (2 * h)) * scale[i0] * _power_closed_form(zs[i0], power, N)
+            if kind == "ModifiedHilbert" and N == 0:
+                ref -= delta * mp.sqrt(2 * h)
     gap = abs(col - ref)
     if gap > mp.ldexp(abs(col), -(bits - 64)):
-        raise ArithmeticError(f"{kind} design column {N} misses its quadrature check by "
+        raise ArithmeticError(f"{kind} design column {N} misses its {check} check by "
                               f"{float(gap):.3g} (column {float(abs(col)):.3g})")
     qs, R = _mgs_qr(cols, bits)
     return qs, R, mom
@@ -393,13 +368,15 @@ def _fit_machinery(data: RemoteData, N: int, bits: int):
                    data.delta, data.alpha, data.beta)
 
 
-def _fit_values(data: RemoteData) -> np.ndarray:
-    """Sample values in the normalization the expansions are written in."""
+def _fit_values(data: RemoteData):
+    """Sample values in the normalization the expansions are written in, and
+    the factor |s| by which that scaled them (noise thresholds scale alike)."""
     if data.kind == "RieszInverse":
-        # the grid operator carries the Riesz-potential constant; the expansion
-        # coefficients c_j are written for the bare kernel -|x-y|^{2a-1}
-        return -multiplier.riesz_constant(data.alpha) * data.values
-    return data.values
+        # the grid operator carries the Riesz-potential constant; the design
+        # is written for the bare kernel -|x-y|^{2a-1}
+        s = -multiplier.riesz_constant(data.alpha)
+        return s * data.values, abs(s)
+    return data.values, 1.0
 
 
 def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
@@ -418,14 +395,14 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
     # top reported coefficients (the buffer modes themselves are discarded)
     M_fit = min(N + _FIT_BUFFER, m // 2 - 1)
     qs, R, mom = _fit_machinery(data, M_fit, prec.bits)
-    b = _mp_vec(_fit_values(data))
-    residuals, solve, rhs = _ls_path(qs, R, b, prec.bits)
+    vals, unit = _fit_values(data)
+    residuals, solve, rhs = _ls_path(qs, R, _mp_vec(vals), prec.bits)
     # keep a buffer column only while its data coefficient clears the noise
     # gate: below it the column fits noise, and its amplified junk coefficient
     # would leak into the reported modes through back substitution
     # even "clean" samples carry quadrature/float64 roundoff; gate against it
-    floor = 1e-8 * float(np.max(np.abs(data.values))) if data.values.size else 0.0
-    gate = _BUFFER_GATE * max(data.noise_level, floor)
+    floor = 1e-8 * float(np.max(np.abs(vals))) if vals.size else 0.0
+    gate = _BUFFER_GATE * max(unit * data.noise_level, floor)
     M_use = N
     for k in range(N + 1, M_fit + 1):
         if abs(rhs[k]) <= gate:
@@ -445,7 +422,8 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
 def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = PrecisionConfig(),
                  tau: float = 1.5) -> int:
     """Discrepancy principle: largest N whose fit residual stays at or above
-    the noise floor tau * delta * sqrt(#samples) (ties broken toward smaller N).
+    the noise floor tau * delta * sqrt(#samples) (ties broken toward smaller N),
+    with delta in the units of the fit (`_fit_values`).
 
     tau > 1 is the usual safety factor: without it, noise draws whose norm
     exceeds its expectation never cross the floor and the selection runs away
@@ -454,9 +432,9 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
     m = data.points.size
     N_max = min(N_max, m // 2 - 1)
     qs, R, _ = _fit_machinery(data, N_max, prec.bits)
-    b = _mp_vec(_fit_values(data))
-    residuals, _, _ = _ls_path(qs, R, b, prec.bits)
-    floor = tau * data.noise_level * math.sqrt(m)
+    vals, unit = _fit_values(data)
+    residuals, _, _ = _ls_path(qs, R, _mp_vec(vals), prec.bits)
+    floor = tau * unit * data.noise_level * math.sqrt(m)
     # residuals are nonincreasing until noise takes over; stop at the first
     # crossing below the floor so later chance fluctuations cannot inflate N
     best = 0

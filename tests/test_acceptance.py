@@ -59,7 +59,7 @@ def test_criterion_3_moment_stability_bound():
     for _ in range(50):
         coeffs = rng.standard_normal(11).tolist()  # degree <= 10
         for N in range(1, 9):
-            _, _, holds = moments.verify_festmom(coeffs, I, N)
+            _, _, holds = moments.verify_festmom(coeffs, I, N)[N]
             violations += 0 if holds else 1
     assert violations == 0
 

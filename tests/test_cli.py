@@ -7,7 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from nslab import multiplier
+from nslab import moments, multiplier
 from nslab.cli import main
 
 
@@ -111,6 +111,22 @@ class TestExperiments:
         summary = json.loads(_read(tmp_path / "verify_bounds.json"))
         assert summary["violations"] == 0
 
+    def test_verify_bounds_one_exact_pass_per_polynomial(self, runner, tmp_path,
+                                                         monkeypatch):
+        # orders 1..8 of each of the 50 default polynomials from one pass
+        calls = []
+        original = moments._hilbert_sums
+
+        def counted(f, factors, N):
+            calls.append(N)
+            return original(f, factors, N)
+
+        monkeypatch.setattr(moments, "_hilbert_sums", counted)
+        res = runner.invoke(main, ["--out", str(tmp_path), "moments",
+                                   "verify-bounds"])
+        assert res.exit_code == 0, res.output
+        assert calls == [8] * 50
+
     def test_operators_crosscheck_small(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "operators",
                                    "crosscheck"])
@@ -178,6 +194,8 @@ class TestExperiments:
         summary = json.loads(_read(tmp_path / "reconstruct_sweep.json"))
         assert summary["operator"] == "RieszInverse"
         assert len(summary["pairs"]) == 5
+        # residuals and noise thresholds compared in the same units
+        assert all(err <= 1.0 for _, err in summary["pairs"])
 
     def test_reconstruct_sweep_riesz_without_alpha_exit_2(self, runner, tmp_path):
         cfg = tmp_path / "cfg.txt"

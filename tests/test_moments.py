@@ -153,7 +153,7 @@ class TestLegendreODE:
 
 class TestFestmom:
     def test_zero_function(self):
-        lhs, rhs, holds = verify_festmom([Fraction(0)], UNIT, 3)
+        lhs, rhs, holds = verify_festmom([Fraction(0)], UNIT, 3)[3]
         assert (float(lhs), float(rhs), holds) == (0.0, 0.0, True)
 
     def test_random_suite_small(self):
@@ -161,7 +161,7 @@ class TestFestmom:
         for _ in range(10):
             coeffs = rng.standard_normal(6).tolist()
             for N in (1, 4, 8):
-                _, _, holds = verify_festmom(coeffs, Interval(0.2, 0.8), N)
+                _, _, holds = verify_festmom(coeffs, Interval(0.2, 0.8), N)[N]
                 assert holds
 
     @pytest.mark.parametrize("N", [1, 3, 5])
@@ -171,7 +171,7 @@ class TestFestmom:
         sys = LegendreSystem(N + 1)
         raw = sys.raw_polynomial(N + 1)
         coeffs = [float(c) / math.sqrt(2 * (N + 1) + 1) for c in raw]
-        lhs, rhs, holds = verify_festmom(coeffs, UNIT, N)
+        lhs, rhs, holds = verify_festmom(coeffs, UNIT, N)[N]
         assert holds
         assert float(lhs) == pytest.approx(1.0, rel=1e-8)
         assert float(rhs) >= 1.0
@@ -210,22 +210,66 @@ def test_festmom_equals_polyx_reference(ab):
     suite = [rng.standard_normal(11).tolist() for _ in range(50)]
     suite += [rng.standard_normal(d + 1).tolist() for d in range(4)]
     for coeffs in suite:
-        for N in range(1, 9):
-            assert verify_festmom(coeffs, I, N) == _festmom_polyx_reference(coeffs, I, N)
+        assert verify_festmom(coeffs, I, 8) == [_festmom_polyx_reference(coeffs, I, N)
+                                                for N in range(9)]
+
+
+def _festmom_single_order_reference(f, I, N):
+    """The bound at order N alone, one Hilbert block of N + 1 rows per order:
+    the earlier single-order `_hilbert_sums` and `verify_festmom`."""
+    factors = I.factors if isinstance(I, Box) else (I,)
+    c = np.frompyfunc(Fraction, 1, 1)(np.array(f, dtype=object))
+    D = math.lcm(*(v.denominator for v in c.flat))
+    p = np.frompyfunc(lambda v: v.numerator * (D // v.denominator), 1, 1)(c)
+    lams = []
+    for k, fac in enumerate(factors):
+        a = Fraction(fac.a).limit_denominator(10**12)
+        lam = Fraction(fac.b).limit_denominator(10**12) - a
+        q = math.lcm(a.denominator, lam.denominator)
+        A, Lam = int(a * q), int(lam * q)
+        d = p.shape[k] - 1
+        p = moments._along(p, k, [[math.comb(i, m) * A ** (i - m) * Lam ** m * q ** (d - i)
+                                   if m <= i else 0 for i in range(d + 1)]
+                                  for m in range(d + 1)])
+        D *= q ** d
+        lams.append(lam)
+    vol = math.prod(lams)
+    Hp, L = moments._hilbert_apply(p, p.shape)
+    l2 = vol * Fraction(np.sum(p * Hp), D * D * L)
+    mom, L = moments._hilbert_apply(p, [N + 1] * p.ndim)
+    msum = vol ** 2 * Fraction(np.sum(mom * mom), (D * L) ** 2)
+    grad = Fraction(0)
+    for k, n in enumerate(p.shape):
+        if n > 1:
+            dp = moments._along(p, k, [[i if i == m + 1 else 0 for i in range(n)]
+                                       for m in range(n - 1)])
+            Hdp, L = moments._hilbert_apply(dp, dp.shape)
+            grad += vol / lams[k] ** 2 * Fraction(np.sum(dp * Hdp), D * D * L)
+    C = moments._box_constant(I, len(factors))
+    rhs = math.exp(C * (N + 1)) * float(msum) + float(grad) / (4.0 * (N + 1) ** 2)
+    return float(l2), rhs, float(l2) <= rhs * (1 + 1e-12)
 
 
 class TestFestmomBox:
     BOX = Box((Interval(0.1, 0.9), Interval(0.2, 0.7)))
 
+    @pytest.mark.parametrize("box", [BOX, Box((Interval(0.0, 1.0), Interval(0.0, 1.0)))])
+    def test_all_orders_equal_single_order_reference(self, box):
+        rng = np.random.default_rng(6)
+        for shape in ((3, 3), (4, 2), (1, 5)):
+            c = rng.standard_normal(shape).tolist()
+            assert verify_festmom(c, box, 3) == [_festmom_single_order_reference(c, box, N)
+                                                 for N in range(4)]
+
     def test_zero_function(self):
-        assert verify_festmom([[0.0, 0.0], [0.0, 0.0]], self.BOX, 2) == (0.0, 0.0, True)
+        assert verify_festmom([[0.0, 0.0], [0.0, 0.0]], self.BOX, 2)[2] == (0.0, 0.0, True)
 
     def test_separable_lhs_is_product_of_norms(self):
         rng = np.random.default_rng(4)
         p = polyx.as_exact(rng.standard_normal(4).tolist())
         q = polyx.as_exact(rng.standard_normal(3).tolist())
         c = [[pi * qj for qj in q] for pi in p]
-        lhs, _, holds = verify_festmom(c, self.BOX, 3)
+        lhs, _, holds = verify_festmom(c, self.BOX, 3)[3]
         exact = (polyx.p_l2sq(p, Fraction(1, 10), Fraction(9, 10))
                  * polyx.p_l2sq(q, Fraction(1, 5), Fraction(7, 10)))
         assert lhs == float(exact) and holds
@@ -236,7 +280,7 @@ class TestFestmomBox:
         for _ in range(5):
             c = rng.standard_normal((3, 3)).tolist()
             for N in (0, 1, 3):
-                assert verify_festmom(c, box, N)[2]
+                assert verify_festmom(c, box, N)[N][2]
 
     def test_domain_check(self):
         with pytest.raises(ValueError):

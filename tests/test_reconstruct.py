@@ -8,12 +8,14 @@ import pytest
 from nslab import moments, reconstruct
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
 from nslab.moments import PrecisionConfig
-from nslab.reconstruct import (RemoteData, expansion_basis, invert,
-                               recover_moments, sample_remote, select_order,
-                               stability_sweep)
+from nslab.reconstruct import (RemoteData, invert, recover_moments,
+                               sample_remote, select_order, stability_sweep)
 
 I01 = Interval(0.0, 1.0)
 J23 = Interval(2.0, 3.0)
+SYMBOL_PARAMS = {"Hilbert": {}, "ModifiedHilbert": {"delta": 0.05},
+                 "RieszInverse": {"alpha": 0.25},
+                 "FourierLaplace": {"alpha": 0.0, "beta": -1.0}}
 
 
 def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
@@ -34,6 +36,45 @@ def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
                 acc += fj * xm ** (-j - 1)
             vals[i] = acc / mpmath.pi
     return RemoteData("Hilbert", I01, pts, vals, noise_level=0.0)
+
+
+def riesz_coefficient(alpha, j):
+    """c_0 = 1, c_j = prod_{k=1..j} (1 - 2 alpha / k)."""
+    c = 1.0
+    for k in range(1, j + 1):
+        c *= 1.0 - 2.0 * alpha / k
+    return c
+
+
+def expansion_basis(kind, j, x, delta=None, alpha=None, beta=None):
+    """j-th far-field basis function at x (tilde variable for ModifiedHilbert).
+
+    Hilbert: pi^-1 x^{-j-1}; RieszInverse: c_j x^{-j-1+2a}; ModifiedHilbert:
+    (pi^-1 + 2 delta x) x^{-j-1}, with the constant -delta folded into j = 0;
+    FourierLaplace: ((a+ib) x)^j / j!.  Valid for |x| > sup I in the
+    power-series cases; everywhere for FourierLaplace.
+    """
+    x = np.asarray(x)
+    if kind == "Hilbert":
+        return x ** (-j - 1.0) / np.pi
+    if kind == "ModifiedHilbert":
+        out = (1.0 / np.pi + 2.0 * delta * x) * x ** (-j - 1.0)
+        return out - delta if j == 0 else out
+    if kind == "RieszInverse":
+        return riesz_coefficient(alpha, j) * x ** (-j - 1.0 + 2.0 * alpha)
+    return ((alpha + 1j * beta) * x) ** j / math.factorial(j)
+
+
+def far_field_kernel(kind, x, y, delta=None, alpha=None, beta=None):
+    """sum_j y^j expansion_basis(kind, j, x) in closed form, for mp scalars:
+    the kernels whose Legendre integrals are the design's columns."""
+    if kind == "Hilbert":
+        return 1 / (mpmath.pi * (x - y))
+    if kind == "ModifiedHilbert":
+        return (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta
+    if kind == "RieszInverse":  # |x - y|^(2a-1) on either side of the source
+        return abs(x) ** (2 * mpmath.mpf(alpha) - 1) * abs(1 - y / x) ** (2 * mpmath.mpf(alpha) - 1)
+    return mpmath.exp(mpmath.mpc(alpha, beta) * x * y)
 
 
 class TestExpansionBasis:
@@ -75,8 +116,8 @@ class TestDesign:
         series = sum(complex(expansion_basis(kind, j, x, **params)) * y ** j
                      for j in range(120))
         with mpmath.workprec(128):
-            closed = complex(reconstruct._kernel(kind, mpmath.mpf(x),
-                                                 mpmath.mpf(y), **params))
+            closed = complex(far_field_kernel(kind, mpmath.mpf(x), mpmath.mpf(y),
+                                              **params))
         assert abs(closed - series) <= 1e-14 * abs(series)
 
     @pytest.mark.parametrize("bits,tol", [(256, 1e-55), (384, 1e-86)])
@@ -153,14 +194,54 @@ class TestDesign:
             data, 20, lambda x, y: mpmath.exp(-1j * x * y), data.points, I01)
         assert worst <= 1e-60
 
-    def test_starved_guard_bits_fail_the_self_check(self, monkeypatch):
+    @pytest.mark.parametrize("beta", [-1, -0.5, 0, 0.5])
+    @pytest.mark.parametrize("z", [-1.25, 3.0])
+    def test_power_closed_form_matches_quadrature(self, beta, z):
+        with mpmath.workprec(400):
+            z = mpmath.mpf(z)
+            for N in (0, 1, 8, 20):
+                closed = reconstruct._power_closed_form(z, beta, N)
+                if beta == 0 and N >= 1:
+                    assert closed == 0
+                    continue
+                ref = mpmath.quad(lambda t: mpmath.legendre(N, t) * abs(z - t) ** beta,
+                                  [-1, 1])
+                assert abs(closed - ref) <= 1e-100 * abs(ref)
+
+    @pytest.mark.parametrize("kind", ["Hilbert", "ModifiedHilbert", "RieszInverse"])
+    def test_starved_guard_bits_fail_the_self_check(self, monkeypatch, kind):
         # 200 bits below the requested precision: column N is good to about
         # 2^-56 of its size, far outside the 2^-(bits-64) check
         reconstruct._design.cache_clear()
         monkeypatch.setattr(reconstruct, "_GUARD_BITS", -200)
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.zeros(16))
-        with pytest.raises(ArithmeticError, match="quadrature check"):
+        data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
+        with pytest.raises(ArithmeticError, match="closed-form check"):
             select_order(data, 6)
+
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_modified_hilbert_low_orders_pass_the_self_check(self, N):
+        # column 0 carries the constant -delta sqrt(2h); the check's value must too
+        reconstruct._design.cache_clear()
+        itv = reconstruct._tilde_interval(I01, 0.05)
+        pts = tuple(reconstruct.tilde_variable(np.linspace(2, 3, 16), 0.05).tolist())
+        qs, R, _ = reconstruct._design("ModifiedHilbert", itv, pts, N, 256, delta=0.05)
+        assert len(qs) == N + 1
+
+    @pytest.mark.parametrize("kind,quads", [
+        ("Hilbert", 0), ("ModifiedHilbert", 0), ("RieszInverse", 0), ("FourierLaplace", 1)])
+    def test_power_kernel_design_runs_no_quadrature(self, monkeypatch, kind, quads):
+        calls = []
+        original = mpmath.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        reconstruct._design.cache_clear()
+        monkeypatch.setattr(mpmath, "quad", counted)
+        data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
+        select_order(data, 6)
+        assert len(calls) == quads
 
     @pytest.mark.parametrize("lo,hi,message", [
         (-0.9, -0.5, "convex hull"), (1.01, 2.0, "too close")])
