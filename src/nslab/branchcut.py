@@ -219,17 +219,19 @@ def modulated_family(I: Interval, grid: Grid, ks):
 _LOCAL_SYMBOLS = ("zero", "neg_dxx1")
 
 
-def _apply_2d(g2: np.ndarray, grid: Grid, s: float, local: str) -> np.ndarray:
-    """P(D) g for P = |D_{x2}|^{2s} + L(D_{x1}) applied axis by axis with the
-    dealiased 1D operator (axis 0 = x1 rows, axis 1 = x2); the first-order
-    mixed-symbol term m(D') is zero."""
+def _apply_2d(g2: np.ndarray, grid: Grid, s: float, local: str, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of P(D) g for P = |D_{x2}|^{2s} + L(D_{x1}) applied axis by
+    axis with the dealiased 1D operator (axis 0 = x1 rows, axis 1 = x2); the
+    first-order mixed-symbol term m(D') is zero."""
     if local not in _LOCAL_SYMBOLS:
         raise ValueError(f"unsupported local symbol {local!r}")
-    g2 = np.asarray(g2, dtype=complex)
-    out = multiplier.dealiased_rows(multiplier.symbol("AbsPow", two_s=2.0 * s), grid, g2)
+    out = multiplier.dealiased_rows(multiplier.symbol("AbsPow", two_s=2.0 * s), grid, g2[rows])
     if local == "neg_dxx1":
-        # local operators have no periodization tail; plain spectral suffices
-        out += np.fft.ifft((grid.xi ** 2)[:, None] * np.fft.fft(g2, axis=0), axis=0)
+        # local operators have no periodization tail; plain spectral suffices.
+        # The transform of a zero column is zero, so only live columns run.
+        cols = np.flatnonzero(g2.any(axis=0))
+        out[:, cols] += np.fft.ifft((grid.xi ** 2)[:, None] * np.fft.fft(g2[:, cols], axis=0),
+                                    axis=0)[rows]
     return out
 
 
@@ -244,16 +246,16 @@ def slice_experiment_2d(g2: np.ndarray, grid: Grid, s: float, local: str,
     g2 = np.asarray(g2, dtype=complex)
     if g2.shape != (grid.n, grid.n):
         raise ValueError("2D field must be grid.n x grid.n")
-    Pg = _apply_2d(g2, grid, s, local)
+    q_rows = np.flatnonzero(Q.contains(grid.x))
+    Pg = _apply_2d(g2, grid, s, local, q_rows)
     rows = []
-    rowmask = Q.contains(grid.x)
     total_num = 0.0
     total_den = 0.0
-    for i in np.flatnonzero(rowmask):
+    for i, Pg_i in zip(q_rows, Pg):
         prof = SampledFunction(grid, g2[i])
         if norm(prof, "L2") == 0.0:
             continue
-        out = SampledFunction(grid, Pg[i])
+        out = SampledFunction(grid, Pg_i)
         r1 = norm(out, "HnegS_local", region=J1, s=s)
         r2 = norm(out, "HnegS_local", region=J2, s=s)
         den = norm(prof, "Hs", s=2.0 * s)

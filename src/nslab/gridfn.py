@@ -189,23 +189,6 @@ def _interval_samples(f: SampledFunction, region: Interval):
     return xs, vs
 
 
-def integrate(f: SampledFunction, region: Interval):
-    """Trapezoid-rule integral of f over the interval (endpoints interpolated)."""
-    xs, vs = _interval_samples(f, region)
-    return np.trapezoid(vs, xs)
-
-
-def forward_fft(f: SampledFunction) -> np.ndarray:
-    """Samples of (F f)(xi_k): continuum-normalized DFT with grid phase."""
-    g = f.grid
-    return g.dx * np.fft.fft(f.values) * np.exp(1j * g.L * g.xi)
-
-
-def inverse_fft(grid: Grid, fhat: np.ndarray) -> SampledFunction:
-    vals = np.fft.ifft(fhat * np.exp(-1j * grid.L * grid.xi)) / grid.dx
-    return SampledFunction(grid, vals)
-
-
 @lru_cache(maxsize=64)
 def _cutoff_cache(grid_key, a, b, a_out, b_out):
     grid = Grid(*grid_key)

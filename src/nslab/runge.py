@@ -90,13 +90,16 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
     qv = np.broadcast_to(np.asarray(q, dtype=float), omega_idx.shape).copy()
     prob = RungeProblem(s=s, grid=grid, Omega=Omega, W=W, q=qv, T=T,
                         omega_idx=omega_idx, w_idx=w_idx)
-    sv = np.linalg.svd(prob.interior_block, compute_uv=False)
-    if sv[-1] < _EIG_TOL * sv[0]:
-        vec = np.linalg.svd(prob.interior_block)[2][-1]
+    # the block is exactly symmetric, so its singular values are |eigenvalues|
+    # (eigh, not eigvalsh: the latter's small eigenvalues are less accurate)
+    lam, vecs = np.linalg.eigh(prob.interior_block)
+    sv = np.abs(lam)
+    k = int(np.argmin(sv))
+    if sv[k] < _EIG_TOL * sv.max():
         raise DirichletEigenvalueError(
             "interior block numerically singular: zero behaves as a Dirichlet "
-            f"eigenvalue (sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})", vec)
-    prob.condition_number = float(sv[0] / sv[-1])
+            f"eigenvalue (sigma_min/sigma_max = {sv[k] / sv.max():.2e})", vecs[:, k])
+    prob.condition_number = float(sv.max() / sv[k])
     return prob
 
 
@@ -225,20 +228,27 @@ def epsilon_sweep(p: RungeProblem, v, eps_list=(0.5, 0.2, 0.1, 0.05, 0.02),
         _, achieved, cost, k, floor = runge_approximate(p, v, eps, svd=svd)
         rows.append({"eps": float(eps), "achieved": achieved,
                      "cost": cost, "k": k, "floor": floor})
-    y = np.log([row["cost"] for row in rows])
-    eps_arr = np.array([row["eps"] for row in rows])
-    best = None
-    for mu in np.linspace(0.05, 4.0, 400):
-        c0, c1, r2 = polyx.linear_fit(eps_arr ** (-mu), y)
-        if c1 > 0 and (best is None or r2 > best[3]):
-            best = (mu, c0, c1, r2)
-    if best is None:
-        fit = {"mu_hat": 0.0, "C": float(np.exp(np.mean(y))), "C2": 0.0,
-               "r_squared": 0.0}
-    else:
-        mu, c0, c1, r2 = best
-        fit = {"mu_hat": float(mu), "C": math.exp(c0), "C2": c1, "r_squared": r2}
-    return rows, fit
+    return rows, _envelope_fit(np.array([row["eps"] for row in rows]),
+                               np.log([row["cost"] for row in rows]))
+
+
+def _envelope_fit(eps: np.ndarray, y: np.ndarray) -> dict:
+    """Fit y = log C + C2 * eps^-mu: the mu of a 400-point scan whose line
+    through (eps^-mu, y) has the largest R^2 among those with slope C2 > 0,
+    and mu_hat = 0 when no slope is positive.
+
+    For fixed y, R^2 ranks as s_xy^2 / s_xx on centred x = eps^-mu, and the
+    slope's sign is s_xy's; y is shifted by y[0], which leaves s_xy as it is
+    and makes it exactly 0 for constant costs.  The first maximum wins."""
+    mus = np.linspace(0.05, 4.0, 400)
+    X = eps[None, :] ** -mus[:, None]
+    X -= X.mean(axis=1, keepdims=True)
+    sxy = X @ (y - y[0])
+    if not np.any(sxy > 0):
+        return {"mu_hat": 0.0, "C": float(np.exp(np.mean(y))), "C2": 0.0, "r_squared": 0.0}
+    mu = mus[np.argmax(np.where(sxy > 0, sxy ** 2 / np.sum(X ** 2, axis=1), -np.inf))]
+    c0, c1, r2 = polyx.linear_fit(eps ** (-mu), y)
+    return {"mu_hat": float(mu), "C": math.exp(c0), "C2": c1, "r_squared": r2}
 
 
 def dual_ucp_experiment(p: RungeProblem, v):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nslab import branchcut
+from nslab import branchcut, multiplier
 from nslab.branchcut import (comparison_pair, frequency_content, imag_defect,
                              modulated_family, poincare_lower_bound,
                              poincare_ratio, slice_experiment_2d,
@@ -208,6 +208,34 @@ class Test2DSlices:
         far = np.abs(g.x) > 1.5
         scale = np.max(np.abs(local))
         assert np.max(np.abs(local[far])) <= 1e-8 * scale
+
+    def test_local_term_matches_full_array_reference(self, monkeypatch):
+        # the x1 term transforms only live columns and only Q's rows go through
+        # the dealiased route; the reference runs every row and every column
+        def full_apply_2d(g2, grid, s, local, rows):
+            out = multiplier.dealiased_rows(multiplier.symbol("AbsPow", two_s=2.0 * s), grid, g2)
+            out += np.fft.ifft((grid.xi ** 2)[:, None] * np.fft.fft(g2, axis=0), axis=0)
+            return out[rows]
+
+        g = Grid(8.0, 256)
+        # zero rows past x1 = 1.2 (some inside Q) and zero columns outside
+        # x2 in (-0.8, 0.8) u (1.6, 2.9); the second term puts x1-curvature on J2
+        g2 = (np.outer(make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values,
+                       make_bump(Interval(-0.8, 0.8), 0.0, 1.0, g).values)
+              + np.outer(make_bump(Interval(-0.3, 1.2), 0.0, 1.0, g).values,
+                         make_bump(Interval(1.6, 2.9), 0.0, 1.0, g).values))
+        args = (g, 0.75, "neg_dxx1", Interval(-0.5, 1.5), Interval(-0.8, 0.8),
+                Interval(-3.0, -1.5), Interval(1.5, 3.0))
+        got = slice_experiment_2d(g2, *args)
+        zero = slice_experiment_2d(g2, g, 0.75, "zero", *args[3:])
+        assert abs(got["aggregate"] - zero["aggregate"]) > 1e-3 * zero["aggregate"]
+        monkeypatch.setattr(branchcut, "_apply_2d", full_apply_2d)
+        want = slice_experiment_2d(g2, *args)
+        assert [(r["i"], r["x1"]) for r in got["rows"]] == [(r["i"], r["x1"]) for r in want["rows"]]
+        assert len(got["rows"]) < int(np.sum(Interval(-0.5, 1.5).contains(g.x)))
+        for a, b in zip(got["rows"], want["rows"]):
+            assert a["r"] == pytest.approx(b["r"], rel=1e-15, abs=0.0)
+        assert got["aggregate"] == pytest.approx(want["aggregate"], rel=1e-15, abs=0.0)
 
     def test_zero_field(self):
         g = Grid(8.0, 256)

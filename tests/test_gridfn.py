@@ -6,8 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import multiplier
-from nslab.gridfn import (Grid, Interval, SampledFunction, forward_fft,
-                          integrate, inverse_fft, make_bump, norm)
+from nslab.gridfn import (Grid, Interval, SampledFunction, _interval_samples,
+                          make_bump, norm)
+
+
+def integrate(f: SampledFunction, region: Interval):
+    """Trapezoid-rule integral of f over the interval (endpoints interpolated)."""
+    xs, vs = _interval_samples(f, region)
+    return np.trapezoid(vs, xs)
+
+
+def forward_fft(f: SampledFunction) -> np.ndarray:
+    """Samples of (F f)(xi_k): continuum-normalized DFT with grid phase."""
+    g = f.grid
+    return g.dx * np.fft.fft(f.values) * np.exp(1j * g.L * g.xi)
+
+
+def inverse_fft(grid: Grid, fhat: np.ndarray) -> SampledFunction:
+    vals = np.fft.ifft(fhat * np.exp(-1j * grid.L * grid.xi)) / grid.dx
+    return SampledFunction(grid, vals)
 
 
 class TestGrid:

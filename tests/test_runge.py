@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nslab import multiplier, runge
+from nslab import multiplier, polyx, runge
 from nslab.gridfn import Grid, Interval, make_bump, norm
 from nslab.runge import (DirichletEigenvalueError, build, dual_ucp_experiment,
                          epsilon_sweep, poisson_svd, reciprocity_defect,
@@ -97,6 +97,21 @@ class TestBuild:
     def test_s_range(self):
         with pytest.raises(ValueError):
             build(0.3, 0.0, OMEGA, W, GRID)
+
+    def test_condition_number_matches_svd(self, problem):
+        sv = np.linalg.svd(problem.interior_block, compute_uv=False)
+        assert problem.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+    def test_dirichlet_eigenvalue_raises_with_near_null_vector(self, problem):
+        T_oo = problem.T[np.ix_(problem.omega_idx, problem.omega_idx)]
+        q = -np.linalg.eigvalsh(T_oo)[0]     # shifts the lowest eigenvalue to 0
+        with pytest.raises(DirichletEigenvalueError) as info:
+            build(0.6, q, OMEGA, W, GRID)
+        v = info.value.near_null
+        B = T_oo + q * np.eye(T_oo.shape[0])
+        assert v.shape == problem.omega_idx.shape
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(B @ v) <= 1e-8 * np.linalg.norm(B, 2)
 
 
 class TestSolveDirichlet:
@@ -208,6 +223,56 @@ class TestRungeApproximate:
     def test_sweep_reuses_given_svd(self, problem, bump_target, svd):
         assert epsilon_sweep(problem, bump_target, svd=svd) == epsilon_sweep(
             problem, bump_target)
+
+
+def _envelope_fit_reference(rows):
+    """The mu scan as 400 separate least-squares fits, strict > between them."""
+    y = np.log([row["cost"] for row in rows])
+    eps_arr = np.array([row["eps"] for row in rows])
+    best = None
+    for mu in np.linspace(0.05, 4.0, 400):
+        c0, c1, r2 = polyx.linear_fit(eps_arr ** (-mu), y)
+        if c1 > 0 and (best is None or r2 > best[3]):
+            best = (mu, c0, c1, r2)
+    if best is None:
+        return {"mu_hat": 0.0, "C": float(np.exp(np.mean(y))), "C2": 0.0,
+                "r_squared": 0.0}
+    mu, c0, c1, r2 = best
+    return {"mu_hat": float(mu), "C": math.exp(c0), "C2": c1, "r_squared": r2}
+
+
+class TestEnvelopeFit:
+    def test_criterion_9_rows_match_reference(self, problem, bump_target, svd):
+        rows, fit = epsilon_sweep(problem, bump_target, svd=svd)
+        assert fit["mu_hat"] > 0
+        assert fit == _envelope_fit_reference(rows)
+
+    def test_fine_grid_rows_match_reference(self):
+        g = Grid(4.0, 2048)
+        p = build(0.6, 0.0, OMEGA, W, g)
+        v = make_bump(Interval(-0.9, 0.9), 0.0, 0.5, g).values[p.omega_idx]
+        rows, fit = epsilon_sweep(p, v / (math.sqrt(g.dx) * np.linalg.norm(v)))
+        assert fit["mu_hat"] > 0
+        assert fit == _envelope_fit_reference(rows)
+
+    @pytest.mark.parametrize("costs", [[9.0, 7.0, 5.0, 4.0, 3.5],
+                                       np.exp([0.0, 1.0, 1.1, 1.1, 0.3]).tolist()],
+                             ids=["decreasing", "slope_sign_changes_with_mu"])
+    def test_synthetic_costs_match_reference(self, costs):
+        eps = [0.5, 0.2, 0.1, 0.05, 0.02]
+        fit = runge._envelope_fit(np.array(eps), np.log(costs))
+        assert fit == _envelope_fit_reference(
+            [{"eps": e, "cost": c} for e, c in zip(eps, costs)])
+
+    @pytest.mark.parametrize("costs", [[3.7] * 5, [7.1] * 5, [9.0, 7.0, 5.0, 4.0, 3.5]],
+                             ids=["constant", "constant_mean_off_by_an_ulp", "decreasing"])
+    def test_no_positive_slope_falls_back(self, costs):
+        # for constant costs the reference loop does not: lstsq leaves a slope
+        # of rounding size, positive at some mu, where every R^2 is 1
+        with np.errstate(all="raise"):
+            fit = runge._envelope_fit(np.array([0.5, 0.2, 0.1, 0.05, 0.02]), np.log(costs))
+        assert fit == {"mu_hat": 0.0, "C": pytest.approx(np.exp(np.mean(np.log(costs)))),
+                       "C2": 0.0, "r_squared": 0.0}
 
 
 class TestDualUCP:
