@@ -48,11 +48,6 @@ class ComparisonPair:
         den = np.linalg.norm(rhs)
         return float(num / den) if den > 0 else 0.0
 
-    def spectral_leakage(self) -> tuple[float, float]:
-        """Relative energy of h1 on xi < 0 and of h2 on xi > 0."""
-        return tuple(continuation._one_sided_energy(np.fft.fft(h.values), h.grid.xi, side)
-                     for h, side in ((self.h1, 1), (self.h2, -1)))
-
 
 def comparison_pair(g: SampledFunction, s: float) -> ComparisonPair:
     """Build (h1, h2) and attach their half-plane extensions.
@@ -77,18 +72,12 @@ def comparison_pair(g: SampledFunction, s: float) -> ComparisonPair:
     return ComparisonPair(s, g, h1, h2, ext1, ext2)
 
 
-def _check_side(g: SampledFunction, j: int, J: Interval, what: str):
+def _check_side(g: SampledFunction, j: int, J: Interval):
     """Raise unless J lies right (j = 1) or left (j = 2) of supp g."""
-    if j not in (1, 2):
-        raise ValueError("branch j must be 1 or 2")
     lo, hi, _ = multiplier._support_extent(g.grid, g.values)
     if (J.a < hi) if j == 1 else (J.b > lo):
-        raise ValueError(f"{what} is measured to the {('right', 'left')[j - 1]} of supp g")
-
-
-def _branch_cut(g: SampledFunction, s: float, j: int) -> np.ndarray:
-    spec = multiplier.symbol("BranchCut", two_s=2.0 * s, branch=j)
-    return multiplier.apply_dealiased(spec, g).values
+        raise ValueError(f"branch {j} defect is measured to the "
+                         f"{('right', 'left')[j - 1]} of supp g")
 
 
 def _ratio(vals: np.ndarray, grid: Grid, J: Interval, den: float) -> float:
@@ -96,47 +85,24 @@ def _ratio(vals: np.ndarray, grid: Grid, J: Interval, den: float) -> float:
     return float(norm(SampledFunction(grid, vals), "L2", region=J) / den) if den else 0.0
 
 
-def support_defect(g: SampledFunction, s: float, j: int, J_far: Interval) -> float:
-    """|P_s^j(D) g|_{L2(J_far)} / |g|_{L2}: zero in theory, discretization
-    floor in practice.
+def defects(pair: ComparisonPair, J1: Interval, J2: Interval) -> dict:
+    """Support and imaginary-part defects of both branches, from one dealiased
+    application each of P^1, P^2 and |D|^{2s}.
 
-    The branch-1 symbol preserves supports to the left, so its defect is
-    measured to the right of supp g (branch 2 mirrors this).
-    """
-    _check_s(s)
-    scale = norm(g, "L2")
-    if scale == 0.0 and j in (1, 2):
-        return 0.0
-    _check_side(g, j, J_far, f"branch {j} defect")
-    return _ratio(_branch_cut(g, s, j), g.grid, J_far, scale)
-
-
-def imag_defect(pair: ComparisonPair, J_j: Interval, j: int = 1) -> float:
-    """|Im h_j|_{L2(J_j)} / |h_j|_{L2} on the side where theory makes the
-    imaginary part vanish (right of supp g for j=1, left for j=2).
-
-    The pair is built with plain FFT symbols; the defect is measured with the
+    support_defect_bj = |P_s^j(D) g|_{L2(J)} / |g|_{L2} and imag_defect_bj =
+    |Im h_j|_{L2(J)} / |h_j|_{L2}, both zero in theory and a discretization
+    floor in practice (0 for a zero denominator).  Branch 1 preserves supports
+    to the left, so it is measured on J2, right of supp g; branch 2 mirrors
+    this on J1.  The pair is built with plain FFT symbols; the defects use the
     dealiased operator so the grid's wrap-around tail does not dominate.
     """
-    if j not in (1, 2):
-        raise ValueError("branch j must be 1 or 2")
-    tot = norm(pair.h1 if j == 1 else pair.h2, "L2")
-    if tot == 0.0:
-        return 0.0
-    _check_side(pair.g, j, J_j, f"Im h{j}")
-    full = multiplier.apply_dealiased(multiplier.symbol("AbsPow", two_s=2.0 * pair.s), pair.g)
-    return _ratio(np.imag(full.values - _branch_cut(pair.g, pair.s, j)), pair.g.grid, J_j, tot)
-
-
-def defects(pair: ComparisonPair, J1: Interval, J2: Interval) -> dict:
-    """`support_defect` and `imag_defect` of both branches (J1 left, J2 right
-    of supp g), from one dealiased application each of P^1, P^2 and |D|^{2s}."""
     g, s = pair.g, pair.s
     full = multiplier.apply_dealiased(multiplier.symbol("AbsPow", two_s=2.0 * s), g).values
     out = {}
     for j, J, h in ((1, J2, pair.h1), (2, J1, pair.h2)):
-        _check_side(g, j, J, f"branch {j} defect")
-        Pg = _branch_cut(g, s, j)
+        _check_side(g, j, J)
+        Pg = multiplier.apply_dealiased(
+            multiplier.symbol("BranchCut", two_s=2.0 * s, branch=j), g).values
         out[f"support_defect_b{j}"] = _ratio(Pg, g.grid, J, norm(g, "L2"))
         out[f"imag_defect_b{j}"] = _ratio(np.imag(full - Pg), g.grid, J, norm(h, "L2"))
     return out
@@ -151,26 +117,6 @@ def poincare_ratio(g: SampledFunction, I: Interval, s: float) -> float:
     """|g|_{L2} / (|I|^s |g|_{Hs-dot}); dilation-invariant."""
     den = I.length ** s * norm(g, "HsDot", s=s)
     return norm(g, "L2") / den if den > 0 else 0.0
-
-
-def poincare_lower_bound(g: SampledFunction, s: float, I: Interval):
-    """Computable legs of the lower bound
-    |P_s(D) g|_{H^{-s}(I)} >= |1-e^{-2 i s pi}| |g|_{Hs-dot}^2 / |g|_{Hs}.
-
-    Returns (lhs, rhs, duality_rhs) where duality_rhs is the inner-product
-    quotient |(P_s(D)g, g)| / |g|_{Hs} that the smooth-cutoff surrogate lhs is
-    compared against.
-    """
-    _check_s(s)
-    spec = multiplier.symbol("AbsPow", two_s=2.0 * s)
-    Pg_vals = _phase_factor(s) * multiplier.apply(spec, g).values
-    Pg = SampledFunction(g.grid, Pg_vals)
-    lhs = norm(Pg, "HnegS_local", region=I, s=s)
-    hs = norm(g, "Hs", s=s)
-    rhs = abs(_phase_factor(s)) * norm(g, "HsDot", s=s) ** 2 / hs if hs > 0 else 0.0
-    ip = abs(np.sum(np.conj(Pg.values) * g.values) * g.grid.dx)
-    duality = ip / hs if hs > 0 else 0.0
-    return lhs, rhs, duality
 
 
 def stability_experiment_fraclap(family, s: float, I: Interval,

@@ -77,6 +77,13 @@ class _Invalid(click.ClickException):
     exit_code = 2
 
 
+def _at_least(name: str, value: int, low: int) -> int:
+    """value, or a validation error (exit 2) naming the option and its bound."""
+    if value < low:
+        raise _Invalid(f"{name}: must be >= {low}, got {value}")
+    return value
+
+
 class _NumericalFailure(click.ClickException):
     exit_code = 3
 
@@ -196,6 +203,7 @@ def hilbert_growth(ctx, nmax):
     keeps it visibly below the limit in this N range.
     """
     def compute(obj, art):
+        _at_least("--nmax", nmax, 0)
         prec = PrecisionConfig(bits=obj["bits"])
         rows = []
         prev = None
@@ -221,6 +229,8 @@ def hilbert_growth(ctx, nmax):
 def verify_bounds(ctx, npoly, degree):
     """Moment stability bound over random polynomials."""
     def compute(obj, art):
+        _at_least("--npoly", npoly, 1)
+        _at_least("--degree", degree, 0)
         I = _interval(obj["cfg"], "interval", Interval(0.1, 0.9))
         rng = np.random.default_rng(obj["seed"])
         rows, violations = [], 0
@@ -314,9 +324,7 @@ def crosscheck(ctx):
         idx = np.flatnonzero(J.contains(grid.x))
         if not idx.size:
             raise ValueError(f"J = [{J.a}, {J.b}] holds no grid node")
-        num = _get(cfg, "points", int, 16)
-        if num < 1:
-            raise _Invalid(f"config key 'points': must be >= 1, got {num}")
+        num = _at_least("config key 'points'", _get(cfg, "points", int, 16), 1)
         pts = grid.x[np.linspace(idx[0], idx[-1], num).astype(int)]
         cases = [("Hilbert", multiplier.symbol("HilbertSign")),
                  ("ModifiedHilbert_0.1", multiplier.symbol("ModifiedCoth", delta=0.1)),
@@ -498,6 +506,7 @@ def cost_curve(ctx):
 def dual_ucp(ctx, trials):
     """Dual unique-continuation ratios over random interior targets."""
     def compute(obj, art):
+        _at_least("--trials", trials, 1)
         cfg = obj["cfg"]
         p, grid = _runge_problem(cfg)
         rng = np.random.default_rng(obj["seed"])

@@ -6,8 +6,8 @@ Poisson evolution e^{-y|xi|} for general data, or one-sided evolution
 e^{-y xi} on xi >= 0 for data with positive-frequency spectrum (the latter is
 the boundary value of a function analytic in the upper half-plane).  On top of
 the extension the module measures three-balls triples, plans ball chains whose
-radii shrink proportionally to the height, and evaluates bulk/boundary norm
-comparisons used in the smallness-propagation experiments.
+radii shrink proportionally to the height, and chains the three-balls bounds
+along them into a smallness certificate.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import (Grid, HalfPlaneRectangle, Interval, SampledFunction,
-                     norm, smooth_cutoff)
+from .gridfn import Grid, HalfPlaneRectangle, Interval, SampledFunction
 
 SPECTRUM_TAGS = ("full", "positive-frequencies", "negative-frequencies")
 
@@ -124,46 +123,6 @@ def extend(h: SampledFunction, y_levels, mode: str = "poisson") -> HalfPlaneFiel
     return HalfPlaneField(g, ys, vals, spectrum=tag)
 
 
-def cauchy_riemann_residual(field: HalfPlaneField) -> float:
-    """Relative size of the conjugate-derivative combination that vanishes for
-    upper-half-plane analytic fields, with the y-derivative taken by centered
-    finite differences across levels (x-derivative spectral)."""
-    if field.spectrum != "positive-frequencies":
-        raise ValueError("Cauchy-Riemann residual applies to one-sided fields")
-    g, ys = field.grid, field.y_levels
-    if ys.size < 3:
-        raise ValueError("need at least three levels")
-    num = 0.0
-    den = 0.0
-    for j in range(1, ys.size - 1):
-        dx_h = np.fft.ifft(1j * g.xi * np.fft.fft(field.values[j]))
-        dy_h = (field.values[j + 1] - field.values[j - 1]) / (ys[j + 1] - ys[j - 1])
-        num += np.sum(np.abs(dx_h + 1j * dy_h) ** 2)
-        den += np.sum(np.abs(field.values[j]) ** 2)
-    if den == 0.0:
-        return 0.0
-    return float(math.sqrt(num / den))
-
-
-def harmonic_residual(field: HalfPlaneField) -> float:
-    """Relative 5-point-Laplacian residual on interior lattice points; needs
-    uniform y-spacing.  O(dy^2 + dx^2) for true harmonic extensions."""
-    ys = field.y_levels
-    if ys.size < 3:
-        raise ValueError("need at least three levels")
-    dy = np.diff(ys)
-    if np.max(np.abs(dy - dy[0])) > 1e-12 * dy[0]:
-        raise ValueError("5-point residual requires uniform y-levels")
-    u = field.values.real
-    dx2 = field.grid.dx ** 2
-    lap = ((np.roll(u, 1, axis=1) - 2 * u + np.roll(u, -1, axis=1))[1:-1] / dx2
-           + (u[2:] - 2 * u[1:-1] + u[:-2]) / dy[0] ** 2)
-    den = float(np.max(np.abs(u)))
-    if den == 0.0:
-        return 0.0
-    return float(np.max(np.abs(lap)) / den)
-
-
 def three_balls_report(u: HalfPlaneField, center: tuple[float, float], r: float):
     """(n_r, n_2r, n_4r, alpha_hat) with alpha_hat = None when undefined.
 
@@ -228,10 +187,33 @@ def plan_ball_chain(I: Interval, J: Interval, tau: float,
     return BallChain(tuple(centers), tuple(radii))
 
 
-def _propagate(field: HalfPlaneField, I: Interval, J: Interval, taus) -> list:
-    """(strip, chain, count) per tau from one walk of the longest chain: the
-    chain for a larger tau is a prefix of it, and the chained bound after its
-    last ball depends on that prefix only."""
+def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
+                          decades: float = 2.5):
+    """Optimize strip + chain over a logarithmic tau grid (16 points per
+    decade); returns (best_tau, best_bound, rows), one row per tau.
+
+    strip: the measured L2 norm over I x [0, tau].
+    chain: the three-balls estimates chained multiplicatively along the
+    planned ball chain, seeded by the measured norm on the first ball above J;
+    each link replaces the measured n_2r with n_r^a n_4r^(1-a) evaluated with
+    the propagated smallness in place of n_r.
+    count: the number of balls in the chain (grows ~ -log tau).
+    One walk of the longest chain serves every tau: the chain for a larger
+    tau is a prefix of it, and the chained bound after its last ball depends
+    on that prefix only.
+    """
+    y1 = float(field.y_levels[1])
+    taus = []
+    t = 0.45
+    npts = int(decades * 16)
+    fac = 10.0 ** (-1.0 / 16.0)
+    for _ in range(npts):
+        if t < 2.0 * y1:
+            break
+        taus.append(t)
+        t *= fac
+    if not taus:
+        raise ValueError("no admissible tau for this field's y-resolution")
     y_top = float(field.y_levels[-1])
     chains = [plan_ball_chain(I, J, tau, y_top=y_top) for tau in taus]
     if not (I.b <= J.a or J.b <= I.a):
@@ -249,85 +231,13 @@ def _propagate(field: HalfPlaneField, I: Interval, J: Interval, taus) -> list:
             carried = min(small, n1) if n1 > 0 else small
             small = min(n2, carried ** alpha * n4 ** (1.0 - alpha))
         walk.append(float(small))
-    out = []
-    for tau, chain in zip(taus, chains):
-        strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) \
-            if tau >= field.y_levels[1] else 0.0
-        out.append((float(strip), walk[chain.count - 1], chain.count))
-    return out
-
-
-def propagate_smallness(field: HalfPlaneField, I: Interval, J: Interval,
-                        tau: float):
-    """(strip_small_y, chain_bound, ball_count) for the smallness experiment.
-
-    strip_small_y: measured L2 norm over I x [0, tau].
-    chain_bound: the three-balls estimates chained multiplicatively along the
-    planned ball chain, seeded by the measured norm on the first ball above J;
-    each link replaces the measured n_2r with n_r^a n_4r^(1-a) evaluated with
-    the propagated smallness in place of n_r.
-    ball_count: number of balls in the chain (grows ~ -log tau).
-    """
-    return _propagate(field, I, J, [tau])[0]
-
-
-def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
-                          decades: float = 2.5):
-    """Optimize strip + chain over a logarithmic tau grid (16 points per
-    decade); returns (best_tau, best_bound, rows)."""
-    y1 = float(field.y_levels[1])
-    taus = []
-    t = 0.45
-    npts = int(decades * 16)
-    fac = 10.0 ** (-1.0 / 16.0)
-    for _ in range(npts):
-        if t < 2.0 * y1:
-            break
-        taus.append(t)
-        t *= fac
-    if not taus:
-        raise ValueError("no admissible tau for this field's y-resolution")
     best = None
     rows = []
-    for tau, (strip, chain, count) in zip(taus, _propagate(field, I, J, taus)):
-        bound = strip + chain
-        rows.append({"tau": tau, "strip": strip, "chain": chain,
-                     "count": count, "bound": bound})
+    for tau, chain in zip(taus, chains):
+        strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) if tau >= y1 else 0.0
+        bound = strip + walk[chain.count - 1]
+        rows.append({"tau": tau, "strip": strip, "chain": walk[chain.count - 1],
+                     "count": chain.count, "bound": bound})
         if best is None or bound < best[1]:
             best = (tau, bound)
     return best[0], best[1], rows
-
-
-def bulk_boundary_check(h: SampledFunction, I: Interval, c: float, k: float,
-                        s: float):
-    """Two bulk/boundary norm comparisons for one-sided boundary data.
-
-    Pair 1: |h-tilde|_{H^{1/2}-type}(I x [0,c]) vs the boundary quantity
-    |h|_{L2} (= the homogeneous H^{1/2} norm of a -1/2-order smoothing of h).
-    Pair 2: |h|_{H^{-s}(I)} vs |h-tilde|_{L2(kI x [0,c])}.
-    Returns dict with both pairs and their ratios (None when rhs vanishes).
-    """
-    if not (0.5 <= s < 1.0):
-        raise ValueError("s must lie in [1/2, 1)")
-    if k <= 1.0:
-        raise ValueError("dilation factor k must exceed 1")
-    if c <= 0:
-        raise ValueError("height c must be positive")
-    g = h.grid
-    ny = 65
-    ys = np.linspace(0.0, c, ny)
-    field = extend(h, ys, mode="halfplane+")
-    # surrogate square-norm: level-wise H^{1/2}(R) energies integrated in y
-    rows = []
-    chi = smooth_cutoff(I, g)
-    for j in range(ny):
-        lvl = SampledFunction(g, chi * field.values[j])
-        rows.append(norm(lvl, "Hs", s=0.5) ** 2)
-    lhs1 = float(math.sqrt(max(np.trapezoid(rows, ys), 0.0)))
-    rhs1 = norm(h, "L2")
-    lhs2 = norm(h, "HnegS_local", region=I, s=s)
-    rhs2 = field.rectangle_norm(HalfPlaneRectangle(I.dilate(k), 0.0, c))
-    return {
-        "boundary_pair": (lhs1, rhs1, lhs1 / rhs1 if rhs1 > 0 else None),
-        "bulk_pair": (lhs2, rhs2, lhs2 / rhs2 if rhs2 > 0 else None),
-    }

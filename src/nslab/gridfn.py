@@ -11,7 +11,7 @@ Compactly supported functions are expected to live well inside the grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -106,9 +106,6 @@ class HalfPlaneRectangle:
             raise ValueError("rectangle requires 0 <= y0 < y1")
 
 
-Region = Interval | Box | HalfPlaneRectangle
-
-
 @dataclass
 class SampledFunction:
     grid: Grid
@@ -120,26 +117,6 @@ class SampledFunction:
             raise ValueError("values length must equal grid size")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sampled function must have finite entries")
-
-    def copy(self) -> "SampledFunction":
-        return SampledFunction(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        self._check(other)
-        return SampledFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check(other)
-        return SampledFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return SampledFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
 
 
 def bump_profile(t, sharpness: float):

@@ -47,7 +47,6 @@ class MomentSequence:
     interval: Interval
     N: int
     values: list
-    weights: list | None = None
     precision_bits: int = 256
     quad_error: float = 0.0
 
@@ -300,7 +299,7 @@ def verify_festmom(f, I, N: int):
 
     Returns one (lhs, rhs, holds) per order n = 0..N, with lhs =
     ||f||^2_{L2(I)} and rhs = e^{C(n+1)} sum_{|j| <= n} |f_j|^2 +
-    ||grad f||^2_{L2(I)} / (4(n+1)^2).  f is a coefficient list on an
+    ||grad f||^2_{L2(I)} / (4(n+1)^2).  f is a nonempty coefficient list on an
     Interval or a matrix c[i][j] x^i y^j on a 2D Box.  ||f||^2, each moment
     sum and ||grad f||^2 are exact rationals from one `_hilbert_sums` pass,
     each rounded to float once.
@@ -362,6 +361,8 @@ def _hilbert_sums(f, factors, N):
     c = np.frompyfunc(Fraction, 1, 1)(np.array(f, dtype=object))
     if c.ndim != len(factors):
         raise ValueError("coefficients must have one axis per box factor")
+    if not c.size:
+        raise ValueError("f must have at least one coefficient")
     D = math.lcm(*(v.denominator for v in c.flat))
     p = np.frompyfunc(lambda v: v.numerator * (D // v.denominator), 1, 1)(c)
     lams = []
@@ -390,52 +391,3 @@ def _hilbert_sums(f, factors, N):
             Hdp, L = _hilbert_apply(dp, dp.shape)
             grad += vol / lams[k] ** 2 * Fraction(np.sum(dp * Hdp), D * D * L)
     return l2, msums, grad
-
-
-_SERIES_TERMS = 400  # moments of f summed into G
-
-
-def weighted_moment_bounds(f, I: Interval, gamma, signed: bool):
-    """Both sides of the weighted moment bounds.
-
-    Positive weights (signed=False):
-        ||f||_{L2(I)} <= e^{C r} / min_{j<=N_f} gamma_j * ||G||_{L2(I)},
-        G(x) = sum_{j<400} gamma_j f_j x^j,  r = ||f'|| / ||f||,  C = 6.5 - 2 log|I|.
-    Signed weights (signed=True) add the gradient term ||G'|| / (N_f + 1).
-    The moments f_j are exact Hankel sums (`compute_moments`), each rounded
-    to float once.
-    """
-    if not (0.0 <= I.a < I.b <= 1.0):
-        raise ValueError("interval must lie inside (0,1)")
-    coeffs = [float(c) for c in f]
-    l2 = math.sqrt(max(polyx.p_l2sq(coeffs, I.a, I.b), 0.0))
-    if l2 == 0.0:
-        return 0.0, 0.0, True
-    grad = math.sqrt(max(polyx.p_l2sq(polyx.p_deriv(coeffs), I.a, I.b), 0.0))
-    r = grad / l2
-    Nf = max(1, round(r)) - 1
-    gam = [float(gamma(j)) if callable(gamma) else float(gamma[j]) for j in range(_SERIES_TERMS)]
-    if any(g == 0 for g in gam[: Nf + 1]):
-        raise ValueError("weights must be nonzero up to N_f")
-    if not signed and any(g <= 0 for g in gam):
-        raise ValueError("unsigned bound requires positive weights")
-    moms = compute_moments(polyx.as_exact(coeffs), I, _SERIES_TERMS - 1).values
-    wmoms = [g * float(m) for g, m in zip(gam, moms)]
-
-    def G(x):
-        return polyx.p_eval(wmoms, np.asarray(x, dtype=float))
-
-    Gnorm = math.sqrt(abs(adaptive_gauss(lambda x: G(x) ** 2, I.a, I.b, rtol=1e-10)))
-    Cbox = 6.5 - 2.0 * math.log(I.length)
-    front = math.exp(Cbox * r) / min(abs(g) for g in gam[: Nf + 1])
-    if not signed:
-        rhs = front * Gnorm
-    else:
-        dmoms = [j * wmoms[j] for j in range(1, _SERIES_TERMS)]
-
-        def Gp(x):
-            return polyx.p_eval(dmoms, np.asarray(x, dtype=float))
-
-        Gpnorm = math.sqrt(abs(adaptive_gauss(lambda x: Gp(x) ** 2, I.a, I.b, rtol=1e-10)))
-        rhs = front * (Gnorm + Gpnorm / (Nf + 1))
-    return l2, rhs, l2 <= rhs * (1 + 1e-9)

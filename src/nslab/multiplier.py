@@ -36,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import polyx
 from .gridfn import Grid, Interval, SampledFunction
 
 KINDS = (
@@ -46,7 +45,6 @@ KINDS = (
     "RieszInverse",
     "FourierLaplace",
     "BranchCut",
-    "HalfLineProjection",
 )
 
 
@@ -58,7 +56,6 @@ class SymbolSpec:
     alpha: float | None = None
     beta: float | None = None
     branch: int | None = None
-    sign: str | None = None
 
     def __post_init__(self):
         k = self.kind
@@ -86,9 +83,6 @@ class SymbolSpec:
                 raise ValueError("BranchCut requires 2s not an integer")
             if self.branch not in (1, 2):
                 raise ValueError("BranchCut requires branch j in {1, 2}")
-        elif k == "HalfLineProjection":
-            if self.sign not in ("+", "-"):
-                raise ValueError("HalfLineProjection requires sign in {'+', '-'}")
 
 
 def symbol(kind: str, **params) -> SymbolSpec:
@@ -132,10 +126,6 @@ def evaluate(spec: SymbolSpec, xi) -> np.ndarray:
         if spec.branch == 1:
             return np.where(xi > 0, phase * mag, mag + 0j)
         return np.where(xi < 0, phase * mag, mag + 0j)
-    if k == "HalfLineProjection":
-        if spec.sign == "+":
-            return (xi >= 0).astype(complex)
-        return (xi <= 0).astype(complex)
     raise ValueError(f"symbol kind {k!r} has no pointwise multiplier (use the dedicated operator)")
 
 
@@ -160,10 +150,6 @@ def _hom_terms(spec: SymbolSpec) -> list[tuple[float, complex, complex]]:
         if spec.branch == 1:
             return [(spec.two_s, phase, 1.0 + 0j)]
         return [(spec.two_s, 1.0 + 0j, phase)]
-    if k == "HalfLineProjection":
-        if spec.sign == "+":
-            return [(0.0, 1.0 + 0j, 0.0 + 0j)]
-        return [(0.0, 0.0 + 0j, 1.0 + 0j)]
     raise ValueError(f"no multiplier model for {k!r}")
 
 
@@ -411,14 +397,11 @@ def _kernel(spec: SymbolSpec, x, y) -> np.ndarray:
         a = spec.alpha
         return -np.abs(u) ** (2.0 * a - 1.0) / riesz_constant(a)
     if k == "AbsPow":
-        return _abspow_derivative_kernel(spec.two_s, x, y, 0)
+        # the off-support |D|^{2s} kernel A |x-y|^{-1-2s}
+        two_s = spec.two_s
+        return (-math.gamma(two_s + 1.0) * math.sin(math.pi * two_s / 2.0) / math.pi
+                * np.abs(u) ** (-1.0 - two_s))
     raise ValueError(f"no off-support kernel for {k!r}")
-
-
-def hilbert_derivative_kernel(x: float, y: np.ndarray, k: int) -> np.ndarray:
-    """d^k/dx^k of the Cauchy kernel: (-1)^k k!/pi * (x-y)^(-1-k)."""
-    sign = -1.0 if k % 2 else 1.0
-    return (sign * math.factorial(k) / math.pi) * (x - y) ** (-(k + 1))
 
 
 def oracle_symbols(specs, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
@@ -460,47 +443,3 @@ def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,
         return trig_interp(f, y) * np.exp(lam * pts[..., None] * y)
 
     return adaptive_gauss(integrand, I.a, I.b)
-
-
-def _abspow_derivative_kernel(two_s: float, x, y, k: int):
-    """d^k/dx^k of the off-support |D|^{2s} kernel A |x-y|^{-1-2s}."""
-    A = -math.gamma(two_s + 1.0) * math.sin(math.pi * two_s / 2.0) / math.pi
-    a = 1.0 + two_s
-    poch = 1.0
-    for j in range(k):
-        poch *= a + j
-    u = x - y
-    return A * poch * (-np.sign(u)) ** k * np.abs(u) ** (-a - k)
-
-
-def pseudolocality_profile(f: SampledFunction, two_s: float, J: Interval, kmax: int):
-    """Derivative-growth profile sup_J |d^k/dx^k |D|^{2s} f| for k = 0..kmax.
-
-    Values are computed from the off-support kernel by a grid Riemann sum over
-    supp f (spectrally accurate for smooth compactly supported f); the FFT
-    route is unusable here because (i xi)^k amplifies the roundoff tail of the
-    spectrum at high derivative orders.
-
-    Returns (profile, rho_hat): the fitted rho from the k! rho^{-1-k} growth
-    law via linear regression of log(value_k / k!) against k.
-    """
-    if kmax > 8:
-        raise ValueError("kmax must be at most 8")
-    lo, hi, supp = _support_extent(f.grid, f.values)
-    if not (J.b < lo or J.a > hi):
-        raise ValueError("profile region must be disjoint from supp f")
-    g = f.grid
-    mask = J.contains(g.x)
-    xs = g.x[mask]
-    ys = g.x[supp]
-    fy = f.values[supp] * g.dx
-    profile = []
-    for k in range(kmax + 1):
-        K = _abspow_derivative_kernel(two_s, xs[:, None], ys[None, :], k)
-        vals = K @ fy
-        profile.append((k, float(np.max(np.abs(vals)))))
-    ks = np.array([p[0] for p in profile], dtype=float)
-    vals = np.array([p[1] for p in profile])
-    y = np.log(vals) - np.array([math.lgamma(k + 1) for k in ks])
-    rho_hat = float(np.exp(-polyx.linear_fit(ks, y)[1]))
-    return profile, rho_hat

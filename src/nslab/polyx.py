@@ -60,15 +60,6 @@ def p_l2sq(p, a, b):
     return p_integral(p_mul(p, p), a, b)
 
 
-def p_compose_affine(p, c0, c1):
-    """Coefficients of p(c0 + c1 t), by Horner composition."""
-    acc = [p[-1]]
-    lin = [c0, c1]
-    for c in reversed(p[:-1]):
-        acc = p_add(p_mul(acc, lin), [c])
-    return acc
-
-
 def linear_fit(x, y):
     """Least-squares line y ~ c0 + c1 x over the columns [1, x]; returns
     (c0, c1, r_squared), with r_squared = 1 when y is constant."""

@@ -482,8 +482,8 @@ def invert(data: RemoteData, N: int, grid: Grid,
 class StabilityCurve:
     """(abscissa, value) pairs with a fitted two-parameter decay/growth model.
 
-    model["form"] is "log" for value = C / |log x|^nu (exponent nu) or "exp"
-    for value = C exp(C x^-mu) (exponent mu).
+    model["form"] is "log" for value = C / |log x|^nu or "exp" for
+    value = C exp(C x^-mu); model["exponent"] is nu or mu.
     """
 
     pairs: list
@@ -497,10 +497,6 @@ class StabilityCurve:
             raise ValueError("curve pairs must be sorted by abscissa")
         if self.model.get("form") not in ("log", "exp"):
             raise ValueError("model form must be 'log' or 'exp'")
-
-    @property
-    def exponent(self) -> float:
-        return self.model["exponent"]
 
     def monotonicity_inversions(self, decreasing_in_abscissa: bool = False) -> int:
         vals = [p[1] for p in self.pairs]

@@ -142,14 +142,6 @@ class PoissonSVD:
     w: np.ndarray              # interior basis, columns L^2(Omega)-orthonormal
     A: np.ndarray = field(repr=False, default=None)  # W-values -> u|_Omega
 
-    def orthonormality_residuals(self) -> tuple[float, float]:
-        G = _hs_gram(self.problem)
-        gram_phi = self.phi.T @ G @ self.phi
-        gram_w = self.problem.grid.dx * (self.w.T @ self.w)
-        k = self.sigma.size
-        return (float(np.max(np.abs(gram_phi - np.eye(k)))),
-                float(np.max(np.abs(gram_w - np.eye(k)))))
-
 
 def poisson_svd(p: RungeProblem) -> PoissonSVD:
     """SVD of the Poisson operator A: W-values (H^s(W)) -> u|_Omega (L^2)."""

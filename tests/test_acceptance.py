@@ -118,11 +118,9 @@ def test_criterion_6_support_preservation(s):
     for n in (4096, 8192):
         g = Grid(8.0, n)
         f = make_bump(I, 0.0, 1.0, g)
-        pair = branchcut.comparison_pair(f, s)
-        sup.append(max(branchcut.support_defect(f, s, 1, J_right),
-                       branchcut.support_defect(f, s, 2, J_left)))
-        imag.append(max(branchcut.imag_defect(pair, J_right, 1),
-                        branchcut.imag_defect(pair, J_left, 2)))
+        d = branchcut.defects(branchcut.comparison_pair(f, s), J_left, J_right)
+        sup.append(max(d["support_defect_b1"], d["support_defect_b2"]))
+        imag.append(max(d["imag_defect_b1"], d["imag_defect_b2"]))
     assert sup[0] <= 1e-6 and imag[0] <= 1e-6
     assert sup[1] <= 0.5 * sup[0]
     assert imag[1] <= 0.5 * imag[0]

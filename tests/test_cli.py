@@ -170,6 +170,18 @@ class TestExperiments:
         assert res.exit_code == 2
         assert f"config key 'points': must be >= 1, got {points}" in res.output
 
+    @pytest.mark.parametrize("argv, message", [
+        (["moments", "verify-bounds", "--degree", "-1"], "--degree: must be >= 0, got -1"),
+        (["moments", "verify-bounds", "--npoly", "0"], "--npoly: must be >= 1, got 0"),
+        (["moments", "hilbert-growth", "--nmax", "-1"], "--nmax: must be >= 0, got -1"),
+        (["runge", "dual-ucp", "--trials", "0"], "--trials: must be >= 1, got 0"),
+    ], ids=["degree", "npoly", "nmax", "trials"])
+    def test_option_below_bound_exit_2(self, runner, tmp_path, argv, message):
+        res = runner.invoke(main, ["--out", str(tmp_path)] + argv)
+        assert res.exit_code == 2
+        assert message in res.output
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_reconstruct_sweep_small_reruns_identical(self, runner, tmp_path):
         # the second run reuses the cached design
         cfg = tmp_path / "cfg.txt"

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import continuation
-from nslab.continuation import (HalfPlaneField, bulk_boundary_check,
-                                cauchy_riemann_residual, extend,
-                                harmonic_residual, plan_ball_chain,
-                                propagate_smallness, smallness_certificate,
-                                three_balls_report)
+from nslab.continuation import (HalfPlaneField, extend, plan_ball_chain,
+                                smallness_certificate, three_balls_report)
 from nslab.gridfn import (Grid, HalfPlaneRectangle, Interval, SampledFunction,
-                          make_bump)
+                          make_bump, norm, smooth_cutoff)
 
 
 def _poisson_field(n=1024, y_top=1.0, levels=129, support=Interval(1.0, 2.0)):
@@ -67,6 +64,80 @@ def _certificate_reference(field, I, J, decades):
                      "count": count, "bound": strip + chain})
         t *= 10.0 ** (-1.0 / 16.0)
     return rows
+
+
+def _cauchy_riemann_residual(field):
+    """Relative size of the conjugate-derivative combination that vanishes for
+    upper-half-plane analytic fields, with the y-derivative taken by centered
+    finite differences across levels (x-derivative spectral)."""
+    if field.spectrum != "positive-frequencies":
+        raise ValueError("Cauchy-Riemann residual applies to one-sided fields")
+    g, ys = field.grid, field.y_levels
+    if ys.size < 3:
+        raise ValueError("need at least three levels")
+    num = 0.0
+    den = 0.0
+    for j in range(1, ys.size - 1):
+        dx_h = np.fft.ifft(1j * g.xi * np.fft.fft(field.values[j]))
+        dy_h = (field.values[j + 1] - field.values[j - 1]) / (ys[j + 1] - ys[j - 1])
+        num += np.sum(np.abs(dx_h + 1j * dy_h) ** 2)
+        den += np.sum(np.abs(field.values[j]) ** 2)
+    if den == 0.0:
+        return 0.0
+    return float(math.sqrt(num / den))
+
+
+def _harmonic_residual(field):
+    """Relative 5-point-Laplacian residual on interior lattice points; needs
+    uniform y-spacing.  O(dy^2 + dx^2) for true harmonic extensions."""
+    ys = field.y_levels
+    if ys.size < 3:
+        raise ValueError("need at least three levels")
+    dy = np.diff(ys)
+    if np.max(np.abs(dy - dy[0])) > 1e-12 * dy[0]:
+        raise ValueError("5-point residual requires uniform y-levels")
+    u = field.values.real
+    dx2 = field.grid.dx ** 2
+    lap = ((np.roll(u, 1, axis=1) - 2 * u + np.roll(u, -1, axis=1))[1:-1] / dx2
+           + (u[2:] - 2 * u[1:-1] + u[:-2]) / dy[0] ** 2)
+    den = float(np.max(np.abs(u)))
+    if den == 0.0:
+        return 0.0
+    return float(np.max(np.abs(lap)) / den)
+
+
+def _bulk_boundary_check(h, I, c, k, s):
+    """Two bulk/boundary norm comparisons for one-sided boundary data.
+
+    Pair 1: |h-tilde|_{H^{1/2}-type}(I x [0,c]) vs the boundary quantity
+    |h|_{L2} (= the homogeneous H^{1/2} norm of a -1/2-order smoothing of h).
+    Pair 2: |h|_{H^{-s}(I)} vs |h-tilde|_{L2(kI x [0,c])}.
+    Returns dict with both pairs and their ratios (None when rhs vanishes).
+    """
+    if not (0.5 <= s < 1.0):
+        raise ValueError("s must lie in [1/2, 1)")
+    if k <= 1.0:
+        raise ValueError("dilation factor k must exceed 1")
+    if c <= 0:
+        raise ValueError("height c must be positive")
+    g = h.grid
+    ny = 65
+    ys = np.linspace(0.0, c, ny)
+    field = extend(h, ys, mode="halfplane+")
+    # surrogate square-norm: level-wise H^{1/2}(R) energies integrated in y
+    rows = []
+    chi = smooth_cutoff(I, g)
+    for j in range(ny):
+        lvl = SampledFunction(g, chi * field.values[j])
+        rows.append(norm(lvl, "Hs", s=0.5) ** 2)
+    lhs1 = float(math.sqrt(max(np.trapezoid(rows, ys), 0.0)))
+    rhs1 = norm(h, "L2")
+    lhs2 = norm(h, "HnegS_local", region=I, s=s)
+    rhs2 = field.rectangle_norm(HalfPlaneRectangle(I.dilate(k), 0.0, c))
+    return {
+        "boundary_pair": (lhs1, rhs1, lhs1 / rhs1 if rhs1 > 0 else None),
+        "bulk_pair": (lhs2, rhs2, lhs2 / rhs2 if rhs2 > 0 else None),
+    }
 
 
 def _zero_field():
@@ -126,7 +197,7 @@ class TestExtend:
         h = SampledFunction(g, np.fft.ifft(fhat))
         ys = 0.5 + np.arange(9) * 2e-4
         field = extend(h, ys, mode="halfplane+")
-        assert cauchy_riemann_residual(field) <= 1e-6
+        assert _cauchy_riemann_residual(field) <= 1e-6
 
     def test_harmonic_residual_second_order(self):
         # 5-point Laplacian residual drops ~4x when both spacings halve
@@ -135,7 +206,7 @@ class TestExtend:
             g = Grid(8.0, n)
             h = make_bump(Interval(1.0, 2.0), 0.0, 1.0, g)
             ys = 0.5 + np.arange(levels) * (16.0 / n)
-            res.append(harmonic_residual(extend(h, ys, mode="poisson")))
+            res.append(_harmonic_residual(extend(h, ys, mode="poisson")))
         assert res[1] <= 0.5 * res[0]
 
 
@@ -230,15 +301,14 @@ class TestBallChain:
 
 class TestPropagateSmallness:
     def test_zero_field(self):
-        field = _zero_field()
-        strip, chain, count = propagate_smallness(
-            field, Interval(-2, -1), Interval(1, 2), 0.1)
-        assert strip == 0.0 and chain == 0.0 and count > 0
+        _, _, rows = smallness_certificate(_zero_field(), Interval(-2, -1), Interval(1, 2))
+        assert rows and all(r["strip"] == 0.0 and r["chain"] == 0.0 and r["count"] > 0
+                            for r in rows)
 
     def test_disjointness_guard(self):
         field = _poisson_field()
-        with pytest.raises(ValueError):
-            propagate_smallness(field, Interval(0.5, 1.5), Interval(1.0, 2.0), 0.1)
+        with pytest.raises(ValueError, match="disjoint closures"):
+            smallness_certificate(field, Interval(0.5, 1.5), Interval(1.0, 2.0))
 
     def test_certificate_within_10x_of_direct(self):
         field = _poisson_field(n=1024, levels=257)
@@ -257,9 +327,6 @@ class TestPropagateSmallness:
         assert rows == want
         best = min(want, key=lambda r: r["bound"])
         assert (tau, bound) == (best["tau"], best["bound"])
-        for row in rows[::7]:
-            assert propagate_smallness(field, I, J, row["tau"]) == (
-                row["strip"], row["chain"], row["count"])
 
     def test_certificate_walks_the_chain_once(self, monkeypatch):
         calls = []
@@ -281,14 +348,14 @@ class TestBulkBoundary:
     def test_single_mode_ratios_finite(self):
         g = Grid(np.pi, 512)
         h = SampledFunction(g, np.exp(1j * 4.0 * g.x))
-        rep = bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.5)
+        rep = _bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.5)
         assert rep["boundary_pair"][2] > 0
         assert rep["bulk_pair"][2] > 0
 
     def test_zero_function(self):
         g = Grid(np.pi, 512)
         h = SampledFunction(g, np.zeros(g.n))
-        rep = bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.5)
+        rep = _bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.5)
         assert rep["boundary_pair"][2] is None
         assert rep["bulk_pair"][2] is None
 
@@ -303,7 +370,7 @@ class TestBulkBoundary:
             fhat = np.fft.fft(base.values.astype(complex))
             fhat[g.xi < 0] = 0.0
             h = SampledFunction(g, np.fft.ifft(fhat))
-            rep = bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.5)
+            rep = _bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.5)
             if rep["boundary_pair"][2] is not None:
                 worst = max(worst, rep["boundary_pair"][2])
         assert worst <= 1.5 * 1.05  # baseline 1.05 from first validated run
@@ -312,4 +379,4 @@ class TestBulkBoundary:
         g = Grid(np.pi, 512)
         h = SampledFunction(g, np.exp(1j * 4.0 * g.x))
         with pytest.raises(ValueError):
-            bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.3)
+            _bulk_boundary_check(h, Interval(-1.0, 1.0), 0.5, 2.0, 0.3)

