@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import continuation, multiplier, polyx
+from . import multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
 from .reconstruct import StabilityCurve
 
@@ -37,8 +37,6 @@ class ComparisonPair:
     g: SampledFunction
     h1: SampledFunction
     h2: SampledFunction
-    ext1: continuation.HalfPlaneField
-    ext2: continuation.HalfPlaneField
 
     def sum_identity_residual(self) -> float:
         """Relative residual of h1 + h2 = (1 - e^{-2 s pi i}) |D|^{2s} g."""
@@ -50,7 +48,7 @@ class ComparisonPair:
 
 
 def comparison_pair(g: SampledFunction, s: float) -> ComparisonPair:
-    """Build (h1, h2) and attach their half-plane extensions.
+    """Build (h1, h2).
 
     h_j = (|D|^{2s} - P_s^j(D)) g, computed with plain FFT multipliers so the
     sum identity holds to rounding on the grid.  For s = 1/2 the branch-cut
@@ -58,7 +56,6 @@ def comparison_pair(g: SampledFunction, s: float) -> ComparisonPair:
     """
     _check_s(s)
     grid = g.grid
-    y_levels = np.linspace(0.0, 1.0, 33)
     fhat = np.fft.fft(np.asarray(g.values, dtype=complex))
     xi = grid.xi
     mag = np.abs(xi) ** (2.0 * s)
@@ -67,9 +64,7 @@ def comparison_pair(g: SampledFunction, s: float) -> ComparisonPair:
     h2_hat = np.where(xi < 0, pf * mag, 0.0) * fhat
     h1 = SampledFunction(grid, np.fft.ifft(h1_hat))
     h2 = SampledFunction(grid, np.fft.ifft(h2_hat))
-    ext1 = continuation.extend(h1, y_levels, mode="halfplane+")
-    ext2 = continuation.extend(h2, y_levels, mode="halfplane-")
-    return ComparisonPair(s, g, h1, h2, ext1, ext2)
+    return ComparisonPair(s, g, h1, h2)
 
 
 def _check_side(g: SampledFunction, j: int, J: Interval):

@@ -36,8 +36,8 @@ class HalfPlaneField:
     def __post_init__(self):
         self.y_levels = np.atleast_1d(np.asarray(self.y_levels, dtype=float))
         self.values = np.asarray(self.values, dtype=complex)
-        if np.any(self.y_levels < 0):
-            raise ValueError("y-levels must be nonnegative")
+        if self.y_levels.size < 2 or np.any(self.y_levels < 0):
+            raise ValueError("need at least two y-levels, all nonnegative")
         if np.any(np.diff(self.y_levels) <= 0):
             raise ValueError("y-levels must be strictly increasing")
         if self.values.shape != (self.y_levels.size, self.grid.n):

@@ -429,6 +429,8 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
     exceeds its expectation never cross the floor and the selection runs away
     to N_max with exponentially amplified error.
     """
+    if N_max < 0:
+        raise ValueError(f"N_max must be >= 0, got {N_max}")
     m = data.points.size
     N_max = min(N_max, m // 2 - 1)
     qs, R, _ = _fit_machinery(data, N_max, prec.bits)
@@ -531,6 +533,8 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
     levels = sorted(float(d) for d in noise_levels)
     if len(levels) < 4:
         raise ValueError("need at least 4 noise levels")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     clean = sample_remote(kind, f, I, J, num=num_samples, **params)
     rows = []
     averaged = []

@@ -18,8 +18,7 @@ class TestComparisonPair:
     @pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.9])
     def test_sum_identity_and_spectral_support(self, unit_bump, s):
         pair = comparison_pair(unit_bump, s)
-        # comparison_pair's one-sided extensions raise unless h1 (h2) carries
-        # at most 1e-10 of its energy on xi < 0 (xi > 0)
+        # the one-sided spectra are checked in test_off_side_energy
         assert pair.sum_identity_residual() <= 1e-10
 
     def test_zero_input(self, grid):
@@ -42,10 +41,14 @@ class TestComparisonPair:
         assert np.max(np.abs(np.imag(pair.h1.values) + np.real(gp))) \
             <= 1e-10 * scale
 
-    def test_extensions_attached(self, unit_bump):
-        pair = comparison_pair(unit_bump, 0.75)
-        assert pair.ext1.spectrum == "positive-frequencies"
-        assert pair.ext2.spectrum == "negative-frequencies"
+    def test_off_side_energy(self, unit_bump):
+        # h1 (h2) carries at most 1e-10 of its energy on xi < 0 (xi > 0)
+        xi = unit_bump.grid.xi
+        for s in (0.5, 0.6, 0.75, 0.9):
+            pair = comparison_pair(unit_bump, s)
+            for h, off in ((pair.h1, xi < 0), (pair.h2, xi > 0)):
+                energy = np.abs(np.fft.fft(h.values)) ** 2
+                assert np.sum(energy[off]) <= 1e-10 * np.sum(energy), s
 
     def test_s_out_of_range(self, unit_bump):
         for s in (0.3, 1.0):

@@ -95,6 +95,73 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+# the config keys each subcommand reads, with their defaults as --help shows them
+_GRID = {"grid_L": "8.0", "grid_n": "4096"}
+_FIELD = {"grid_L": "8.0", "grid_n": "1024", "support": "1.0,2.0",
+          "sharpness": "1.0", "y_top": "1.0", "y_levels": "129"}
+_RUNGE = {"grid_L": "4.0", "grid_n": "512", "s": "0.6", "q": "0.0",
+          "Omega": "-1.0,1.0", "W": "1.02,3.8"}
+DECLARED = {
+    ("moments", "hilbert-growth"): {},
+    ("moments", "verify-bounds"): {"interval": "0.1,0.9"},
+    ("reconstruct", "sweep"): {
+        "I": "0.0,1.0", "J": "1.05,2.05", "operator": "Hilbert",
+        "delta": "float, no default", "alpha": "float, no default",
+        "beta": "float, no default", **_GRID, "support": "0.2,0.8",
+        "center_offset": "0.0", "sharpness": "1.0", "noise_levels": "5",
+        "trials": "3", "num_samples": "64", "N_max": "10", "tau": "1.5"},
+    ("operators", "crosscheck"): {"I": "-1.0,1.0", "J": "1.5,3.5", **_GRID,
+                                  "sharpness": "1.0", "points": "16"},
+    ("branchcut", "defects"): {"I": "-1.0,1.0", **_GRID, "s_values": "0.6,0.75",
+                               "J_left": "-3.0,-2.0", "J_right": "2.0,3.0",
+                               "sharpness": "1.0"},
+    ("branchcut", "stability"): {"I": "-1.0,1.0", **_GRID, "s": "0.75",
+                                 "J_left": "-3.0,-1.5", "J_right": "1.5,3.0"},
+    ("continuation", "three-balls"): {**_FIELD, "center_x": "1.5",
+                                      "center_y": "0.5", "radius": "0.1"},
+    ("continuation", "propagate"): {**_FIELD, "I": "-2.0,-1.0", "J": "1.0,2.0",
+                                    "decades": "2.0"},
+    ("runge", "cost-curve"): {**_RUNGE, "target_support": "-0.9,0.9",
+                              "target_sharpness": "0.5"},
+    ("runge", "dual-ucp"): _RUNGE,
+}
+
+
+# an undeclared key for every subcommand, and values the library rejects
+BAD_CONFIGS = [
+    *[(command, "grid_N=2048", "config key 'grid_N' is not read by this command")
+      for command in DECLARED],
+    (("reconstruct", "sweep"), "trials=0", "trials must be >= 1, got 0"),
+    (("reconstruct", "sweep"), "N_max=-1", "N_max must be >= 0, got -1"),
+    (("continuation", "propagate"), "y_levels=1", "at least two y-levels"),
+    (("continuation", "three-balls"), "y_levels=0", "at least two y-levels"),
+    *[(command, f"{key}={value}", f"config key '{key}': must be finite, got {value}")
+      for command, key, value in [
+          (("operators", "crosscheck"), "sharpness", "inf"),
+          (("branchcut", "defects"), "grid_L", "inf"),
+          (("continuation", "three-balls"), "grid_L", "inf"),
+          (("continuation", "propagate"), "grid_L", "inf"),
+          (("continuation", "three-balls"), "sharpness", "inf"),
+          (("continuation", "three-balls"), "y_top", "nan"),
+          (("continuation", "three-balls"), "center_x", "nan"),
+          (("continuation", "three-balls"), "center_y", "nan"),
+          (("continuation", "three-balls"), "radius", "nan"),
+          (("runge", "cost-curve"), "q", "inf"),
+          (("runge", "cost-curve"), "target_sharpness", "inf")]],
+]
+
+
+def test_help_lists_each_declared_key_and_default(runner):
+    for command, declared in DECLARED.items():
+        res = runner.invoke(main, [*command, "--help"])
+        assert res.exit_code == 0, command
+        table = res.output.split("Config keys and defaults:\n", 1)[1]
+        table = table.split("\n\n", 1)[0].splitlines()
+        listed = dict(line.strip().split(" = ", 1) for line in table
+                      if line.strip() != "none")
+        assert listed == declared, command
+
+
 class TestExperiments:
     def test_hilbert_growth_tail_rate_window(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "moments",
@@ -179,6 +246,18 @@ class TestExperiments:
     def test_option_below_bound_exit_2(self, runner, tmp_path, argv, message):
         res = runner.invoke(main, ["--out", str(tmp_path)] + argv)
         assert res.exit_code == 2
+        assert message in res.output
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        pytest.param(command, cfg, message, id="-".join([*command, cfg]))
+        for command, cfg, message in BAD_CONFIGS])
+    def test_bad_config_exit_2(self, runner, tmp_path, command, cfg, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(cfg + "\n")
+        res = runner.invoke(main, ["--config", str(path), "--out", str(tmp_path),
+                                   *command])
+        assert res.exit_code == 2, res.output
         assert message in res.output
         assert not list(tmp_path.glob("*.csv"))
 

@@ -175,6 +175,12 @@ class TestExtend:
         with pytest.raises(ValueError):
             extend(h, [0.0, 1.0], mode="halfplane+")
 
+    @pytest.mark.parametrize("ys", [[], [0.0]])
+    def test_fewer_than_two_levels_rejected(self, ys):
+        h = SampledFunction(Grid(np.pi, 256), np.zeros(256))
+        with pytest.raises(ValueError, match="at least two y-levels"):
+            extend(h, ys, mode="poisson")
+
     def test_semigroup(self):
         g = Grid(np.pi, 256)
         h = SampledFunction(g, np.cos(2.0 * g.x) + 0.3 * np.sin(5.0 * g.x))

@@ -251,6 +251,11 @@ class TestDesign:
             with pytest.raises(ValueError, match=message):
                 fit(data, 3)
 
+    def test_negative_order_cap_rejected(self):
+        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
+        with pytest.raises(ValueError, match="N_max must be >= 0, got -1"):
+            select_order(data, -1)
+
     def test_repeated_fit_hits_design_cache(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
         select_order(data, 6)
@@ -386,6 +391,12 @@ class TestStabilitySweep:
         with pytest.raises(ValueError):
             stability_sweep("Hilbert", unit_bump, Interval(-1, 1),
                             Interval(2, 3), [1e-2, 1e-4], trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, unit_bump, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            stability_sweep("Hilbert", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [1e-2, 1e-3, 1e-4, 1e-5], trials=trials)
 
     def test_zero_level_matches_noise_free_floor(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
