@@ -45,9 +45,6 @@ class HalfPlaneField:
         if self.spectrum not in SPECTRUM_TAGS:
             raise ValueError(f"unknown spectrum tag {self.spectrum!r}")
 
-    def level(self, j: int) -> SampledFunction:
-        return SampledFunction(self.grid, self.values[j])
-
     def rectangle_norm(self, rect: HalfPlaneRectangle) -> float:
         """L2 norm over base x [y0, y1] by trapezoid-in-y Riemann sums."""
         ys = self.y_levels

@@ -367,16 +367,27 @@ def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64
 
 
 def trig_interp(f: SampledFunction, pts) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at arbitrary points."""
+    """Evaluate the trigonometric interpolant of f at arbitrary points.
+
+    Period 2L, the Nyquist mode read as a cosine (real data give real values),
+    in cardinal form (Henrici, Numer. Math. 33, 1979) summed over supp f only:
+        p(x) = (-1)^j0 sin(pi u/dx)/n * sum_{f_j != 0} (-1)^j f_j cot(pi (x - x_j)/(2L))
+    with j0 = rint((x + L)/dx) and u = x - x_j0 by the `Grid.x` expression, so
+    u == 0 exactly at a node, where p is f_j0.  Both factors are reduced through u
+    (sin(n pi (x + L)/(2L)) taken directly loses 1e-12): x - x_j = u + d dx with
+    d = j0 - j taken mod n into [-n/2, n/2).  Cost O(points * nnz(f)).
+    """
     g = f.grid
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    coeff = np.fft.fft(f.values) / g.n
-    xi = g.xi
-    nyq = g.n // 2
-    phase = np.exp(1j * np.outer(pts + g.L, xi))
-    # the Nyquist mode enters as a cosine, so real data interpolate to real values
-    phase[:, nyq] = np.cos(xi[nyq] * (pts + g.L))
-    return phase @ coeff
+    x = np.atleast_1d(np.asarray(pts, dtype=float)).ravel()
+    j0 = np.rint((x + g.L) / g.dx).astype(np.int64)
+    u = x - (-g.L + g.dx * j0)
+    out = f.values[j0 % g.n].astype(complex)
+    off, supp = np.flatnonzero(u), np.flatnonzero(f.values)
+    d = (j0[off, None] - supp + g.n // 2) % g.n - g.n // 2
+    cot = 1.0 / np.tan(np.pi * (u[off, None] / (2.0 * g.L) + d / g.n))
+    fj = np.where(supp % 2, -f.values[supp], f.values[supp])
+    out[off] = np.where(j0[off] % 2, -1.0, 1.0) * np.sin(np.pi * u[off] / g.dx) / g.n * (cot @ fj)
+    return out
 
 
 def riesz_constant(alpha: float) -> float:

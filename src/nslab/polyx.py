@@ -46,20 +46,6 @@ def p_deriv(p):
     return [i * c for i, c in enumerate(p)][1:] or [0 * p[0]]
 
 
-def p_antideriv(p):
-    return [0 * p[0]] + [c / Fraction(i + 1) if isinstance(c, (Fraction, int)) else c / (i + 1)
-                         for i, c in enumerate(p)]
-
-
-def p_integral(p, a, b):
-    P = p_antideriv(p)
-    return p_eval(P, b) - p_eval(P, a)
-
-
-def p_l2sq(p, a, b):
-    return p_integral(p_mul(p, p), a, b)
-
-
 def linear_fit(x, y):
     """Least-squares line y ~ c0 + c1 x over the columns [1, x]; returns
     (c0, c1, r_squared), with r_squared = 1 when y is constant."""

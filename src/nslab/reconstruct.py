@@ -431,6 +431,8 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
     """
     if N_max < 0:
         raise ValueError(f"N_max must be >= 0, got {N_max}")
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     m = data.points.size
     N_max = min(N_max, m // 2 - 1)
     qs, R, _ = _fit_machinery(data, N_max, prec.bits)

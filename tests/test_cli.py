@@ -133,6 +133,8 @@ BAD_CONFIGS = [
       for command in DECLARED],
     (("reconstruct", "sweep"), "trials=0", "trials must be >= 1, got 0"),
     (("reconstruct", "sweep"), "N_max=-1", "N_max must be >= 0, got -1"),
+    (("reconstruct", "sweep"), "tau=0", "tau must be > 0, got 0"),
+    (("reconstruct", "sweep"), "tau=-1", "tau must be > 0, got -1"),
     (("continuation", "propagate"), "y_levels=1", "at least two y-levels"),
     (("continuation", "three-balls"), "y_levels=0", "at least two y-levels"),
     *[(command, f"{key}={value}", f"config key '{key}': must be finite, got {value}")

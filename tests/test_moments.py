@@ -15,7 +15,7 @@ from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
                            reconstruct_from_moments, required_bits,
                            verify_festmom)
 from nslab.multiplier import adaptive_gauss
-from test_polyx import _p_compose_affine
+from test_polyx import _p_compose_affine, _p_integral, _p_l2sq
 
 UNIT = Interval(0.0, 1.0)
 
@@ -141,7 +141,7 @@ class TestGramIdentity:
             for k in range(m + 1):
                 Lm = sys.raw_polynomial(m)
                 Lk = sys.raw_polynomial(k)
-                ip = polyx.p_integral(polyx.p_mul(Lm, Lk), Fraction(0), Fraction(1))
+                ip = _p_integral(polyx.p_mul(Lm, Lk), Fraction(0), Fraction(1))
                 ip /= Fraction((2 * m + 1)) ** Fraction(1) if False else 1
                 expect = Fraction(2 * m + 1) if m == k else Fraction(0)
                 assert ip == expect
@@ -194,13 +194,13 @@ def _festmom_polyx_reference(f, I, N):
     coeffs = polyx.as_exact(list(f))
     a = Fraction(I.a).limit_denominator(10**12)
     b = Fraction(I.b).limit_denominator(10**12)
-    lhs = polyx.p_l2sq(coeffs, a, b)
+    lhs = _p_l2sq(coeffs, a, b)
     lam = b - a
     pulled = _p_compose_affine(coeffs, a, lam)
     # int_0^1 t^j pulled(t) dt
-    msum = sum((lam * polyx.p_integral([0] * j + pulled, Fraction(0), Fraction(1))) ** 2
+    msum = sum((lam * _p_integral([0] * j + pulled, Fraction(0), Fraction(1))) ** 2
                for j in range(N + 1))
-    grad = polyx.p_l2sq(polyx.p_deriv(coeffs), a, b)
+    grad = _p_l2sq(polyx.p_deriv(coeffs), a, b)
     C = moments._box_constant(I, 1)
     rhs = math.exp(C * (N + 1)) * float(msum) + float(grad) / (4.0 * (N + 1) ** 2)
     lhs = float(lhs)
@@ -276,8 +276,8 @@ class TestFestmomBox:
         q = polyx.as_exact(rng.standard_normal(3).tolist())
         c = [[pi * qj for qj in q] for pi in p]
         lhs, _, holds = verify_festmom(c, self.BOX, 3)[3]
-        exact = (polyx.p_l2sq(p, Fraction(1, 10), Fraction(9, 10))
-                 * polyx.p_l2sq(q, Fraction(1, 5), Fraction(7, 10)))
+        exact = (_p_l2sq(p, Fraction(1, 10), Fraction(9, 10))
+                 * _p_l2sq(q, Fraction(1, 5), Fraction(7, 10)))
         assert lhs == float(exact) and holds
 
     @pytest.mark.parametrize("box", [BOX, Box((Interval(0.0, 1.0), Interval(0.0, 1.0)))])
@@ -311,10 +311,10 @@ def _weighted_moment_bounds(f, I, gamma, signed):
     if not (0.0 <= I.a < I.b <= 1.0):
         raise ValueError("interval must lie inside (0,1)")
     coeffs = [float(c) for c in f]
-    l2 = math.sqrt(max(polyx.p_l2sq(coeffs, I.a, I.b), 0.0))
+    l2 = math.sqrt(max(_p_l2sq(coeffs, I.a, I.b), 0.0))
     if l2 == 0.0:
         return 0.0, 0.0, True
-    grad = math.sqrt(max(polyx.p_l2sq(polyx.p_deriv(coeffs), I.a, I.b), 0.0))
+    grad = math.sqrt(max(_p_l2sq(polyx.p_deriv(coeffs), I.a, I.b), 0.0))
     r = grad / l2
     Nf = max(1, round(r)) - 1
     gam = [float(gamma(j)) if callable(gamma) else float(gamma[j]) for j in range(_SERIES_TERMS)]
@@ -400,7 +400,7 @@ class TestReconstructFromMoments:
         m = compute_moments(coeffs, UNIT, 6)
         rec, itv = reconstruct_from_moments(m, 6)
         diff = polyx.p_add(rec, polyx.p_scale(coeffs, Fraction(-1)))
-        err = polyx.p_l2sq(diff, Fraction(0), Fraction(1))
+        err = _p_l2sq(diff, Fraction(0), Fraction(1))
         assert float(err) <= 1e-30
 
     def test_general_interval_roundtrip(self):
@@ -493,4 +493,4 @@ def test_roundtrip_property_exact(coeffs):
     m = compute_moments(fr, UNIT, deg)
     rec, _ = reconstruct_from_moments(m, deg)
     diff = polyx.p_add(rec, polyx.p_scale(fr, Fraction(-1)))
-    assert polyx.p_l2sq(diff, Fraction(0), Fraction(1)) == 0
+    assert _p_l2sq(diff, Fraction(0), Fraction(1)) == 0

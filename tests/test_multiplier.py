@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,90 @@ def _pseudolocality_profile(f, two_s, J, kmax):
     y = np.log(vals) - np.array([math.lgamma(k + 1) for k in ks])
     rho_hat = float(np.exp(-polyx.linear_fit(ks, y)[1]))
     return profile, rho_hat
+
+
+def _trig_interp_dense(f, pts):
+    """The interpolant as a points x n matrix of complex exponentials times
+    the DFT coefficients: the reference for the cardinal `trig_interp`."""
+    g = f.grid
+    pts = np.atleast_1d(np.asarray(pts, dtype=float))
+    coeff = np.fft.fft(f.values) / g.n
+    xi = g.xi
+    nyq = g.n // 2
+    phase = np.exp(1j * np.outer(pts + g.L, xi))
+    # the Nyquist mode enters as a cosine, so real data interpolate to real values
+    phase[:, nyq] = np.cos(xi[nyq] * (pts + g.L))
+    return phase @ coeff
+
+
+def _random_compact(g, rng, dtype):
+    """A bump at a random place, width and sharpness, at least two nodes wide,
+    times a random cubic and a random real or complex amplitude."""
+    c = rng.uniform(-g.L / 4, g.L / 4)
+    w = max(rng.uniform(g.L / 16, g.L / 4), 2 * g.dx)
+    f = make_bump(Interval(c - w, c + w), rng.uniform(-w / 4, w / 4),
+                  rng.uniform(0.5, 3.0), g)
+    amp = rng.standard_normal(2) @ [1, 1j] if dtype is complex else rng.standard_normal()
+    return SampledFunction(g, f.values * np.polyval(rng.standard_normal(4), g.x) * amp)
+
+
+class TestTrigInterp:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("L", [3.0, 8.0])
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_matches_dense_reference(self, n, L, dtype):
+        rng = np.random.default_rng(n + int(L) + (dtype is complex))
+        g = Grid(L, n)
+        for _ in range(4):
+            f = _random_compact(g, rng, dtype)
+            assert np.count_nonzero(f.values) >= 2
+            pts = rng.uniform(-L, L, 64)
+            gap = np.max(np.abs(trig_interp(f, pts) - _trig_interp_dense(f, pts)))
+            assert gap <= 1e-14 * np.max(np.abs(f.values))
+
+    @pytest.mark.parametrize("L", [3.0, 8.0])
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_exact_at_nodes_and_periodic_images(self, n, L):
+        g = Grid(L, n)
+        f = _random_compact(g, np.random.default_rng(n), complex)
+        for shift in (0.0, 2 * L, -2 * L):
+            assert np.all(trig_interp(f, g.x + shift) == f.values)
+
+    def test_zero_data(self):
+        g = Grid(8.0, 256)
+        out = trig_interp(SampledFunction(g, np.zeros(g.n)), [-9.0, 0.1, g.x[7], 3.3])
+        assert np.all(out == 0)
+
+    @pytest.mark.parametrize("n", [8, 256, 4096])
+    def test_real_data_give_real_values(self, n):
+        # the Nyquist mode is read as a cosine, not as e^{-i n pi (x + L)/(2L)}
+        g = Grid(8.0, n)
+        rng = np.random.default_rng(n)
+        f = SampledFunction(g, rng.standard_normal(n))
+        assert np.all(trig_interp(f, rng.uniform(-8.0, 8.0, 64)).imag == 0)
+        f = _random_compact(g, rng, float)
+        assert np.all(trig_interp(f, rng.uniform(-8.0, 8.0, 64)).imag == 0)
+
+    @pytest.mark.parametrize("n, data", [(4096, "bump"), (256, "noise")])
+    def test_matches_extended_precision_sum(self, n, data):
+        # sum_j f_j sin(n t/2) cot(t/2)/n, t = pi (x - x_j)/L, in 40 digits
+        g = Grid(8.0, n)
+        rng = np.random.default_rng(5)
+        if data == "bump":
+            f = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g)
+        else:
+            v = np.zeros(n, dtype=complex)
+            v[n // 4:n // 2] = rng.standard_normal(n // 4) + 1j * rng.standard_normal(n // 4)
+            f = SampledFunction(g, v)
+        pts = rng.uniform(-1.0, 1.0, 5)
+        got = trig_interp(f, pts)
+        with mpmath.workdps(40):
+            for x, p in zip(pts, got):
+                want = 0
+                for j in np.flatnonzero(f.values):
+                    t = mpmath.pi * (mpmath.mpf(x) - mpmath.mpf(g.x[j])) / g.L
+                    want += complex(f.values[j]) * mpmath.sin(n * t / 2) * mpmath.cot(t / 2) / n
+                assert abs(p - complex(want)) <= 1e-15 * np.max(np.abs(f.values))
 
 
 class TestSymbolValues:

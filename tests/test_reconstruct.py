@@ -256,6 +256,13 @@ class TestDesign:
         with pytest.raises(ValueError, match="N_max must be >= 0, got -1"):
             select_order(data, -1)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_discrepancy_factor_rejected(self, tau):
+        # with tau <= 0 the floor is never crossed and N runs to N_max
+        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
+        with pytest.raises(ValueError, match=f"tau must be > 0, got {tau}"):
+            select_order(data, 6, tau=tau)
+
     def test_repeated_fit_hits_design_cache(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
         select_order(data, 6)
