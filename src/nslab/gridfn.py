@@ -166,12 +166,6 @@ def _interval_samples(f: SampledFunction, region: Interval):
     return xs, vs
 
 
-@lru_cache(maxsize=64)
-def _cutoff_cache(grid_key, a, b, a_out, b_out):
-    grid = Grid(*grid_key)
-    return _smooth_cutoff_values(grid.x, a, b, a_out, b_out)
-
-
 def _smoothstep(u):
     """C^inf transition: 0 for u<=0, 1 for u>=1."""
     u = np.asarray(u, dtype=float)
@@ -187,17 +181,13 @@ def _smoothstep(u):
     return out
 
 
-def _smooth_cutoff_values(x, a, b, a_out, b_out):
-    """C^inf cutoff equal to 1 on [a,b], supported in [a_out,b_out]."""
-    rise = _smoothstep((x - a_out) / (a - a_out))
-    fall = _smoothstep((b_out - x) / (b_out - b))
-    return rise * fall
-
-
+@lru_cache(maxsize=64)
 def smooth_cutoff(region: Interval, grid: Grid) -> np.ndarray:
     """Fixed C^inf cutoff equal to 1 on the region, supported in 1.1*region."""
     outer = region.dilate(1.1)
-    return _cutoff_cache((grid.L, grid.n), region.a, region.b, outer.a, outer.b)
+    rise = _smoothstep((grid.x - outer.a) / (region.a - outer.a))
+    fall = _smoothstep((outer.b - grid.x) / (outer.b - region.b))
+    return rise * fall
 
 
 def _sobolev_weight(xi, s: float, homogeneous: bool):

@@ -1,12 +1,13 @@
 """Discretized exterior-value problem for L_s = (-d^2/dx^2)^s + q, its Poisson
 operator, and the quantitative exterior-approximation experiment.
 
-The operator is realized as a dense real matrix (grid restriction of the
-|xi|^{2s} multiplier); Dirichlet data live on an exterior region W disjoint
-from Omega, and the Poisson operator A maps W-values (H^s(W) inner product) to
-the solution restricted to Omega (L^2(Omega) inner product).  Its singular
-values decay exponentially, which prices exterior control of interior targets
-at exp(C eps^-mu).
+The operator is a circulant column, the inverse FFT of the |xi|^{2s}
+multiplier on the grid, and each block an experiment reads is gathered from
+it; Dirichlet data live on an exterior region W disjoint from Omega, and the
+Poisson operator A maps W-values (H^s(W) inner product) to the solution
+restricted to Omega (L^2(Omega) inner product).  Its singular values decay
+exponentially, which prices exterior control of interior targets at
+exp(C eps^-mu).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
@@ -31,19 +31,17 @@ class DirichletEigenvalueError(ValueError):
         self.near_null = near_null
 
 
-def _circulant(c: np.ndarray, m: int) -> np.ndarray:
-    """Leading m x m block of the circulant matrix with first column c,
-    M[i, j] = c[(i - j) mod n], as a C-contiguous copy."""
-    n = c.size
-    r = np.roll(c[::-1], 1)                   # r[k] = c[-k mod n]
-    rows = sliding_window_view(np.concatenate([r, r]), m)
-    return rows[n:n - m:-1].copy()            # row i is r[n - i:], wrapped
+def _circulant_block(c: np.ndarray, rows, cols) -> np.ndarray:
+    """Block rows x cols of the circulant matrix with first column c,
+    M[i, j] = c[(i - j) mod n], gathered as a fresh C-contiguous array."""
+    return c[np.subtract.outer(rows, cols) % c.size]
 
 
 def dense_multiplier_matrix(spec: multiplier.SymbolSpec, grid: Grid) -> np.ndarray:
     """Dense matrix of the Fourier multiplier on the periodic grid: the
     circulant of the column ifft(symbol)."""
-    return _circulant(np.fft.ifft(multiplier.evaluate(spec, grid.xi)), grid.n)
+    i = np.arange(grid.n)
+    return _circulant_block(np.fft.ifft(multiplier.evaluate(spec, grid.xi)), i, i)
 
 
 def _indices(grid: Grid, region: Interval) -> np.ndarray:
@@ -57,20 +55,24 @@ class RungeProblem:
     Omega: Interval
     W: Interval
     q: np.ndarray               # potential values on the Omega nodes
-    T: np.ndarray               # dense real matrix of |D|^{2s} on the grid
+    c: np.ndarray               # real first column of |D|^{2s}'s circulant
     omega_idx: np.ndarray = field(repr=False, default=None)
     w_idx: np.ndarray = field(repr=False, default=None)
     condition_number: float = 0.0
 
+    def block(self, rows, cols) -> np.ndarray:
+        """Block rows x cols of the operator matrix T[i, j] = c[(i - j) mod n]."""
+        return _circulant_block(self.c, rows, cols)
+
     @property
     def interior_block(self) -> np.ndarray:
-        A = self.T[np.ix_(self.omega_idx, self.omega_idx)].copy()
+        A = self.block(self.omega_idx, self.omega_idx)
         A[np.diag_indices_from(A)] += self.q
         return A
 
 
 def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem:
-    """Assemble the dense operator and verify the interior block is invertible."""
+    """Form the operator's circulant column; verify the interior block is invertible."""
     if not (0.5 <= s < 1.0):
         raise ValueError("s must lie in [1/2, 1)")
     if not (W.b <= Omega.a or Omega.b <= W.a):
@@ -86,9 +88,9 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
     asym = np.max(np.abs(c - c_t)) / np.max(np.abs(c))
     if asym > 1e-10:
         raise ValueError(f"operator matrix asymmetry {asym:.2e} exceeds 1e-10")
-    T = _circulant(np.real(0.5 * (c + c_t)), grid.n)
     qv = np.broadcast_to(np.asarray(q, dtype=float), omega_idx.shape).copy()
-    prob = RungeProblem(s=s, grid=grid, Omega=Omega, W=W, q=qv, T=T,
+    prob = RungeProblem(s=s, grid=grid, Omega=Omega, W=W, q=qv,
+                        c=np.real(0.5 * (c + c_t)),
                         omega_idx=omega_idx, w_idx=w_idx)
     # the block is exactly symmetric, so its singular values are |eigenvalues|
     # (eigh, not eigvalsh: the latter's small eigenvalues are less accurate)
@@ -109,16 +111,17 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
     fv = np.broadcast_to(np.asarray(f, dtype=float), p.w_idx.shape)
     u = np.zeros(p.grid.n)
     u[p.w_idx] = fv
-    rhs = -p.T[np.ix_(p.omega_idx, p.w_idx)] @ fv
+    rhs = -p.block(p.omega_idx, p.w_idx) @ fv
     if F_interior is not None:
         rhs = rhs + np.broadcast_to(np.asarray(F_interior, dtype=float),
                                     p.omega_idx.shape)
     u[p.omega_idx] = np.linalg.solve(p.interior_block, rhs)
-    full = p.T @ u
+    supp = np.flatnonzero(u)
+    full = p.block(np.arange(p.grid.n), supp) @ u[supp]   # T u
     res = full[p.omega_idx] + p.q * u[p.omega_idx]
     if F_interior is not None:
         res = res - F_interior
-    scale = np.linalg.norm(p.T @ u) + np.linalg.norm(u)
+    scale = np.linalg.norm(full) + np.linalg.norm(u)
     if scale > 0 and np.linalg.norm(res) > 1e-10 * scale:
         raise np.linalg.LinAlgError(
             f"interior residual {np.linalg.norm(res):.2e} too large "
@@ -127,10 +130,10 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
 
 
 def _hs_gram(p: RungeProblem) -> np.ndarray:
-    """Gram matrix of the H^s(W) inner product on zero-extended W-values (W's
-    nodes are consecutive, so its block is the circulant's leading block)."""
+    """Gram matrix of the H^s(W) inner product on zero-extended W-values: the
+    W x W block of the circulant of the weight's inverse FFT."""
     weight = (1.0 + p.grid.xi ** 2) ** p.s
-    G = p.grid.dx * _circulant(np.real(np.fft.ifft(weight)), p.w_idx.size)
+    G = p.grid.dx * _circulant_block(np.real(np.fft.ifft(weight)), p.w_idx, p.w_idx)
     return 0.5 * (G + G.T)
 
 
@@ -145,7 +148,7 @@ class PoissonSVD:
 
 def poisson_svd(p: RungeProblem) -> PoissonSVD:
     """SVD of the Poisson operator A: W-values (H^s(W)) -> u|_Omega (L^2)."""
-    A = -np.linalg.solve(p.interior_block, p.T[np.ix_(p.omega_idx, p.w_idx)])
+    A = -np.linalg.solve(p.interior_block, p.block(p.omega_idx, p.w_idx))
     G = _hs_gram(p)
     R = np.linalg.cholesky(G).T           # G = R^T R
     Atil = math.sqrt(p.grid.dx) * np.linalg.solve(R.T, A.T).T
@@ -256,7 +259,7 @@ def dual_ucp_experiment(p: RungeProblem, v):
     V = vv.reshape(-1, p.omega_idx.size)
     lo, hi = p.omega_idx[0], p.omega_idx[-1] + 1   # Omega's nodes are consecutive
     Wo = np.linalg.solve(p.interior_block, V.T)
-    Lw = p.T[:, lo:hi] @ Wo
+    Lw = p.block(np.arange(p.grid.n), p.omega_idx) @ Wo
     Lw[lo:hi] += p.q[:, None] * Wo
     w, v_full = np.zeros((2, V.shape[0], p.grid.n))
     w[:, lo:hi], v_full[:, lo:hi] = Wo.T, V
@@ -282,7 +285,7 @@ def reciprocity_defect(p: RungeProblem, rng=None, trials: int = 5) -> float:
     F, V = map(np.array, zip(*[(rng.standard_normal(p.w_idx.size),
                                 rng.standard_normal(p.omega_idx.size)) for _ in range(trials)]))
     X = np.linalg.solve(p.interior_block,
-                        np.hstack([p.T[np.ix_(p.omega_idx, p.w_idx)] @ F.T, V.T]))
+                        np.hstack([p.block(p.omega_idx, p.w_idx) @ F.T, V.T]))
     a = -p.grid.dx * np.sum(X[:, :trials] * V.T, axis=0)
-    b = -p.grid.dx * np.sum(F.T * (p.T[np.ix_(p.w_idx, p.omega_idx)] @ X[:, trials:]), axis=0)
+    b = -p.grid.dx * np.sum(F.T * (p.block(p.w_idx, p.omega_idx) @ X[:, trials:]), axis=0)
     return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1.0)))

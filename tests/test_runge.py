@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def bump_target(problem):
     return v / (math.sqrt(GRID.dx) * np.linalg.norm(v))
 
 
+def _full_block(p):
+    """The whole n x n operator matrix, gathered from the problem's column."""
+    nodes = np.arange(p.grid.n)
+    return p.block(nodes, nodes)
+
+
 def _multiplier_matrix_reference(symbol_values):
     """The multiplier applied to every column of the identity by FFT."""
     n = symbol_values.size
@@ -57,9 +64,10 @@ class TestBuild:
             multiplier.symbol("AbsPow", two_s=2.0 * s), g.xi))
         ref = np.real(0.5 * (ref + ref.T))
         scale = np.max(np.abs(ref))
-        assert np.max(np.abs(p.T - ref)) <= 1e-15 * scale
-        assert np.array_equal(p.T, p.T.T)
-        assert p.T.dtype == np.float64 and p.T.flags.c_contiguous
+        T = _full_block(p)
+        assert np.max(np.abs(T - ref)) <= 1e-15 * scale
+        assert np.array_equal(T, T.T)
+        assert T.dtype == np.float64 and T.flags.c_contiguous
         hilbert = multiplier.evaluate(multiplier.symbol("HilbertSign"), g.xi)
         ref = _multiplier_matrix_reference(hilbert)
         got = runge.dense_multiplier_matrix(multiplier.symbol("HilbertSign"), g)
@@ -83,14 +91,14 @@ class TestBuild:
         p = build(0.5, 0.0, OMEGA, W, GRID)
         k = abs(float(GRID.xi[40]))  # an exact grid frequency, mid-range
         u = np.sin(k * GRID.x)
-        out = p.T @ u
+        out = _full_block(p) @ u
         mid = np.abs(GRID.x) < 2.0
         rel = np.max(np.abs(out[mid] - k * u[mid])) / k
         assert rel <= 1e-2
 
     def test_symmetry(self, problem):
-        assert np.max(np.abs(problem.T - problem.T.T)) <= 1e-10 * np.max(
-            np.abs(problem.T))
+        T = _full_block(problem)
+        assert np.max(np.abs(T - T.T)) <= 1e-10 * np.max(np.abs(T))
 
     def test_condition_number_drops_with_coercive_potential(self, problem):
         p_big_q = build(0.6, 50.0, OMEGA, W, GRID)
@@ -113,7 +121,7 @@ class TestBuild:
         assert problem.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
 
     def test_dirichlet_eigenvalue_raises_with_near_null_vector(self, problem):
-        T_oo = problem.T[np.ix_(problem.omega_idx, problem.omega_idx)]
+        T_oo = problem.block(problem.omega_idx, problem.omega_idx)
         q = -np.linalg.eigvalsh(T_oo)[0]     # shifts the lowest eigenvalue to 0
         with pytest.raises(DirichletEigenvalueError) as info:
             build(0.6, q, OMEGA, W, GRID)
@@ -122,6 +130,24 @@ class TestBuild:
         assert v.shape == problem.omega_idx.shape
         assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(B @ v) <= 1e-8 * np.linalg.norm(B, 2)
+
+    def test_no_n_by_n_array(self):
+        """At the benchmark's n = 2048, build and poisson_svd each peak below
+        the 8 n^2 bytes of one n x n float64 matrix: the operator is kept as
+        its column and only the blocks read are gathered."""
+        g = Grid(4.0, 2048)
+        bound = 8 * g.n ** 2
+        tracemalloc.start()
+        try:
+            p = build(0.6, 0.0, OMEGA, W, g)
+            peak_build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            poisson_svd(p)
+            peak_svd = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_build < bound
+        assert peak_svd < bound
 
 
 class TestSolveDirichlet:
@@ -151,7 +177,7 @@ class TestSolveDirichlet:
         ustar = np.zeros(GRID.n)
         ustar[problem.omega_idx] = make_bump(
             Interval(-0.8, 0.8), 0.0, 1.0, GRID).values[problem.omega_idx]
-        Fstar = (problem.T @ ustar)[problem.omega_idx] \
+        Fstar = (_full_block(problem) @ ustar)[problem.omega_idx] \
             + problem.q * ustar[problem.omega_idx]
         u = solve_dirichlet(problem, np.zeros(problem.w_idx.size),
                             F_interior=Fstar)
@@ -341,7 +367,9 @@ class TestReciprocity:
         assert reciprocity_defect(problem, 0) <= 1e-8
 
     def test_detects_one_perturbed_coupling_entry(self, problem):
-        T = problem.T.copy()
-        T[problem.omega_idx[3], problem.w_idx[5]] *= 1.0 + 1e-6
-        perturbed = dataclasses.replace(problem, T=T)
+        # one column entry: it moves one diagonal of T_OW, and neither T_WO
+        # nor T_OO reads it
+        c = problem.c.copy()
+        c[(problem.omega_idx[3] - problem.w_idx[5]) % GRID.n] *= 1.0 + 1e-6
+        perturbed = dataclasses.replace(problem, c=c)
         assert reciprocity_defect(perturbed, 0) > 1e-13
