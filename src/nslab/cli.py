@@ -405,7 +405,7 @@ def _field(p):
     grid = Grid(p["grid_L"], p["grid_n"])
     h = make_bump(p["support"], 0.0, p["sharpness"], grid)
     ys = np.linspace(0.0, p["y_top"], p["y_levels"])
-    return continuation.extend(h, ys, mode="poisson")
+    return continuation.extend(h, ys)
 
 
 @_experiment(continuation_grp, "three-balls", "continuation_three_balls", {

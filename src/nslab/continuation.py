@@ -1,13 +1,10 @@
-"""Harmonic and analytic extension into the upper half-plane, with
+"""Harmonic extension into the upper half-plane, with
 propagation-of-smallness instrumentation.
 
-A boundary function h on the line is extended to y > 0 by spectral damping:
-Poisson evolution e^{-y|xi|} for general data, or one-sided evolution
-e^{-y xi} on xi >= 0 for data with positive-frequency spectrum (the latter is
-the boundary value of a function analytic in the upper half-plane).  On top of
-the extension the module measures three-balls triples, plans ball chains whose
-radii shrink proportionally to the height, and chains the three-balls bounds
-along them into a smallness certificate.
+A boundary function h on the line is extended to y > 0 by Poisson evolution
+e^{-y|xi|}.  On top of the extension the module measures three-balls triples,
+plans ball chains whose radii shrink proportionally to the height, and chains
+the three-balls bounds along them into a smallness certificate.
 """
 
 from __future__ import annotations
@@ -19,10 +16,6 @@ import numpy as np
 
 from .gridfn import Grid, HalfPlaneRectangle, Interval, SampledFunction
 
-SPECTRUM_TAGS = ("full", "positive-frequencies", "negative-frequencies")
-
-_ONESIDED_TOL = 1e-10
-
 
 @dataclass
 class HalfPlaneField:
@@ -31,7 +24,6 @@ class HalfPlaneField:
     grid: Grid
     y_levels: np.ndarray
     values: np.ndarray
-    spectrum: str = "full"
 
     def __post_init__(self):
         self.y_levels = np.atleast_1d(np.asarray(self.y_levels, dtype=float))
@@ -42,8 +34,6 @@ class HalfPlaneField:
             raise ValueError("y-levels must be strictly increasing")
         if self.values.shape != (self.y_levels.size, self.grid.n):
             raise ValueError("values must have shape (#levels, grid.n)")
-        if self.spectrum not in SPECTRUM_TAGS:
-            raise ValueError(f"unknown spectrum tag {self.spectrum!r}")
 
     def rectangle_norm(self, rect: HalfPlaneRectangle) -> float:
         """L2 norm over base x [y0, y1] by trapezoid-in-y Riemann sums."""
@@ -75,47 +65,17 @@ class HalfPlaneField:
         return float(math.sqrt(total))
 
 
-def _one_sided_energy(fhat: np.ndarray, xi: np.ndarray, side: int) -> float:
-    tot = float(np.sum(np.abs(fhat) ** 2))
-    if tot == 0.0:
-        return 0.0
-    off = float(np.sum(np.abs(fhat[xi * side < 0]) ** 2))
-    return off / tot
-
-
-def extend(h: SampledFunction, y_levels, mode: str = "poisson") -> HalfPlaneField:
-    """Spectral extension of h to the requested y-levels.
-
-    mode: "poisson" damps by e^{-y|xi|}; "halfplane+" / "halfplane-" damp only
-    the carried half of the spectrum by e^{-y xi} (resp. e^{+y xi}) and require
-    the opposite half to carry <= 1e-10 of the energy.
-    """
-    g = h.grid
-    ys = np.atleast_1d(np.asarray(y_levels, dtype=float))
+def extend(h: SampledFunction, y_levels) -> HalfPlaneField:
+    """Poisson extension of h to the requested y-levels: damping by e^{-y|xi|}."""
+    ys = np.sort(np.atleast_1d(np.asarray(y_levels, dtype=float)))
     if np.any(ys < 0):
         raise ValueError("y-levels must be nonnegative")
-    order = np.argsort(ys)
-    ys = ys[order]
     fhat = np.fft.fft(np.asarray(h.values, dtype=complex))
-    xi = g.xi
-    if mode == "poisson":
-        damp = np.abs(xi)
-        tag = "full"
-    elif mode in ("halfplane+", "halfplane-"):
-        side = 1 if mode.endswith("+") else -1
-        if _one_sided_energy(fhat, xi, side) > _ONESIDED_TOL:
-            raise ValueError(
-                "one-sided extension requires the spectrum on the matching "
-                "frequency half-line")
-        damp = side * xi
-        damp = np.where(damp > 0, damp, 0.0)
-        tag = "positive-frequencies" if side > 0 else "negative-frequencies"
-    else:
-        raise ValueError(f"unknown extension mode {mode!r}")
-    vals = np.empty((ys.size, g.n), dtype=complex)
+    damp = np.abs(h.grid.xi)
+    vals = np.empty((ys.size, h.grid.n), dtype=complex)
     for j, y in enumerate(ys):
         vals[j] = np.fft.ifft(fhat * np.exp(-y * damp))
-    return HalfPlaneField(g, ys, vals, spectrum=tag)
+    return HalfPlaneField(h.grid, ys, vals)
 
 
 def three_balls_report(u: HalfPlaneField, center: tuple[float, float], r: float):

@@ -21,6 +21,8 @@ from . import multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
 
 _EIG_TOL = 1e-8  # smallest/largest singular-value ratio treated as singular
+_SIGMA_FLOOR = 1e-13  # Poisson singular values below this times sigma_1 are roundoff
+_SKETCH_WIDTH = 48    # first width of poisson_svd's Gaussian range sketch
 
 
 class DirichletEigenvalueError(ValueError):
@@ -59,6 +61,8 @@ class RungeProblem:
     omega_idx: np.ndarray = field(repr=False, default=None)
     w_idx: np.ndarray = field(repr=False, default=None)
     condition_number: float = 0.0
+    lam: np.ndarray = field(repr=False, default=None)   # eigenvalues and
+    vecs: np.ndarray = field(repr=False, default=None)  # eigenvectors of B
 
     def block(self, rows, cols) -> np.ndarray:
         """Block rows x cols of the operator matrix T[i, j] = c[(i - j) mod n]."""
@@ -69,6 +73,11 @@ class RungeProblem:
         A = self.block(self.omega_idx, self.omega_idx)
         A[np.diag_indices_from(A)] += self.q
         return A
+
+    def solve(self, X) -> np.ndarray:
+        """B^-1 X = vecs diag(1/lam) vecs^T X for the interior block B, from
+        build's eigh; X is one right-hand side or a column stack of them."""
+        return self.vecs @ ((self.vecs.T @ X).T / self.lam).T
 
 
 def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem:
@@ -102,6 +111,7 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
             "interior block numerically singular: zero behaves as a Dirichlet "
             f"eigenvalue (sigma_min/sigma_max = {sv[k] / sv.max():.2e})", vecs[:, k])
     prob.condition_number = float(sv.max() / sv[k])
+    prob.lam, prob.vecs = lam, vecs
     return prob
 
 
@@ -115,7 +125,7 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
     if F_interior is not None:
         rhs = rhs + np.broadcast_to(np.asarray(F_interior, dtype=float),
                                     p.omega_idx.shape)
-    u[p.omega_idx] = np.linalg.solve(p.interior_block, rhs)
+    u[p.omega_idx] = p.solve(rhs)
     supp = np.flatnonzero(u)
     full = p.block(np.arange(p.grid.n), supp) @ u[supp]   # T u
     res = full[p.omega_idx] + p.q * u[p.omega_idx]
@@ -139,6 +149,10 @@ def _hs_gram(p: RungeProblem) -> np.ndarray:
 
 @dataclass
 class PoissonSVD:
+    """Truncated SVD of the Poisson operator A: sigma, w and phi hold only
+    the certified triplets, sigma_j >= _SIGMA_FLOOR * sigma_1, and every
+    discarded singular value lies below that floor (the randomized range
+    finder of Halko, Martinsson & Tropp, SIAM Review 53, 2011)."""
     problem: RungeProblem
     sigma: np.ndarray          # nonincreasing positive singular values
     phi: np.ndarray            # exterior basis, columns H^s(W)-orthonormal
@@ -147,19 +161,42 @@ class PoissonSVD:
 
 
 def poisson_svd(p: RungeProblem) -> PoissonSVD:
-    """SVD of the Poisson operator A: W-values (H^s(W)) -> u|_Omega (L^2)."""
-    A = -np.linalg.solve(p.interior_block, p.block(p.omega_idx, p.w_idx))
+    """SVD of the Poisson operator A: W-values (H^s(W)) -> u|_Omega (L^2);
+    sigma, w and phi hold only the certified triplets, those >= _SIGMA_FLOOR
+    * sigma_1.
+
+    The whitened Atil's range is found from a seeded Gaussian sketch and one
+    power iteration (Halko, Martinsson & Tropp, "Finding structure with
+    randomness", SIAM Review 53, 2011), and the SVD is taken of Q^T Atil.  It
+    is accepted when ||Atil - Q Q^T Atil||_F < _SIGMA_FLOOR * sigma_1, which by
+    Weyl's inequality puts every discarded singular value below the floor;
+    otherwise the width doubles, up to the full SVD."""
+    A = -p.solve(p.block(p.omega_idx, p.w_idx))
     G = _hs_gram(p)
     R = np.linalg.cholesky(G).T           # G = R^T R
     Atil = math.sqrt(p.grid.dx) * np.linalg.solve(R.T, A.T).T
-    U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
-    phi = np.linalg.solve(R, Vt.T)
-    w = U / math.sqrt(p.grid.dx)
-    return PoissonSVD(problem=p, sigma=sig, phi=phi, w=w, A=A)
+    width = _SKETCH_WIDTH
+    while width < min(Atil.shape):
+        sketch = np.random.default_rng(0).standard_normal((Atil.shape[1], width))
+        Q = np.linalg.qr(Atil @ sketch)[0]
+        Q = np.linalg.qr(Atil @ np.linalg.qr(Atil.T @ Q)[0])[0]
+        B = Q.T @ Atil
+        Ub, sig, Vt = np.linalg.svd(B, full_matrices=False)
+        if np.linalg.norm(Atil - Q @ B) < _SIGMA_FLOOR * sig[0]:
+            U = Q @ Ub
+            break
+        width *= 2
+    else:
+        U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
+    k = int(np.sum(sig >= _SIGMA_FLOOR * sig[0]))
+    phi = np.linalg.solve(R, Vt[:k].T)
+    return PoissonSVD(problem=p, sigma=sig[:k], phi=phi,
+                      w=U[:, :k] / math.sqrt(p.grid.dx), A=A)
 
 
 def sigma_decay_fit(svd: PoissonSVD, j_max: int = 30):
-    """Linear fit of log sigma_j vs j over j = 1..j_max; returns (slope, r2)."""
+    """Linear fit of log sigma_j vs j over the certified j <= j_max; returns
+    (slope, r2)."""
     sig = svd.sigma[:j_max]
     _, slope, r2 = polyx.linear_fit(np.arange(1, sig.size + 1), np.log(sig))
     return slope, r2
@@ -187,7 +224,7 @@ def runge_approximate(p: RungeProblem, v, eps: float, svd: PoissonSVD = None):
     res = np.sqrt(np.maximum(res2, 0.0))
     target = eps * vnorm
     # modes below the relative floor carry pure roundoff; never truncate there
-    rank = int(np.sum(svd.sigma >= 1e-13 * svd.sigma[0]))
+    rank = int(np.sum(svd.sigma >= _SIGMA_FLOOR * svd.sigma[0]))
     hit = np.flatnonzero(res <= target)
     k = int(hit[0]) + 1 if hit.size else rank
     k = min(k, rank)
@@ -258,7 +295,7 @@ def dual_ucp_experiment(p: RungeProblem, v):
         raise ValueError("v must be sampled on the Omega nodes")
     V = vv.reshape(-1, p.omega_idx.size)
     lo, hi = p.omega_idx[0], p.omega_idx[-1] + 1   # Omega's nodes are consecutive
-    Wo = np.linalg.solve(p.interior_block, V.T)
+    Wo = p.solve(V.T)
     Lw = p.block(np.arange(p.grid.n), p.omega_idx) @ Wo
     Lw[lo:hi] += p.q[:, None] * Wo
     w, v_full = np.zeros((2, V.shape[0], p.grid.n))
@@ -279,13 +316,13 @@ def reciprocity_defect(p: RungeProblem, rng=None, trials: int = 5) -> float:
     the duality consistency the exterior-control argument rests on.
 
     A f = -B^-1 T_OW f and A^T v = -T_WO B^-1 v (B the interior block) are
-    formed from T's two off-diagonal blocks with one solve, so an asymmetry
-    of T shows; no matrix A is formed."""
+    formed from T's two off-diagonal blocks with one application of build's
+    eigendecomposition of B, so an asymmetry of T shows; no matrix A is
+    formed."""
     rng = np.random.default_rng(rng)
     F, V = map(np.array, zip(*[(rng.standard_normal(p.w_idx.size),
                                 rng.standard_normal(p.omega_idx.size)) for _ in range(trials)]))
-    X = np.linalg.solve(p.interior_block,
-                        np.hstack([p.block(p.omega_idx, p.w_idx) @ F.T, V.T]))
+    X = p.solve(np.hstack([p.block(p.omega_idx, p.w_idx) @ F.T, V.T]))
     a = -p.grid.dx * np.sum(X[:, :trials] * V.T, axis=0)
     b = -p.grid.dx * np.sum(F.T * (p.block(p.w_idx, p.omega_idx) @ X[:, trials:]), axis=0)
     return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1.0)))

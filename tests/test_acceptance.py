@@ -214,7 +214,7 @@ class TestCriterion10PropertySuite:
         ys = np.linspace(0.0, 1.0, 129)
         for sharp in (0.5, 1.0, 2.0):
             h = make_bump(Interval(1.0, 2.0), 0.0, sharp, g)
-            field = continuation.extend(h, ys, mode="poisson")
+            field = continuation.extend(h, ys)
             n1, n2, n4, _ = continuation.three_balls_report(field, (1.5, 0.5),
                                                             0.1)
             assert n1 <= n2 <= n4

@@ -336,6 +336,18 @@ class TestExperiments:
             eps, achieved = map(float, line.split(",")[:2])
             assert achieved <= eps
 
+    @pytest.mark.parametrize("argv,name", [
+        (["cost-curve"], "runge_cost_curve"),
+        (["dual-ucp", "--trials", "10"], "runge_dual_ucp")])
+    def test_runge_reruns_identical(self, runner, tmp_path, argv, name):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            res = runner.invoke(main, ["--out", str(out), "runge", *argv])
+            assert res.exit_code == 0, res.output
+        for ext in ("csv", "json"):
+            assert filecmp.cmp(outs[0] / f"{name}.{ext}", outs[1] / f"{name}.{ext}",
+                               shallow=False)
+
     def test_runge_dual_ucp_positive_ratios(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "runge",
                                    "dual-ucp", "--trials", "10"])

@@ -20,7 +20,7 @@ def _poisson_field(n=1024, y_top=1.0, levels=129, support=Interval(1.0, 2.0)):
     g = Grid(8.0, n)
     h = make_bump(support, 0.0, 1.0, g)
     ys = np.linspace(0.0, y_top, levels)
-    return extend(h, ys, mode="poisson")
+    return extend(h, ys)
 
 
 def _ball_norm_reference(field, center, r):
@@ -70,11 +70,35 @@ def _certificate_reference(field, I, J, decades):
     return rows
 
 
+_ONESIDED_TOL = 1e-10
+
+
+def _negative_frequency_share(fhat, xi):
+    """Share of the energy of fhat on xi < 0."""
+    tot = float(np.sum(np.abs(fhat) ** 2))
+    if tot == 0.0:
+        return 0.0
+    return float(np.sum(np.abs(fhat[xi < 0]) ** 2)) / tot
+
+
+def _extend_one_sided(h, y_levels):
+    """Analytic extension of data with positive-frequency spectrum: xi >= 0
+    is damped by e^{-y xi}, and xi < 0 may carry at most _ONESIDED_TOL of
+    the energy."""
+    g = h.grid
+    ys = np.sort(np.atleast_1d(np.asarray(y_levels, dtype=float)))
+    fhat = np.fft.fft(np.asarray(h.values, dtype=complex))
+    if _negative_frequency_share(fhat, g.xi) > _ONESIDED_TOL:
+        raise ValueError("one-sided extension requires a positive-frequency spectrum")
+    damp = np.maximum(g.xi, 0.0)
+    return HalfPlaneField(g, ys, np.fft.ifft(fhat * np.exp(-ys[:, None] * damp), axis=1))
+
+
 def _cauchy_riemann_residual(field):
     """Relative size of the conjugate-derivative combination that vanishes for
     upper-half-plane analytic fields, with the y-derivative taken by centered
     finite differences across levels (x-derivative spectral)."""
-    if field.spectrum != "positive-frequencies":
+    if _negative_frequency_share(np.fft.fft(field.values[0]), field.grid.xi) > _ONESIDED_TOL:
         raise ValueError("Cauchy-Riemann residual applies to one-sided fields")
     g, ys = field.grid, field.y_levels
     if ys.size < 3:
@@ -127,7 +151,7 @@ def _bulk_boundary_check(h, I, c, k, s):
     g = h.grid
     ny = 65
     ys = np.linspace(0.0, c, ny)
-    field = extend(h, ys, mode="halfplane+")
+    field = _extend_one_sided(h, ys)
     # surrogate square-norm: level-wise H^{1/2}(R) energies integrated in y
     rows = []
     chi = smooth_cutoff(I, g)
@@ -147,8 +171,7 @@ def _bulk_boundary_check(h, I, c, k, s):
 def _zero_field():
     g = Grid(8.0, 512)
     ys = np.linspace(0.0, 1.0, 65)
-    return HalfPlaneField(g, ys, np.zeros((65, g.n), dtype=complex),
-                          spectrum="full")
+    return HalfPlaneField(g, ys, np.zeros((65, g.n), dtype=complex))
 
 
 class TestExtend:
@@ -156,7 +179,7 @@ class TestExtend:
         g = Grid(np.pi, 256)
         k = 3.0
         h = SampledFunction(g, np.exp(1j * k * g.x))
-        field = extend(h, [0.0, 1.0], mode="halfplane+")
+        field = _extend_one_sided(h, [0.0, 1.0])
         want = np.exp(1j * k * g.x) * math.exp(-k)
         assert np.max(np.abs(_level(field, 1).values - want)) <= 1e-12
 
@@ -164,7 +187,7 @@ class TestExtend:
         g = Grid(np.pi, 256)
         k = 2.0
         h = SampledFunction(g, np.cos(k * g.x))
-        field = extend(h, [0.0, 0.5], mode="poisson")
+        field = extend(h, [0.0, 0.5])
         want = math.exp(-k * 0.5) * np.cos(k * g.x)
         assert np.max(np.abs(_level(field, 1).values - want)) <= 1e-12
 
@@ -177,20 +200,20 @@ class TestExtend:
         g = Grid(np.pi, 256)
         h = SampledFunction(g, np.cos(3.0 * g.x))  # two-sided spectrum
         with pytest.raises(ValueError):
-            extend(h, [0.0, 1.0], mode="halfplane+")
+            _extend_one_sided(h, [0.0, 1.0])
 
     @pytest.mark.parametrize("ys", [[], [0.0]])
     def test_fewer_than_two_levels_rejected(self, ys):
         h = SampledFunction(Grid(np.pi, 256), np.zeros(256))
         with pytest.raises(ValueError, match="at least two y-levels"):
-            extend(h, ys, mode="poisson")
+            extend(h, ys)
 
     def test_semigroup(self):
         g = Grid(np.pi, 256)
         h = SampledFunction(g, np.cos(2.0 * g.x) + 0.3 * np.sin(5.0 * g.x))
-        a = extend(h, [0.0, 0.3], mode="poisson")
-        b = extend(_level(a, 1), [0.0, 0.4], mode="poisson")
-        c = extend(h, [0.0, 0.7], mode="poisson")
+        a = extend(h, [0.0, 0.3])
+        b = extend(_level(a, 1), [0.0, 0.4])
+        c = extend(h, [0.0, 0.7])
         assert np.max(np.abs(_level(b, 1).values - _level(c, 1).values)) <= 1e-12
 
     def test_maximum_principle_poisson(self):
@@ -206,7 +229,7 @@ class TestExtend:
         fhat[g.xi < 0] = 0.0
         h = SampledFunction(g, np.fft.ifft(fhat))
         ys = 0.5 + np.arange(9) * 2e-4
-        field = extend(h, ys, mode="halfplane+")
+        field = _extend_one_sided(h, ys)
         assert _cauchy_riemann_residual(field) <= 1e-6
 
     def test_harmonic_residual_second_order(self):
@@ -216,7 +239,7 @@ class TestExtend:
             g = Grid(8.0, n)
             h = make_bump(Interval(1.0, 2.0), 0.0, 1.0, g)
             ys = 0.5 + np.arange(levels) * (16.0 / n)
-            res.append(_harmonic_residual(extend(h, ys, mode="poisson")))
+            res.append(_harmonic_residual(extend(h, ys)))
         assert res[1] <= 0.5 * res[0]
 
 
@@ -224,8 +247,7 @@ class TestThreeBalls:
     def test_constant_field_scaling(self):
         g = Grid(8.0, 1024)
         ys = np.linspace(0.0, 2.0, 257)
-        field = HalfPlaneField(g, ys, np.ones((257, g.n), dtype=complex),
-                               spectrum="full")
+        field = HalfPlaneField(g, ys, np.ones((257, g.n), dtype=complex))
         n1, n2, n4, alpha = three_balls_report(field, (0.0, 1.0), 0.2)
         assert n2 / n1 == pytest.approx(2.0, rel=2e-2)
         assert n4 / n1 == pytest.approx(4.0, rel=2e-2)
@@ -237,7 +259,7 @@ class TestThreeBalls:
         g = Grid(8.0, 2048)
         ys = np.linspace(0.0, 2.0, 513)
         u = (g.x[None, :] ** 2 - ys[:, None] ** 2).astype(complex)
-        field = HalfPlaneField(g, ys, u, spectrum="full")
+        field = HalfPlaneField(g, ys, u)
         cx, cy, r = 0.0, 1.0, 0.2
 
         from scipy import integrate as spint
@@ -284,7 +306,7 @@ class TestThreeBalls:
         vals = rng.standard_normal(g.n)
         h = SampledFunction(g, vals - np.mean(vals))
         ys = np.linspace(0.0, 2.0, 65)
-        field = extend(h, ys, mode="poisson")
+        field = extend(h, ys)
         r = min(cy / 4.0, 0.1)
         n1, n2, n4, alpha = three_balls_report(field, (cx, cy), r)
         if alpha is not None:

@@ -16,6 +16,18 @@ OMEGA = Interval(-1.0, 1.0)
 W = Interval(1.02, 3.8)
 
 
+def _poisson_svd_reference(p):
+    """The dense route: the full SVD of the whitened Poisson operator, with
+    LU solves of the interior block and of the Cholesky factor, every
+    triplet kept."""
+    A = -np.linalg.solve(p.interior_block, p.block(p.omega_idx, p.w_idx))
+    R = np.linalg.cholesky(runge._hs_gram(p)).T
+    Atil = math.sqrt(p.grid.dx) * np.linalg.solve(R.T, A.T).T
+    U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
+    return runge.PoissonSVD(problem=p, sigma=sig, phi=np.linalg.solve(R, Vt.T),
+                            w=U / math.sqrt(p.grid.dx), A=A)
+
+
 def _orthonormality_residuals(svd):
     """Max deviation from the identity of the H^s(W) Gram of phi and the
     L^2(Omega) Gram of w."""
@@ -150,6 +162,22 @@ class TestBuild:
         assert peak_svd < bound
 
 
+class TestInteriorSolve:
+    @pytest.mark.parametrize("indefinite", [False, True], ids=["q0", "indefinite_q"])
+    def test_solve_matches_lu(self, problem, indefinite):
+        p = problem
+        if indefinite:
+            # a constant q halfway between the two lowest eigenvalues of T_OO
+            # leaves one eigenvalue of the block negative and none near 0
+            lam = np.linalg.eigvalsh(problem.block(problem.omega_idx, problem.omega_idx))
+            p = build(0.6, -0.5 * (lam[0] + lam[1]), OMEGA, W, GRID)
+            assert np.sum(p.lam < 0) == 1
+        X = np.random.default_rng(5).standard_normal((p.omega_idx.size, 4))
+        for rhs in (X, X[:, 0]):
+            ref = np.linalg.solve(p.interior_block, rhs)
+            assert np.linalg.norm(p.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 class TestSolveDirichlet:
     def test_zero_data_zero_solution(self, problem):
         u = solve_dirichlet(problem, np.zeros(problem.w_idx.size))
@@ -222,8 +250,45 @@ class TestPoissonSVD:
         g2 = Grid(4.0, 1024)
         p2 = build(0.6, 0.0, OMEGA, W, g2)
         s2 = poisson_svd(p2)
-        rank = lambda s: int(np.sum(s.sigma >= 1e-13 * s.sigma[0]))
+        rank = lambda s: int(np.sum(s.sigma >= runge._SIGMA_FLOOR * s.sigma[0]))
         assert rank(s2) > rank(svd)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_truncated_svd_matches_dense_reference(self, n):
+        g = Grid(4.0, n)
+        p = build(0.6, 0.0, OMEGA, W, g)
+        _assert_matches_reference(p, poisson_svd(p), _poisson_svd_reference(p))
+
+    @pytest.mark.parametrize("width", [8, 1024], ids=["doubling", "full_svd"])
+    def test_sketch_width_paths_match_dense_reference(self, problem, monkeypatch,
+                                                      width):
+        # width 8 is below the rank, so the certificate fails until the width
+        # has doubled past it; width 1024 exceeds min(|Omega|, |W|) and takes
+        # the full SVD at once
+        monkeypatch.setattr(runge, "_SKETCH_WIDTH", width)
+        got = poisson_svd(problem)
+        assert got.sigma.size > 8
+        _assert_matches_reference(problem, got, _poisson_svd_reference(problem))
+
+    def test_sketch_leaves_global_rng_alone(self, problem):
+        before = np.random.get_state()
+        poisson_svd(problem)
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+
+
+def _assert_matches_reference(p, got, ref):
+    """sigma_1..sigma_10 within 1e-10 relative of the dense SVD's, the same
+    numerical rank, and the same k and floor at every eps of the sweep."""
+    assert np.all(np.abs(got.sigma[:10] - ref.sigma[:10]) <= 1e-10 * ref.sigma[:10])
+    assert got.sigma.size == int(np.sum(ref.sigma >= runge._SIGMA_FLOOR * ref.sigma[0]))
+    v = make_bump(Interval(-0.9, 0.9), 0.0, 0.5, p.grid).values[p.omega_idx]
+    v = v / (math.sqrt(p.grid.dx) * np.linalg.norm(v))
+    rows, _ = epsilon_sweep(p, v, svd=got)
+    ref_rows, _ = epsilon_sweep(p, v, svd=ref)
+    assert [(r["k"], r["floor"]) for r in rows] == \
+        [(r["k"], r["floor"]) for r in ref_rows]
 
 
 class TestRungeApproximate:
