@@ -82,7 +82,8 @@ def _ratio(vals: np.ndarray, grid: Grid, J: Interval, den: float) -> float:
 
 def defects(pair: ComparisonPair, J1: Interval, J2: Interval) -> dict:
     """Support and imaginary-part defects of both branches, from one dealiased
-    application each of P^1, P^2 and |D|^{2s}.
+    application each of |D|^{2s} and its odd companion SignPow, which give
+    P^j = a_j |D|^{2s} + b_j SignPow (`multiplier.branch_split`).
 
     support_defect_bj = |P_s^j(D) g|_{L2(J)} / |g|_{L2} and imag_defect_bj =
     |Im h_j|_{L2(J)} / |h_j|_{L2}, both zero in theory and a discretization
@@ -92,12 +93,13 @@ def defects(pair: ComparisonPair, J1: Interval, J2: Interval) -> dict:
     dealiased operator so the grid's wrap-around tail does not dominate.
     """
     g, s = pair.g, pair.s
-    full = multiplier.apply_dealiased(multiplier.symbol("AbsPow", two_s=2.0 * s), g).values
+    full, odd = (multiplier.apply_dealiased(multiplier.symbol(kind, two_s=2.0 * s), g).values
+                 for kind in ("AbsPow", "SignPow"))
     out = {}
     for j, J, h in ((1, J2, pair.h1), (2, J1, pair.h2)):
         _check_side(g, j, J)
-        Pg = multiplier.apply_dealiased(
-            multiplier.symbol("BranchCut", two_s=2.0 * s, branch=j), g).values
+        a, b = multiplier.branch_split(multiplier.symbol("BranchCut", two_s=2.0 * s, branch=j))
+        Pg = a * full + b * odd
         out[f"support_defect_b{j}"] = _ratio(Pg, g.grid, J, norm(g, "L2"))
         out[f"imag_defect_b{j}"] = _ratio(np.imag(full - Pg), g.grid, J, norm(h, "L2"))
     return out

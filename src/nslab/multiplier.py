@@ -19,10 +19,16 @@ Two evaluation routes are provided for every operator:
   both parts are one Toeplitz matrix t[i - j]: the padded multiplier is
   circulant on the 32n-point domain, and the correction is a polynomial of
   degree 44 in x - y whose weights do not depend on x.
-  :func:`dealiased_rows` builds t at the offsets k = -(n-1)..n-1 from one
-  32n-point inverse FFT of the symbol plus that polynomial, and applies it to
-  a stack of r rows as one 2n-point FFT convolution per row: one 32n-point
-  inverse FFT per call plus O(r*n log n).
+  Every symbol applied has a real kernel (m(-xi) = conj m(xi)), so t is real:
+  :func:`dealiased_rows` builds it at the offsets k = -(n-1)..n-1 from one
+  32n-point `irfft` of the symbol at the `rfftfreq` points plus the real part
+  of that polynomial, and convolves the real and imaginary parts of r rows
+  with it by 2n-point `rfft`: one 32n-point `irfft` per call plus
+  O(r*n log n).  BranchCut is a sum of two such symbols (:func:`branch_split`).
+  Nyquist convention: `irfft` gives the xi = +-pi/dx bin the mean of
+  m(+-pi/dx), 0 for an odd imaginary symbol; m(-pi/dx) there would add
+  (m(-pi/dx) - mean) (-1)^i/(32n) sum_j (-1)^j f_j to output i (1e-10 relative
+  for a bump at n = 1024, 1e-6 for the derivative of |D|^{1.5}).
 
 Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 """
@@ -45,6 +51,7 @@ KINDS = (
     "RieszInverse",
     "FourierLaplace",
     "BranchCut",
+    "SignPow",
 )
 
 
@@ -61,9 +68,9 @@ class SymbolSpec:
         k = self.kind
         if k not in KINDS:
             raise ValueError(f"unknown symbol kind {k!r}")
-        if k == "AbsPow":
+        if k in ("AbsPow", "SignPow"):
             if self.two_s is None:
-                raise ValueError("AbsPow requires the exponent 2s")
+                raise ValueError(f"{k} requires the exponent 2s")
         elif k == "ModifiedCoth":
             if self.delta is None or self.delta <= 0:
                 raise ValueError("ModifiedCoth requires delta > 0")
@@ -120,6 +127,8 @@ def evaluate(spec: SymbolSpec, xi) -> np.ndarray:
         nz = xi != 0
         out[nz] = -np.abs(xi[nz]) ** (-2.0 * spec.alpha)
         return out
+    if k == "SignPow":
+        return 1j * np.sign(xi) * np.abs(xi) ** spec.two_s
     if k == "BranchCut":
         mag = np.abs(xi) ** spec.two_s
         phase = cmath.exp(-1j * spec.two_s * math.pi)  # e^{-2 s pi i} with two_s = 2s
@@ -145,11 +154,8 @@ def _hom_terms(spec: SymbolSpec) -> list[tuple[float, complex, complex]]:
         return [(-1.0, -2j * spec.delta, 2j * spec.delta)]
     if k == "RieszInverse":
         return [(-2.0 * spec.alpha, -1.0 + 0j, -1.0 + 0j)]
-    if k == "BranchCut":
-        phase = cmath.exp(-1j * spec.two_s * math.pi)  # e^{-2 s pi i} with two_s = 2s
-        if spec.branch == 1:
-            return [(spec.two_s, phase, 1.0 + 0j)]
-        return [(spec.two_s, 1.0 + 0j, phase)]
+    if k == "SignPow":
+        return [(spec.two_s, 1j, -1j)]
     raise ValueError(f"no multiplier model for {k!r}")
 
 
@@ -289,11 +295,22 @@ def _correction_kernel(spec: SymbolSpec, grid: Grid, derivative: int) -> np.ndar
     return corr * (grid.dx / (2.0 * np.pi))
 
 
+def branch_split(spec: SymbolSpec) -> tuple[complex, complex]:
+    """(a, b) with P^j = a |D|^{2s} + b SignPow for the BranchCut spec P^j:
+    a = (1+phi)/2 and b = -/+ i (phi-1)/2 for j = 1/2, phi = e^{-2 pi i s}."""
+    phi = cmath.exp(-1j * spec.two_s * math.pi)  # e^{-2 s pi i} with two_s = 2s
+    return (1.0 + phi) / 2.0, (-1j if spec.branch == 1 else 1j) * (phi - 1.0) / 2.0
+
+
 def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int = 0) -> np.ndarray:
     """`apply_dealiased` on every row of F (rows x n, each compactly supported):
     the complex rows x n result, each row bit for bit its single-row result.
-    Every live row is one 2n-point FFT convolution with the Toeplitz kernel
-    t[k], k = -(n-1)..n-1, described in the module docstring."""
+    The real parts of the live rows and their nonzero imaginary parts are 2n-point
+    `rfft` convolutions with the real Toeplitz kernel t of the module docstring."""
+    if spec.kind == "BranchCut":
+        a, b = branch_split(spec)
+        return (a * dealiased_rows(symbol("AbsPow", two_s=spec.two_s), grid, F, derivative)
+                + b * dealiased_rows(symbol("SignPow", two_s=spec.two_s), grid, F, derivative))
     supp = _check_support(grid, F)
     out = np.zeros(F.shape, dtype=complex)
     live = np.flatnonzero(supp.any(axis=1))   # zero rows stay zero
@@ -301,15 +318,18 @@ def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int 
         return out
     n = grid.n
     # circulant column of the multiplier on the _PAD-times-larger periodic domain
-    xib = 2.0 * np.pi * np.fft.fftfreq(n * _PAD, d=grid.dx)
+    xib = 2.0 * np.pi * np.fft.rfftfreq(n * _PAD, d=grid.dx)
     m = evaluate(spec, xib)
     if derivative:
         m = m * (1j * xib) ** derivative
-    t = np.fft.ifft(m)[np.arange(-(n - 1), n)]    # a negative k wraps to k mod 32n
-    t += _correction_kernel(spec, grid, derivative)
-    circ = np.zeros(2 * n, dtype=complex)   # linear convolution as a 2n-point circulant
+    t = np.fft.irfft(m, n * _PAD)[np.arange(-(n - 1), n)]    # a negative k wraps to k mod 32n
+    t += _correction_kernel(spec, grid, derivative).real
+    circ = np.zeros(2 * n)   # linear convolution as a 2n-point circulant
     circ[:n], circ[n + 1:] = t[n - 1:], t[:n - 1]
-    out[live] = np.fft.ifft(np.fft.fft(F[live], 2 * n, axis=-1) * np.fft.fft(circ), axis=-1)[:, :n]
+    cx = live[F[live].imag.any(axis=1)]   # an all-zero imaginary part is not transformed
+    X = np.concatenate([F[live].real, F[cx].imag])
+    Y = np.fft.irfft(np.fft.rfft(X, 2 * n, axis=-1) * np.fft.rfft(circ), 2 * n, axis=-1)[:, :n]
+    out.real[live], out.imag[cx] = Y[:live.size], Y[live.size:]
     return out
 
 

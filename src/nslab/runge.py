@@ -115,30 +115,6 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
     return prob
 
 
-def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
-    """Solve the exterior-value problem: u = f on W, u = 0 on the rest of the
-    exterior, and (T + q) u = F on Omega (F = 0 for the homogeneous problem)."""
-    fv = np.broadcast_to(np.asarray(f, dtype=float), p.w_idx.shape)
-    u = np.zeros(p.grid.n)
-    u[p.w_idx] = fv
-    rhs = -p.block(p.omega_idx, p.w_idx) @ fv
-    if F_interior is not None:
-        rhs = rhs + np.broadcast_to(np.asarray(F_interior, dtype=float),
-                                    p.omega_idx.shape)
-    u[p.omega_idx] = p.solve(rhs)
-    supp = np.flatnonzero(u)
-    full = p.block(np.arange(p.grid.n), supp) @ u[supp]   # T u
-    res = full[p.omega_idx] + p.q * u[p.omega_idx]
-    if F_interior is not None:
-        res = res - F_interior
-    scale = np.linalg.norm(full) + np.linalg.norm(u)
-    if scale > 0 and np.linalg.norm(res) > 1e-10 * scale:
-        raise np.linalg.LinAlgError(
-            f"interior residual {np.linalg.norm(res):.2e} too large "
-            f"(condition number {p.condition_number:.2e})")
-    return SampledFunction(p.grid, u)
-
-
 def _hs_gram(p: RungeProblem) -> np.ndarray:
     """Gram matrix of the H^s(W) inner product on zero-extended W-values: the
     W x W block of the circulant of the weight's inverse FFT."""

@@ -189,6 +189,17 @@ class TestSymbolValues:
         rhs = (1 - cmath.exp(-1j * two_s * math.pi)) * ap
         assert np.max(np.abs(lhs - rhs)) <= 1e-14 * np.max(np.abs(rhs))
 
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_branchcut_split_pointwise(self, branch):
+        # P^j = a |xi|^{2s} + b i sgn(xi) |xi|^{2s}, the split the dealiased route applies
+        two_s = 1.5
+        xi = np.linspace(-5, 5, 81)
+        spec = symbol("BranchCut", two_s=two_s, branch=branch)
+        a, b = multiplier.branch_split(spec)
+        got = (a * evaluate(symbol("AbsPow", two_s=two_s), xi)
+               + b * evaluate(symbol("SignPow", two_s=two_s), xi))
+        assert np.max(np.abs(got - evaluate(spec, xi))) <= 1e-14 * 5.0 ** two_s
+
     def test_branchcut_integer_order_rejected(self):
         with pytest.raises(ValueError):
             symbol("BranchCut", two_s=2.0, branch=1)
@@ -379,7 +390,7 @@ class TestDealiasedCorrection:
     CASES = [(symbol("HilbertSign"), 0),
              (symbol("ModifiedCoth", delta=0.1), 0),
              (symbol("RieszInverse", alpha=0.75), 0),
-             (symbol("BranchCut", two_s=1.5, branch=2), 0),
+             (symbol("SignPow", two_s=1.5), 0),
              (symbol("AbsPow", two_s=1.5), 2)]
 
     @staticmethod
@@ -405,19 +416,44 @@ class TestDealiasedCorrection:
         assert np.max(np.abs(got - corr)) <= 1e-13 * np.max(np.abs(corr))
 
 
+def _weights(spec, derivative, g, R, pad=32, xi0=0.45, degree=44):
+    """`_correction_weights`.  BranchCut has no Taylor model of its own: it is
+    c+ |xi|^{2s} on xi > 0 and c- |xi|^{2s} on xi < 0, and the weights are
+    linear in the symbol, so its weights are (c+ + c-)/2 times AbsPow's plus
+    (c+ - c-)/2i times SignPow's."""
+    if spec.kind != "BranchCut":
+        return multiplier._correction_weights(spec, derivative, (g.L, g.n), pad, xi0, degree, R)
+    phi = cmath.exp(-1j * math.pi * spec.two_s)
+    cp, cm = (phi, 1.0) if spec.branch == 1 else (1.0, phi)
+    return sum(c * multiplier._correction_weights(symbol(kind, two_s=spec.two_s), derivative,
+                                                  (g.L, g.n), pad, xi0, degree, R)
+               for c, kind in (((cp + cm) / 2, "AbsPow"), ((cp - cm) / 2j, "SignPow")))
+
+
+def _padded_symbol(spec, g, derivative, nbig):
+    """The symbol times (i xi)^derivative at the `fftfreq(nbig, dx)` points."""
+    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
+    return evaluate(spec, xib) * (1j * xib) ** derivative
+
+
+def _nyquist_values(spec, g, derivative):
+    """The symbol times (i xi)^derivative at xi = -pi/dx and +pi/dx."""
+    nyq = np.array([-1.0, 1.0]) * np.pi / g.dx
+    return evaluate(spec, nyq) * (1j * nyq) ** derivative
+
+
 def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
     """The one-row route the Toeplitz kernel replaced: ifft(m * fft) on the
     padded grid plus the Taylor correction summed by one matrix-vector product
-    per power at the Chebyshev points and interpolated."""
+    per power at the Chebyshev points and interpolated.  The Nyquist bin takes
+    the mean of m(+-pi/dx), the convention of the real-kernel route."""
     g = f.grid
     nbig = g.n * pad
     off = (nbig - g.n) // 2
     big = np.zeros(nbig, dtype=complex)
     big[off:off + g.n] = f.values
-    xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
-    m = evaluate(spec, xib)
-    if derivative:
-        m = m * (1j * xib) ** derivative
+    m = _padded_symbol(spec, g, derivative, nbig)
+    m[nbig // 2] = _nyquist_values(spec, g, derivative).mean()
     out = np.fft.ifft(m * np.fft.fft(big))[off:off + g.n].copy()
 
     x = g.x
@@ -426,7 +462,7 @@ def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
     ys = x[supp]
     fy = f.values[supp] * g.dx
     R = max(abs(x[0] - ys[-1]), abs(x[-1] + g.dx - ys[0]), 1e-9)
-    W = multiplier._correction_weights(spec, derivative, (g.L, g.n), pad, xi0, degree, R)
+    W = _weights(spec, derivative, g, R, pad, xi0, degree)
     K = degree + 1
     theta = (2 * np.arange(K) + 1) * np.pi / (2 * K)
     xc = 0.5 * (x[-1] + x[0]) + 0.5 * (x[-1] - x[0]) * np.cos(theta)
@@ -449,18 +485,47 @@ def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
     return out
 
 
+def _real_kernel(spec, g, derivative):
+    """(t, correction): the real Toeplitz kernel at the offsets -(n-1)..n-1,
+    a 32n-point `irfft` plus the real part of the complex correction."""
+    n = g.n
+    xib = 2.0 * np.pi * np.fft.rfftfreq(32 * n, d=g.dx)
+    m = evaluate(spec, xib) * (1j * xib) ** derivative
+    corr = multiplier._correction_kernel(spec, g, derivative)
+    return np.fft.irfft(m, 32 * n)[np.arange(-(n - 1), n)] + corr.real, corr
+
+
+def _complex_route(spec, g, F, derivative=0):
+    """The route the real-kernel one replaced: t from a 32n-point complex `ifft`
+    of the symbol at the `fftfreq` points, whose Nyquist bin holds
+    m(-pi/dx), plus the complex correction polynomial, applied by complex
+    2n-point FFT convolution."""
+    n = g.n
+    t = np.fft.ifft(_padded_symbol(spec, g, derivative, 32 * n))[np.arange(-(n - 1), n)]
+    W = _weights(spec, derivative, g, (n - 1) * g.dx)
+    t += np.polyval(W[::-1], 1j * np.arange(-(n - 1), n) / (n - 1)) * (g.dx / (2.0 * np.pi))
+    circ = np.zeros(2 * n, dtype=complex)
+    circ[:n], circ[n + 1:] = t[n - 1:], t[:n - 1]
+    return np.fft.ifft(np.fft.fft(F, 2 * n, axis=-1) * np.fft.fft(circ), axis=-1)[..., :n]
+
+
 class TestDealiasedRows:
     KERNELS = [symbol("HilbertSign"), symbol("ModifiedCoth", delta=0.1),
                symbol("RieszInverse", alpha=0.75), symbol("BranchCut", two_s=1.2, branch=1),
-               symbol("AbsPow", two_s=1.5)]
+               symbol("AbsPow", two_s=1.5), symbol("SignPow", two_s=1.2)]
+    REAL = [k for k in KERNELS if k.kind != "BranchCut"]
+
+    @staticmethod
+    def _source(n):
+        g = Grid(8.0, n)
+        f = make_bump(Interval(-0.7, 1.3), 0.0, 1.0, g)
+        return SampledFunction(g, f.values * np.cos(3.0 * g.x))
 
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("derivative", [0, 1])
     @pytest.mark.parametrize("spec", KERNELS, ids=[k.kind for k in KERNELS])
     def test_single_row_matches_padded_route(self, spec, derivative, n):
-        g = Grid(8.0, n)
-        f = make_bump(Interval(-0.7, 1.3), 0.0, 1.0, g)
-        f = SampledFunction(g, f.values * np.cos(3.0 * g.x))
+        f = self._source(n)
         got = apply_dealiased(spec, f, derivative=derivative).values
         ref = _parent_padded_route(spec, f, derivative)
         # the two routes round differently; the parent's own error against a
@@ -484,6 +549,57 @@ class TestDealiasedRows:
             assert np.array_equal(row, apply_dealiased(spec, SampledFunction(g, f),
                                                        derivative=derivative).values)
         assert not rows[2].any()
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("derivative", [0, 1])
+    @pytest.mark.parametrize("spec", REAL, ids=[k.kind for k in REAL])
+    def test_complex_route_less_its_nyquist_term(self, spec, derivative, n):
+        # the complex route gives the Nyquist bin m(-pi/dx) where irfft gives
+        # the mean of m(+-pi/dx); that adds (m(-pi/dx) - mean) (-1)^i/(32n)
+        # * sum_j (-1)^j f_j to output i (up to 1.1e-6 max|out|), and nothing
+        # else differs beyond the roundoff of summing t[i-j] f_j, whose terms
+        # reach max|t| sum|f| (up to 7e6 max|out| for the steep kernels)
+        f = self._source(n)
+        got = apply_dealiased(spec, f, derivative=derivative).values
+        mn = _nyquist_values(spec, f.grid, derivative)
+        alt = (-1.0) ** np.arange(n)
+        term = (mn[0] - mn.mean()) * alt / (32 * n) * np.sum(alt * f.values)
+        ref = _complex_route(spec, f.grid, f.values, derivative) - term
+        t, _ = _real_kernel(spec, f.grid, derivative)
+        scale = np.max(np.abs(t)) * np.sum(np.abs(f.values))
+        assert np.max(np.abs(got - ref)) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("derivative", [0, 1])
+    @pytest.mark.parametrize("spec", REAL, ids=[k.kind for k in REAL])
+    def test_correction_kernel_is_real(self, spec, derivative, n):
+        # m(-xi) = conj m(xi) makes i^q W_q real; `dealiased_rows` drops the
+        # roundoff left in the imaginary part
+        t, corr = _real_kernel(spec, Grid(8.0, n), derivative)
+        assert np.max(np.abs(corr.imag)) <= 1e-15 * np.max(np.abs(t))
+
+    @pytest.mark.parametrize("derivative", [0, 1])
+    @pytest.mark.parametrize("spec", REAL, ids=[k.kind for k in REAL])
+    def test_real_rows_give_real_output(self, spec, derivative):
+        g = Grid(8.0, 1024)
+        F = np.array([make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values,
+                      self._source(1024).values, np.zeros(g.n)])
+        rows = multiplier.dealiased_rows(spec, g, F, derivative=derivative)
+        assert rows.dtype == complex and not rows.imag.any()
+        assert rows[:2].real.any()
+
+    @pytest.mark.parametrize("s", [0.6, 0.75])
+    @pytest.mark.parametrize("n", [4096, 8192])
+    @pytest.mark.parametrize("branch", [1, 2])
+    def test_branch_cut_split_matches_complex_route(self, branch, n, s):
+        # P^j = a |D|^{2s} + b SignPow against P^j's own complex route, on the
+        # source of `nsl branchcut defects`
+        g = Grid(8.0, n)
+        f = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g)
+        spec = symbol("BranchCut", two_s=2.0 * s, branch=branch)
+        got = apply_dealiased(spec, f).values
+        ref = _complex_route(spec, g, f.values)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(got))
 
     def test_rejects_row_reaching_past_half_width(self):
         g = Grid(8.0, 1024)

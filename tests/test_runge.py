@@ -6,14 +6,38 @@ import numpy as np
 import pytest
 
 from nslab import multiplier, polyx, runge
-from nslab.gridfn import Grid, Interval, make_bump, norm
-from nslab.runge import (DirichletEigenvalueError, build, dual_ucp_experiment,
-                         epsilon_sweep, poisson_svd, reciprocity_defect,
-                         runge_approximate, sigma_decay_fit, solve_dirichlet)
+from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
+from nslab.runge import (DirichletEigenvalueError, RungeProblem, build,
+                         dual_ucp_experiment, epsilon_sweep, poisson_svd,
+                         reciprocity_defect, runge_approximate, sigma_decay_fit)
 
 GRID = Grid(4.0, 512)
 OMEGA = Interval(-1.0, 1.0)
 W = Interval(1.02, 3.8)
+
+
+def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
+    """Solve the exterior-value problem: u = f on W, u = 0 on the rest of the
+    exterior, and (T + q) u = F on Omega (F = 0 for the homogeneous problem)."""
+    fv = np.broadcast_to(np.asarray(f, dtype=float), p.w_idx.shape)
+    u = np.zeros(p.grid.n)
+    u[p.w_idx] = fv
+    rhs = -p.block(p.omega_idx, p.w_idx) @ fv
+    if F_interior is not None:
+        rhs = rhs + np.broadcast_to(np.asarray(F_interior, dtype=float),
+                                    p.omega_idx.shape)
+    u[p.omega_idx] = p.solve(rhs)
+    supp = np.flatnonzero(u)
+    full = p.block(np.arange(p.grid.n), supp) @ u[supp]   # T u
+    res = full[p.omega_idx] + p.q * u[p.omega_idx]
+    if F_interior is not None:
+        res = res - F_interior
+    scale = np.linalg.norm(full) + np.linalg.norm(u)
+    if scale > 0 and np.linalg.norm(res) > 1e-10 * scale:
+        raise np.linalg.LinAlgError(
+            f"interior residual {np.linalg.norm(res):.2e} too large "
+            f"(condition number {p.condition_number:.2e})")
+    return SampledFunction(p.grid, u)
 
 
 def _poisson_svd_reference(p):
