@@ -1,16 +1,14 @@
 """Extended-precision Hausdorff-moment machinery.
 
-Moment computation, shifted-Legendre algebra on [0,1], Hilbert-matrix
-conditioning, the quantitative moment stability bounds, and reconstruction of
-a function from finitely many moments.  The problem is severely ill-posed
+Shifted-Legendre algebra on [0,1], Hilbert-matrix conditioning and the
+quantitative moment stability bounds.  The problem is severely ill-posed
 (sigma_max(H_N^{-1}) grows like e^{3.5(N+1)}), so nothing here inverts H_N in
 floating point.  The identities are exact: H_N^{-1} has a closed binomial
 formula in integers, and the stability bound is a set of Hilbert sums
 sum_k p_k / (j + k + 1) over integer numerators.  sigma_max(H_N^{-1}) is the
 top eigenvalue of that integer matrix, a perfectly conditioned problem, found
-by certified power iteration on the integers.  The remaining mpmath routes
-(sampled and float moments, reconstruction) carry `PrecisionConfig.bits`,
-checked against `required_bits`.
+by certified power iteration on the integers.  `reconstruct.invert` does
+the reconstruction, in the Legendre basis of its fit, with no moments.
 """
 
 from __future__ import annotations
@@ -24,22 +22,19 @@ import mpmath as mp
 import numpy as np
 
 from . import polyx
-from .gridfn import Box, Interval, SampledFunction
-from .multiplier import adaptive_gauss, trig_interp
+from .gridfn import Box, Interval
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
+    """Mantissa bits of the sigma_max certificate and of the inversion fit,
+    which gates its own precision (design column check, MGS rank gate)."""
+
     bits: int = 256
 
     def __post_init__(self):
         if self.bits < 64:
             raise ValueError("precision requires at least 64 mantissa bits")
-
-
-def required_bits(N: int, n_dim: int = 1) -> int:
-    """Mantissa bits needed to survive the e^{3.5 n (N+1)} conditioning."""
-    return math.ceil(3.5 * n_dim * (N + 1) / math.log(2.0)) + 64
 
 
 @dataclass
@@ -164,115 +159,6 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
         raise ArithmeticError(
             f"sigma_max(H_{N}^-1): {mp.nstr(lam, 17)} and float64 {check!r} disagree")
     return lam
-
-
-# ---------------------------------------------------------------------------
-# Moment computation
-# ---------------------------------------------------------------------------
-
-def compute_moments(f, I: Interval, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
-    """Plain moments f_j = int_I x^j f(x) dx, j = 0..N.
-
-    f may be a polynomial (list of coefficients, exact if Fractions) or a
-    SampledFunction (high-order quadrature with an error estimate attached).
-    """
-    if N < 0:
-        raise ValueError("moment order must be nonnegative")
-    if isinstance(f, SampledFunction):
-        vals, err = _sampled_moments(f, I, N)
-        return MomentSequence(I, N, vals, precision_bits=prec.bits, quad_error=err)
-    coeffs = list(f)
-    # f_j = sum_i c_i h_{i+j} with h_k = int_I x^k dx, on Fractions or on mpf
-    with mp.workprec(prec.bits):
-        if all(isinstance(c, (Fraction, int)) for c in coeffs):
-            a, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
-            c = polyx.as_exact(coeffs)
-        else:
-            a, b, c = mp.mpf(I.a), mp.mpf(I.b), [mp.mpf(v) for v in coeffs]
-        h = [(b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(len(c) + N)]
-        vals = [sum(ci * h[i + j] for i, ci in enumerate(c)) for j in range(N + 1)]
-    return MomentSequence(I, N, vals, precision_bits=prec.bits)
-
-
-def _sampled_moments(f: SampledFunction, I: Interval, N: int):
-    def integrand(y):
-        # y**j with a Python int keeps numpy's scalar-exponent paths, so each
-        # row equals the single-moment integrand bit for bit
-        return trig_interp(f, y) * np.array([y**j for j in range(N + 1)])
-
-    vals = adaptive_gauss(integrand, I.a, I.b)
-    coarse = adaptive_gauss(integrand, I.a, I.b, order=32, max_depth=6)
-    err = float(np.max(np.abs(vals - coarse)))
-    vals = [v.real if abs(v.imag) < 1e-13 * (abs(v) + 1e-300) else v for v in map(complex, vals)]
-    return vals, err
-
-
-def unit_interval_moments(m: MomentSequence):
-    """Moments of the affine pullback F(t) = f(x0 + lam t) onto (0,1).
-
-    F_j = lam^{-j-1} sum_k binom(j,k) (-x0)^{j-k} f_k, exact when possible.
-    """
-    I = m.interval
-    exact = all(isinstance(v, (Fraction, int)) for v in m.values)
-    with mp.workprec(m.precision_bits):
-        if exact:
-            x0, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
-            vals = m.values
-        else:
-            x0, b, vals = mp.mpf(I.a), mp.mpf(I.b), [_to_mp(v) for v in m.values]
-        lam = b - x0
-        out = [sum(math.comb(j, k) * (-x0) ** (j - k) * vals[k] for k in range(j + 1))
-               / lam ** (j + 1) for j in range(m.N + 1)]
-    return out, exact
-
-
-def reconstruct_from_moments(m: MomentSequence, N: int):
-    """Orthogonal projection onto span{L-hat_0..N} on I from the moments.
-
-    Returns monomial coefficients (in the unit-interval variable t, together
-    with the affine map) of sum_k lambda_k L-hat_k where lambda_k are the
-    Legendre coefficients assembled from the moments.  Exact rational when the
-    moments are rational: the reconstruction equals
-    sum_k (C F)_k L_k / (2k+1), which removes all square roots.
-    """
-    if m.N < N:
-        raise ValueError("moment sequence shorter than requested order")
-    bits_needed = required_bits(N)
-    if not all(isinstance(v, (Fraction, int)) for v in m.values) and m.precision_bits < bits_needed:
-        raise ArithmeticError(
-            f"insufficient precision: need at least {bits_needed} bits for N={N}")
-    F, exact = unit_interval_moments(m)
-    C = legendre_coeff_matrix(N)
-    with mp.workprec(m.precision_bits):
-        if not exact:
-            C = [[_to_mp(c) for c in row] for row in C]
-        coeffs = [0] * (N + 1)
-        for k in range(N + 1):
-            lam_k = sum(C[k][l] * F[l] for l in range(k + 1))
-            scale = lam_k / (2 * k + 1)
-            for l in range(k + 1):
-                coeffs[l] += scale * C[k][l]
-    return coeffs, m.interval
-
-
-def _to_mp(v):
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / mp.mpf(v.denominator)
-    if isinstance(v, complex):
-        return mp.mpc(v)
-    if isinstance(v, (mp.mpf, mp.mpc)):
-        return v
-    return mp.mpf(v)
-
-
-def eval_reconstruction(coeffs, interval: Interval, x):
-    """Evaluate a unit-interval reconstruction at physical points x."""
-    t = (np.asarray(x, dtype=float) - interval.a) / interval.length
-    if any(isinstance(c, (complex, mp.mpc)) for c in coeffs):
-        cf = [complex(c) for c in coeffs]
-    else:
-        cf = [float(c) for c in coeffs]
-    return polyx.p_eval(cf, t)
 
 
 # ---------------------------------------------------------------------------

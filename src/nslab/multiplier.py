@@ -28,7 +28,11 @@ Two evaluation routes are provided for every operator:
   Nyquist convention: `irfft` gives the xi = +-pi/dx bin the mean of
   m(+-pi/dx), 0 for an odd imaginary symbol; m(-pi/dx) there would add
   (m(-pi/dx) - mean) (-1)^i/(32n) sum_j (-1)^j f_j to output i (1e-10 relative
-  for a bump at n = 1024, 1e-6 for the derivative of |D|^{1.5}).
+  for a bump at n = 1024, 1e-6 for the derivative of |D|^{1.5}).  The raw
+  route :func:`apply` keeps m(-pi/dx) at that bin (`Grid.xi` is `fftfreq`),
+  so symbol algebra stays exact at every bin (H o H = -I); a symbol that is
+  imaginary there, such as an odd one, adds m(-pi/dx) (-1)^i/n
+  sum_j (-1)^j f_j to output i, an imaginary part on real data.
 
 Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 """
@@ -190,7 +194,9 @@ def _check_support(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def apply(spec: SymbolSpec, f: SampledFunction, derivative: int = 0) -> SampledFunction:
-    """Raw route: FFT, multiply by evaluate(spec, xi_k) (and (i xi)^k), inverse FFT."""
+    """Raw route: FFT, multiply by evaluate(spec, xi_k) (and (i xi)^k), inverse FFT.
+    xi_k is `Grid.xi`, so the Nyquist bin keeps m(-pi/dx): H o H = -I at every
+    bin, and a symbol imaginary there gives real data an imaginary part."""
     g = f.grid
     _check_support(g, f.values)
     m = evaluate(spec, g.xi)
@@ -350,7 +356,8 @@ def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64
     ``(...)``.  All components share one panel tree but each has its own
     tolerance, and only the components that have not converged recurse into a
     sub-panel, so every component gets exactly the sum that integrating it on
-    its own would give.  A non-finite panel sum raises ArithmeticError.
+    its own would give.  A non-finite panel sum raises ArithmeticError, and
+    so does a component still unconverged on a panel at `max_depth`.
     """
     t, w = _gauss_rule(order)
 
@@ -368,11 +375,13 @@ def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64
         left = panel(lo, mid, values(lo, mid).reshape(-1, order)[rows])
         right = panel(mid, hi, values(mid, hi).reshape(-1, order)[rows])
         total = left + right
-        if depth < max_depth:
-            todo = np.flatnonzero(np.abs(total - whole) > tol)
-            if todo.size:
-                total[todo] = (recurse(lo, mid, left[todo], tol[todo], rows[todo], depth + 1)
-                               + recurse(mid, hi, right[todo], tol[todo], rows[todo], depth + 1))
+        todo = np.flatnonzero(np.abs(total - whole) > tol)
+        if todo.size:
+            if depth == max_depth:
+                raise ArithmeticError(f"{todo.size} quadrature component(s) unconverged "
+                                      f"on [{lo!r}, {hi!r}] at depth {max_depth}")
+            total[todo] = (recurse(lo, mid, left[todo], tol[todo], rows[todo], depth + 1)
+                           + recurse(mid, hi, right[todo], tol[todo], rows[todo], depth + 1))
         return total
 
     first = values(a, b)

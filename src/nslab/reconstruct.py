@@ -2,8 +2,9 @@
 
 Away from the source interval the four nonlocal operators treated here admit
 convergent expansions whose coefficients are the monomial moments of the
-source.  Fitting those expansions to samples taken on a far region J recovers
-the moments; projecting onto a Legendre basis then reconstructs the source.
+source.  Fitting those expansions to samples taken on a far region J gives
+the source's coefficients in the orthonormal Legendre basis of I: `invert`
+sums them on the grid, and `recover_moments` reports the moments they carry.
 The inversion is severely ill-posed, so the least squares runs in extended
 precision and the truncation order N acts as the regularizer (chosen by the
 discrepancy principle under noise).
@@ -30,8 +31,7 @@ import numpy as np
 
 from . import multiplier, polyx
 from .gridfn import Grid, Interval, SampledFunction, norm
-from .moments import (MomentSequence, PrecisionConfig, eval_reconstruction,
-                      legendre_coeff_matrix, reconstruct_from_moments)
+from .moments import MomentSequence, PrecisionConfig, legendre_coeff_matrix
 
 OPERATOR_KINDS = ("Hilbert", "ModifiedHilbert", "RieszInverse", "FourierLaplace")
 
@@ -379,13 +379,10 @@ def _fit_values(data: RemoteData):
     return data.values, 1.0
 
 
-def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
-    """Least-squares fit of the far-field expansion: recovered moments 0..N.
-
-    For ModifiedHilbert the returned sequence holds the moments of the
-    transformed source F on the tilde image of I (the zeroth moments agree:
-    F_0 = f_0).  The fit residual is attached as `quad_error`.
-    """
+def _fit(data: RemoteData, N: int, prec: PrecisionConfig):
+    """The far-field fit at order N: its Legendre coefficients a_0..a_N (the
+    source is sum_k a_k G_k on I, in the fit variable), the moment table
+    (`_moment_table`), the fit interval and the fit residual at order N."""
     m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
@@ -408,7 +405,18 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
         if abs(rhs[k]) <= gate:
             break
         M_use = k
-    a = solve(M_use)
+    return solve(M_use)[:N + 1], mom, itv, residuals[N]
+
+
+def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
+    """Moments 0..N of the fitted source, int_I y^j sum_k a_k G_k through the
+    exact moment table, each rounded to float64 once.
+
+    For ModifiedHilbert the returned sequence holds the moments of the
+    transformed source F on the tilde image of I (the zeroth moments agree:
+    F_0 = f_0).  The fit residual is attached as `quad_error`.
+    """
+    a, mom, itv, residual = _fit(data, N, prec)
     with mp.workprec(prec.bits):
         coeffs = [mp.fsum(a[k] * mom[k][j] for k in range(N + 1)) for j in range(N + 1)]
     if data.kind != "FourierLaplace":
@@ -416,7 +424,7 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
         # up to quadrature roundoff entering through the sample values
         coeffs = [mp.re(c) for c in coeffs]
     vals = [complex(c) if mp.im(c) != 0 else float(mp.re(c)) for c in coeffs]
-    return MomentSequence(itv, N, vals, precision_bits=prec.bits, quad_error=residuals[N])
+    return MomentSequence(itv, N, vals, precision_bits=prec.bits, quad_error=residual)
 
 
 def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = PrecisionConfig(),
@@ -452,23 +460,24 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
 def invert(data: RemoteData, N: int, grid: Grid,
            prec: PrecisionConfig = PrecisionConfig(),
            truth: SampledFunction | None = None):
-    """Recover moments, project onto Legendre modes, resample onto the grid.
+    """Fit at order N and evaluate the fit on the grid points in I.
 
+    The reconstruction is sum_{k<=N} Re(a_k) G_k, G_k = sqrt((2k+1)/L)
+    P_k((2x - a - b)/L) on the fit interval (a, b) of length L, summed by
+    `legval` from the fit's own coefficients; for ModifiedHilbert it lives in
+    the tilde variable and is carried back by the factor e^{2 pi delta x}.
     Returns (reconstruction on `grid`, relative L2(I) error or None).
     """
-    ms = recover_moments(data, N, prec)
-    coeffs, itv = reconstruct_from_moments(ms, N)
+    a, _, itv, _ = _fit(data, N, prec)
     I = data.source
-    x = grid.x
-    inside = (x >= I.a) & (x <= I.b)
+    inside = I.contains(grid.x)
+    xs = grid.x[inside]
+    t = tilde_variable(xs, data.delta) if data.kind == "ModifiedHilbert" else xs
+    c = np.array([float(mp.re(v)) for v in a]) * np.sqrt((2 * np.arange(N + 1) + 1) / itv.length)
     vals = np.zeros(grid.n)
+    vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c)
     if data.kind == "ModifiedHilbert":
-        # coeffs describe F on the tilde interval; undo the change of variable
-        xt = tilde_variable(x[inside], data.delta)
-        F = eval_reconstruction(coeffs, itv, xt)
-        vals[inside] = np.exp(2.0 * np.pi * data.delta * x[inside]) * np.real(F)
-    else:
-        vals[inside] = np.real(eval_reconstruction(coeffs, itv, x[inside]))
+        vals[inside] *= np.exp(2.0 * np.pi * data.delta * xs)
     rec = SampledFunction(grid, vals)
     err = None
     if truth is not None:

@@ -190,13 +190,22 @@ class TestCriterion10PropertySuite:
         assert abs(parseval - direct) <= 1e-12 * direct
 
     def test_hilbert_involution(self, grid, unit_bump):
-        # H o H = -Id on mean-zero input
-        f = SampledFunction(grid, np.fft.ifft(
-            1j * grid.xi * np.fft.fft(unit_bump.values.astype(complex))))
+        # H o H = -Id on mean-zero input, also at the Nyquist bin: the raw
+        # route keeps m(-pi/dx) there, so on the real alternating input H
+        # returns the imaginary part m(-pi/dx) (-1)^i/n sum_j (-1)^j f_j
         spec = multiplier.symbol("HilbertSign")
-        hh = multiplier.apply(spec, multiplier.apply(spec, f))
-        assert np.max(np.abs(hh.values + f.values)) <= \
-            1e-10 * np.max(np.abs(f.values))
+        sign = (-1.0) ** np.arange(grid.n)
+        alternating = unit_bump.values * sign - np.mean(unit_bump.values * sign)
+        derivative = np.fft.ifft(1j * grid.xi * np.fft.fft(unit_bump.values.astype(complex)))
+        for values in (derivative, alternating):
+            f = SampledFunction(grid, values)
+            hh = multiplier.apply(spec, multiplier.apply(spec, f))
+            assert np.max(np.abs(hh.values + f.values)) <= \
+                1e-10 * np.max(np.abs(f.values))
+        h = multiplier.apply(spec, SampledFunction(grid, alternating)).values
+        nyquist = multiplier.evaluate(spec, -np.pi / grid.dx) * np.sum(sign * alternating) / grid.n
+        assert np.max(np.abs(h.imag - (nyquist * sign).imag)) <= 1e-12 * np.max(np.abs(h))
+        assert np.max(np.abs(h.imag)) >= 1e-3 * np.max(np.abs(h))
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 4.0])
     def test_poincare_ratio_dilation_invariance(self, lam):

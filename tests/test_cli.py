@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -276,6 +277,25 @@ class TestExperiments:
             assert filecmp.cmp(outs[0] / f"reconstruct_sweep.{ext}",
                                outs[1] / f"reconstruct_sweep.{ext}",
                                shallow=False)
+
+    def test_reconstruct_sweep_at_64_bits_matches_256(self, runner, tmp_path):
+        # the fit gates its own precision and the reconstruction converts no
+        # moments, so 64 bits run and select the same orders
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n")
+        rows = {}
+        for bits in (64, 256):
+            out = tmp_path / str(bits)
+            res = runner.invoke(main, ["--precision-bits", str(bits), "--config", str(cfg),
+                                       "--out", str(out), "reconstruct", "sweep"])
+            assert res.exit_code == 0, res.output
+            with open(out / "reconstruct_sweep.csv") as fh:
+                next(fh)  # schema / config-hash header
+                rows[bits] = list(csv.DictReader(fh))
+        assert [r["N"] for r in rows[64]] == [r["N"] for r in rows[256]]
+        for lo, hi in zip(rows[64], rows[256]):
+            assert abs(float(lo["error_L2"]) - float(hi["error_L2"])) <= \
+                1e-12 * float(hi["error_L2"])
 
     def test_reconstruct_sweep_riesz_reads_alpha(self, runner, tmp_path):
         cfg = tmp_path / "cfg.txt"

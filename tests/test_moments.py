@@ -8,16 +8,132 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nslab import moments, polyx
-from nslab.gridfn import Box, Interval, make_bump
+from nslab.gridfn import Box, Interval, SampledFunction, make_bump
 from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
-                           compute_moments, eval_reconstruction,
                            hilbert_inverse_sigma_max, legendre_ode_residual,
-                           reconstruct_from_moments, required_bits,
                            verify_festmom)
-from nslab.multiplier import adaptive_gauss
+from nslab.multiplier import adaptive_gauss, trig_interp
 from test_polyx import _p_compose_affine, _p_integral, _p_l2sq
 
 UNIT = Interval(0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Moment routes the program no longer runs, kept as references: moments of a
+# polynomial or of a sampled function, and the moment-to-Legendre
+# reconstruction with its precision guard (`required_bits`), which
+# `reconstruct.invert` no longer needs because it evaluates its fit in the
+# Legendre basis it solves in
+# ---------------------------------------------------------------------------
+
+def required_bits(N: int, n_dim: int = 1) -> int:
+    """Mantissa bits needed to survive the e^{3.5 n (N+1)} conditioning."""
+    return math.ceil(3.5 * n_dim * (N + 1) / math.log(2.0)) + 64
+
+
+def compute_moments(f, I: Interval, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
+    """Plain moments f_j = int_I x^j f(x) dx, j = 0..N.
+
+    f may be a polynomial (list of coefficients, exact if Fractions) or a
+    SampledFunction (high-order quadrature with an error estimate attached).
+    """
+    if N < 0:
+        raise ValueError("moment order must be nonnegative")
+    if isinstance(f, SampledFunction):
+        vals, err = _sampled_moments(f, I, N)
+        return MomentSequence(I, N, vals, precision_bits=prec.bits, quad_error=err)
+    coeffs = list(f)
+    # f_j = sum_i c_i h_{i+j} with h_k = int_I x^k dx, on Fractions or on mpf
+    with mpmath.workprec(prec.bits):
+        if all(isinstance(c, (Fraction, int)) for c in coeffs):
+            a, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
+            c = polyx.as_exact(coeffs)
+        else:
+            a, b, c = mpmath.mpf(I.a), mpmath.mpf(I.b), [mpmath.mpf(v) for v in coeffs]
+        h = [(b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(len(c) + N)]
+        vals = [sum(ci * h[i + j] for i, ci in enumerate(c)) for j in range(N + 1)]
+    return MomentSequence(I, N, vals, precision_bits=prec.bits)
+
+
+def _sampled_moments(f: SampledFunction, I: Interval, N: int):
+    def integrand(y):
+        # y**j with a Python int keeps numpy's scalar-exponent paths, so each
+        # row equals the single-moment integrand bit for bit
+        return trig_interp(f, y) * np.array([y**j for j in range(N + 1)])
+
+    vals = adaptive_gauss(integrand, I.a, I.b)
+    coarse = adaptive_gauss(integrand, I.a, I.b, order=32, max_depth=6)
+    err = float(np.max(np.abs(vals - coarse)))
+    vals = [v.real if abs(v.imag) < 1e-13 * (abs(v) + 1e-300) else v for v in map(complex, vals)]
+    return vals, err
+
+
+def unit_interval_moments(m: MomentSequence):
+    """Moments of the affine pullback F(t) = f(x0 + lam t) onto (0,1).
+
+    F_j = lam^{-j-1} sum_k binom(j,k) (-x0)^{j-k} f_k, exact when possible.
+    """
+    I = m.interval
+    exact = all(isinstance(v, (Fraction, int)) for v in m.values)
+    with mpmath.workprec(m.precision_bits):
+        if exact:
+            x0, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
+            vals = m.values
+        else:
+            x0, b, vals = mpmath.mpf(I.a), mpmath.mpf(I.b), [_to_mp(v) for v in m.values]
+        lam = b - x0
+        out = [sum(math.comb(j, k) * (-x0) ** (j - k) * vals[k] for k in range(j + 1))
+               / lam ** (j + 1) for j in range(m.N + 1)]
+    return out, exact
+
+
+def reconstruct_from_moments(m: MomentSequence, N: int):
+    """Orthogonal projection onto span{L-hat_0..N} on I from the moments.
+
+    Returns monomial coefficients (in the unit-interval variable t, together
+    with the affine map) of sum_k lambda_k L-hat_k where lambda_k are the
+    Legendre coefficients assembled from the moments.  Exact rational when the
+    moments are rational: the reconstruction equals
+    sum_k (C F)_k L_k / (2k+1), which removes all square roots.
+    """
+    if m.N < N:
+        raise ValueError("moment sequence shorter than requested order")
+    bits_needed = required_bits(N)
+    if not all(isinstance(v, (Fraction, int)) for v in m.values) and m.precision_bits < bits_needed:
+        raise ArithmeticError(
+            f"insufficient precision: need at least {bits_needed} bits for N={N}")
+    F, exact = unit_interval_moments(m)
+    C = moments.legendre_coeff_matrix(N)
+    with mpmath.workprec(m.precision_bits):
+        if not exact:
+            C = [[_to_mp(c) for c in row] for row in C]
+        coeffs = [0] * (N + 1)
+        for k in range(N + 1):
+            lam_k = sum(C[k][l] * F[l] for l in range(k + 1))
+            scale = lam_k / (2 * k + 1)
+            for l in range(k + 1):
+                coeffs[l] += scale * C[k][l]
+    return coeffs, m.interval
+
+
+def _to_mp(v):
+    if isinstance(v, Fraction):
+        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+    if isinstance(v, complex):
+        return mpmath.mpc(v)
+    if isinstance(v, (mpmath.mpf, mpmath.mpc)):
+        return v
+    return mpmath.mpf(v)
+
+
+def eval_reconstruction(coeffs, interval: Interval, x):
+    """Evaluate a unit-interval reconstruction at physical points x."""
+    t = (np.asarray(x, dtype=float) - interval.a) / interval.length
+    if any(isinstance(c, (complex, mpmath.mpc)) for c in coeffs):
+        cf = [complex(c) for c in coeffs]
+    else:
+        cf = [float(c) for c in coeffs]
+    return polyx.p_eval(cf, t)
 
 
 class TestComputeMoments:
@@ -428,7 +544,7 @@ def _mp_pullback_reference(m):
         for j in range(m.N + 1):
             s = mpmath.mpc(0) if any(isinstance(v, complex) for v in m.values) else mpmath.mpf(0)
             for k in range(j + 1):
-                s += mpmath.binomial(j, k) * (-x0) ** (j - k) * moments._to_mp(m.values[k])
+                s += mpmath.binomial(j, k) * (-x0) ** (j - k) * _to_mp(m.values[k])
             out.append(s / lam ** (j + 1))
         return out
 
@@ -440,10 +556,10 @@ def _mp_reconstruction_reference(m, N):
     with mpmath.workprec(m.precision_bits):
         coeffs = [mpmath.mpf(0)] * (N + 1)
         for k in range(N + 1):
-            lam_k = sum(moments._to_mp(C[k][l]) * F[l] for l in range(k + 1))
+            lam_k = sum(_to_mp(C[k][l]) * F[l] for l in range(k + 1))
             scale = lam_k / (2 * k + 1)
             for l in range(k + 1):
-                coeffs[l] = coeffs[l] + scale * moments._to_mp(C[k][l])
+                coeffs[l] = coeffs[l] + scale * _to_mp(C[k][l])
         return coeffs
 
 
@@ -460,7 +576,7 @@ class TestOneArithmeticRoute:
             vals = vals + 1j * rng.standard_normal(N + 1)
         m = MomentSequence(Interval(0.2, 0.7), N, [v.item() for v in vals],
                            precision_bits=required_bits(N))
-        F, exact = moments.unit_interval_moments(m)
+        F, exact = unit_interval_moments(m)
         assert not exact
         assert F == _mp_pullback_reference(m)
         coeffs, _ = reconstruct_from_moments(m, N)

@@ -362,6 +362,12 @@ class TestVectorQuadrature:
             multiplier.adaptive_gauss(nan_integrand, 0.0, 1.0, order=8)
         assert calls == [8]
 
+    def test_unconverged_at_max_depth_raises(self):
+        # the panel holding x = 1/3 never meets the tolerance; the partial sum
+        # it would return is 2.78766, against 2 sqrt(1/3) + 2 sqrt(2/3) = 2.78769
+        with pytest.raises(ArithmeticError, match="unconverged"):
+            multiplier.adaptive_gauss(lambda x: np.abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0)
+
 
 def _reference_dealiased(spec, f, derivative=0, pad=32, xi0=0.45, degree=44):
     """The Taylor correction summed at every grid point over the support of f,

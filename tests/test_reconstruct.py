@@ -425,3 +425,68 @@ class TestStabilitySweep:
                                 num_samples=48, N_max=6, alpha=0.25)
         assert len(curve.pairs) == 4
         assert all(e >= 0 for _, e in curve.pairs)
+
+
+def _unit_source(grid):
+    f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
+    return SampledFunction(grid, f.values / norm(f, "L2", region=I01))
+
+
+@pytest.fixture(scope="module")
+def default_geometry_data(grid):
+    """Clean samples of the unit bump at the `reconstruct sweep` defaults
+    (I = (0, 1), J = (1.05, 2.05), 64 points), one draw per operator kind."""
+    f = _unit_source(grid)
+    return {kind: sample_remote(kind, f, I01, Interval(1.05, 2.05), num=64, **params)
+            for kind, params in SYMBOL_PARAMS.items() if kind != "RieszInverse"}
+
+
+def _legendre_sum_reference(data, N, xs):
+    """sum_k Re(a_k) G_k at xs at 256 bits from the fit's own a_k, in the
+    tilde variable times e^{2 pi delta x} for ModifiedHilbert."""
+    a, _, itv, _ = reconstruct._fit(data, N, PrecisionConfig())
+    out = []
+    with mpmath.workprec(256):
+        L = mpmath.mpf(itv.b) - itv.a
+        for x in xs:
+            x, scale = mpmath.mpf(float(x)), 1
+            if data.kind == "ModifiedHilbert":
+                w = 2 * mpmath.pi * data.delta
+                x, scale = mpmath.expm1(w * x) / w, mpmath.exp(w * x)
+            t = (2 * x - itv.a - itv.b) / L
+            out.append(float(scale * mpmath.fsum(
+                mpmath.re(ak) * mpmath.sqrt((2 * k + 1) / L) * mpmath.legendre(k, t)
+                for k, ak in enumerate(a))))
+    return np.array(out)
+
+
+class TestLegendreRoute:
+    """`invert` sums the fit's Legendre coefficients by `legval`.  A route
+    through float64 moments and monomial coefficients misses the same
+    reference at the same points by 3e-13 max|ref| at N = 6, 3e-11 at
+    N = 10 and 4e-3 at N = 22."""
+
+    @pytest.mark.parametrize("kind, N", [("Hilbert", N) for N in (6, 10, 14, 18, 22)]
+                             + [(kind, N) for kind in ("ModifiedHilbert", "FourierLaplace")
+                                for N in (6, 10)])
+    def test_matches_extended_precision_legendre_sum(self, grid, default_geometry_data,
+                                                     kind, N):
+        data = default_geometry_data[kind]
+        rec, _ = invert(data, N, grid, PrecisionConfig())
+        inside = np.flatnonzero(I01.contains(grid.x))
+        idx = inside[np.linspace(0, inside.size - 1, 7).astype(int)]
+        ref = _legendre_sum_reference(data, N, grid.x[idx])
+        assert np.max(np.abs(rec.values[idx] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_recovered_moments_unchanged(self):
+        # f(x) = sqrt(x) on (0, 1) with noise 1e-10, so two buffer columns pass
+        # the gate; the moments of the fit through the exact table, bit for bit
+        clean = closed_form_hilbert_data(lambda j: 1 / (j + mpmath.mpf(3) / 2),
+                                         Interval(1.5, 2.5), num=32)
+        noise = 1e-10 * np.random.default_rng(3).standard_normal(32)
+        data = RemoteData("Hilbert", I01, clean.points, clean.values + noise,
+                          noise_level=1e-10)
+        got = recover_moments(data, 2)
+        assert got.values == [0.6666676134544282, 0.3999940035633928, 0.285725741354681]
+        assert got.quad_error == 1.1159860500550324e-06
+
