@@ -34,6 +34,8 @@ class HalfPlaneField:
             raise ValueError("y-levels must be strictly increasing")
         if self.values.shape != (self.y_levels.size, self.grid.n):
             raise ValueError("values must have shape (#levels, grid.n)")
+        # the |values|^2 and y-cell widths that ball_norm sums over
+        self.power, self.wy = np.abs(self.values) ** 2, np.gradient(self.y_levels)
 
     def rectangle_norm(self, rect: HalfPlaneRectangle) -> float:
         """L2 norm over base x [y0, y1] by trapezoid-in-y Riemann sums."""
@@ -42,26 +44,24 @@ class HalfPlaneField:
         if np.count_nonzero(sel) < 2:
             raise ValueError("rectangle spans fewer than two y-levels")
         xmask = rect.base.contains(self.grid.x)
-        rows = np.sum(np.abs(self.values[sel][:, xmask]) ** 2, axis=1) * self.grid.dx
+        rows = np.sum(self.power[sel][:, xmask], axis=1) * self.grid.dx
         return float(math.sqrt(max(np.trapezoid(rows, ys[sel]), 0.0)))
 
     def ball_norm(self, center: tuple[float, float], r: float) -> float:
         """L2 norm over the disc of radius r, by masked Riemann sums with
-        cells snapped to the sample lattice (no sub-cell antialiasing)."""
+        cells snapped to the sample lattice (no sub-cell antialiasing); each
+        level's mask is one run of the lattice, summed as a slice of power."""
         cx, cy = center
         ys = self.y_levels
-        wy = np.gradient(ys)
-        dist = np.abs(self.grid.x - cx)
-        total = 0.0
         # levels outside [cy - r, cy + r] have dy2 <= 0 and add nothing
-        for j in range(ys.searchsorted(cy - r), ys.searchsorted(cy + r, "right")):
-            dy2 = r * r - (ys[j] - cy) ** 2
-            if dy2 <= 0:
-                continue
-            xmask = dist <= math.sqrt(dy2)
-            if not np.any(xmask):
-                continue
-            total += np.sum(np.abs(self.values[j][xmask]) ** 2) * self.grid.dx * wy[j]
+        j0, j1 = ys.searchsorted(cy - r), ys.searchsorted(cy + r, "right")
+        dy2 = r * r - (ys[j0:j1] - cy) ** 2
+        half = np.where(dy2 > 0, np.sqrt(dy2.clip(0.0)), -1.0)  # -1: no node
+        mask = np.abs(self.grid.x - cx) <= half[:, None]
+        dx, total = self.grid.dx, 0.0
+        for row, lo, cnt, wy in zip(self.power[j0:j1], mask.argmax(axis=1),
+                                    mask.sum(axis=1), self.wy[j0:j1]):
+            total += row[lo:lo + cnt].sum() * dx * wy   # an empty run adds 0.0
         return float(math.sqrt(total))
 
 

@@ -9,20 +9,7 @@ every fitted exponent in the package goes through.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
-
-
-def as_exact(coeffs):
-    return [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-
-
-def p_eval(coeffs, x):
-    acc = 0 * x if isinstance(x, np.ndarray) else type(coeffs[0])(0) if coeffs else 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def p_add(p, q):

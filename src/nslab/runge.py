@@ -2,12 +2,13 @@
 operator, and the quantitative exterior-approximation experiment.
 
 The operator is a circulant column, the inverse FFT of the |xi|^{2s}
-multiplier on the grid, and each block an experiment reads is gathered from
-it; Dirichlet data live on an exterior region W disjoint from Omega, and the
-Poisson operator A maps W-values (H^s(W) inner product) to the solution
-restricted to Omega (L^2(Omega) inner product).  Its singular values decay
-exponentially, which prices exterior control of interior targets at
-exp(C eps^-mu).
+multiplier on the grid, and each block an experiment reads is a Toeplitz
+window over one diagonal run of it; Dirichlet data live on an exterior region
+W disjoint from Omega, and the Poisson operator A maps W-values (H^s(W) inner
+product) to the solution restricted to Omega (L^2(Omega) inner product).  Its
+SVD is taken in Ritz form, with one solve against the H^s(W) Gram; its
+singular values decay exponentially, which prices exterior control of
+interior targets at exp(C eps^-mu).
 """
 
 from __future__ import annotations
@@ -35,8 +36,13 @@ class DirichletEigenvalueError(ValueError):
 
 def _circulant_block(c: np.ndarray, rows, cols) -> np.ndarray:
     """Block rows x cols of the circulant matrix with first column c,
-    M[i, j] = c[(i - j) mod n], gathered as a fresh C-contiguous array."""
-    return c[np.subtract.outer(rows, cols) % c.size]
+    M[i, j] = c[(i - j) mod n], for consecutive index ranges rows and cols: a
+    Toeplitz window over one diagonal run of c, copied C-contiguous."""
+    m, k = len(rows), len(cols)
+    d = rows[0] - cols[0] if m and k else 0
+    # run[t] = c[(d + m - 1 - t) mod n], so M[i, j] = run[m - 1 - i + j]
+    run = c[(d + m - 1 - np.arange(m + k)) % c.size]
+    return np.lib.stride_tricks.sliding_window_view(run, k)[:m][::-1].copy()
 
 
 def dense_multiplier_matrix(spec: multiplier.SymbolSpec, grid: Grid) -> np.ndarray:
@@ -44,10 +50,6 @@ def dense_multiplier_matrix(spec: multiplier.SymbolSpec, grid: Grid) -> np.ndarr
     circulant of the column ifft(symbol)."""
     i = np.arange(grid.n)
     return _circulant_block(np.fft.ifft(multiplier.evaluate(spec, grid.xi)), i, i)
-
-
-def _indices(grid: Grid, region: Interval) -> np.ndarray:
-    return np.flatnonzero(region.contains(grid.x))
 
 
 @dataclass
@@ -65,7 +67,8 @@ class RungeProblem:
     vecs: np.ndarray = field(repr=False, default=None)  # eigenvectors of B
 
     def block(self, rows, cols) -> np.ndarray:
-        """Block rows x cols of the operator matrix T[i, j] = c[(i - j) mod n]."""
+        """Block rows x cols of the operator matrix T[i, j] = c[(i - j) mod n],
+        for consecutive index ranges rows and cols."""
         return _circulant_block(self.c, rows, cols)
 
     @property
@@ -86,8 +89,8 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
         raise ValueError("s must lie in [1/2, 1)")
     if not (W.b <= Omega.a or Omega.b <= W.a):
         raise ValueError("exterior region W must be disjoint from Omega")
-    omega_idx = _indices(grid, Omega)
-    w_idx = _indices(grid, W)
+    omega_idx = np.flatnonzero(Omega.contains(grid.x))   # consecutive nodes
+    w_idx = np.flatnonzero(W.contains(grid.x))
     if w_idx.size == 0:
         raise ValueError("exterior region W contains no grid points")
     # T is the circulant of c, so max|T - T^T| / max|T| is read off c
@@ -127,8 +130,7 @@ def _hs_gram(p: RungeProblem) -> np.ndarray:
 class PoissonSVD:
     """Truncated SVD of the Poisson operator A: sigma, w and phi hold only
     the certified triplets, sigma_j >= _SIGMA_FLOOR * sigma_1, and every
-    discarded singular value lies below that floor (the randomized range
-    finder of Halko, Martinsson & Tropp, SIAM Review 53, 2011)."""
+    discarded singular value lies below that floor (see poisson_svd)."""
     problem: RungeProblem
     sigma: np.ndarray          # nonincreasing positive singular values
     phi: np.ndarray            # exterior basis, columns H^s(W)-orthonormal
@@ -141,33 +143,44 @@ def poisson_svd(p: RungeProblem) -> PoissonSVD:
     sigma, w and phi hold only the certified triplets, those >= _SIGMA_FLOOR
     * sigma_1.
 
-    The whitened Atil's range is found from a seeded Gaussian sketch and one
-    power iteration (Halko, Martinsson & Tropp, "Finding structure with
-    randomness", SIAM Review 53, 2011), and the SVD is taken of Q^T Atil.  It
-    is accepted when ||Atil - Q Q^T Atil||_F < _SIGMA_FLOOR * sigma_1, which by
-    Weyl's inequality puts every discarded singular value below the floor;
-    otherwise the width doubles, up to the full SVD."""
+    They are the triplets of Atil = sqrt(dx) A R^-1 (G = R^T R the H^s(W)
+    Gram), taken in Ritz form: Atil is never formed.  Q spans a seeded
+    Gaussian sketch of range(A) = range(Atil) after one power step (Halko,
+    Martinsson & Tropp, SIAM Review 53, 2011); Y is a G-orthonormal basis (QR,
+    then Cholesky QR twice) of Z = G^-1 (Q^T A)^T, the image under R^-1 of
+    Q^T Atil's row space; the SVD U_b S V_b^T of sqrt(dx) Q^T A Y gives
+    w = Q U_b / sqrt(dx) and phi = Y V_b.  With X = A - Q Q^T A and G = dx C_WW
+    for the circulant C of the weights (1 + xi^2)^s >= 1, ||Atil - Q Q^T
+    Atil||_F^2 = tr(X C_WW^-1 X^T) is at most ||X||_F^2 (Cauchy interlacing)
+    and at most the H^-s norm^2 of X's zero-extended rows (C_WW^-1 <=
+    (C^-1)_WW), each over 1 - slack, slack = n log2(n) eps max(weight) for the
+    ifft's roundoff in G's column.  Once either is below the floor, Weyl's
+    inequality puts every discarded singular value below it; until then the
+    width doubles, and at min(|Omega|, |W|) Q spans all of range(A)."""
     A = -p.solve(p.block(p.omega_idx, p.w_idx))
     G = _hs_gram(p)
-    R = np.linalg.cholesky(G).T           # G = R^T R
-    Atil = math.sqrt(p.grid.dx) * np.linalg.solve(R.T, A.T).T
+    n, sqdx = p.grid.n, math.sqrt(p.grid.dx)
+    weight = (1.0 + p.grid.xi ** 2) ** p.s
+    slack = n * math.log2(n) * np.finfo(float).eps * weight.max()
+    floor = _SIGMA_FLOOR * math.sqrt(max(1.0 - slack, 0.0))
     width = _SKETCH_WIDTH
-    while width < min(Atil.shape):
-        sketch = np.random.default_rng(0).standard_normal((Atil.shape[1], width))
-        Q = np.linalg.qr(Atil @ sketch)[0]
-        Q = np.linalg.qr(Atil @ np.linalg.qr(Atil.T @ Q)[0])[0]
-        B = Q.T @ Atil
-        Ub, sig, Vt = np.linalg.svd(B, full_matrices=False)
-        if np.linalg.norm(Atil - Q @ B) < _SIGMA_FLOOR * sig[0]:
-            U = Q @ Ub
+    while True:
+        sketch = np.random.default_rng(0).standard_normal((A.shape[1], width))
+        Q = np.linalg.qr(A @ sketch)[0]
+        Q = np.linalg.qr(A @ np.linalg.qr(A.T @ Q)[0])[0]
+        B = Q.T @ A
+        Y = np.linalg.qr(np.linalg.solve(G, B.T))[0]
+        for _ in range(2):
+            Y = np.linalg.solve(np.linalg.cholesky(Y.T @ G @ Y), Y.T).T
+        Ub, sig, Vt = np.linalg.svd(sqdx * (B @ Y))
+        X = A - Q @ B
+        if (width >= min(A.shape) or np.linalg.norm(X) < floor * sig[0] or math.sqrt(
+                np.sum(np.abs(np.fft.fft(X, n, axis=1)) ** 2 / weight) / n) < floor * sig[0]):
             break
         width *= 2
-    else:
-        U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
     k = int(np.sum(sig >= _SIGMA_FLOOR * sig[0]))
-    phi = np.linalg.solve(R, Vt[:k].T)
-    return PoissonSVD(problem=p, sigma=sig[:k], phi=phi,
-                      w=U[:, :k] / math.sqrt(p.grid.dx), A=A)
+    return PoissonSVD(problem=p, sigma=sig[:k], phi=Y @ Vt[:k].T,
+                      w=Q @ Ub[:, :k] / sqdx, A=A)
 
 
 def sigma_decay_fit(svd: PoissonSVD, j_max: int = 30):

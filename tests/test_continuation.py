@@ -39,6 +39,15 @@ def _ball_norm_reference(field, center, r):
     return float(math.sqrt(total))
 
 
+def _rectangle_norm_reference(field, rect):
+    """Reference: |values|^2 taken on the gathered rectangle."""
+    ys = field.y_levels
+    sel = (ys >= rect.y0 - 1e-12) & (ys <= rect.y1 + 1e-12)
+    xmask = rect.base.contains(field.grid.x)
+    rows = np.sum(np.abs(field.values[sel][:, xmask]) ** 2, axis=1) * field.grid.dx
+    return float(math.sqrt(max(np.trapezoid(rows, ys[sel]), 0.0)))
+
+
 def _certificate_reference(field, I, J, decades):
     """Certificate rows from one full ball-chain walk per tau."""
     def propagate(tau):
@@ -287,6 +296,14 @@ class TestThreeBalls:
             assert field.ball_norm(center, r) == _ball_norm_reference(
                 field, center, r)
 
+    def test_three_balls_report_equals_per_level_reference(self, monkeypatch):
+        field = _poisson_field()
+        balls = [((cx, cy), r) for cx in (-2.5, -0.3, 1.5, 2.0)
+                 for cy, r in ((0.5, 0.1), (0.45, 0.1125), (0.6, 0.03), (0.8, 0.05))]
+        got = [three_balls_report(field, c, r) for c, r in balls]
+        monkeypatch.setattr(HalfPlaneField, "ball_norm", _ball_norm_reference)
+        assert got == [three_balls_report(field, c, r) for c, r in balls]
+
     def test_monotone_in_radius(self):
         field = _poisson_field()
         n1, n2, n4, _ = three_balls_report(field, (1.5, 0.5), 0.1)
@@ -359,6 +376,17 @@ class TestPropagateSmallness:
         assert rows == want
         best = min(want, key=lambda r: r["bound"])
         assert (tau, bound) == (best["tau"], best["bound"])
+
+    @pytest.mark.parametrize("levels", [129, 257])
+    def test_certificate_rows_equal_per_level_norms(self, monkeypatch, levels):
+        # ball_norm sums a slice of the field's |values|^2 per level and
+        # rectangle_norm gathers from it; both must give the references' bits
+        field = _poisson_field(levels=levels)
+        I, J = Interval(-2.0, -1.0), Interval(1.0, 2.0)
+        got = smallness_certificate(field, I, J, decades=2.0)
+        monkeypatch.setattr(HalfPlaneField, "ball_norm", _ball_norm_reference)
+        monkeypatch.setattr(HalfPlaneField, "rectangle_norm", _rectangle_norm_reference)
+        assert got == smallness_certificate(field, I, J, decades=2.0)
 
     def test_certificate_walks_the_chain_once(self, monkeypatch):
         calls = []

@@ -13,7 +13,7 @@ from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
                            hilbert_inverse_sigma_max, legendre_ode_residual,
                            verify_festmom)
 from nslab.multiplier import adaptive_gauss, trig_interp
-from test_polyx import _p_compose_affine, _p_integral, _p_l2sq
+from test_polyx import _as_exact, _p_compose_affine, _p_eval, _p_integral, _p_l2sq
 
 UNIT = Interval(0.0, 1.0)
 
@@ -47,7 +47,7 @@ def compute_moments(f, I: Interval, N: int, prec: PrecisionConfig = PrecisionCon
     with mpmath.workprec(prec.bits):
         if all(isinstance(c, (Fraction, int)) for c in coeffs):
             a, b = (Fraction(v).limit_denominator(10**12) for v in (I.a, I.b))
-            c = polyx.as_exact(coeffs)
+            c = _as_exact(coeffs)
         else:
             a, b, c = mpmath.mpf(I.a), mpmath.mpf(I.b), [mpmath.mpf(v) for v in coeffs]
         h = [(b ** (k + 1) - a ** (k + 1)) / (k + 1) for k in range(len(c) + N)]
@@ -133,7 +133,7 @@ def eval_reconstruction(coeffs, interval: Interval, x):
         cf = [complex(c) for c in coeffs]
     else:
         cf = [float(c) for c in coeffs]
-    return polyx.p_eval(cf, t)
+    return _p_eval(cf, t)
 
 
 class TestComputeMoments:
@@ -307,7 +307,7 @@ class TestFestmom:
 
 def _festmom_polyx_reference(f, I, N):
     """The 1D bound through Fraction convolutions and antiderivatives."""
-    coeffs = polyx.as_exact(list(f))
+    coeffs = _as_exact(list(f))
     a = Fraction(I.a).limit_denominator(10**12)
     b = Fraction(I.b).limit_denominator(10**12)
     lhs = _p_l2sq(coeffs, a, b)
@@ -388,8 +388,8 @@ class TestFestmomBox:
 
     def test_separable_lhs_is_product_of_norms(self):
         rng = np.random.default_rng(4)
-        p = polyx.as_exact(rng.standard_normal(4).tolist())
-        q = polyx.as_exact(rng.standard_normal(3).tolist())
+        p = _as_exact(rng.standard_normal(4).tolist())
+        q = _as_exact(rng.standard_normal(3).tolist())
         c = [[pi * qj for qj in q] for pi in p]
         lhs, _, holds = verify_festmom(c, self.BOX, 3)[3]
         exact = (_p_l2sq(p, Fraction(1, 10), Fraction(9, 10))
@@ -438,11 +438,11 @@ def _weighted_moment_bounds(f, I, gamma, signed):
         raise ValueError("weights must be nonzero up to N_f")
     if not signed and any(g <= 0 for g in gam):
         raise ValueError("unsigned bound requires positive weights")
-    moms = compute_moments(polyx.as_exact(coeffs), I, _SERIES_TERMS - 1).values
+    moms = compute_moments(_as_exact(coeffs), I, _SERIES_TERMS - 1).values
     wmoms = [g * float(m) for g, m in zip(gam, moms)]
 
     def G(x):
-        return polyx.p_eval(wmoms, np.asarray(x, dtype=float))
+        return _p_eval(wmoms, np.asarray(x, dtype=float))
 
     Gnorm = math.sqrt(abs(adaptive_gauss(lambda x: G(x) ** 2, I.a, I.b, rtol=1e-10)))
     Cbox = 6.5 - 2.0 * math.log(I.length)
@@ -453,7 +453,7 @@ def _weighted_moment_bounds(f, I, gamma, signed):
         dmoms = [j * wmoms[j] for j in range(1, _SERIES_TERMS)]
 
         def Gp(x):
-            return polyx.p_eval(dmoms, np.asarray(x, dtype=float))
+            return _p_eval(dmoms, np.asarray(x, dtype=float))
 
         Gpnorm = math.sqrt(abs(adaptive_gauss(lambda x: Gp(x) ** 2, I.a, I.b, rtol=1e-10)))
         rhs = front * (Gnorm + Gpnorm / (Nf + 1))
@@ -526,7 +526,7 @@ class TestReconstructFromMoments:
         rec, itv = reconstruct_from_moments(m, 4)
         xs = np.linspace(I.a + 0.01, I.b - 0.01, 7)
         got = eval_reconstruction(rec, itv, xs)
-        want = polyx.p_eval([float(c) for c in coeffs], xs)
+        want = _p_eval([float(c) for c in coeffs], xs)
         assert np.max(np.abs(np.asarray(got, dtype=float) - want)) <= 1e-12
 
     def test_precision_guard(self):
@@ -586,7 +586,7 @@ class TestOneArithmeticRoute:
         coeffs = [0.25, -1.5, 2.0, 0.75]
         I = Interval(0.1, 0.9)
         mp_vals = compute_moments(coeffs, I, 8).values
-        exact = compute_moments(polyx.as_exact(coeffs), I, 8).values
+        exact = compute_moments(_as_exact(coeffs), I, 8).values
         assert all(isinstance(v, Fraction) for v in exact)
         for a, b in zip(mp_vals, exact):
             assert abs(float(a) - float(b)) <= 1e-15 * abs(float(b))

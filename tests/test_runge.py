@@ -27,8 +27,9 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
         rhs = rhs + np.broadcast_to(np.asarray(F_interior, dtype=float),
                                     p.omega_idx.shape)
     u[p.omega_idx] = p.solve(rhs)
-    supp = np.flatnonzero(u)
-    full = p.block(np.arange(p.grid.n), supp) @ u[supp]   # T u
+    nodes = np.arange(p.grid.n)
+    # T u over u's two consecutive column ranges; u is zero off Omega and W
+    full = p.block(nodes, p.omega_idx) @ u[p.omega_idx] + p.block(nodes, p.w_idx) @ fv
     res = full[p.omega_idx] + p.q * u[p.omega_idx]
     if F_interior is not None:
         res = res - F_interior
@@ -50,6 +51,18 @@ def _poisson_svd_reference(p):
     U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
     return runge.PoissonSVD(problem=p, sigma=sig, phi=np.linalg.solve(R, Vt.T),
                             w=U / math.sqrt(p.grid.dx), A=A)
+
+
+def _circulant_block_reference(c, rows, cols):
+    """The modulo gather M[i, j] = c[(i - j) mod n], for any index arrays."""
+    return c[np.subtract.outer(rows, cols) % c.size]
+
+
+def _certificate_slack(p):
+    """n log2(n) eps max(weight): poisson_svd's bound on the ifft's roundoff
+    in the H^s(W) Gram's column."""
+    weight = (1.0 + p.grid.xi ** 2) ** p.s
+    return p.grid.n * math.log2(p.grid.n) * np.finfo(float).eps * weight.max()
 
 
 def _orthonormality_residuals(svd):
@@ -108,6 +121,30 @@ class TestBuild:
         ref = _multiplier_matrix_reference(hilbert)
         got = runge.dense_multiplier_matrix(multiplier.symbol("HilbertSign"), g)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_circulant_block_equals_modulo_gather(self, dtype):
+        n = 64
+        c = np.random.default_rng(2).standard_normal(n).astype(dtype)
+        if dtype is complex:
+            c += 1j * np.random.default_rng(3).standard_normal(n)
+        r = lambda lo, hi: np.arange(lo, hi)
+        blocks = [(r(0, n), r(0, n)), (r(50, 64), r(0, 20)), (r(0, 10), r(40, 64)),
+                  (r(3, 4), r(0, n)), (r(0, n), r(17, 18)), (r(9, 10), r(60, 61)),
+                  (r(5, 5), r(0, 8)), (r(0, 8), r(5, 5)), (r(5, 5), r(7, 7)),
+                  (r(20, 40), r(10, 33))]
+        for rows, cols in blocks:
+            got = runge._circulant_block(c, rows, cols)
+            assert np.array_equal(got, _circulant_block_reference(c, rows, cols))
+            assert got.shape == (rows.size, cols.size) and got.dtype == c.dtype
+            assert got.flags.c_contiguous and not np.shares_memory(got, c)
+
+    def test_problem_blocks_equal_modulo_gather(self, problem):
+        nodes = np.arange(GRID.n)
+        o, w = problem.omega_idx, problem.w_idx
+        for rows, cols in ((o, o), (o, w), (w, o), (w, w), (nodes, o), (nodes, nodes)):
+            assert np.array_equal(problem.block(rows, cols),
+                                  _circulant_block_reference(problem.c, rows, cols))
 
     def test_hs_gram_matches_fft_of_identity(self, problem):
         weight = (1.0 + GRID.xi ** 2) ** problem.s
@@ -254,6 +291,65 @@ class TestPoissonSVD:
     def test_orthonormality(self, svd):
         r_phi, r_w = _orthonormality_residuals(svd)
         assert r_phi <= 1e-10 and r_w <= 1e-10
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_orthonormality_to_roundoff(self, n):
+        p = build(0.6, 0.0, OMEGA, W, Grid(4.0, n))
+        r_phi, r_w = _orthonormality_residuals(poisson_svd(p))
+        assert r_phi <= 1e-13 and r_w <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.5, 0.6, 0.9])
+    def test_certificate_bounds_the_whitened_residual(self, s):
+        # with X = A - Q Q^T A for any orthonormal Q, ||Atil - Q Q^T Atil||_F
+        # is at most ||X||_F and at most the H^-s norm of X's zero-extended
+        # rows, each over sqrt(1 - slack): lambda_min(G) >= dx min(weight) by
+        # interlacing, and dx G^-1 = C_WW^-1 is below (C^-1)_WW for C the
+        # weight's circulant
+        p = build(s, 0.0, OMEGA, W, GRID)
+        G = runge._hs_gram(p)
+        weight = (1.0 + GRID.xi ** 2) ** s
+        lam = np.linalg.eigvalsh(G)[0]
+        assert lam >= GRID.dx * weight.min()
+        scale = 1.0 / math.sqrt(1.0 - _certificate_slack(p))
+        assert math.sqrt(GRID.dx / lam) <= scale
+        A = -np.linalg.solve(p.interior_block, p.block(p.omega_idx, p.w_idx))
+        R = np.linalg.cholesky(G).T
+        Atil = math.sqrt(GRID.dx) * np.linalg.solve(R.T, A.T).T
+        rng = np.random.default_rng(4)
+        Qs = [np.linalg.qr(A @ rng.standard_normal((A.shape[1], k)))[0] for k in (5, 20, 48)]
+        Qs.append(np.linalg.qr(rng.standard_normal((A.shape[0], 30)))[0])
+        for Q in Qs:
+            X = A - Q @ (Q.T @ A)
+            whitened = np.linalg.norm(Atil - Q @ (Q.T @ Atil))
+            hneg = math.sqrt(np.sum(np.abs(np.fft.fft(X, GRID.n, axis=1)) ** 2 / weight)
+                             / GRID.n)
+            assert 0 < whitened <= scale * min(np.linalg.norm(X), hneg)
+
+    @pytest.mark.parametrize("s,n", [(0.6, 512), (0.6, 2048), (0.9, 2048)])
+    def test_one_gram_solve_with_at_most_width_columns(self, monkeypatch, s, n):
+        # at s = 0.9, n = 2048, ||X||_F exceeds the floor at width 48 and the
+        # H^-s bound certifies it, so the width does not double
+        problem = build(s, 0.0, OMEGA, W, Grid(4.0, n))
+        calls = []
+
+        def wrap(name):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *rest, **kw):
+                calls.append((name, np.shape(a), np.shape(rest[0]) if rest else None))
+                return real(a, *rest, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        for name in ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "qr"):
+            wrap(name)
+        poisson_svd(problem)
+        monkeypatch.undo()
+        m = problem.w_idx.size
+        big = [c for c in calls if min(c[1]) > runge._SKETCH_WIDTH]
+        assert len(big) == 1
+        name, shape, rhs = big[0]
+        assert name == "solve" and shape == (m, m) and rhs[1] <= runge._SKETCH_WIDTH
+        assert sum(c[0] == "cholesky" for c in calls) == 2
 
     def test_sigma1_below_apriori_bound(self, problem, svd, rng):
         # operator norm of A bounded by the recorded energy constant
