@@ -81,9 +81,11 @@ def _read_keys(cfg: dict, keys: dict) -> dict:
     return p
 
 
-def _config_hash(cfg: dict, seed: int, bits: int) -> str:
+def _config_hash(cfg: dict, seed: int, bits: int, opts: dict) -> str:
+    """Hash of the config, the seed, the precision and the command's options."""
     canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     canon += f"\nseed={seed}\nprecision_bits={bits}"
+    canon += "".join(f"\n--{k}={opts[k]}" for k in sorted(opts))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
@@ -190,7 +192,7 @@ def _experiment(group, command: str, name: str, keys: dict, *options):
         def cmd(obj, **opts):
             p = _read_keys(obj["cfg"], keys)
             art = Artifacts(obj["out"], name,
-                            _config_hash(obj["cfg"], obj["seed"], obj["bits"]))
+                            _config_hash(obj["cfg"], obj["seed"], obj["bits"], opts))
             try:
                 summary = run(obj, art, p, **opts)
             except ValueError as exc:

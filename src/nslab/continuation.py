@@ -143,7 +143,7 @@ def plan_ball_chain(I: Interval, J: Interval, tau: float,
 
 
 def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
-                          decades: float = 2.5):
+                          decades: float):
     """Optimize strip + chain over a logarithmic tau grid (16 points per
     decade); returns (best_tau, best_bound, rows), one row per tau.
 

@@ -24,11 +24,11 @@ Two evaluation routes are provided for every operator:
   32n-point `irfft` of the symbol at the `rfftfreq` points plus the real part
   of that polynomial, and convolves the real and imaginary parts of r rows
   with it by 2n-point `rfft`: one 32n-point `irfft` per call plus
-  O(r*n log n).  BranchCut is a sum of two such symbols (:func:`branch_split`).
+  O(r*n log n).
   Nyquist convention: `irfft` gives the xi = +-pi/dx bin the mean of
   m(+-pi/dx), 0 for an odd imaginary symbol; m(-pi/dx) there would add
   (m(-pi/dx) - mean) (-1)^i/(32n) sum_j (-1)^j f_j to output i (1e-10 relative
-  for a bump at n = 1024, 1e-6 for the derivative of |D|^{1.5}).  The raw
+  for a bump at n = 1024).  The raw
   route :func:`apply` keeps m(-pi/dx) at that bin (`Grid.xi` is `fftfreq`),
   so symbol algebra stays exact at every bin (H o H = -I); a symbol that is
   imaginary there, such as an odd one, adds m(-pi/dx) (-1)^i/n
@@ -160,7 +160,7 @@ def _hom_terms(spec: SymbolSpec) -> list[tuple[float, complex, complex]]:
         return [(-2.0 * spec.alpha, -1.0 + 0j, -1.0 + 0j)]
     if k == "SignPow":
         return [(spec.two_s, 1j, -1j)]
-    raise ValueError(f"no multiplier model for {k!r}")
+    raise ValueError(f"{k!r} has no real-kernel multiplier model")
 
 
 def _rest_values(spec: SymbolSpec, xi: np.ndarray) -> np.ndarray:
@@ -193,17 +193,13 @@ def _check_support(grid: Grid, values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def apply(spec: SymbolSpec, f: SampledFunction, derivative: int = 0) -> SampledFunction:
-    """Raw route: FFT, multiply by evaluate(spec, xi_k) (and (i xi)^k), inverse FFT.
+def apply(spec: SymbolSpec, f: SampledFunction) -> SampledFunction:
+    """Raw route: FFT, multiply by evaluate(spec, xi_k), inverse FFT.
     xi_k is `Grid.xi`, so the Nyquist bin keeps m(-pi/dx): H o H = -I at every
     bin, and a symbol imaginary there gives real data an imaginary part."""
     g = f.grid
     _check_support(g, f.values)
-    m = evaluate(spec, g.xi)
-    if derivative:
-        m = m * (1j * g.xi) ** derivative
-    fhat = np.fft.fft(f.values)
-    return SampledFunction(g, np.fft.ifft(m * fhat))
+    return SampledFunction(g, np.fft.ifft(evaluate(spec, g.xi) * np.fft.fft(f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,37 +215,27 @@ def _gauss_rule(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def _integral_0_to(fvals_func, a: float, b: float, nodes: int = _GAUSS_NODES):
-    t, w = _gauss_rule(nodes)
-    x = 0.5 * (b - a) * t + 0.5 * (b + a)
-    return 0.5 * (b - a) * np.sum(fvals_func(x) * w, axis=-1)
+def _integral_0_to(fvals_func, b: float):
+    t, w = _gauss_rule(_GAUSS_NODES)
+    return 0.5 * b * np.sum(fvals_func(0.5 * b * t + 0.5 * b) * w, axis=-1)
 
 
-def _window(xi, xi0: float):
-    """Smooth (entire) frequency window: 1 near 0, ~0 beyond ~1.3*xi0."""
-    return np.exp(-((xi / xi0) ** 16))
+def _window(xi):
+    """Smooth (entire) frequency window: 1 near 0, ~0 beyond ~1.3*_XI0."""
+    return np.exp(-((xi / _XI0) ** 16))
 
 
 @lru_cache(maxsize=128)
-def _correction_weights(spec: SymbolSpec, derivative: int, grid_key, pad: int,
-                        xi0: float, degree: int, R: float):
-    """W_q = R^q (I_q - D_q)/q! for the windowed-Taylor correction."""
-    L, n = grid_key
-    Lbig = L * pad
-    dxi = math.pi / Lbig
-    xic = 1.35 * xi0
-
-    terms = _hom_terms(spec)
-    if derivative:
-        # multiply the model by (i xi)^k: on xi>0 factor i^k |xi|^k, on xi<0 factor i^k(-1)^k |xi|^k
-        ik = 1j**derivative
-        terms = [(lam + derivative, cp * ik, cm * ik * (-1) ** derivative) for lam, cp, cm in terms]
-
-    qs = np.arange(degree + 1)
+def _correction_weights(spec: SymbolSpec, grid: Grid):
+    """W_q = R^q (I_q - D_q)/q!, q = 0.._DEGREE, for the windowed-Taylor
+    correction on `grid`, with R = (n-1) dx."""
+    dxi = math.pi / (grid.L * _PAD)
+    xic = 1.35 * _XI0
+    qs = np.arange(_DEGREE + 1)
 
     # I_q = (finite-part) int_{-xic}^{xic} m(xi) w(xi) xi^q dxi
-    I = np.zeros(degree + 1, dtype=complex)
-    for lam, cp, cm in terms:
+    I = np.zeros(_DEGREE + 1, dtype=complex)
+    for lam, cp, cm in _hom_terms(spec):
         par = cp + cm * (-1.0) ** qs  # one-sided to two-sided parity factors
         denom = qs + lam + 1
         safe = np.where(denom == 0, 1.0, denom)
@@ -258,42 +244,33 @@ def _correction_weights(spec: SymbolSpec, derivative: int, grid_key, pad: int,
             raise ValueError("logarithmic finite part encountered; symbol model unsupported")
 
         def wrest(x, lam=lam):
-            return (_window(x, xi0) - 1.0) * x ** (qs[:, None] + lam)
+            return (_window(x) - 1.0) * x ** (qs[:, None] + lam)
 
-        corr = _integral_0_to(wrest, 0.0, xic)
-        I += par * (fp + corr)
+        I += par * (fp + _integral_0_to(wrest, xic))
     # smooth remainder of the symbol (both sides, regular integral)
     def rest_int(x):
-        rp = _rest_values(spec, x)
-        rm = _rest_values(spec, -x)
-        if derivative:
-            rp = rp * (1j * x) ** derivative
-            rm = rm * (-1j * x) ** derivative
-        w = _window(x, xi0)
-        return w * (rp * x ** qs[:, None] + rm * (-x) ** qs[:, None])
+        rp, rm = _rest_values(spec, x), _rest_values(spec, -x)
+        return _window(x) * (rp * x ** qs[:, None] + rm * (-x) ** qs[:, None])
 
     if spec.kind == "ModifiedCoth":
-        I += _integral_0_to(rest_int, 0.0, xic)
+        I += _integral_0_to(rest_int, xic)
 
     # D_q = dxi * sum over nonzero fine-grid nodes of m w xi^q
     kmax = int(xic / dxi) + 1
     xi_nodes = dxi * np.concatenate([np.arange(1, kmax + 1), -np.arange(1, kmax + 1)])
-    m_nodes = evaluate(spec, xi_nodes)
-    if derivative:
-        m_nodes = m_nodes * (1j * xi_nodes) ** derivative
-    w_nodes = _window(xi_nodes, xi0)
-    D = dxi * np.sum(m_nodes * w_nodes * xi_nodes ** qs[:, None], axis=1)
+    D = dxi * np.sum(evaluate(spec, xi_nodes) * _window(xi_nodes) * xi_nodes ** qs[:, None], axis=1)
 
+    R = (grid.n - 1) * grid.dx
     scale = np.array([R**q / math.factorial(q) for q in qs])
     return (I - D) * scale
 
 
-def _correction_kernel(spec: SymbolSpec, grid: Grid, derivative: int) -> np.ndarray:
+def _correction_kernel(spec: SymbolSpec, grid: Grid) -> np.ndarray:
     """The windowed-Taylor correction at the offsets x - y = k dx, k = -(n-1)..n-1:
     sum_q i^q W_q (k/(n-1))^q dx / 2 pi, summed by Horner with R = (n-1) dx,
     so that |k/(n-1)| <= 1."""
     n = grid.n
-    W = _correction_weights(spec, derivative, (grid.L, n), _PAD, _XI0, _DEGREE, (n - 1) * grid.dx)
+    W = _correction_weights(spec, grid)
     u = 1j * np.arange(-(n - 1), n) / (n - 1)
     corr = np.full(u.size, W[-1])
     for w in W[-2::-1]:
@@ -308,28 +285,23 @@ def branch_split(spec: SymbolSpec) -> tuple[complex, complex]:
     return (1.0 + phi) / 2.0, (-1j if spec.branch == 1 else 1j) * (phi - 1.0) / 2.0
 
 
-def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int = 0) -> np.ndarray:
+def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray) -> np.ndarray:
     """`apply_dealiased` on every row of F (rows x n, each compactly supported):
     the complex rows x n result, each row bit for bit its single-row result.
     The real parts of the live rows and their nonzero imaginary parts are 2n-point
-    `rfft` convolutions with the real Toeplitz kernel t of the module docstring."""
-    if spec.kind == "BranchCut":
-        a, b = branch_split(spec)
-        return (a * dealiased_rows(symbol("AbsPow", two_s=spec.two_s), grid, F, derivative)
-                + b * dealiased_rows(symbol("SignPow", two_s=spec.two_s), grid, F, derivative))
+    `rfft` convolutions with the real Toeplitz kernel t of the module docstring.
+    A symbol with no real kernel (BranchCut, FourierLaplace) raises ValueError."""
     supp = _check_support(grid, F)
+    n = grid.n
+    t = _correction_kernel(spec, grid).real   # `_hom_terms` raises for the rest
+    # plus the circulant column of the multiplier on the _PAD-times-larger
+    # periodic domain, where a negative k wraps to k mod 32n
+    xib = 2.0 * np.pi * np.fft.rfftfreq(n * _PAD, d=grid.dx)
+    t += np.fft.irfft(evaluate(spec, xib), n * _PAD)[np.arange(-(n - 1), n)]
     out = np.zeros(F.shape, dtype=complex)
     live = np.flatnonzero(supp.any(axis=1))   # zero rows stay zero
     if not live.size:
         return out
-    n = grid.n
-    # circulant column of the multiplier on the _PAD-times-larger periodic domain
-    xib = 2.0 * np.pi * np.fft.rfftfreq(n * _PAD, d=grid.dx)
-    m = evaluate(spec, xib)
-    if derivative:
-        m = m * (1j * xib) ** derivative
-    t = np.fft.irfft(m, n * _PAD)[np.arange(-(n - 1), n)]    # a negative k wraps to k mod 32n
-    t += _correction_kernel(spec, grid, derivative).real
     circ = np.zeros(2 * n)   # linear convolution as a 2n-point circulant
     circ[:n], circ[n + 1:] = t[n - 1:], t[:n - 1]
     cx = live[F[live].imag.any(axis=1)]   # an all-zero imaginary part is not transformed
@@ -339,9 +311,9 @@ def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray, derivative: int 
     return out
 
 
-def apply_dealiased(spec: SymbolSpec, f: SampledFunction, derivative: int = 0) -> SampledFunction:
+def apply_dealiased(spec: SymbolSpec, f: SampledFunction) -> SampledFunction:
     """Line-accurate operator evaluation for compactly supported f: one row of `dealiased_rows`."""
-    return SampledFunction(f.grid, dealiased_rows(spec, f.grid, f.values[None], derivative)[0])
+    return SampledFunction(f.grid, dealiased_rows(spec, f.grid, f.values[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ _BUFFER_GATE = 3.0
 @functools.lru_cache(maxsize=16)
 def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
             delta=None, alpha=None, beta=None):
-    """QR-factored design and the moment table (`_moment_table`).
+    """QR-factored design: its factors (qs, R) from `_mgs_qr`.
 
     For I = [c - h, c + h] and z = (x - c)/h, column k at x is
     sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
@@ -340,7 +340,6 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
             mass = mp.sqrt(2 * h) * max(abs(mp.exp(lam * xs[i0] * y))
                                         for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
             extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
-        mom = _moment_table(itv, N)
     if kind == "FourierLaplace":
         check = "quadrature"
         with mp.workprec(bits + extra):
@@ -356,8 +355,7 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
     if gap > mp.ldexp(abs(col), -(bits - 64)):
         raise ArithmeticError(f"{kind} design column {N} misses its {check} check by "
                               f"{float(gap):.3g} (column {float(abs(col)):.3g})")
-    qs, R = _mgs_qr(cols, bits)
-    return qs, R, mom
+    return _mgs_qr(cols, bits)
 
 
 def _fit_machinery(data: RemoteData, N: int, bits: int):
@@ -381,8 +379,8 @@ def _fit_values(data: RemoteData):
 
 def _fit(data: RemoteData, N: int, prec: PrecisionConfig):
     """The far-field fit at order N: its Legendre coefficients a_0..a_N (the
-    source is sum_k a_k G_k on I, in the fit variable), the moment table
-    (`_moment_table`), the fit interval and the fit residual at order N."""
+    source is sum_k a_k G_k on I, in the fit variable), the fit interval and
+    the fit residual at order N."""
     m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
@@ -391,7 +389,7 @@ def _fit(data: RemoteData, N: int, prec: PrecisionConfig):
     # higher-order content, which would otherwise alias O(1) errors into the
     # top reported coefficients (the buffer modes themselves are discarded)
     M_fit = min(N + _FIT_BUFFER, m // 2 - 1)
-    qs, R, mom = _fit_machinery(data, M_fit, prec.bits)
+    qs, R = _fit_machinery(data, M_fit, prec.bits)
     vals, unit = _fit_values(data)
     residuals, solve, rhs = _ls_path(qs, R, _mp_vec(vals), prec.bits)
     # keep a buffer column only while its data coefficient clears the noise
@@ -405,7 +403,7 @@ def _fit(data: RemoteData, N: int, prec: PrecisionConfig):
         if abs(rhs[k]) <= gate:
             break
         M_use = k
-    return solve(M_use)[:N + 1], mom, itv, residuals[N]
+    return solve(M_use)[:N + 1], itv, residuals[N]
 
 
 def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
@@ -416,8 +414,9 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
     transformed source F on the tilde image of I (the zeroth moments agree:
     F_0 = f_0).  The fit residual is attached as `quad_error`.
     """
-    a, mom, itv, residual = _fit(data, N, prec)
+    a, itv, residual = _fit(data, N, prec)
     with mp.workprec(prec.bits):
+        mom = _moment_table(itv, N)
         coeffs = [mp.fsum(a[k] * mom[k][j] for k in range(N + 1)) for j in range(N + 1)]
     if data.kind != "FourierLaplace":
         # real-kernel operators: the fitted moments are real by construction,
@@ -443,7 +442,7 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
         raise ValueError(f"tau must be > 0, got {tau}")
     m = data.points.size
     N_max = min(N_max, m // 2 - 1)
-    qs, R, _ = _fit_machinery(data, N_max, prec.bits)
+    qs, R = _fit_machinery(data, N_max, prec.bits)
     vals, unit = _fit_values(data)
     residuals, _, _ = _ls_path(qs, R, _mp_vec(vals), prec.bits)
     floor = tau * unit * data.noise_level * math.sqrt(m)
@@ -468,7 +467,7 @@ def invert(data: RemoteData, N: int, grid: Grid,
     the tilde variable and is carried back by the factor e^{2 pi delta x}.
     Returns (reconstruction on `grid`, relative L2(I) error or None).
     """
-    a, _, itv, _ = _fit(data, N, prec)
+    a, itv, _ = _fit(data, N, prec)
     I = data.source
     inside = I.contains(grid.x)
     xs = grid.x[inside]

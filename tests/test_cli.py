@@ -67,15 +67,16 @@ class TestPlumbing:
                            shallow=False)
 
     def test_seed_changes_hash(self, runner, tmp_path):
+        # the seed and the command's options each move the hash
         heads = []
-        for seed in ("0", "1"):
-            out = tmp_path / seed
+        for seed, nmax in (("0", "2"), ("1", "2"), ("0", "3")):
+            out = tmp_path / f"{seed}-{nmax}"
             res = runner.invoke(main, ["--out", str(out), "--seed", seed,
                                        "moments", "hilbert-growth",
-                                       "--nmax", "2"])
+                                       "--nmax", nmax])
             assert res.exit_code == 0
             heads.append(_read(out / "hilbert_growth.csv").splitlines()[0])
-        assert heads[0] != heads[1]
+        assert len(set(heads)) == 3
 
     def test_svg_artifact_written(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "moments",

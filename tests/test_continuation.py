@@ -350,14 +350,15 @@ class TestBallChain:
 
 class TestPropagateSmallness:
     def test_zero_field(self):
-        _, _, rows = smallness_certificate(_zero_field(), Interval(-2, -1), Interval(1, 2))
+        _, _, rows = smallness_certificate(_zero_field(), Interval(-2, -1), Interval(1, 2),
+                                           decades=2.5)
         assert rows and all(r["strip"] == 0.0 and r["chain"] == 0.0 and r["count"] > 0
                             for r in rows)
 
     def test_disjointness_guard(self):
         field = _poisson_field()
         with pytest.raises(ValueError, match="disjoint closures"):
-            smallness_certificate(field, Interval(0.5, 1.5), Interval(1.0, 2.0))
+            smallness_certificate(field, Interval(0.5, 1.5), Interval(1.0, 2.0), decades=2.5)
 
     def test_certificate_within_10x_of_direct(self):
         field = _poisson_field(n=1024, levels=257)
@@ -399,7 +400,7 @@ class TestPropagateSmallness:
         monkeypatch.setattr(continuation, "three_balls_report", counted)
         field = _poisson_field()
         _, _, rows = smallness_certificate(field, Interval(-2.0, -1.0),
-                                           Interval(1.0, 2.0))
+                                           Interval(1.0, 2.0), decades=2.5)
         assert len(calls) == max(r["count"] for r in rows)
         assert len(set(calls)) == len(calls)
 

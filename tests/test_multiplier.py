@@ -369,7 +369,44 @@ class TestVectorQuadrature:
             multiplier.adaptive_gauss(lambda x: np.abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0)
 
 
-def _reference_dealiased(spec, f, derivative=0, pad=32, xi0=0.45, degree=44):
+def _family_terms(spec, k=0):
+    """[(c, m)] with sum c m = spec (i xi)^k, each m a real-kernel symbol that
+    `dealiased_rows` applies: i xi |xi|^l is SignPow l+1, i xi SignPow l is
+    -|xi|^{l+1} and HilbertSign is -SignPow 0; BranchCut is a |D|^{2s} +
+    b SignPow (`branch_split`), the split `branchcut.defects` composes."""
+    if spec.kind == "BranchCut":
+        a, b = multiplier.branch_split(spec)
+        return ([(a * c, m) for c, m in _family_terms(symbol("AbsPow", two_s=spec.two_s), k)]
+                + [(b * c, m) for c, m in _family_terms(symbol("SignPow", two_s=spec.two_s), k)])
+    if k == 0:
+        return [(1.0, spec)]
+    c, kind, lam = (-1.0, "SignPow", 0.0) if spec.kind == "HilbertSign" else (1.0, spec.kind, spec.two_s)
+    for _ in range(k):
+        c, kind = (c, "SignPow") if kind == "AbsPow" else (-c, "AbsPow")
+        lam += 1.0
+    return [(c, symbol(kind, two_s=lam))]
+
+
+def _dealiased(spec, k, g, F):
+    """spec (i xi)^k on the rows of F, summed over its family terms."""
+    return sum(c * multiplier.dealiased_rows(m, g, F) for c, m in _family_terms(spec, k))
+
+
+def _correction_kernel(spec, k, g):
+    """The correction polynomial of spec (i xi)^k, summed over its family terms."""
+    return sum(c * multiplier._correction_kernel(m, g) for c, m in _family_terms(spec, k))
+
+
+def _weights(spec, k, g, R):
+    """The correction weights of spec (i xi)^k at the scale R.  They are linear
+    in the symbol, and W_q is R^q times a coefficient, so they are those of its
+    family terms, which `_correction_weights` gives at R0 = (n-1) dx, times
+    (R/R0)^q."""
+    W = sum(c * multiplier._correction_weights(m, g) for c, m in _family_terms(spec, k))
+    return W * (R / ((g.n - 1) * g.dx)) ** np.arange(W.size)
+
+
+def _reference_dealiased(spec, k, f):
     """The Taylor correction summed at every grid point over the support of f,
     with R the support's largest distance to the grid, O(n*s*degree)."""
     g = f.grid
@@ -378,20 +415,21 @@ def _reference_dealiased(spec, f, derivative=0, pad=32, xi0=0.45, degree=44):
     ys = x[supp]
     fy = f.values[supp] * g.dx
     R = max(abs(x[0] - ys[-1]), abs(x[-1] + g.dx - ys[0]), 1e-9)
-    W = multiplier._correction_weights(spec, derivative, (g.L, g.n), pad, xi0, degree, R)
+    W = _weights(spec, k, g, R)
     T = (x[:, None] - ys[None, :]) / R
     Z = np.ones_like(T)
     corr = np.zeros(g.n, dtype=complex)
-    for q in range(degree + 1):
+    for q in range(W.size):
         corr += (1j) ** q * (Z @ fy) * W[q]
-        if q < degree:
+        if q < W.size - 1:
             Z *= T
     return supp, corr / (2.0 * np.pi)
 
 
 class TestDealiasedCorrection:
     """The polynomial part of the Toeplitz kernel, at R = (n-1) dx, gives the
-    correction that the Taylor sum at every grid point gives."""
+    correction that the Taylor sum at every grid point gives.  The d2 case is
+    |D|^{1.5} (i xi)^2 = -|D|^{3.5}."""
 
     CASES = [(symbol("HilbertSign"), 0),
              (symbol("ModifiedCoth", delta=0.1), 0),
@@ -409,57 +447,43 @@ class TestDealiasedCorrection:
                 "single_sample": SampledFunction(g, spike)}
 
     @pytest.mark.parametrize("source", ["centred", "off_centre", "single_sample"])
-    @pytest.mark.parametrize("spec,derivative", CASES,
-                             ids=[f"{spec.kind}-d{d}" for spec, d in CASES])
-    def test_matches_grid_point_sum(self, spec, derivative, source):
+    @pytest.mark.parametrize("spec,k", CASES, ids=[f"{spec.kind}-d{k}" for spec, k in CASES])
+    def test_matches_grid_point_sum(self, spec, k, source):
         f = self._sources()[source]
         n = f.grid.n
-        supp, corr = _reference_dealiased(spec, f, derivative)
-        kernel = multiplier._correction_kernel(spec, f.grid, derivative)
+        supp, corr = _reference_dealiased(spec, k, f)
+        kernel = _correction_kernel(spec, k, f.grid)
         ys = np.flatnonzero(supp)
         # kernel[k + n - 1] is the correction at the offset x - y = k dx
         got = kernel[np.arange(n)[:, None] - ys[None, :] + n - 1] @ f.values[supp]
         assert np.max(np.abs(got - corr)) <= 1e-13 * np.max(np.abs(corr))
 
 
-def _weights(spec, derivative, g, R, pad=32, xi0=0.45, degree=44):
-    """`_correction_weights`.  BranchCut has no Taylor model of its own: it is
-    c+ |xi|^{2s} on xi > 0 and c- |xi|^{2s} on xi < 0, and the weights are
-    linear in the symbol, so its weights are (c+ + c-)/2 times AbsPow's plus
-    (c+ - c-)/2i times SignPow's."""
-    if spec.kind != "BranchCut":
-        return multiplier._correction_weights(spec, derivative, (g.L, g.n), pad, xi0, degree, R)
-    phi = cmath.exp(-1j * math.pi * spec.two_s)
-    cp, cm = (phi, 1.0) if spec.branch == 1 else (1.0, phi)
-    return sum(c * multiplier._correction_weights(symbol(kind, two_s=spec.two_s), derivative,
-                                                  (g.L, g.n), pad, xi0, degree, R)
-               for c, kind in (((cp + cm) / 2, "AbsPow"), ((cp - cm) / 2j, "SignPow")))
-
-
-def _padded_symbol(spec, g, derivative, nbig):
-    """The symbol times (i xi)^derivative at the `fftfreq(nbig, dx)` points."""
+def _padded_symbol(spec, k, g, nbig):
+    """The symbol times (i xi)^k at the `fftfreq(nbig, dx)` points."""
     xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
-    return evaluate(spec, xib) * (1j * xib) ** derivative
+    return evaluate(spec, xib) * (1j * xib) ** k
 
 
-def _nyquist_values(spec, g, derivative):
-    """The symbol times (i xi)^derivative at xi = -pi/dx and +pi/dx."""
+def _nyquist_values(spec, k, g):
+    """The symbol times (i xi)^k at xi = -pi/dx and +pi/dx."""
     nyq = np.array([-1.0, 1.0]) * np.pi / g.dx
-    return evaluate(spec, nyq) * (1j * nyq) ** derivative
+    return evaluate(spec, nyq) * (1j * nyq) ** k
 
 
-def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
+def _parent_padded_route(spec, k, f):
     """The one-row route the Toeplitz kernel replaced: ifft(m * fft) on the
-    padded grid plus the Taylor correction summed by one matrix-vector product
-    per power at the Chebyshev points and interpolated.  The Nyquist bin takes
-    the mean of m(+-pi/dx), the convention of the real-kernel route."""
+    32-times padded grid plus the Taylor correction summed by one
+    matrix-vector product per power at the Chebyshev points and interpolated.
+    The Nyquist bin takes the mean of m(+-pi/dx), the convention of the
+    real-kernel route."""
     g = f.grid
-    nbig = g.n * pad
+    nbig = g.n * 32
     off = (nbig - g.n) // 2
     big = np.zeros(nbig, dtype=complex)
     big[off:off + g.n] = f.values
-    m = _padded_symbol(spec, g, derivative, nbig)
-    m[nbig // 2] = _nyquist_values(spec, g, derivative).mean()
+    m = _padded_symbol(spec, k, g, nbig)
+    m[nbig // 2] = _nyquist_values(spec, k, g).mean()
     out = np.fft.ifft(m * np.fft.fft(big))[off:off + g.n].copy()
 
     x = g.x
@@ -468,19 +492,19 @@ def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
     ys = x[supp]
     fy = f.values[supp] * g.dx
     R = max(abs(x[0] - ys[-1]), abs(x[-1] + g.dx - ys[0]), 1e-9)
-    W = _weights(spec, derivative, g, R, pad, xi0, degree)
-    K = degree + 1
+    W = _weights(spec, k, g, R)
+    K = W.size
     theta = (2 * np.arange(K) + 1) * np.pi / (2 * K)
     xc = 0.5 * (x[-1] + x[0]) + 0.5 * (x[-1] - x[0]) * np.cos(theta)
     T = (xc[:, None] - ys[None, :]) / R
     Z = np.ones_like(T)
     corr = np.zeros(K, dtype=complex)
-    for q in range(degree + 1):
+    for q in range(K):
         corr += (1j) ** q * (Z @ fy) * W[q]
-        if q < degree:
+        if q < K - 1:
             Z *= T
-    k = np.arange(K)
-    w = (-1.0) ** k * np.sin((2 * k + 1) * np.pi / (2 * K))
+    j = np.arange(K)
+    w = (-1.0) ** j * np.sin((2 * j + 1) * np.pi / (2 * K))
     diff = x[:, None] - xc[None, :]
     hit_row, hit_col = np.nonzero(diff == 0.0)
     diff[hit_row] = 1.0
@@ -491,24 +515,24 @@ def _parent_padded_route(spec, f, derivative, pad=32, xi0=0.45, degree=44):
     return out
 
 
-def _real_kernel(spec, g, derivative):
+def _real_kernel(spec, k, g):
     """(t, correction): the real Toeplitz kernel at the offsets -(n-1)..n-1,
     a 32n-point `irfft` plus the real part of the complex correction."""
     n = g.n
     xib = 2.0 * np.pi * np.fft.rfftfreq(32 * n, d=g.dx)
-    m = evaluate(spec, xib) * (1j * xib) ** derivative
-    corr = multiplier._correction_kernel(spec, g, derivative)
+    m = evaluate(spec, xib) * (1j * xib) ** k
+    corr = _correction_kernel(spec, k, g)
     return np.fft.irfft(m, 32 * n)[np.arange(-(n - 1), n)] + corr.real, corr
 
 
-def _complex_route(spec, g, F, derivative=0):
+def _complex_route(spec, k, g, F):
     """The route the real-kernel one replaced: t from a 32n-point complex `ifft`
     of the symbol at the `fftfreq` points, whose Nyquist bin holds
     m(-pi/dx), plus the complex correction polynomial, applied by complex
     2n-point FFT convolution."""
     n = g.n
-    t = np.fft.ifft(_padded_symbol(spec, g, derivative, 32 * n))[np.arange(-(n - 1), n)]
-    W = _weights(spec, derivative, g, (n - 1) * g.dx)
+    t = np.fft.ifft(_padded_symbol(spec, k, g, 32 * n))[np.arange(-(n - 1), n)]
+    W = _weights(spec, k, g, (n - 1) * g.dx)
     t += np.polyval(W[::-1], 1j * np.arange(-(n - 1), n) / (n - 1)) * (g.dx / (2.0 * np.pi))
     circ = np.zeros(2 * n, dtype=complex)
     circ[:n], circ[n + 1:] = t[n - 1:], t[:n - 1]
@@ -516,10 +540,17 @@ def _complex_route(spec, g, F, derivative=0):
 
 
 class TestDealiasedRows:
+    """Each case (spec, k) is spec (i xi)^k, applied as its family terms
+    (`_family_terms`) and checked against references that evaluate spec times
+    (i xi)^k itself.  ModifiedCoth and RieszInverse (alpha = 3/4) times i xi
+    have no real-kernel symbol in the family and run at k = 0 only."""
+
     KERNELS = [symbol("HilbertSign"), symbol("ModifiedCoth", delta=0.1),
                symbol("RieszInverse", alpha=0.75), symbol("BranchCut", two_s=1.2, branch=1),
                symbol("AbsPow", two_s=1.5), symbol("SignPow", two_s=1.2)]
-    REAL = [k for k in KERNELS if k.kind != "BranchCut"]
+    CASES = [(spec, k) for spec in KERNELS for k in (0, 1)
+             if k == 0 or spec.kind not in ("ModifiedCoth", "RieszInverse")]
+    REAL = [(spec, k) for spec, k in CASES if spec.kind != "BranchCut"]
 
     @staticmethod
     def _source(n):
@@ -528,20 +559,18 @@ class TestDealiasedRows:
         return SampledFunction(g, f.values * np.cos(3.0 * g.x))
 
     @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("derivative", [0, 1])
-    @pytest.mark.parametrize("spec", KERNELS, ids=[k.kind for k in KERNELS])
-    def test_single_row_matches_padded_route(self, spec, derivative, n):
+    @pytest.mark.parametrize("spec,k", CASES, ids=[f"{spec.kind}-{k}" for spec, k in CASES])
+    def test_single_row_matches_padded_route(self, spec, k, n):
         f = self._source(n)
-        got = apply_dealiased(spec, f, derivative=derivative).values
-        ref = _parent_padded_route(spec, f, derivative)
-        # the two routes round differently; the parent's own error against a
-        # long-double evaluation of its sum reaches 9.2e-12 max|out| at d = 1
-        tol = 1e-12 if derivative == 0 else 1e-10
+        got = _dealiased(spec, k, f.grid, f.values[None])[0]
+        ref = _parent_padded_route(spec, k, f)
+        # the two routes round differently; the padded route's own error against
+        # a long-double evaluation of its sum reaches 9.2e-12 max|out| at k = 1
+        tol = 1e-12 if k == 0 else 1e-10
         assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("derivative", [0, 1])
-    @pytest.mark.parametrize("spec", KERNELS, ids=[k.kind for k in KERNELS])
-    def test_stack_equals_single_rows(self, spec, derivative):
+    @pytest.mark.parametrize("spec,k", CASES, ids=[f"{spec.kind}-{k}" for spec, k in CASES])
+    def test_stack_equals_single_rows(self, spec, k):
         g = Grid(8.0, 1024)
         centred = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values
         shifted = make_bump(Interval(0.3, 3.1), 0.0, 1.0, g).values
@@ -549,48 +578,44 @@ class TestDealiasedRows:
         F = np.array([centred, 2.5 * shifted, np.zeros(g.n), -3.0 * centred,
                       centred * np.sin(5.0 * g.x), 1j * shifted, shifted * np.cos(g.x),
                       0.5 * centred, 7.25 * centred, shifted, centred * np.exp(2j * g.x)])
-        rows = multiplier.dealiased_rows(spec, g, F, derivative=derivative)
+        rows = _dealiased(spec, k, g, F)
         assert rows.shape == F.shape and rows.dtype == complex
         for row, f in zip(rows, F):
-            assert np.array_equal(row, apply_dealiased(spec, SampledFunction(g, f),
-                                                       derivative=derivative).values)
+            assert np.array_equal(row, _dealiased(spec, k, g, f[None])[0])
         assert not rows[2].any()
 
     @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("derivative", [0, 1])
-    @pytest.mark.parametrize("spec", REAL, ids=[k.kind for k in REAL])
-    def test_complex_route_less_its_nyquist_term(self, spec, derivative, n):
+    @pytest.mark.parametrize("spec,k", REAL, ids=[f"{spec.kind}-{k}" for spec, k in REAL])
+    def test_complex_route_less_its_nyquist_term(self, spec, k, n):
         # the complex route gives the Nyquist bin m(-pi/dx) where irfft gives
         # the mean of m(+-pi/dx); that adds (m(-pi/dx) - mean) (-1)^i/(32n)
         # * sum_j (-1)^j f_j to output i (up to 1.1e-6 max|out|), and nothing
         # else differs beyond the roundoff of summing t[i-j] f_j, whose terms
         # reach max|t| sum|f| (up to 7e6 max|out| for the steep kernels)
         f = self._source(n)
-        got = apply_dealiased(spec, f, derivative=derivative).values
-        mn = _nyquist_values(spec, f.grid, derivative)
+        got = _dealiased(spec, k, f.grid, f.values[None])[0]
+        mn = _nyquist_values(spec, k, f.grid)
         alt = (-1.0) ** np.arange(n)
         term = (mn[0] - mn.mean()) * alt / (32 * n) * np.sum(alt * f.values)
-        ref = _complex_route(spec, f.grid, f.values, derivative) - term
-        t, _ = _real_kernel(spec, f.grid, derivative)
+        ref = _complex_route(spec, k, f.grid, f.values) - term
+        t, _ = _real_kernel(spec, k, f.grid)
         scale = np.max(np.abs(t)) * np.sum(np.abs(f.values))
         assert np.max(np.abs(got - ref)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("n", [1024, 4096])
-    @pytest.mark.parametrize("derivative", [0, 1])
-    @pytest.mark.parametrize("spec", REAL, ids=[k.kind for k in REAL])
-    def test_correction_kernel_is_real(self, spec, derivative, n):
+    @pytest.mark.parametrize("spec,k", REAL, ids=[f"{spec.kind}-{k}" for spec, k in REAL])
+    def test_correction_kernel_is_real(self, spec, k, n):
         # m(-xi) = conj m(xi) makes i^q W_q real; `dealiased_rows` drops the
         # roundoff left in the imaginary part
-        t, corr = _real_kernel(spec, Grid(8.0, n), derivative)
+        t, corr = _real_kernel(spec, k, Grid(8.0, n))
         assert np.max(np.abs(corr.imag)) <= 1e-15 * np.max(np.abs(t))
 
-    @pytest.mark.parametrize("derivative", [0, 1])
-    @pytest.mark.parametrize("spec", REAL, ids=[k.kind for k in REAL])
-    def test_real_rows_give_real_output(self, spec, derivative):
+    @pytest.mark.parametrize("spec,k", REAL, ids=[f"{spec.kind}-{k}" for spec, k in REAL])
+    def test_real_rows_give_real_output(self, spec, k):
         g = Grid(8.0, 1024)
         F = np.array([make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values,
                       self._source(1024).values, np.zeros(g.n)])
-        rows = multiplier.dealiased_rows(spec, g, F, derivative=derivative)
+        rows = _dealiased(spec, k, g, F)
         assert rows.dtype == complex and not rows.imag.any()
         assert rows[:2].real.any()
 
@@ -598,14 +623,26 @@ class TestDealiasedRows:
     @pytest.mark.parametrize("n", [4096, 8192])
     @pytest.mark.parametrize("branch", [1, 2])
     def test_branch_cut_split_matches_complex_route(self, branch, n, s):
-        # P^j = a |D|^{2s} + b SignPow against P^j's own complex route, on the
-        # source of `nsl branchcut defects`
+        # P^j = a |D|^{2s} + b SignPow as `branchcut.defects` composes it,
+        # against P^j's own complex route, on the source of `nsl branchcut defects`
         g = Grid(8.0, n)
         f = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g)
         spec = symbol("BranchCut", two_s=2.0 * s, branch=branch)
-        got = apply_dealiased(spec, f).values
-        ref = _complex_route(spec, g, f.values)
+        got = _dealiased(spec, 0, g, f.values[None])[0]
+        ref = _complex_route(spec, 0, g, f.values)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("spec", [symbol("BranchCut", two_s=1.5, branch=1),
+                                      symbol("BranchCut", two_s=1.5, branch=2),
+                                      symbol("FourierLaplace", alpha=0.0, beta=-1.0)],
+                             ids=["BranchCut-1", "BranchCut-2", "FourierLaplace"])
+    def test_rejects_symbol_without_real_kernel(self, spec):
+        g = Grid(8.0, 1024)
+        F = np.array([make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values, np.zeros(g.n)])
+        with pytest.raises(ValueError, match="real-kernel"):
+            multiplier.dealiased_rows(spec, g, F)
+        with pytest.raises(ValueError, match="real-kernel"):
+            multiplier.dealiased_rows(spec, g, np.zeros((1, g.n)))
 
     def test_rejects_row_reaching_past_half_width(self):
         g = Grid(8.0, 1024)
@@ -631,8 +668,11 @@ class TestPseudolocality:
         x = grid.x[np.argmin(np.abs(grid.x - 2.5))]
         # the FFT route loses accuracy with k: (i xi)^k amplifies the roundoff
         # tail of the spectrum, so the tolerance is tiered by order
+        # H (i xi)^k is applied as the family symbol it equals (`_family_terms`):
+        # |D| at k = 1, SignPow 2 at k = 2 and -|D|^3 at k = 3
         for k, rtol in ((0, 1e-6), (1, 1e-6), (2, 1e-3), (3, 1e-3)):
-            fft_val = trig_interp(apply_dealiased(spec, f, derivative=k), [x])[0]
+            out = SampledFunction(grid, _dealiased(spec, k, grid, f.values[None])[0])
+            fft_val = trig_interp(out, [x])[0]
 
             def integrand(y, k=k, x=x):
                 return _hilbert_derivative_kernel(x, y, k) * trig_interp(f, y)

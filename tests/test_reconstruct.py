@@ -94,7 +94,7 @@ class TestExpansionBasis:
 
 def _design_columns(data, N, bits):
     """Columns 0..N of the fit design, rebuilt from its QR factors."""
-    qs, R, _ = reconstruct._fit_machinery(data, N, bits)
+    qs, R = reconstruct._fit_machinery(data, N, bits)
     with mpmath.workprec(bits):
         return [[mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1))
                  for p in range(data.points.size)] for k in range(N + 1)]
@@ -224,7 +224,7 @@ class TestDesign:
         reconstruct._design.cache_clear()
         itv = reconstruct._tilde_interval(I01, 0.05)
         pts = tuple(reconstruct.tilde_variable(np.linspace(2, 3, 16), 0.05).tolist())
-        qs, R, _ = reconstruct._design("ModifiedHilbert", itv, pts, N, 256, delta=0.05)
+        qs, R = reconstruct._design("ModifiedHilbert", itv, pts, N, 256, delta=0.05)
         assert len(qs) == N + 1
 
     @pytest.mark.parametrize("kind,quads", [
@@ -444,7 +444,7 @@ def default_geometry_data(grid):
 def _legendre_sum_reference(data, N, xs):
     """sum_k Re(a_k) G_k at xs at 256 bits from the fit's own a_k, in the
     tilde variable times e^{2 pi delta x} for ModifiedHilbert."""
-    a, _, itv, _ = reconstruct._fit(data, N, PrecisionConfig())
+    a, itv, _ = reconstruct._fit(data, N, PrecisionConfig())
     out = []
     with mpmath.workprec(256):
         L = mpmath.mpf(itv.b) - itv.a
