@@ -73,8 +73,8 @@ class SymbolSpec:
         if k not in KINDS:
             raise ValueError(f"unknown symbol kind {k!r}")
         if k in ("AbsPow", "SignPow"):
-            if self.two_s is None:
-                raise ValueError(f"{k} requires the exponent 2s")
+            if self.two_s is None or self.two_s < 0:  # |xi|^2s is infinite at xi = 0
+                raise ValueError(f"{k} requires an exponent 2s >= 0, got {self.two_s}")
         elif k == "ModifiedCoth":
             if self.delta is None or self.delta <= 0:
                 raise ValueError("ModifiedCoth requires delta > 0")

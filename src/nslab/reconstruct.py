@@ -6,8 +6,9 @@ source.  Fitting those expansions to samples taken on a far region J gives
 the source's coefficients in the orthonormal Legendre basis of I: `invert`
 sums them on the grid, and `recover_moments` reports the moments they carry.
 The inversion is severely ill-posed, so the least squares runs in extended
-precision and the truncation order N acts as the regularizer (chosen by the
-discrepancy principle under noise).
+precision and the truncation order N acts as the regularizer, chosen by the
+discrepancy principle under noise; the selection and the fit read one path,
+one design and one projection of the data (`_ls_path`).
 
 The fit is set in the Legendre basis: the k-th design column is the operator
 applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -129,11 +131,10 @@ def _tilde_interval(I: Interval, delta: float) -> Interval:
 def _mp_vec(a):
     out = []
     for v in np.atleast_1d(a):
-        if isinstance(v, (mp.mpf, mp.mpc)):
-            out.append(v)
-            continue
-        v = complex(v)
-        out.append(mp.mpc(v) if v.imag != 0 else mp.mpf(v.real))
+        if not isinstance(v, (mp.mpf, mp.mpc)):
+            v = complex(v)
+            v = mp.mpc(v) if v.imag != 0 else mp.mpf(v.real)
+        out.append(v)
     return out
 
 
@@ -143,10 +144,12 @@ def _vdot(a, b):
 
 
 def _mgs_qr(cols, bits: int):
-    """Modified Gram-Schmidt QR of a column list; raises on rank deficiency."""
+    """Modified Gram-Schmidt QR of a column list, stopped before the first
+    numerically dependent column: the factors cover the independent leading
+    columns, and only a reader of a column past them raises (`_Path.read`)."""
     with mp.workprec(bits):
         qs, R = [], []
-        for k, a in enumerate(cols):
+        for a in cols:
             v = list(a)
             rk = []
             for q in qs:
@@ -154,43 +157,11 @@ def _mgs_qr(cols, bits: int):
                 rk.append(c)
                 v = [vi - c * qi for vi, qi in zip(v, q)]
             nrm = mp.sqrt(_vdot(v, v).real)
-            col_scale = mp.sqrt(_vdot(a, a).real)
-            if nrm < col_scale * mp.mpf(2) ** (-(bits - 16)):
-                raise ArithmeticError(
-                    f"design matrix numerically rank-deficient at column {k}; "
-                    "increase precision or reduce N")
-            rk.append(nrm)
+            if nrm < mp.sqrt(_vdot(a, a).real) * mp.mpf(2) ** (-(bits - 16)):
+                break
             qs.append([vi / nrm for vi in v])
-            R.append(rk)
+            R.append(rk + [nrm])
         return qs, R
-
-
-def _ls_path(qs, R, b, bits: int):
-    """Incremental least squares against a fixed QR factorization.
-
-    residuals[k] is the residual norm using columns 0..k; solve(k) returns the
-    k-truncated coefficient vector by back substitution.
-    """
-    with mp.workprec(bits):
-        rhs, residuals = [], []
-        bres = list(b)
-        for q in qs:
-            c = _vdot(q, bres)
-            rhs.append(c)
-            bres = [bi - c * qi for bi, qi in zip(bres, q)]
-            residuals.append(float(mp.sqrt(_vdot(bres, bres).real)))
-
-        def solve(k):
-            with mp.workprec(bits):
-                x = [mp.mpf(0)] * (k + 1)
-                for i in range(k, -1, -1):
-                    s = rhs[i]
-                    for l in range(i + 1, k + 1):
-                        s -= R[l][i] * x[l]
-                    x[i] = s / R[i][i]
-                return x
-
-        return residuals, solve, rhs
 
 
 def _check_convergence_region(kind: str, pts, itv: Interval):
@@ -291,7 +262,8 @@ _BUFFER_GATE = 3.0
 @functools.lru_cache(maxsize=16)
 def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
             delta=None, alpha=None, beta=None):
-    """QR-factored design: its factors (qs, R) from `_mgs_qr`.
+    """QR-factored design of order N, which only `_ls_path` sets: its factors
+    (qs, R) from `_mgs_qr`, which stop before the first dependent column.
 
     For I = [c - h, c + h] and z = (x - c)/h, column k at x is
     sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
@@ -358,52 +330,74 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
     return _mgs_qr(cols, bits)
 
 
-def _fit_machinery(data: RemoteData, N: int, bits: int):
-    """`_design` at the data's points and source in the fit variable; cached,
-    so sweeps re-use the factorization across noise draws."""
-    pts, itv = _fit_points_and_interval(data)
-    return _design(data.kind, itv, tuple(pts.tolist()), N, bits,
-                   data.delta, data.alpha, data.beta)
+class _Path(NamedTuple):
+    """One data set projected on one design (`_ls_path`)."""
+    itv: Interval    # the source interval in the fit variable
+    order: int       # the design's order M
+    R: list          # MGS R factor, one row per independent leading column
+    rhs: list        # data coefficients on the orthonormal columns
+    residuals: list  # residuals[k]: the data norm left after columns 0..k
+    noise: float     # the noise std-dev in the units of the fit
+    floor: float     # the quadrature/float64 roundoff even "clean" samples carry
+    bits: int
+
+    def read(self, k: int):
+        """The rank gate: a reader of columns 0..k needs each independent."""
+        if k >= len(self.R):
+            raise ArithmeticError(f"design matrix numerically rank-deficient at column "
+                                  f"{len(self.R)}; increase precision or reduce N")
 
 
-def _fit_values(data: RemoteData):
-    """Sample values in the normalization the expansions are written in, and
-    the factor |s| by which that scaled them (noise thresholds scale alike)."""
-    if data.kind == "RieszInverse":
-        # the grid operator carries the Riesz-potential constant; the design
-        # is written for the bare kernel -|x-y|^{2a-1}
-        s = -multiplier.riesz_constant(data.alpha)
-        return s * data.values, abs(s)
-    return data.values, 1.0
-
-
-def _fit(data: RemoteData, N: int, prec: PrecisionConfig):
-    """The far-field fit at order N: its Legendre coefficients a_0..a_N (the
-    source is sum_k a_k G_k on I, in the fit variable), the fit interval and
-    the fit residual at order N."""
+def _ls_path(data: RemoteData, N: int, bits: int) -> _Path:
+    """The data projected on the design of order M = min(N + _FIT_BUFFER,
+    m//2 - 1), in the units of the fit: RieszInverse values are scaled by
+    -c_alpha, as the grid operator carries the Riesz-potential constant and
+    the design the bare kernel -|x-y|^{2a-1}.  MGS works column by column, so
+    the leading blocks serve every order <= N."""
     m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
-    _, itv = _fit_points_and_interval(data)
-    # fit a few modes beyond N: the extra columns absorb the source's
-    # higher-order content, which would otherwise alias O(1) errors into the
-    # top reported coefficients (the buffer modes themselves are discarded)
-    M_fit = min(N + _FIT_BUFFER, m // 2 - 1)
-    qs, R = _fit_machinery(data, M_fit, prec.bits)
-    vals, unit = _fit_values(data)
-    residuals, solve, rhs = _ls_path(qs, R, _mp_vec(vals), prec.bits)
+    pts, itv = _fit_points_and_interval(data)
+    M = min(N + _FIT_BUFFER, m // 2 - 1)
+    qs, R = _design(data.kind, itv, tuple(pts.tolist()), M, bits,
+                    data.delta, data.alpha, data.beta)
+    s = -multiplier.riesz_constant(data.alpha) if data.kind == "RieszInverse" else 1.0
+    vals = s * data.values if data.kind == "RieszInverse" else data.values
+    bres, rhs, residuals = _mp_vec(vals), [], []
+    with mp.workprec(bits):
+        for q in qs:
+            c = _vdot(q, bres)
+            rhs.append(c)
+            bres = [bi - c * qi for bi, qi in zip(bres, q)]
+            residuals.append(float(mp.sqrt(_vdot(bres, bres).real)))
+    floor = 1e-8 * float(np.max(np.abs(vals)))
+    return _Path(itv, M, R, rhs, residuals, abs(s) * data.noise_level, floor, bits)
+
+
+def _fit(path: _Path, N: int):
+    """The far-field fit at order N from a path of order >= N: its Legendre
+    coefficients a_0..a_N (the source is sum_k a_k G_k on I, in the fit
+    variable), the fit interval and the fit residual at order N."""
+    # fit a few modes beyond N: the extra columns absorb the source's higher
+    # modes, which would otherwise alias O(1) errors into the top reported
+    # coefficients (the buffer modes themselves are discarded)
+    M_fit = min(N + _FIT_BUFFER, path.order)
+    path.read(M_fit)
     # keep a buffer column only while its data coefficient clears the noise
     # gate: below it the column fits noise, and its amplified junk coefficient
     # would leak into the reported modes through back substitution
-    # even "clean" samples carry quadrature/float64 roundoff; gate against it
-    floor = 1e-8 * float(np.max(np.abs(vals))) if vals.size else 0.0
-    gate = _BUFFER_GATE * max(unit * data.noise_level, floor)
+    gate = _BUFFER_GATE * max(path.noise, path.floor)
     M_use = N
-    for k in range(N + 1, M_fit + 1):
-        if abs(rhs[k]) <= gate:
-            break
-        M_use = k
-    return solve(M_use)[:N + 1], itv, residuals[N]
+    while M_use < M_fit and abs(path.rhs[M_use + 1]) > gate:
+        M_use += 1
+    with mp.workprec(path.bits):
+        x = [mp.mpf(0)] * (M_use + 1)
+        for i in range(M_use, -1, -1):
+            s = path.rhs[i]
+            for l in range(i + 1, M_use + 1):
+                s -= path.R[l][i] * x[l]
+            x[i] = s / path.R[i][i]
+    return x[:N + 1], path.itv, path.residuals[N]
 
 
 def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
@@ -414,7 +408,7 @@ def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionC
     transformed source F on the tilde image of I (the zeroth moments agree:
     F_0 = f_0).  The fit residual is attached as `quad_error`.
     """
-    a, itv, residual = _fit(data, N, prec)
+    a, itv, residual = _fit(_ls_path(data, N, prec.bits), N)
     with mp.workprec(prec.bits):
         mom = _moment_table(itv, N)
         coeffs = [mp.fsum(a[k] * mom[k][j] for k in range(N + 1)) for j in range(N + 1)]
@@ -430,30 +424,34 @@ def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = Precision
                  tau: float = 1.5) -> int:
     """Discrepancy principle: largest N whose fit residual stays at or above
     the noise floor tau * delta * sqrt(#samples) (ties broken toward smaller N),
-    with delta in the units of the fit (`_fit_values`).
+    with delta in the units of the fit (`_ls_path`).
 
     tau > 1 is the usual safety factor: without it, noise draws whose norm
     exceeds its expectation never cross the floor and the selection runs away
     to N_max with exponentially amplified error.
     """
+    return _select(data, N_max, prec.bits, tau)[0]
+
+
+def _select(data: RemoteData, N_max: int, bits: int, tau: float):
+    """`select_order`'s N and the path it read, which holds every column the fit at N reads."""
     if N_max < 0:
         raise ValueError(f"N_max must be >= 0, got {N_max}")
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     m = data.points.size
     N_max = min(N_max, m // 2 - 1)
-    qs, R = _fit_machinery(data, N_max, prec.bits)
-    vals, unit = _fit_values(data)
-    residuals, _, _ = _ls_path(qs, R, _mp_vec(vals), prec.bits)
-    floor = tau * unit * data.noise_level * math.sqrt(m)
+    path = _ls_path(data, N_max, bits)
+    path.read(N_max)
+    floor = tau * path.noise * math.sqrt(m)
     # residuals are nonincreasing until noise takes over; stop at the first
     # crossing below the floor so later chance fluctuations cannot inflate N
     best = 0
-    for k, r in enumerate(residuals):
+    for k, r in enumerate(path.residuals[:N_max + 1]):
         if r < floor:
             break
         best = k
-    return best
+    return best, path
 
 
 def invert(data: RemoteData, N: int, grid: Grid,
@@ -467,23 +465,27 @@ def invert(data: RemoteData, N: int, grid: Grid,
     the tilde variable and is carried back by the factor e^{2 pi delta x}.
     Returns (reconstruction on `grid`, relative L2(I) error or None).
     """
-    a, itv, _ = _fit(data, N, prec)
+    return _on_grid(data, _fit(_ls_path(data, N, prec.bits), N), grid, truth)
+
+
+def _on_grid(data: RemoteData, fit, grid: Grid, truth: SampledFunction | None):
+    """`invert`'s evaluation of a `_fit` result on the grid."""
+    a, itv, _ = fit
     I = data.source
     inside = I.contains(grid.x)
     xs = grid.x[inside]
     t = tilde_variable(xs, data.delta) if data.kind == "ModifiedHilbert" else xs
-    c = np.array([float(mp.re(v)) for v in a]) * np.sqrt((2 * np.arange(N + 1) + 1) / itv.length)
+    c = np.array([float(mp.re(v)) for v in a]) * np.sqrt((2 * np.arange(len(a)) + 1) / itv.length)
     vals = np.zeros(grid.n)
     vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c)
     if data.kind == "ModifiedHilbert":
         vals[inside] *= np.exp(2.0 * np.pi * data.delta * xs)
     rec = SampledFunction(grid, vals)
-    err = None
-    if truth is not None:
-        diff = SampledFunction(grid, rec.values - np.real(truth.values))
-        denom = norm(truth, "L2", region=I)
-        err = norm(diff, "L2", region=I) / denom if denom > 0 else norm(diff, "L2", region=I)
-    return rec, err
+    if truth is None:
+        return rec, None
+    diff = norm(SampledFunction(grid, vals - np.real(truth.values)), "L2", region=I)
+    denom = norm(truth, "L2", region=I)
+    return rec, diff / denom if denom > 0 else diff
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +548,15 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     clean = sample_remote(kind, f, I, J, num=num_samples, **params)
-    rows = []
-    averaged = []
+    rows, averaged = [], []
     for li, lvl in enumerate(levels):
         errs = []
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence((seed, li, t)))
             vals = clean.values + (lvl * rng.standard_normal(num_samples) if lvl > 0 else 0.0)
-            data = RemoteData(kind, I, clean.points, vals, noise_level=lvl,
-                              delta=clean.delta, alpha=clean.alpha, beta=clean.beta)
-            N = select_order(data, N_max, prec, tau=tau)
-            _, err = invert(data, N, f.grid, prec, truth=f)
+            data = replace(clean, values=vals, noise_level=lvl)
+            N, path = _select(data, N_max, prec.bits, tau)
+            _, err = _on_grid(data, _fit(path, N), f.grid, f)
             errs.append(err)
             rows.append({"operator": kind, "delta_noise": lvl, "trial": t,
                          "N": N, "error_L2": err})

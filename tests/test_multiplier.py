@@ -204,6 +204,13 @@ class TestSymbolValues:
         with pytest.raises(ValueError):
             symbol("BranchCut", two_s=2.0, branch=1)
 
+    @pytest.mark.parametrize("kind", ["AbsPow", "SignPow"])
+    @pytest.mark.parametrize("two_s", [-0.5, -2.0, None])
+    def test_power_negative_or_missing_order_rejected(self, kind, two_s):
+        # a negative 2s puts inf or nan at xi = 0, which `apply` cannot sample
+        with pytest.raises(ValueError, match=f"{kind} requires an exponent 2s >= 0"):
+            symbol(kind, two_s=two_s)
+
     def test_riesz_integer_2alpha_rejected(self):
         with pytest.raises(ValueError):
             symbol("RieszInverse", alpha=0.5)

@@ -94,7 +94,9 @@ class TestExpansionBasis:
 
 def _design_columns(data, N, bits):
     """Columns 0..N of the fit design, rebuilt from its QR factors."""
-    qs, R = reconstruct._fit_machinery(data, N, bits)
+    pts, itv = reconstruct._fit_points_and_interval(data)
+    qs, R = reconstruct._design(data.kind, itv, tuple(pts.tolist()), N, bits,
+                                data.delta, data.alpha, data.beta)
     with mpmath.workprec(bits):
         return [[mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1))
                  for p in range(data.points.size)] for k in range(N + 1)]
@@ -263,6 +265,15 @@ class TestDesign:
         with pytest.raises(ValueError, match=f"tau must be > 0, got {tau}"):
             select_order(data, 6, tau=tau)
 
+    def test_rank_gate_raises_for_a_read_column(self, grid):
+        # the fit at N = 9 reads columns 0..17, and at 64 bits column 17 is
+        # numerically dependent on the ones before it
+        data = RemoteData("FourierLaplace", I01, np.linspace(1.05, 2.05, 64), np.ones(64),
+                          alpha=1.0, beta=0.5)
+        with pytest.raises(ArithmeticError, match="rank-deficient at column 17"):
+            invert(data, 9, grid, PrecisionConfig(bits=64))
+        invert(data, 8, grid, PrecisionConfig(bits=64))
+
     def test_repeated_fit_hits_design_cache(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
         select_order(data, 6)
@@ -426,6 +437,35 @@ class TestStabilitySweep:
         assert len(curve.pairs) == 4
         assert all(e >= 0 for _, e in curve.pairs)
 
+    def test_one_design_and_one_projection_per_draw(self, monkeypatch, grid):
+        # the order selection and the fit read one least-squares path per
+        # draw, and every draw shares one design through the cache
+        counts = {"_mgs_qr": 0, "_ls_path": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(reconstruct, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(reconstruct, name, counted)
+        reconstruct._design.cache_clear()
+        stability_sweep("Hilbert", _unit_source(grid), I01, Interval(1.05, 2.05),
+                        [1e-2, 1e-3, 1e-4, 1e-5], trials=2, seed=7, num_samples=64)
+        assert counts == {"_mgs_qr": 1, "_ls_path": 8}
+
+    def test_unread_dependent_column_does_not_stop_the_sweep(self, grid):
+        # at 64 bits column 17 of this design is numerically dependent (see
+        # `test_rank_gate_raises_for_a_read_column`); the sweep's path has
+        # order 18, but no fit at the orders selected here reads past column
+        # 10; the rows are those that per-fit designs of order N + 8 gave
+        curve = stability_sweep("FourierLaplace", _unit_source(grid), I01,
+                                Interval(1.05, 2.05), [1e-2, 1e-3, 1e-4, 1e-5],
+                                trials=2, seed=7, N_max=10,
+                                prec=PrecisionConfig(bits=64), alpha=1.0, beta=0.5)
+        assert [r["N"] for r in curve.rows] == [2, 2, 1, 1, 1, 1, 0, 0]
+        assert [r["error_L2"] for r in curve.rows] == pytest.approx(
+            [0.4173153165031352, 0.41743367545220517, 0.7454100280917545,
+             0.7454093844294232, 0.7454085706501402, 0.745408657093878,
+             0.746246810934468, 0.7454119465618605], rel=1e-12)
+
 
 def _unit_source(grid):
     f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
@@ -444,7 +484,7 @@ def default_geometry_data(grid):
 def _legendre_sum_reference(data, N, xs):
     """sum_k Re(a_k) G_k at xs at 256 bits from the fit's own a_k, in the
     tilde variable times e^{2 pi delta x} for ModifiedHilbert."""
-    a, itv, _ = reconstruct._fit(data, N, PrecisionConfig())
+    a, itv, _ = reconstruct._fit(reconstruct._ls_path(data, N, 256), N)
     out = []
     with mpmath.workprec(256):
         L = mpmath.mpf(itv.b) - itv.a
