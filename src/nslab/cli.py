@@ -416,8 +416,10 @@ def three_balls_cmd(obj, art, p):
     """Three-balls norms and realized exponent for a harmonic extension."""
     cx, cy, r = p["center_x"], p["center_y"], p["radius"]
     n1, n2, n4, alpha = continuation.three_balls_report(_field(p), (cx, cy), r)
-    rows = [{"radius": r, "n_r": n1, "n_2r": n2, "n_4r": n4,
-             "alpha_hat": alpha if alpha is not None else float("nan")}]
+    if alpha is None:  # the balls hold too few distinct lattice nodes
+        raise ValueError(f"radius: {r} leaves alpha_hat undefined, with ball "
+                         f"norms n_r = {n1}, n_2r = {n2}, n_4r = {n4}")
+    rows = [{"radius": r, "n_r": n1, "n_2r": n2, "n_4r": n4, "alpha_hat": alpha}]
     art.csv(["radius", "n_r", "n_2r", "n_4r", "alpha_hat"], rows)
     return {"center": [cx, cy], "radius": r, "norms": [n1, n2, n4],
             "alpha_hat": alpha}

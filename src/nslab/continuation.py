@@ -117,6 +117,9 @@ class BallChain:
         return len(self.centers)
 
 
+_MAX_LEG_BALLS = 10_000  # the leg from J to I holds ~|I - J| / (0.15 y_top) balls
+
+
 def plan_ball_chain(I: Interval, J: Interval, tau: float,
                     y_top: float = 1.0) -> BallChain:
     """Greedy horizontal-then-vertical chain from above J down to height tau
@@ -130,6 +133,9 @@ def plan_ball_chain(I: Interval, J: Interval, tau: float,
     centers, radii = [], []
     # horizontal leg: step by half a radius for generous overlap
     nsteps = max(1, int(math.ceil(abs(xi_ - xj) / (0.5 * r0))))
+    if nsteps >= _MAX_LEG_BALLS:
+        raise ValueError(f"y_top: {y_top} plans {nsteps + 1} balls on the leg from J "
+                         f"to I, more than {_MAX_LEG_BALLS}")
     for k in range(nsteps + 1):
         centers.append((xj + (xi_ - xj) * k / nsteps, y0))
         radii.append(r0)

@@ -7,8 +7,9 @@ floating point.  The identities are exact: H_N^{-1} has a closed binomial
 formula in integers, and the stability bound is a set of Hilbert sums
 sum_k p_k / (j + k + 1) over integer numerators.  sigma_max(H_N^{-1}) is the
 top eigenvalue of that integer matrix, a perfectly conditioned problem, found
-by certified power iteration on the integers.  `reconstruct.invert` does
-the reconstruction, in the Legendre basis of its fit, with no moments.
+by certified power iteration on the integers.  The inversion
+(`reconstruct.stability_sweep`) works in the Legendre basis of its fit and
+converts no moments.
 """
 
 from __future__ import annotations
@@ -35,19 +36,6 @@ class PrecisionConfig:
     def __post_init__(self):
         if self.bits < 64:
             raise ValueError("precision requires at least 64 mantissa bits")
-
-
-@dataclass
-class MomentSequence:
-    interval: Interval
-    N: int
-    values: list
-    precision_bits: int = 256
-    quad_error: float = 0.0
-
-    def __post_init__(self):
-        if len(self.values) != self.N + 1:
-            raise ValueError("moment sequence must hold N+1 values")
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 Away from the source interval the four nonlocal operators treated here admit
 convergent expansions whose coefficients are the monomial moments of the
 source.  Fitting those expansions to samples taken on a far region J gives
-the source's coefficients in the orthonormal Legendre basis of I: `invert`
-sums them on the grid, and `recover_moments` reports the moments they carry.
-The inversion is severely ill-posed, so the least squares runs in extended
+the source's coefficients in the orthonormal Legendre basis of I.  The
+inversion is severely ill-posed, so the least squares runs in extended
 precision and the truncation order N acts as the regularizer, chosen by the
-discrepancy principle under noise; the selection and the fit read one path,
-one design and one projection of the data (`_ls_path`).
+discrepancy principle under noise.  Its one entry is `stability_sweep`: per
+noise draw, the selection (`_select`) and the fit (`_fit`) read one path, one
+design and one projection of the data (`_ls_path`).
 
 The fit is set in the Legendre basis: the k-th design column is the operator
 applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
@@ -17,7 +17,7 @@ kernel(x, y) dy, with the far-field kernel summed in closed form:
 for FourierLaplace.  No quadrature rule computes it: each column is a
 closed-form factor times int_{-1}^1 P_k(t) kappa(z, t) dt, a three-term
 recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
-`_design`), and the moment table int_I y^j G_k is exact integer arithmetic.
+`_design`).
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
 from . import multiplier, polyx
-from .gridfn import Grid, Interval, SampledFunction, norm
-from .moments import MomentSequence, PrecisionConfig, legendre_coeff_matrix
+from .gridfn import Interval, SampledFunction, norm
+from .moments import PrecisionConfig
 
 OPERATOR_KINDS = ("Hilbert", "ModifiedHilbert", "RieszInverse", "FourierLaplace")
 
@@ -91,21 +90,15 @@ class RemoteData:
 
 
 def sample_remote(kind: str, f: SampledFunction, I: Interval, J: Interval,
-                  num: int = 64, noise_level: float = 0.0, rng=None,
-                  **params) -> RemoteData:
-    """Quadrature-oracle samples of the operator on `num` equispaced points of J."""
+                  num: int = 64, **params) -> RemoteData:
+    """Clean quadrature-oracle samples of the operator on `num` equispaced
+    points of J; `stability_sweep` adds its seeded noise to them."""
     if num < 2:
         raise ValueError("need at least two sample points")
     pts = np.linspace(J.a, J.b, num)
-    data = RemoteData(kind, I, pts, np.zeros(num, dtype=complex),
-                      noise_level=noise_level, **params)
-    spec = _SYMBOL_OF[kind](data)
-    vals = multiplier.oracle_quadrature(spec, f, I, pts)
-    if noise_level > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        vals = vals + noise_level * rng.standard_normal(num)
-    return RemoteData(kind, I, pts, vals, noise_level=noise_level, **params)
+    data = RemoteData(kind, I, pts, np.zeros(num, dtype=complex), **params)
+    vals = multiplier.oracle_quadrature(_SYMBOL_OF[kind](data), f, I, pts)
+    return replace(data, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +221,6 @@ def _exp_integrals(w, N: int):
             for k in range(N + 1)]
 
 
-def _moment_table(itv: Interval, N: int):
-    """int_I y^j G_k(y) dy for k, j <= N, exact until one final rounding.
-
-    With s = (y - a)/L, G_k = sqrt((2k+1)/L) L_k(s)/(2k+1) for the integer rows
-    C of `legendre_coeff_matrix`, and int_0^1 s^i L_k = sum_l C[k][l]/(i+l+1);
-    the float ends are dyadic, a = A/q and L = B/q, and (A + B s)^j / q^j
-    expands y^j."""
-    C = legendre_coeff_matrix(N)
-    D = math.lcm(*range(1, 2 * N + 2))
-    S = [[sum(int(C[k][l]) * (D // (i + l + 1)) for l in range(k + 1)) if i >= k else 0
-          for i in range(N + 1)] for k in range(N + 1)]
-    a, L = Fraction(itv.a), Fraction(itv.b) - Fraction(itv.a)
-    q = math.lcm(a.denominator, L.denominator)
-    A, B = int(a * q), int(L * q)
-    T = [[math.comb(j, i) * A ** (j - i) * B ** i for i in range(j + 1)] for j in range(N + 1)]
-    return [[mp.sqrt(mp.mpf(L.numerator) / (L.denominator * (2 * k + 1)))
-             * mp.ldexp(mp.mpf(sum(T[j][i] * S[k][i] for i in range(k, j + 1))) / D,
-                        -j * (q.bit_length() - 1)) if j >= k else mp.mpf(0)
-             for j in range(N + 1)] for k in range(N + 1)]
-
-
 # bits a design carries past `bits`: rounding of the closed forms and of
 # z = (x - c)/h, and the polynomial factors of the recurrence's growth
 _GUARD_BITS = 32
@@ -283,7 +255,7 @@ def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
         i0, loss = int(np.argmax(np.abs(pts_arr))), 0
     else:
         z_abs = np.abs(pts_arr.real - itv.center) / (0.5 * itv.length)
-        i0 = int(np.argmin(z_abs))
+        i0 = int(np.argmax(z_abs))
         loss = 2 * N * math.log2(z_abs[i0] + math.sqrt(z_abs[i0] ** 2 - 1))
     with mp.workprec(bits + _GUARD_BITS + math.ceil(loss)):
         c = (mp.mpf(itv.a) + itv.b) / 2
@@ -400,41 +372,16 @@ def _fit(path: _Path, N: int):
     return x[:N + 1], path.itv, path.residuals[N]
 
 
-def recover_moments(data: RemoteData, N: int, prec: PrecisionConfig = PrecisionConfig()) -> MomentSequence:
-    """Moments 0..N of the fitted source, int_I y^j sum_k a_k G_k through the
-    exact moment table, each rounded to float64 once.
-
-    For ModifiedHilbert the returned sequence holds the moments of the
-    transformed source F on the tilde image of I (the zeroth moments agree:
-    F_0 = f_0).  The fit residual is attached as `quad_error`.
-    """
-    a, itv, residual = _fit(_ls_path(data, N, prec.bits), N)
-    with mp.workprec(prec.bits):
-        mom = _moment_table(itv, N)
-        coeffs = [mp.fsum(a[k] * mom[k][j] for k in range(N + 1)) for j in range(N + 1)]
-    if data.kind != "FourierLaplace":
-        # real-kernel operators: the fitted moments are real by construction,
-        # up to quadrature roundoff entering through the sample values
-        coeffs = [mp.re(c) for c in coeffs]
-    vals = [complex(c) if mp.im(c) != 0 else float(mp.re(c)) for c in coeffs]
-    return MomentSequence(itv, N, vals, precision_bits=prec.bits, quad_error=residual)
-
-
-def select_order(data: RemoteData, N_max: int, prec: PrecisionConfig = PrecisionConfig(),
-                 tau: float = 1.5) -> int:
-    """Discrepancy principle: largest N whose fit residual stays at or above
-    the noise floor tau * delta * sqrt(#samples) (ties broken toward smaller N),
-    with delta in the units of the fit (`_ls_path`).
+def _select(data: RemoteData, N_max: int, bits: int, tau: float):
+    """Discrepancy principle: the largest N whose fit residual stays at or
+    above the noise floor tau * delta * sqrt(#samples) (ties broken toward
+    smaller N), with delta in the units of the fit (`_ls_path`); returns N and
+    the path it read, which holds every column the fit at N reads.
 
     tau > 1 is the usual safety factor: without it, noise draws whose norm
     exceeds its expectation never cross the floor and the selection runs away
     to N_max with exponentially amplified error.
     """
-    return _select(data, N_max, prec.bits, tau)[0]
-
-
-def _select(data: RemoteData, N_max: int, bits: int, tau: float):
-    """`select_order`'s N and the path it read, which holds every column the fit at N reads."""
     if N_max < 0:
         raise ValueError(f"N_max must be >= 0, got {N_max}")
     if not tau > 0:
@@ -454,24 +401,13 @@ def _select(data: RemoteData, N_max: int, bits: int, tau: float):
     return best, path
 
 
-def invert(data: RemoteData, N: int, grid: Grid,
-           prec: PrecisionConfig = PrecisionConfig(),
-           truth: SampledFunction | None = None):
-    """Fit at order N and evaluate the fit on the grid points in I.
-
-    The reconstruction is sum_{k<=N} Re(a_k) G_k, G_k = sqrt((2k+1)/L)
-    P_k((2x - a - b)/L) on the fit interval (a, b) of length L, summed by
-    `legval` from the fit's own coefficients; for ModifiedHilbert it lives in
-    the tilde variable and is carried back by the factor e^{2 pi delta x}.
-    Returns (reconstruction on `grid`, relative L2(I) error or None).
-    """
-    return _on_grid(data, _fit(_ls_path(data, N, prec.bits), N), grid, truth)
-
-
-def _on_grid(data: RemoteData, fit, grid: Grid, truth: SampledFunction | None):
-    """`invert`'s evaluation of a `_fit` result on the grid."""
+def _on_grid(data: RemoteData, fit, truth: SampledFunction):
+    """(sum_{k<=N} Re(a_k) G_k of a `_fit` result on the grid points in I of
+    `truth`, its relative L2(I) error against `truth`): G_k = sqrt((2k+1)/L)
+    P_k((2x - a - b)/L) on the fit interval (a, b), summed by `legval`, in the
+    tilde variable and times e^{2 pi delta x} for ModifiedHilbert."""
     a, itv, _ = fit
-    I = data.source
+    I, grid = data.source, truth.grid
     inside = I.contains(grid.x)
     xs = grid.x[inside]
     t = tilde_variable(xs, data.delta) if data.kind == "ModifiedHilbert" else xs
@@ -480,12 +416,9 @@ def _on_grid(data: RemoteData, fit, grid: Grid, truth: SampledFunction | None):
     vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c)
     if data.kind == "ModifiedHilbert":
         vals[inside] *= np.exp(2.0 * np.pi * data.delta * xs)
-    rec = SampledFunction(grid, vals)
-    if truth is None:
-        return rec, None
     diff = norm(SampledFunction(grid, vals - np.real(truth.values)), "L2", region=I)
     denom = norm(truth, "L2", region=I)
-    return rec, diff / denom if denom > 0 else diff
+    return SampledFunction(grid, vals), diff / denom if denom > 0 else diff
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +489,7 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
             vals = clean.values + (lvl * rng.standard_normal(num_samples) if lvl > 0 else 0.0)
             data = replace(clean, values=vals, noise_level=lvl)
             N, path = _select(data, N_max, prec.bits, tau)
-            _, err = _on_grid(data, _fit(path, N), f.grid, f)
+            _, err = _on_grid(data, _fit(path, N), f)
             errs.append(err)
             rows.append({"operator": kind, "delta_noise": lvl, "trial": t,
                          "N": N, "error_L2": err})

@@ -97,6 +97,24 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_propagate_tiny_y_top_exit_2_under_memory_cap(tmp_path):
+    # y_top = 1e-6 plans ~2e7 balls on the leg from J to I for every tau; the
+    # cap on the address space makes an unbounded plan fail here, not the host
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("y_top=1e-6\n")
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+            "from nslab.cli import main; main(sys.argv[1:])")
+    res = subprocess.run([sys.executable, "-c", code, "--config", str(cfg), "--out",
+                          str(tmp_path), "continuation", "propagate"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "y_top: 1e-06 plans" in res.stderr
+    assert not list(tmp_path.glob("continuation_propagate.*"))
+
+
 # the config keys each subcommand reads, with their defaults as --help shows them
 _GRID = {"grid_L": "8.0", "grid_n": "4096"}
 _FIELD = {"grid_L": "8.0", "grid_n": "1024", "support": "1.0,2.0",
@@ -139,6 +157,9 @@ BAD_CONFIGS = [
     (("reconstruct", "sweep"), "tau=-1", "tau must be > 0, got -1"),
     (("continuation", "propagate"), "y_levels=1", "at least two y-levels"),
     (("continuation", "three-balls"), "y_levels=0", "at least two y-levels"),
+    # the r-, 2r- and 4r-balls hold the same lattice nodes: alpha_hat undefined
+    (("continuation", "three-balls"), "radius=0.001",
+     "radius: 0.001 leaves alpha_hat undefined"),
     *[(command, f"{key}={value}", f"config key '{key}': must be finite, got {value}")
       for command, key, value in [
           (("operators", "crosscheck"), "sharpness", "inf"),

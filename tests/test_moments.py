@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -9,9 +10,8 @@ from hypothesis import strategies as st
 
 from nslab import moments, polyx
 from nslab.gridfn import Box, Interval, SampledFunction, make_bump
-from nslab.moments import (LegendreSystem, MomentSequence, PrecisionConfig,
-                           hilbert_inverse_sigma_max, legendre_ode_residual,
-                           verify_festmom)
+from nslab.moments import (LegendreSystem, PrecisionConfig, hilbert_inverse_sigma_max,
+                           legendre_ode_residual, verify_festmom)
 from nslab.multiplier import adaptive_gauss, trig_interp
 from test_polyx import _as_exact, _p_compose_affine, _p_eval, _p_integral, _p_l2sq
 
@@ -21,10 +21,23 @@ UNIT = Interval(0.0, 1.0)
 # ---------------------------------------------------------------------------
 # Moment routes the program no longer runs, kept as references: moments of a
 # polynomial or of a sampled function, and the moment-to-Legendre
-# reconstruction with its precision guard (`required_bits`), which
-# `reconstruct.invert` no longer needs because it evaluates its fit in the
-# Legendre basis it solves in
+# reconstruction with its precision guard (`required_bits`), which the
+# inversion no longer needs because it evaluates its fit in the Legendre basis
+# it solves in
 # ---------------------------------------------------------------------------
+
+@dataclass
+class MomentSequence:
+    interval: Interval
+    N: int
+    values: list
+    precision_bits: int = 256
+    quad_error: float = 0.0
+
+    def __post_init__(self):
+        if len(self.values) != self.N + 1:
+            raise ValueError("moment sequence must hold N+1 values")
+
 
 def required_bits(N: int, n_dim: int = 1) -> int:
     """Mantissa bits needed to survive the e^{3.5 n (N+1)} conditioning."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -8,8 +9,8 @@ import pytest
 from nslab import moments, reconstruct
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
 from nslab.moments import PrecisionConfig
-from nslab.reconstruct import (RemoteData, invert, recover_moments,
-                               sample_remote, select_order, stability_sweep)
+from nslab.reconstruct import (RemoteData, _fit, _ls_path, _on_grid, _select,
+                               sample_remote, stability_sweep)
 
 I01 = Interval(0.0, 1.0)
 J23 = Interval(2.0, 3.0)
@@ -36,6 +37,39 @@ def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
                 acc += fj * xm ** (-j - 1)
             vals[i] = acc / mpmath.pi
     return RemoteData("Hilbert", I01, pts, vals, noise_level=0.0)
+
+
+def _moment_table(itv: Interval, N: int):
+    """int_I y^j G_k(y) dy for k, j <= N, exact until one final rounding.
+
+    With s = (y - a)/L, G_k = sqrt((2k+1)/L) L_k(s)/(2k+1) for the integer rows
+    C of `legendre_coeff_matrix`, and int_0^1 s^i L_k = sum_l C[k][l]/(i+l+1);
+    the float ends are dyadic, a = A/q and L = B/q, and (A + B s)^j / q^j
+    expands y^j."""
+    C = moments.legendre_coeff_matrix(N)
+    D = math.lcm(*range(1, 2 * N + 2))
+    S = [[sum(int(C[k][l]) * (D // (i + l + 1)) for l in range(k + 1)) if i >= k else 0
+          for i in range(N + 1)] for k in range(N + 1)]
+    a, L = Fraction(itv.a), Fraction(itv.b) - Fraction(itv.a)
+    q = math.lcm(a.denominator, L.denominator)
+    A, B = int(a * q), int(L * q)
+    T = [[math.comb(j, i) * A ** (j - i) * B ** i for i in range(j + 1)] for j in range(N + 1)]
+    return [[mpmath.sqrt(mpmath.mpf(L.numerator) / (L.denominator * (2 * k + 1)))
+             * mpmath.ldexp(mpmath.mpf(sum(T[j][i] * S[k][i] for i in range(k, j + 1))) / D,
+                            -j * (q.bit_length() - 1)) if j >= k else mpmath.mpf(0)
+             for j in range(N + 1)] for k in range(N + 1)]
+
+
+def fit_moments(fit, bits=256):
+    """Moments 0..N of a `_fit` result, int_I y^j sum_k a_k G_k through the
+    exact table (on the tilde image of I for ModifiedHilbert, whose zeroth
+    moment is still f_0), each rounded to float64 once; real parts only."""
+    a, itv, _ = fit
+    N = len(a) - 1
+    with mpmath.workprec(bits):
+        mom = _moment_table(itv, N)
+        return [float(mpmath.re(mpmath.fsum(a[k] * mom[k][j] for k in range(N + 1))))
+                for j in range(N + 1)]
 
 
 def riesz_coefficient(alpha, j):
@@ -136,6 +170,21 @@ class TestDesign:
                 for k in range(21) for p, x in enumerate(data.points))
         assert worst <= tol
 
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_far_point_column_within_the_rank_gate(self, bits):
+        # the recurrence loses 2N log2 rho(z) bits, most at the farthest point,
+        # so the guard bits are charged there: column N, rebuilt from Q R,
+        # meets the closed form to the rank gate's 2^-(bits-16) of its norm
+        N = 18
+        data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, 64), np.zeros(64))
+        col = _design_columns(data, N, bits)[N]
+        with mpmath.workprec(bits + 64):
+            ref = [mpmath.sqrt(2 * N + 1) / mpmath.pi
+                   * reconstruct._power_closed_form(2 * mpmath.mpf(x) - 1, -1, N)
+                   for x in data.points]
+            gap = max(abs(c - r) for c, r in zip(col, ref))
+            assert gap <= mpmath.ldexp(mpmath.norm(ref), -(bits - 16))
+
     def test_riesz_columns_match_quadrature(self):
         alpha = 0.25
         data = RemoteData("RieszInverse", I01, np.linspace(1.05, 2.05, 64),
@@ -218,7 +267,7 @@ class TestDesign:
         monkeypatch.setattr(reconstruct, "_GUARD_BITS", -200)
         data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
         with pytest.raises(ArithmeticError, match="closed-form check"):
-            select_order(data, 6)
+            _select(data, 6, 256, 1.5)
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_modified_hilbert_low_orders_pass_the_self_check(self, N):
@@ -242,28 +291,29 @@ class TestDesign:
         reconstruct._design.cache_clear()
         monkeypatch.setattr(mpmath, "quad", counted)
         data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
-        select_order(data, 6)
+        _select(data, 6, 256, 1.5)
         assert len(calls) == quads
 
     @pytest.mark.parametrize("lo,hi,message", [
         (-0.9, -0.5, "convex hull"), (1.01, 2.0, "too close")])
     def test_points_near_the_source_rejected(self, lo, hi, message):
         data = RemoteData("Hilbert", I01, np.linspace(lo, hi, 16), np.zeros(16))
-        for fit in (select_order, recover_moments):
-            with pytest.raises(ValueError, match=message):
-                fit(data, 3)
+        with pytest.raises(ValueError, match=message):
+            _select(data, 3, 256, 1.5)
+        with pytest.raises(ValueError, match=message):
+            _fit(_ls_path(data, 3, 256), 3)
 
     def test_negative_order_cap_rejected(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
         with pytest.raises(ValueError, match="N_max must be >= 0, got -1"):
-            select_order(data, -1)
+            _select(data, -1, 256, 1.5)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_nonpositive_discrepancy_factor_rejected(self, tau):
         # with tau <= 0 the floor is never crossed and N runs to N_max
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
         with pytest.raises(ValueError, match=f"tau must be > 0, got {tau}"):
-            select_order(data, 6, tau=tau)
+            _select(data, 6, 256, tau)
 
     def test_rank_gate_raises_for_a_read_column(self, grid):
         # the fit at N = 9 reads columns 0..17, and at 64 bits column 17 is
@@ -271,14 +321,14 @@ class TestDesign:
         data = RemoteData("FourierLaplace", I01, np.linspace(1.05, 2.05, 64), np.ones(64),
                           alpha=1.0, beta=0.5)
         with pytest.raises(ArithmeticError, match="rank-deficient at column 17"):
-            invert(data, 9, grid, PrecisionConfig(bits=64))
-        invert(data, 8, grid, PrecisionConfig(bits=64))
+            _fit(_ls_path(data, 9, 64), 9)
+        _on_grid(data, _fit(_ls_path(data, 8, 64), 8), _unit_source(grid))
 
     def test_repeated_fit_hits_design_cache(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
-        select_order(data, 6)
+        _select(data, 6, 256, 1.5)
         hits = reconstruct._design.cache_info().hits
-        select_order(data, 6)
+        _select(data, 6, 256, 1.5)
         assert reconstruct._design.cache_info().hits == hits + 1
 
 
@@ -302,39 +352,38 @@ class TestRecoverMoments:
             return mpmath.mpf(1) / (j + 2) - mpmath.mpf(1) / (j + 3)
 
         data = closed_form_hilbert_data(f_j, J23)
-        got = recover_moments(data, 6, PrecisionConfig(bits=320))
-        errs = [abs(float(got.values[j].real) - (1.0 / (j + 2) - 1.0 / (j + 3)))
-                for j in range(7)]
+        got = fit_moments(_fit(_ls_path(data, 6, 320), 6), 320)
+        errs = [abs(got[j] - (1.0 / (j + 2) - 1.0 / (j + 3))) for j in range(7)]
         assert max(errs) <= 1e-8
 
     def test_zero_data_zero_moments(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 64), np.zeros(64))
-        got = recover_moments(data, 4, PrecisionConfig())
-        assert all(abs(complex(v)) == 0.0 for v in got.values)
+        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
+        assert all(abs(complex(v)) == 0.0 for v in got)
 
     def test_sample_count_guard(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 8), np.zeros(8))
         with pytest.raises(ValueError):
-            recover_moments(data, 6, PrecisionConfig())
+            _ls_path(data, 6, 256)
 
     def test_fourier_laplace_overlapping_window(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("FourierLaplace", f, I01, Interval(-0.5, 0.5),
                              num=64, alpha=0.0, beta=-1.0)
-        got = recover_moments(data, 4, PrecisionConfig())
+        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
         mask = I01.contains(grid.x)
         integral = float(np.sum(f.values[mask]) * grid.dx)
-        assert abs(float(got.values[0].real) - integral) <= 1e-6
+        assert abs(got[0] - integral) <= 1e-6
 
     def test_gauge_invariance_power_of_two(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("Hilbert", f, I01, J23, num=64)
         lam = 8.0
         scaled = RemoteData("Hilbert", I01, data.points, lam * data.values)
-        a = recover_moments(data, 4, PrecisionConfig())
-        b = recover_moments(scaled, 4, PrecisionConfig())
+        a = fit_moments(_fit(_ls_path(data, 4, 256), 4))
+        b = fit_moments(_fit(_ls_path(scaled, 4, 256), 4))
         for j in range(5):
-            assert complex(b.values[j]) == complex(lam * a.values[j])
+            assert complex(b[j]) == complex(lam * a[j])
 
     def test_modified_hilbert_f0_recovery(self, grid):
         # the pullback moment F_0 equals f_0 by the change of variables
@@ -342,18 +391,18 @@ class TestRecoverMoments:
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("ModifiedHilbert", f, I01, J23, num=64,
                              delta=delta)
-        got = recover_moments(data, 4, PrecisionConfig())
+        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
-        assert abs(float(got.values[0].real) - f0) <= 1e-5
+        assert abs(got[0] - f0) <= 1e-5
 
     def test_riesz_f0_recovery(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("RieszInverse", f, I01, J23, num=64, alpha=0.25)
-        got = recover_moments(data, 4, PrecisionConfig())
+        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
-        assert abs(float(got.values[0].real) - f0) <= 1e-5
+        assert abs(got[0] - f0) <= 1e-5
 
     def test_riesz_f0_recovery_left_of_source(self, grid):
         # the kernel |x - y|^(2a-1) is real on both sides of the source
@@ -362,7 +411,7 @@ class TestRecoverMoments:
         got = []
         for J in (J23, Interval(-3.0, -2.0)):
             data = sample_remote("RieszInverse", f, I01, J, num=64, alpha=0.25)
-            got.append(float(recover_moments(data, 4, PrecisionConfig()).values[0].real))
+            got.append(fit_moments(_fit(_ls_path(data, 4, 256), 4))[0])
         assert abs(got[1] - f0) <= 1e-5
         assert abs(got[1] - got[0]) <= 1e-5
 
@@ -376,7 +425,7 @@ class TestInvert:
         mask = I01.contains(grid.x)
         truth_vals = np.where(mask, grid.x * (1.0 - grid.x), 0.0)
         truth = SampledFunction(grid, truth_vals)
-        rec, err = invert(data, 6, grid, PrecisionConfig(bits=320), truth=truth)
+        rec, err = _on_grid(data, _fit(_ls_path(data, 6, 320), 6), truth)
         assert err <= 1e-10
 
     def test_order_zero_zero_mean(self, grid):
@@ -384,7 +433,7 @@ class TestInvert:
         base = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         f = SampledFunction(grid, base.values * (grid.x - 0.5))
         data = sample_remote("Hilbert", f, I01, J23, num=64)
-        rec, _ = invert(data, 0, grid, PrecisionConfig())
+        rec, _ = _on_grid(data, _fit(_ls_path(data, 0, 256), 0), f)
         # floor set by the quadrature accuracy of the data oracle
         assert np.max(np.abs(rec.values)) <= 1e-5 * np.max(np.abs(f.values))
 
@@ -392,13 +441,14 @@ class TestInvert:
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         nrm = norm(f, "L2", region=I01)
         f = SampledFunction(grid, f.values / nrm)
+        clean = sample_remote("Hilbert", f, I01, J23, num=64)
         errs = []
         for noise in (1e-6, 1e-8):
             rng = np.random.default_rng(5)
-            data = sample_remote("Hilbert", f, I01, J23, num=64,
-                                 noise_level=noise, rng=rng)
-            N = select_order(data, 10, PrecisionConfig())
-            _, err = invert(data, N, grid, PrecisionConfig(), truth=f)
+            data = replace(clean, values=clean.values + noise * rng.standard_normal(64),
+                           noise_level=noise)
+            N, _ = _select(data, 10, 256, 1.5)
+            _, err = _on_grid(data, _fit(_ls_path(data, N, 256), N), f)
             errs.append(err)
         assert errs[1] <= 0.5
         assert errs[1] <= errs[0]
@@ -424,8 +474,8 @@ class TestStabilitySweep:
                                 num_samples=48, N_max=8)
         zero_err = dict(curve.pairs)[0.0]
         clean = sample_remote("Hilbert", f, I01, Interval(1.05, 2.05), num=48)
-        N = select_order(clean, 8, PrecisionConfig())
-        _, floor = invert(clean, N, grid, PrecisionConfig(), truth=f)
+        N, _ = _select(clean, 8, 256, 1.5)
+        _, floor = _on_grid(clean, _fit(_ls_path(clean, N, 256), N), f)
         assert zero_err == pytest.approx(floor, rel=1e-12)
 
     def test_riesz_constant_sign_family_completes(self, grid):
@@ -484,7 +534,7 @@ def default_geometry_data(grid):
 def _legendre_sum_reference(data, N, xs):
     """sum_k Re(a_k) G_k at xs at 256 bits from the fit's own a_k, in the
     tilde variable times e^{2 pi delta x} for ModifiedHilbert."""
-    a, itv, _ = reconstruct._fit(reconstruct._ls_path(data, N, 256), N)
+    a, itv, _ = _fit(_ls_path(data, N, 256), N)
     out = []
     with mpmath.workprec(256):
         L = mpmath.mpf(itv.b) - itv.a
@@ -501,7 +551,7 @@ def _legendre_sum_reference(data, N, xs):
 
 
 class TestLegendreRoute:
-    """`invert` sums the fit's Legendre coefficients by `legval`.  A route
+    """`_on_grid` sums the fit's Legendre coefficients by `legval`.  A route
     through float64 moments and monomial coefficients misses the same
     reference at the same points by 3e-13 max|ref| at N = 6, 3e-11 at
     N = 10 and 4e-3 at N = 22."""
@@ -512,7 +562,7 @@ class TestLegendreRoute:
     def test_matches_extended_precision_legendre_sum(self, grid, default_geometry_data,
                                                      kind, N):
         data = default_geometry_data[kind]
-        rec, _ = invert(data, N, grid, PrecisionConfig())
+        rec, _ = _on_grid(data, _fit(_ls_path(data, N, 256), N), _unit_source(grid))
         inside = np.flatnonzero(I01.contains(grid.x))
         idx = inside[np.linspace(0, inside.size - 1, 7).astype(int)]
         ref = _legendre_sum_reference(data, N, grid.x[idx])
@@ -526,7 +576,7 @@ class TestLegendreRoute:
         noise = 1e-10 * np.random.default_rng(3).standard_normal(32)
         data = RemoteData("Hilbert", I01, clean.points, clean.values + noise,
                           noise_level=1e-10)
-        got = recover_moments(data, 2)
-        assert got.values == [0.6666676134544282, 0.3999940035633928, 0.285725741354681]
-        assert got.quad_error == 1.1159860500550324e-06
+        fit = _fit(_ls_path(data, 2, 256), 2)
+        assert fit_moments(fit) == [0.6666676134544282, 0.3999940035633928, 0.285725741354681]
+        assert fit[2] == 1.1159860500550324e-06
 
