@@ -100,6 +100,13 @@ def _at_least(name: str, value: int, low: int) -> int:
     return value
 
 
+def _nonzero(key: str, size: float, where: str) -> float:
+    """size, or a validation error (exit 2) naming the key whose bump it measures."""
+    if size == 0:
+        raise _Invalid(f"{key}: the bump vanishes at every grid node of {where}")
+    return size
+
+
 class _NumericalFailure(click.ClickException):
     exit_code = 3
 
@@ -302,7 +309,7 @@ def sweep_cmd(obj, art, p):
             "at positive distance from the source interval) is violated")
     grid = Grid(p["grid_L"], p["grid_n"])
     f = make_bump(p["support"], p["center_offset"], p["sharpness"], grid)
-    f = SampledFunction(grid, f.values / norm(f, "L2", region=I))
+    f = SampledFunction(grid, f.values / _nonzero("support", norm(f, "L2", region=I), "I"))
     levels = [10.0 ** (-2 - k) for k in range(p["noise_levels"])]
     curve = reconstruct.stability_sweep(
         p["operator"], f, I, J, levels, trials=p["trials"], seed=obj["seed"],
@@ -328,6 +335,7 @@ def crosscheck(obj, art, p):
     """FFT multiplier vs independent quadrature on remote sample points."""
     I, J, grid = p["I"], p["J"], Grid(p["grid_L"], p["grid_n"])
     f = make_bump(I, 0.0, p["sharpness"], grid)
+    _nonzero("I", np.abs(f.values).max(), "I")
     # grid-aligned sample points: trigonometric interpolation of the
     # dealiased output is exact on the grid, off-grid it carries the
     # periodization tail's interpolation error
@@ -390,6 +398,7 @@ def bc_stability(obj, art, p):
     """Exterior-smallness exponent over a modulated-bump family."""
     grid = Grid(p["grid_L"], p["grid_n"])
     fam = branchcut.modulated_family(p["I"], grid, range(2, 9))
+    _nonzero("I", np.abs(fam[0].values).max(), "I")
     curve = branchcut.stability_experiment_fraclap(
         fam, p["s"], p["I"], p["J_left"], p["J_right"])
     art.csv(["k", "F", "r"], curve.rows)
@@ -458,7 +467,7 @@ def cost_curve(obj, art, p):
     prob, grid = _runge_problem(p)
     v = make_bump(p["target_support"], 0.0, p["target_sharpness"],
                   grid).values[prob.omega_idx]
-    v = v / (math.sqrt(grid.dx) * np.linalg.norm(v))
+    v = v / (math.sqrt(grid.dx) * _nonzero("target_support", np.linalg.norm(v), "Omega"))
     svd = runge.poisson_svd(prob)
     rows, fit = runge.epsilon_sweep(prob, v, svd=svd)
     art.csv(["eps", "achieved", "cost", "k", "floor"],

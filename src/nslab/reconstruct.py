@@ -6,9 +6,10 @@ source.  Fitting those expansions to samples taken on a far region J gives
 the source's coefficients in the orthonormal Legendre basis of I.  The
 inversion is severely ill-posed, so the least squares runs in extended
 precision and the truncation order N acts as the regularizer, chosen by the
-discrepancy principle under noise.  Its one entry is `stability_sweep`: per
-noise draw, the selection (`_select`) and the fit (`_fit`) read one path, one
-design and one projection of the data (`_ls_path`).
+discrepancy principle under noise.  Its one entry is `stability_sweep`, which
+builds one design for its fixed sample geometry (`_design`); per noise draw,
+the selection (`_select`) and the fit (`_fit`) read one projection of the data
+on it (`_project`).
 
 The fit is set in the Legendre basis: the k-th design column is the operator
 applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
@@ -22,7 +23,6 @@ recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -50,15 +50,13 @@ class RemoteData:
 
     kind: one of OPERATOR_KINDS; `source` is the interval I carrying the
     unknown; `points` lie in the measurement region (complex allowed for
-    FourierLaplace); `noise_level` is the std-dev of additive noise on the
-    values (0 for clean data).
+    FourierLaplace).
     """
 
     kind: str
     source: Interval
     points: np.ndarray
     values: np.ndarray
-    noise_level: float = 0.0
     delta: float | None = None
     alpha: float | None = None
     beta: float | None = None
@@ -73,8 +71,6 @@ class RemoteData:
         object.__setattr__(self, "values", vals)
         if self.points.shape != self.values.shape:
             raise ValueError("points and values must have matching shapes")
-        if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
         if self.kind == "ModifiedHilbert" and (self.delta is None or self.delta <= 0):
             raise ValueError("ModifiedHilbert requires delta > 0")
         if self.kind == "RieszInverse" and (self.alpha is None or not 0 < self.alpha < 1):
@@ -139,7 +135,7 @@ def _vdot(a, b):
 def _mgs_qr(cols, bits: int):
     """Modified Gram-Schmidt QR of a column list, stopped before the first
     numerically dependent column: the factors cover the independent leading
-    columns, and only a reader of a column past them raises (`_Path.read`)."""
+    columns, and only a reader of a column past them raises (`_Design.read`)."""
     with mp.workprec(bits):
         qs, R = [], []
         for a in cols:
@@ -155,33 +151,6 @@ def _mgs_qr(cols, bits: int):
             qs.append([vi / nrm for vi in v])
             R.append(rk + [nrm])
         return qs, R
-
-
-def _check_convergence_region(kind: str, pts, itv: Interval):
-    """Fit points must lie off the hull of I (in the fit variable), with room."""
-    if kind == "FourierLaplace":
-        return
-    hull = max(abs(itv.a), abs(itv.b))
-    rmin = float(np.min(np.abs(pts.real)))
-    if rmin <= hull:
-        raise ValueError(
-            "sample points must lie outside the closed convex hull of the "
-            "source (power series diverges there)")
-    if rmin <= hull * 1.02:
-        raise ValueError(
-            "sample points too close to the source hull for a convergent "
-            "expansion fit at this precision")
-
-
-def _fit_points_and_interval(data: RemoteData):
-    """Points and source interval in the variable the expansion lives in."""
-    if data.kind == "ModifiedHilbert":
-        pts = tilde_variable(data.points.real, data.delta)
-        itv = _tilde_interval(data.source, data.delta)
-    else:
-        pts, itv = data.points, data.source
-    _check_convergence_region(data.kind, pts, itv)
-    return pts, itv
 
 
 def _power_integrals(z, beta, N: int):
@@ -231,86 +200,13 @@ _FIT_BUFFER = 8
 _BUFFER_GATE = 3.0
 
 
-@functools.lru_cache(maxsize=16)
-def _design(kind: str, itv: Interval, pts: tuple, N: int, bits: int,
-            delta=None, alpha=None, beta=None):
-    """QR-factored design of order N, which only `_ls_path` sets: its factors
-    (qs, R) from `_mgs_qr`, which stop before the first dependent column.
-
-    For I = [c - h, c + h] and z = (x - c)/h, column k at x is
-    sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
-    `_power_integrals` at beta = -1; ModifiedHilbert (tilde variable) the
-    same times 1 + 2 pi delta x, less delta int_I G_0 = delta sqrt(2h) for
-    k = 0; RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c),
-    f_k from `_exp_integrals` at w = lambda x h.  At the sample point that
-    loses most bits, column N must match an independent value to
-    2^-(bits-64) of its size, else ArithmeticError.  For the three power
-    kernels that value is `_power_closed_form` at bits + 16, which catches the
-    recurrence losing precision; FourierLaplace's is `mp.quad` of
-    G_N e^(lambda x y), with bits added for the integrand's mass, at most
-    sqrt(2h) max_I |e^(lambda x y)| by Cauchy-Schwarz.
-    """
-    pts_arr = np.asarray(pts)
-    if kind == "FourierLaplace":
-        i0, loss = int(np.argmax(np.abs(pts_arr))), 0
-    else:
-        z_abs = np.abs(pts_arr.real - itv.center) / (0.5 * itv.length)
-        i0 = int(np.argmax(z_abs))
-        loss = 2 * N * math.log2(z_abs[i0] + math.sqrt(z_abs[i0] ** 2 - 1))
-    with mp.workprec(bits + _GUARD_BITS + math.ceil(loss)):
-        c = (mp.mpf(itv.a) + itv.b) / 2
-        h = (mp.mpf(itv.b) - itv.a) / 2
-        xs = _mp_vec(pts_arr)
-        if kind == "FourierLaplace":
-            lam = mp.mpc(alpha, beta)
-            f = [_exp_integrals(lam * x * h, N) for x in xs]
-            scale = [h * mp.exp(lam * x * c) for x in xs]
-        else:
-            power = 2 * mp.mpf(alpha) - 1 if kind == "RieszInverse" else -1
-            zs = [(x - c) / h for x in xs]
-            f = [_power_integrals(z, power, N) for z in zs]
-            if kind == "RieszInverse":
-                scale = [h ** (2 * mp.mpf(alpha))] * len(xs)
-            else:
-                scale = [mp.sign(x - c) / mp.pi for x in xs]
-            if kind == "ModifiedHilbert":
-                scale = [(1 + 2 * mp.pi * delta * x) * s for x, s in zip(xs, scale)]
-        cols = [[mp.sqrt((2 * k + 1) / (2 * h)) * s * fx[k] for s, fx in zip(scale, f)]
-                for k in range(N + 1)]
-        if kind == "ModifiedHilbert":
-            cols[0] = [v - delta * mp.sqrt(2 * h) for v in cols[0]]
-        col = cols[N][i0]
-        if kind == "FourierLaplace":
-            mass = mp.sqrt(2 * h) * max(abs(mp.exp(lam * xs[i0] * y))
-                                        for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
-            extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
-    if kind == "FourierLaplace":
-        check = "quadrature"
-        with mp.workprec(bits + extra):
-            ref = mp.quad(lambda y: mp.sqrt((2 * N + 1) / (2 * h)) * mp.legendre(N, (y - c) / h)
-                          * mp.exp(lam * xs[i0] * y), [itv.a, itv.b])
-    else:
-        check = "closed-form"
-        with mp.workprec(bits + 16):
-            ref = mp.sqrt((2 * N + 1) / (2 * h)) * scale[i0] * _power_closed_form(zs[i0], power, N)
-            if kind == "ModifiedHilbert" and N == 0:
-                ref -= delta * mp.sqrt(2 * h)
-    gap = abs(col - ref)
-    if gap > mp.ldexp(abs(col), -(bits - 64)):
-        raise ArithmeticError(f"{kind} design column {N} misses its {check} check by "
-                              f"{float(gap):.3g} (column {float(abs(col)):.3g})")
-    return _mgs_qr(cols, bits)
-
-
-class _Path(NamedTuple):
-    """One data set projected on one design (`_ls_path`)."""
+class _Design(NamedTuple):
+    """The QR-factored design of one sample geometry (`_design`)."""
     itv: Interval    # the source interval in the fit variable
     order: int       # the design's order M
+    qs: list         # MGS orthonormal columns
     R: list          # MGS R factor, one row per independent leading column
-    rhs: list        # data coefficients on the orthonormal columns
-    residuals: list  # residuals[k]: the data norm left after columns 0..k
-    noise: float     # the noise std-dev in the units of the fit
-    floor: float     # the quadrature/float64 roundoff even "clean" samples carry
+    scale: float     # data to fit units: -c_alpha for RieszInverse, else 1
     bits: int
 
     def read(self, k: int):
@@ -320,30 +216,117 @@ class _Path(NamedTuple):
                                   f"{len(self.R)}; increase precision or reduce N")
 
 
-def _ls_path(data: RemoteData, N: int, bits: int) -> _Path:
-    """The data projected on the design of order M = min(N + _FIT_BUFFER,
-    m//2 - 1), in the units of the fit: RieszInverse values are scaled by
-    -c_alpha, as the grid operator carries the Riesz-potential constant and
-    the design the bare kernel -|x-y|^{2a-1}.  MGS works column by column, so
-    the leading blocks serve every order <= N."""
+def _design(data: RemoteData, N: int, bits: int) -> _Design:
+    """The design of the sample points of `data`, factored by `_mgs_qr`, which
+    stops before the first dependent column.  Its order M = min(N +
+    _FIT_BUFFER, m//2 - 1) serves every fit up to order N, as MGS works column
+    by column; ModifiedHilbert fits in the tilde variable.
+
+    For I = [c - h, c + h] (in the fit variable) and z = (x - c)/h, column k
+    at x is sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
+    `_power_integrals` at beta = -1; ModifiedHilbert the same times
+    1 + 2 pi delta x, less delta int_I G_0 = delta sqrt(2h) for k = 0;
+    RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c), f_k
+    from `_exp_integrals` at w = lambda x h.  The power kernels need |z| > 1
+    at every point.  At the sample point that loses most bits, column M must
+    match an independent value to 2^-(bits-64) of its size, else
+    ArithmeticError.  For the three power kernels that value is
+    `_power_closed_form` at bits + 16, which catches the recurrence losing
+    precision; FourierLaplace's is `mp.quad` of G_M e^(lambda x y), with bits
+    added for the integrand's mass, at most sqrt(2h) max_I |e^(lambda x y)| by
+    Cauchy-Schwarz.  RieszInverse data are scaled by -c_alpha into the units
+    of the fit, as the grid operator carries the Riesz-potential constant and
+    the design the bare kernel -|x-y|^{2a-1}.
+    """
+    kind, delta, alpha, beta = data.kind, data.delta, data.alpha, data.beta
     m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
-    pts, itv = _fit_points_and_interval(data)
     M = min(N + _FIT_BUFFER, m // 2 - 1)
-    qs, R = _design(data.kind, itv, tuple(pts.tolist()), M, bits,
-                    data.delta, data.alpha, data.beta)
-    s = -multiplier.riesz_constant(data.alpha) if data.kind == "RieszInverse" else 1.0
-    vals = s * data.values if data.kind == "RieszInverse" else data.values
+    if kind == "ModifiedHilbert":
+        pts = tilde_variable(data.points.real, delta)
+        itv = _tilde_interval(data.source, delta)
+    else:
+        pts, itv = data.points, data.source
+    if kind == "FourierLaplace":
+        i0, loss = int(np.argmax(np.abs(pts))), 0
+    else:
+        # the float64 tilde map can put a point just off I onto its end
+        if np.any((pts.real >= itv.a) & (pts.real <= itv.b)):
+            raise ValueError("sample points must lie off the source interval in the "
+                             "variable of the fit (|z| > 1)")
+        z_abs = np.abs(pts.real - itv.center) / (0.5 * itv.length)
+        i0 = int(np.argmax(z_abs))
+        loss = 2 * M * math.log2(z_abs[i0] + math.sqrt(z_abs[i0] ** 2 - 1))
+    with mp.workprec(bits + _GUARD_BITS + math.ceil(loss)):
+        c = (mp.mpf(itv.a) + itv.b) / 2
+        h = (mp.mpf(itv.b) - itv.a) / 2
+        xs = _mp_vec(pts)
+        if kind == "FourierLaplace":
+            lam = mp.mpc(alpha, beta)
+            f = [_exp_integrals(lam * x * h, M) for x in xs]
+            factor = [h * mp.exp(lam * x * c) for x in xs]
+        else:
+            power = 2 * mp.mpf(alpha) - 1 if kind == "RieszInverse" else -1
+            zs = [(x - c) / h for x in xs]
+            f = [_power_integrals(z, power, M) for z in zs]
+            if kind == "RieszInverse":
+                factor = [h ** (2 * mp.mpf(alpha))] * len(xs)
+            else:
+                factor = [mp.sign(x - c) / mp.pi for x in xs]
+            if kind == "ModifiedHilbert":
+                factor = [(1 + 2 * mp.pi * delta * x) * s for x, s in zip(xs, factor)]
+        cols = [[mp.sqrt((2 * k + 1) / (2 * h)) * s * fx[k] for s, fx in zip(factor, f)]
+                for k in range(M + 1)]
+        if kind == "ModifiedHilbert":
+            cols[0] = [v - delta * mp.sqrt(2 * h) for v in cols[0]]
+        col = cols[M][i0]
+        if kind == "FourierLaplace":
+            mass = mp.sqrt(2 * h) * max(abs(mp.exp(lam * xs[i0] * y))
+                                        for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
+            extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
+    if kind == "FourierLaplace":
+        check = "quadrature"
+        with mp.workprec(bits + extra):
+            ref = mp.quad(lambda y: mp.sqrt((2 * M + 1) / (2 * h)) * mp.legendre(M, (y - c) / h)
+                          * mp.exp(lam * xs[i0] * y), [itv.a, itv.b])
+    else:
+        check = "closed-form"
+        with mp.workprec(bits + 16):
+            ref = mp.sqrt((2 * M + 1) / (2 * h)) * factor[i0] * _power_closed_form(zs[i0], power, M)
+            if kind == "ModifiedHilbert" and M == 0:
+                ref -= delta * mp.sqrt(2 * h)
+    gap = abs(col - ref)
+    if gap > mp.ldexp(abs(col), -(bits - 64)):
+        raise ArithmeticError(f"{kind} design column {M} misses its {check} check by "
+                              f"{float(gap):.3g} (column {float(abs(col)):.3g})")
+    scale = -multiplier.riesz_constant(alpha) if kind == "RieszInverse" else 1.0
+    return _Design(itv, M, *_mgs_qr(cols, bits), scale, bits)
+
+
+class _Path(NamedTuple):
+    """One data set projected on one design (`_project`)."""
+    design: _Design
+    rhs: list        # data coefficients on the orthonormal columns
+    residuals: list  # residuals[k]: the data norm left after columns 0..k
+    noise: float     # the noise std-dev in the units of the fit
+    floor: float     # the quadrature/float64 roundoff even "clean" samples carry
+
+
+def _project(design: _Design, values, noise: float) -> _Path:
+    """`values`, sampled at the design's points with additive noise of std-dev
+    `noise` (0 for clean data), projected on its orthonormal columns."""
+    # a unit scale leaves extended-precision (object) values unrounded
+    vals = values if design.scale == 1.0 else design.scale * values
     bres, rhs, residuals = _mp_vec(vals), [], []
-    with mp.workprec(bits):
-        for q in qs:
+    with mp.workprec(design.bits):
+        for q in design.qs:
             c = _vdot(q, bres)
             rhs.append(c)
             bres = [bi - c * qi for bi, qi in zip(bres, q)]
             residuals.append(float(mp.sqrt(_vdot(bres, bres).real)))
     floor = 1e-8 * float(np.max(np.abs(vals)))
-    return _Path(itv, M, R, rhs, residuals, abs(s) * data.noise_level, floor, bits)
+    return _Path(design, rhs, residuals, abs(design.scale) * noise, floor)
 
 
 def _fit(path: _Path, N: int):
@@ -353,8 +336,9 @@ def _fit(path: _Path, N: int):
     # fit a few modes beyond N: the extra columns absorb the source's higher
     # modes, which would otherwise alias O(1) errors into the top reported
     # coefficients (the buffer modes themselves are discarded)
-    M_fit = min(N + _FIT_BUFFER, path.order)
-    path.read(M_fit)
+    d = path.design
+    M_fit = min(N + _FIT_BUFFER, d.order)
+    d.read(M_fit)
     # keep a buffer column only while its data coefficient clears the noise
     # gate: below it the column fits noise, and its amplified junk coefficient
     # would leak into the reported modes through back substitution
@@ -362,35 +346,27 @@ def _fit(path: _Path, N: int):
     M_use = N
     while M_use < M_fit and abs(path.rhs[M_use + 1]) > gate:
         M_use += 1
-    with mp.workprec(path.bits):
+    with mp.workprec(d.bits):
         x = [mp.mpf(0)] * (M_use + 1)
         for i in range(M_use, -1, -1):
             s = path.rhs[i]
             for l in range(i + 1, M_use + 1):
-                s -= path.R[l][i] * x[l]
-            x[i] = s / path.R[i][i]
-    return x[:N + 1], path.itv, path.residuals[N]
+                s -= d.R[l][i] * x[l]
+            x[i] = s / d.R[i][i]
+    return x[:N + 1], d.itv, path.residuals[N]
 
 
-def _select(data: RemoteData, N_max: int, bits: int, tau: float):
-    """Discrepancy principle: the largest N whose fit residual stays at or
-    above the noise floor tau * delta * sqrt(#samples) (ties broken toward
-    smaller N), with delta in the units of the fit (`_ls_path`); returns N and
-    the path it read, which holds every column the fit at N reads.
+def _select(path: _Path, N_max: int, tau: float) -> int:
+    """Discrepancy principle: the largest N <= N_max whose fit residual stays
+    at or above the noise floor tau * delta * sqrt(#samples) (ties broken
+    toward smaller N), with delta in the units of the fit (`_project`).
 
     tau > 1 is the usual safety factor: without it, noise draws whose norm
     exceeds its expectation never cross the floor and the selection runs away
     to N_max with exponentially amplified error.
     """
-    if N_max < 0:
-        raise ValueError(f"N_max must be >= 0, got {N_max}")
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    m = data.points.size
-    N_max = min(N_max, m // 2 - 1)
-    path = _ls_path(data, N_max, bits)
-    path.read(N_max)
-    floor = tau * path.noise * math.sqrt(m)
+    path.design.read(N_max)
+    floor = tau * path.noise * math.sqrt(len(path.design.qs[0]))
     # residuals are nonincreasing until noise takes over; stop at the first
     # crossing below the floor so later chance fluctuations cannot inflate N
     best = 0
@@ -398,7 +374,7 @@ def _select(data: RemoteData, N_max: int, bits: int, tau: float):
         if r < floor:
             break
         best = k
-    return best, path
+    return best
 
 
 def _on_grid(data: RemoteData, fit, truth: SampledFunction):
@@ -445,13 +421,10 @@ class StabilityCurve:
         if self.model.get("form") not in ("log", "exp"):
             raise ValueError("model form must be 'log' or 'exp'")
 
-    def monotonicity_inversions(self, decreasing_in_abscissa: bool = False) -> int:
+    def monotonicity_inversions(self) -> int:
+        """The number of steps at which the value falls as the abscissa grows."""
         vals = [p[1] for p in self.pairs]
-        bad = 0
-        for a, b in zip(vals, vals[1:]):
-            if (b < a) if not decreasing_in_abscissa else (b > a):
-                bad += 1
-        return bad
+        return sum(b < a for a, b in zip(vals, vals[1:]))
 
 
 def fit_log_modulus(deltas, errors):
@@ -465,31 +438,39 @@ def fit_log_modulus(deltas, errors):
 
 
 def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
-                    noise_levels, trials: int, seed: int = 0, num_samples: int = 64,
+                    levels, trials: int, seed: int = 0, num_samples: int = 64,
                     N_max: int = 10, prec: PrecisionConfig = PrecisionConfig(),
                     tau: float = 1.5, **params) -> StabilityCurve:
     """Noise sweep of the full inversion pipeline with a log-modulus fit.
 
     For each noise level the reconstruction error (relative L2 over I) is
     averaged over `trials` independent noise draws; N is re-selected per trial
-    by the discrepancy principle.  RNG streams are derived from
-    (seed, level index, trial) so sweeps are reproducible and trial-parallel.
+    by the discrepancy principle, at most min(N_max, num_samples//2 - 1).
+    The sample geometry is fixed, so one design serves every draw.  RNG
+    streams are derived from (seed, level index, trial) so sweeps are
+    reproducible and trial-parallel.
     """
-    levels = sorted(float(d) for d in noise_levels)
+    levels = sorted(float(d) for d in levels)
     if len(levels) < 4:
         raise ValueError("need at least 4 noise levels")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if N_max < 0:
+        raise ValueError(f"N_max must be >= 0, got {N_max}")
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     clean = sample_remote(kind, f, I, J, num=num_samples, **params)
+    N_max = min(N_max, num_samples // 2 - 1)
+    design = _design(clean, N_max, prec.bits)
     rows, averaged = [], []
     for li, lvl in enumerate(levels):
         errs = []
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence((seed, li, t)))
             vals = clean.values + (lvl * rng.standard_normal(num_samples) if lvl > 0 else 0.0)
-            data = replace(clean, values=vals, noise_level=lvl)
-            N, path = _select(data, N_max, prec.bits, tau)
-            _, err = _on_grid(data, _fit(path, N), f)
+            path = _project(design, vals, lvl)
+            N = _select(path, N_max, tau)
+            _, err = _on_grid(clean, _fit(path, N), f)
             errs.append(err)
             rows.append({"operator": kind, "delta_noise": lvl, "trial": t,
                          "N": N, "error_L2": err})

@@ -91,8 +91,9 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
         raise ValueError("exterior region W must be disjoint from Omega")
     omega_idx = np.flatnonzero(Omega.contains(grid.x))   # consecutive nodes
     w_idx = np.flatnonzero(W.contains(grid.x))
-    if w_idx.size == 0:
-        raise ValueError("exterior region W contains no grid points")
+    for name, idx in (("interior region Omega", omega_idx), ("exterior region W", w_idx)):
+        if idx.size == 0:
+            raise ValueError(f"{name} contains no grid points")
     # T is the circulant of c, so max|T - T^T| / max|T| is read off c
     c = np.fft.ifft(multiplier.evaluate(
         multiplier.symbol("AbsPow", two_s=2.0 * s), grid.xi))

@@ -1,7 +1,9 @@
 import csv
 import filecmp
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -155,6 +157,14 @@ BAD_CONFIGS = [
     (("reconstruct", "sweep"), "N_max=-1", "N_max must be >= 0, got -1"),
     (("reconstruct", "sweep"), "tau=0", "tau must be > 0, got 0"),
     (("reconstruct", "sweep"), "tau=-1", "tau must be > 0, got -1"),
+    # a bump that vanishes at every grid node where it is read: its norm is 0
+    (("reconstruct", "sweep"), "support=3,4", "support: the bump vanishes at every grid node of I"),
+    (("runge", "cost-curve"), "target_support=2,3",
+     "target_support: the bump vanishes at every grid node of Omega"),
+    (("operators", "crosscheck"), "I=0.001,0.002", "I: the bump vanishes at every grid node of I"),
+    (("branchcut", "stability"), "I=0.001,0.002", "I: the bump vanishes at every grid node of I"),
+    *[(command, "Omega=0.001,0.002", "interior region Omega contains no grid points")
+      for command in (("runge", "cost-curve"), ("runge", "dual-ucp"))],
     (("continuation", "propagate"), "y_levels=1", "at least two y-levels"),
     (("continuation", "three-balls"), "y_levels=0", "at least two y-levels"),
     # the r-, 2r- and 4r-balls hold the same lattice nodes: alpha_hat undefined
@@ -174,6 +184,114 @@ BAD_CONFIGS = [
           (("runge", "cost-curve"), "q", "inf"),
           (("runge", "cost-curve"), "target_sharpness", "inf")]],
 ]
+
+
+# a small config for each subcommand that declares keys, and options that keep
+# its run short; each must exit 0 as it stands
+FUZZ_BASE = {
+    ("moments", "verify-bounds"): ({}, ["--npoly", "1", "--degree", "2"]),
+    ("reconstruct", "sweep"): ({"grid_n": "512", "num_samples": "12", "N_max": "3",
+                                "noise_levels": "4", "trials": "1"}, []),
+    ("operators", "crosscheck"): ({"grid_n": "512", "points": "4"}, []),
+    ("branchcut", "defects"): ({"grid_n": "512", "s_values": "0.75"}, []),
+    ("branchcut", "stability"): ({"grid_n": "512"}, []),
+    ("continuation", "three-balls"): ({"grid_n": "256", "y_levels": "33"}, []),
+    ("continuation", "propagate"): ({"grid_n": "256", "y_levels": "33"}, []),
+    ("runge", "cost-curve"): ({"grid_n": "128"}, []),
+    ("runge", "dual-ucp"): ({"grid_n": "128"}, ["--trials", "2"]),
+}
+
+
+def _edge_values(command, key, base):
+    """Edge values of one declared key on top of `base`.  An interval is
+    reversed, empty, given a NaN or an infinite end, or made 1e-3 wide between
+    two nodes of the command's grid (of the default grid, for a command with
+    none); `operator` gets an unknown name; every other key, `s_values` too,
+    is numeric."""
+    default = DECLARED[command][key]
+    if key == "operator":
+        return ["Mellin"]
+    if key == "s_values" or "no default" in default or "," not in default:
+        return ["0", "-1", "nan", "inf", "-inf", "1e-300"]
+    a, b = default.split(",")
+    L = float(base.get("grid_L", DECLARED[command].get("grid_L", "8.0")))
+    dx = 2 * L / int(base.get("grid_n", DECLARED[command].get("grid_n", "4096")))
+    t = -L + round((float(a) + L) / dx) * dx + dx / 4
+    return [f"{b},{a}", f"{a},{a}", f"nan,{b}", f"{a},inf", f"{t!r},{t + 1e-3!r}"]
+
+
+def _finite_artifact(path):
+    """No NaN or infinity among the numbers of a CSV, JSON or SVG artifact."""
+    text = path.read_text()
+    if path.suffix == ".svg":
+        return not re.search(r"\b(nan|inf)\b", text)
+    if path.suffix == ".json":
+        stack = [json.loads(text)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, float) and not math.isfinite(item):
+                return False
+            if isinstance(item, (dict, list)):
+                stack.extend(item.values() if isinstance(item, dict) else item)
+        return True
+    for cell in ",".join(text.splitlines()[2:]).split(","):  # below the headers
+        try:
+            if not math.isfinite(float(cell)):
+                return False
+        except ValueError:  # a label
+            pass
+    return True
+
+
+# runs each argv list read from stdin in one process whose address space is
+# capped, so a case that allocates without bound fails here, not the host
+_FUZZ_RUNNER = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from click.testing import CliRunner
+from nslab.cli import main
+runner = CliRunner()
+for argv in json.load(sys.stdin):
+    res = runner.invoke(main, argv)
+    print(json.dumps([res.exit_code, res.output[-200:], repr(res.exception)]), flush=True)
+"""
+
+
+def test_config_fuzz_every_declared_key(tmp_path):
+    # every declared key at its edge values exits 0, 2 or 3; exit 2 or 3
+    # writes no artifact, and exit 0 writes only finite numbers
+    cases = []
+    for command, (base, opts) in FUZZ_BASE.items():
+        for key, value in [(None, None)] + [(k, v) for k in DECLARED[command]
+                                             for v in _edge_values(command, k, base)]:
+            cfg = tmp_path / f"{len(cases)}.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in {**base, key: value}.items()
+                                   if k is not None))
+            out = tmp_path / str(len(cases))
+            cases.append((command, key, value, out,
+                          ["--config", str(cfg), "--out", str(out), *command, *opts]))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    res = subprocess.run([sys.executable, "-c", _FUZZ_RUNNER], env=env, text=True,
+                         input=json.dumps([case[-1] for case in cases]),
+                         capture_output=True, timeout=300)
+    results = [json.loads(line) for line in res.stdout.splitlines()]
+    assert len(results) == len(cases), res.stderr[-2000:]
+    bad = []
+    for (command, key, value, out, _), (code, output, exc) in zip(cases, results):
+        arts = sorted(out.glob("*")) if out.exists() else []
+        if key is None and code != 0:
+            why = "its base config does not run"
+        elif code not in (0, 2, 3):
+            why = f"exit {code}"
+        elif code != 0 and arts:
+            why = f"exit {code} wrote {[a.name for a in arts]}"
+        elif code == 0 and not all(_finite_artifact(a) for a in arts):
+            why = "exit 0 wrote a NaN or an infinity"
+        else:
+            continue
+        bad.append(f"{' '.join(command)} {key}={value}: {why}; {output.strip()} {exc}")
+    assert not bad, "\n".join(bad)
 
 
 def test_help_lists_each_declared_key_and_default(runner):
@@ -287,7 +405,7 @@ class TestExperiments:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_reconstruct_sweep_small_reruns_identical(self, runner, tmp_path):
-        # the second run reuses the cached design
+        # two runs in one process write the same bytes
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("num_samples=18\ngrid_n=2048\nJ=1.25,2.25\n")
         outs = [tmp_path / "a", tmp_path / "b"]

@@ -9,7 +9,7 @@ import pytest
 from nslab import moments, reconstruct
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
 from nslab.moments import PrecisionConfig
-from nslab.reconstruct import (RemoteData, _fit, _ls_path, _on_grid, _select,
+from nslab.reconstruct import (RemoteData, _design, _fit, _on_grid, _project, _select,
                                sample_remote, stability_sweep)
 
 I01 = Interval(0.0, 1.0)
@@ -36,7 +36,12 @@ def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
                 fj = f_j(j)
                 acc += fj * xm ** (-j - 1)
             vals[i] = acc / mpmath.pi
-    return RemoteData("Hilbert", I01, pts, vals, noise_level=0.0)
+    return RemoteData("Hilbert", I01, pts, vals)
+
+
+def _path(data, N, bits, noise=0.0):
+    """The values of `data` projected on the design for fits up to order N."""
+    return _project(_design(data, N, bits), data.values, noise)
 
 
 def _moment_table(itv: Interval, N: int):
@@ -127,10 +132,11 @@ class TestExpansionBasis:
 
 
 def _design_columns(data, N, bits):
-    """Columns 0..N of the fit design, rebuilt from its QR factors."""
-    pts, itv = reconstruct._fit_points_and_interval(data)
-    qs, R = reconstruct._design(data.kind, itv, tuple(pts.tolist()), N, bits,
-                                data.delta, data.alpha, data.beta)
+    """Columns 0..N of the fit design of order N, rebuilt from its QR factors;
+    the design for fits up to order N - _FIT_BUFFER has order N."""
+    design = _design(data, N - reconstruct._FIT_BUFFER, bits)
+    assert design.order == N
+    qs, R = design.qs, design.R
     with mpmath.workprec(bits):
         return [[mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1))
                  for p in range(data.points.size)] for k in range(N + 1)]
@@ -238,6 +244,18 @@ class TestDesign:
             reconstruct._tilde_interval(I01, delta))
         assert worst <= 1e-60
 
+    def test_modified_hilbert_columns_left_of_the_source(self):
+        # left of the source: the tilde points, in (-1.61, -1.03), lie nearer
+        # the origin than the tilde image (0, 1.17) of I reaches, yet |z| > 1
+        delta = 0.05
+        data = RemoteData("ModifiedHilbert", I01, np.linspace(-2.25, -1.25, 64),
+                          np.zeros(64), delta=delta)
+        worst = self._worst_against_quadrature(
+            data, 20, lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
+            reconstruct.tilde_variable(data.points, delta),
+            reconstruct._tilde_interval(I01, delta))
+        assert worst <= 1e-60
+
     def test_fourier_laplace_columns_match_quadrature(self):
         data = RemoteData("FourierLaplace", I01, np.linspace(-0.5, 0.5, 64),
                           np.zeros(64), alpha=0.0, beta=-1.0)
@@ -263,20 +281,20 @@ class TestDesign:
     def test_starved_guard_bits_fail_the_self_check(self, monkeypatch, kind):
         # 200 bits below the requested precision: column N is good to about
         # 2^-56 of its size, far outside the 2^-(bits-64) check
-        reconstruct._design.cache_clear()
         monkeypatch.setattr(reconstruct, "_GUARD_BITS", -200)
         data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
         with pytest.raises(ArithmeticError, match="closed-form check"):
-            _select(data, 6, 256, 1.5)
+            _design(data, 6, 256)
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_modified_hilbert_low_orders_pass_the_self_check(self, N):
-        # column 0 carries the constant -delta sqrt(2h); the check's value must too
-        reconstruct._design.cache_clear()
-        itv = reconstruct._tilde_interval(I01, 0.05)
-        pts = tuple(reconstruct.tilde_variable(np.linspace(2, 3, 16), 0.05).tolist())
-        qs, R = reconstruct._design("ModifiedHilbert", itv, pts, N, 256, delta=0.05)
-        assert len(qs) == N + 1
+        # column 0 carries the constant -delta sqrt(2h); the check's value must
+        # too; 2(N+1) samples make the design's order, the checked column, N
+        m = 2 * (N + 1)
+        data = RemoteData("ModifiedHilbert", I01, np.linspace(2, 3, m), np.zeros(m), delta=0.05)
+        design = _design(data, N, 256)
+        assert design.order == N
+        assert len(design.qs) == N + 1
 
     @pytest.mark.parametrize("kind,quads", [
         ("Hilbert", 0), ("ModifiedHilbert", 0), ("RieszInverse", 0), ("FourierLaplace", 1)])
@@ -288,32 +306,45 @@ class TestDesign:
             calls.append(args)
             return original(*args, **kwargs)
 
-        reconstruct._design.cache_clear()
         monkeypatch.setattr(mpmath, "quad", counted)
         data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
-        _select(data, 6, 256, 1.5)
+        _design(data, 6, 256)
         assert len(calls) == quads
 
-    @pytest.mark.parametrize("lo,hi,message", [
-        (-0.9, -0.5, "convex hull"), (1.01, 2.0, "too close")])
-    def test_points_near_the_source_rejected(self, lo, hi, message):
-        data = RemoteData("Hilbert", I01, np.linspace(lo, hi, 16), np.zeros(16))
-        with pytest.raises(ValueError, match=message):
-            _select(data, 3, 256, 1.5)
-        with pytest.raises(ValueError, match=message):
-            _fit(_ls_path(data, 3, 256), 3)
+    @pytest.mark.parametrize("lo,hi", [(-0.9, -0.5), (1.01, 2.0)])
+    def test_points_near_the_source_fit(self, grid, lo, hi):
+        # left of the source, and 0.01 off its end: |z| > 1 is all the
+        # Legendre design needs, whatever the distance from the origin
+        f = _unit_source(grid)
+        data = sample_remote("Hilbert", f, I01, Interval(lo, hi), num=16)
+        design = _design(data, 3, 256)
+        assert len(design.R) == design.order + 1
+        _, err = _on_grid(data, _fit(_project(design, data.values, 0.0), 3), f)
+        # the best L2(I) approximation of f of degree 3 misses it by 0.419
+        assert 0.41 <= err <= 0.43
 
-    def test_negative_order_cap_rejected(self):
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
+    def test_tilde_map_onto_the_source_end_rejected(self):
+        # at delta = 0.5 the float64 tilde map sends the float after 0.7 to
+        # tilde(0.7), the end of the fit interval, where |z| = 1
+        I = Interval(0.0, 0.7)
+        x = np.nextafter(0.7, 1.0)
+        assert reconstruct.tilde_variable(x, 0.5) == reconstruct._tilde_interval(I, 0.5).b
+        pts = np.concatenate([[x], np.linspace(1.0, 2.0, 15)])
+        data = RemoteData("ModifiedHilbert", I, pts, np.zeros(16), delta=0.5)
+        with pytest.raises(ValueError, match=r"\|z\| > 1"):
+            _design(data, 3, 256)
+
+    def test_negative_order_cap_rejected(self, unit_bump):
         with pytest.raises(ValueError, match="N_max must be >= 0, got -1"):
-            _select(data, -1, 256, 1.5)
+            stability_sweep("Hilbert", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [1e-2, 1e-3, 1e-4, 1e-5], trials=1, N_max=-1)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
-    def test_nonpositive_discrepancy_factor_rejected(self, tau):
+    def test_nonpositive_discrepancy_factor_rejected(self, unit_bump, tau):
         # with tau <= 0 the floor is never crossed and N runs to N_max
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
         with pytest.raises(ValueError, match=f"tau must be > 0, got {tau}"):
-            _select(data, 6, 256, tau)
+            stability_sweep("Hilbert", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [1e-2, 1e-3, 1e-4, 1e-5], trials=1, tau=tau)
 
     def test_rank_gate_raises_for_a_read_column(self, grid):
         # the fit at N = 9 reads columns 0..17, and at 64 bits column 17 is
@@ -321,15 +352,8 @@ class TestDesign:
         data = RemoteData("FourierLaplace", I01, np.linspace(1.05, 2.05, 64), np.ones(64),
                           alpha=1.0, beta=0.5)
         with pytest.raises(ArithmeticError, match="rank-deficient at column 17"):
-            _fit(_ls_path(data, 9, 64), 9)
-        _on_grid(data, _fit(_ls_path(data, 8, 64), 8), _unit_source(grid))
-
-    def test_repeated_fit_hits_design_cache(self):
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.ones(16))
-        _select(data, 6, 256, 1.5)
-        hits = reconstruct._design.cache_info().hits
-        _select(data, 6, 256, 1.5)
-        assert reconstruct._design.cache_info().hits == hits + 1
+            _fit(_path(data, 9, 64), 9)
+        _on_grid(data, _fit(_path(data, 8, 64), 8), _unit_source(grid))
 
 
 class TestRemoteData:
@@ -352,25 +376,25 @@ class TestRecoverMoments:
             return mpmath.mpf(1) / (j + 2) - mpmath.mpf(1) / (j + 3)
 
         data = closed_form_hilbert_data(f_j, J23)
-        got = fit_moments(_fit(_ls_path(data, 6, 320), 6), 320)
+        got = fit_moments(_fit(_path(data, 6, 320), 6), 320)
         errs = [abs(got[j] - (1.0 / (j + 2) - 1.0 / (j + 3))) for j in range(7)]
         assert max(errs) <= 1e-8
 
     def test_zero_data_zero_moments(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 64), np.zeros(64))
-        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4, 256), 4))
         assert all(abs(complex(v)) == 0.0 for v in got)
 
     def test_sample_count_guard(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 8), np.zeros(8))
         with pytest.raises(ValueError):
-            _ls_path(data, 6, 256)
+            _design(data, 6, 256)
 
     def test_fourier_laplace_overlapping_window(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("FourierLaplace", f, I01, Interval(-0.5, 0.5),
                              num=64, alpha=0.0, beta=-1.0)
-        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4, 256), 4))
         mask = I01.contains(grid.x)
         integral = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(got[0] - integral) <= 1e-6
@@ -380,8 +404,8 @@ class TestRecoverMoments:
         data = sample_remote("Hilbert", f, I01, J23, num=64)
         lam = 8.0
         scaled = RemoteData("Hilbert", I01, data.points, lam * data.values)
-        a = fit_moments(_fit(_ls_path(data, 4, 256), 4))
-        b = fit_moments(_fit(_ls_path(scaled, 4, 256), 4))
+        a = fit_moments(_fit(_path(data, 4, 256), 4))
+        b = fit_moments(_fit(_path(scaled, 4, 256), 4))
         for j in range(5):
             assert complex(b[j]) == complex(lam * a[j])
 
@@ -391,7 +415,7 @@ class TestRecoverMoments:
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("ModifiedHilbert", f, I01, J23, num=64,
                              delta=delta)
-        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4, 256), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(got[0] - f0) <= 1e-5
@@ -399,7 +423,7 @@ class TestRecoverMoments:
     def test_riesz_f0_recovery(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("RieszInverse", f, I01, J23, num=64, alpha=0.25)
-        got = fit_moments(_fit(_ls_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4, 256), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(got[0] - f0) <= 1e-5
@@ -411,7 +435,7 @@ class TestRecoverMoments:
         got = []
         for J in (J23, Interval(-3.0, -2.0)):
             data = sample_remote("RieszInverse", f, I01, J, num=64, alpha=0.25)
-            got.append(fit_moments(_fit(_ls_path(data, 4, 256), 4))[0])
+            got.append(fit_moments(_fit(_path(data, 4, 256), 4))[0])
         assert abs(got[1] - f0) <= 1e-5
         assert abs(got[1] - got[0]) <= 1e-5
 
@@ -425,7 +449,7 @@ class TestInvert:
         mask = I01.contains(grid.x)
         truth_vals = np.where(mask, grid.x * (1.0 - grid.x), 0.0)
         truth = SampledFunction(grid, truth_vals)
-        rec, err = _on_grid(data, _fit(_ls_path(data, 6, 320), 6), truth)
+        rec, err = _on_grid(data, _fit(_path(data, 6, 320), 6), truth)
         assert err <= 1e-10
 
     def test_order_zero_zero_mean(self, grid):
@@ -433,7 +457,7 @@ class TestInvert:
         base = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         f = SampledFunction(grid, base.values * (grid.x - 0.5))
         data = sample_remote("Hilbert", f, I01, J23, num=64)
-        rec, _ = _on_grid(data, _fit(_ls_path(data, 0, 256), 0), f)
+        rec, _ = _on_grid(data, _fit(_path(data, 0, 256), 0), f)
         # floor set by the quadrature accuracy of the data oracle
         assert np.max(np.abs(rec.values)) <= 1e-5 * np.max(np.abs(f.values))
 
@@ -445,13 +469,24 @@ class TestInvert:
         errs = []
         for noise in (1e-6, 1e-8):
             rng = np.random.default_rng(5)
-            data = replace(clean, values=clean.values + noise * rng.standard_normal(64),
-                           noise_level=noise)
-            N, _ = _select(data, 10, 256, 1.5)
-            _, err = _on_grid(data, _fit(_ls_path(data, N, 256), N), f)
+            data = replace(clean, values=clean.values + noise * rng.standard_normal(64))
+            N = _select(_path(data, 10, 256, noise), 10, 1.5)
+            _, err = _on_grid(data, _fit(_path(data, N, 256, noise), N), f)
             errs.append(err)
         assert errs[1] <= 0.5
         assert errs[1] <= errs[0]
+
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_mirrored_geometry_matches(self, grid, N):
+        # J = (-1.05, -0.05) mirrors (1.05, 2.05) about the centre of I, and the
+        # unit source is even about it: the two fits reconstruct it alike
+        f = _unit_source(grid)
+        errs = []
+        for J in (Interval(-1.05, -0.05), Interval(1.05, 2.05)):
+            data = sample_remote("Hilbert", f, I01, J, num=64)
+            errs.append(_on_grid(data, _fit(_path(data, N, 256), N), f)[1])
+        assert errs[0] == pytest.approx(errs[1], rel=1e-8)
 
 
 class TestStabilitySweep:
@@ -474,8 +509,8 @@ class TestStabilitySweep:
                                 num_samples=48, N_max=8)
         zero_err = dict(curve.pairs)[0.0]
         clean = sample_remote("Hilbert", f, I01, Interval(1.05, 2.05), num=48)
-        N, _ = _select(clean, 8, 256, 1.5)
-        _, floor = _on_grid(clean, _fit(_ls_path(clean, N, 256), N), f)
+        N = _select(_path(clean, 8, 256), 8, 1.5)
+        _, floor = _on_grid(clean, _fit(_path(clean, N, 256), N), f)
         assert zero_err == pytest.approx(floor, rel=1e-12)
 
     def test_riesz_constant_sign_family_completes(self, grid):
@@ -488,18 +523,17 @@ class TestStabilitySweep:
         assert all(e >= 0 for _, e in curve.pairs)
 
     def test_one_design_and_one_projection_per_draw(self, monkeypatch, grid):
-        # the order selection and the fit read one least-squares path per
-        # draw, and every draw shares one design through the cache
-        counts = {"_mgs_qr": 0, "_ls_path": 0}
+        # the order selection and the fit read one projection per draw, and
+        # every draw shares the one design the sweep builds
+        counts = {"_mgs_qr": 0, "_project": 0}
         for name in counts:
             def counted(*args, _fn=getattr(reconstruct, name), _name=name):
                 counts[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(reconstruct, name, counted)
-        reconstruct._design.cache_clear()
         stability_sweep("Hilbert", _unit_source(grid), I01, Interval(1.05, 2.05),
                         [1e-2, 1e-3, 1e-4, 1e-5], trials=2, seed=7, num_samples=64)
-        assert counts == {"_mgs_qr": 1, "_ls_path": 8}
+        assert counts == {"_mgs_qr": 1, "_project": 8}
 
     def test_unread_dependent_column_does_not_stop_the_sweep(self, grid):
         # at 64 bits column 17 of this design is numerically dependent (see
@@ -534,7 +568,7 @@ def default_geometry_data(grid):
 def _legendre_sum_reference(data, N, xs):
     """sum_k Re(a_k) G_k at xs at 256 bits from the fit's own a_k, in the
     tilde variable times e^{2 pi delta x} for ModifiedHilbert."""
-    a, itv, _ = _fit(_ls_path(data, N, 256), N)
+    a, itv, _ = _fit(_path(data, N, 256), N)
     out = []
     with mpmath.workprec(256):
         L = mpmath.mpf(itv.b) - itv.a
@@ -562,7 +596,7 @@ class TestLegendreRoute:
     def test_matches_extended_precision_legendre_sum(self, grid, default_geometry_data,
                                                      kind, N):
         data = default_geometry_data[kind]
-        rec, _ = _on_grid(data, _fit(_ls_path(data, N, 256), N), _unit_source(grid))
+        rec, _ = _on_grid(data, _fit(_path(data, N, 256), N), _unit_source(grid))
         inside = np.flatnonzero(I01.contains(grid.x))
         idx = inside[np.linspace(0, inside.size - 1, 7).astype(int)]
         ref = _legendre_sum_reference(data, N, grid.x[idx])
@@ -574,9 +608,8 @@ class TestLegendreRoute:
         clean = closed_form_hilbert_data(lambda j: 1 / (j + mpmath.mpf(3) / 2),
                                          Interval(1.5, 2.5), num=32)
         noise = 1e-10 * np.random.default_rng(3).standard_normal(32)
-        data = RemoteData("Hilbert", I01, clean.points, clean.values + noise,
-                          noise_level=1e-10)
-        fit = _fit(_ls_path(data, 2, 256), 2)
+        data = RemoteData("Hilbert", I01, clean.points, clean.values + noise)
+        fit = _fit(_path(data, 2, 256, 1e-10), 2)
         assert fit_moments(fit) == [0.6666676134544282, 0.3999940035633928, 0.285725741354681]
         assert fit[2] == 1.1159860500550324e-06
 
