@@ -218,7 +218,8 @@ def _experiment(group, command: str, name: str, keys: dict, *options):
               help="flat key=value config file")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--precision-bits", type=int, default=256, show_default=True)
+@click.option("--precision-bits", type=int, default=256, show_default=True,
+              help="mantissa bits of the sigma_max certificate (moments hilbert-growth)")
 @click.pass_context
 def main(ctx, config, seed, out, precision_bits):
     """Moment-inversion, comparison-operator, continuation, and
@@ -313,8 +314,7 @@ def sweep_cmd(obj, art, p):
     levels = [10.0 ** (-2 - k) for k in range(p["noise_levels"])]
     curve = reconstruct.stability_sweep(
         p["operator"], f, I, J, levels, trials=p["trials"], seed=obj["seed"],
-        num_samples=p["num_samples"], N_max=p["N_max"],
-        prec=PrecisionConfig(bits=obj["bits"]), tau=p["tau"],
+        num_samples=p["num_samples"], N_max=p["N_max"], tau=p["tau"],
         **{k: p[k] for k in ("delta", "alpha", "beta") if k in p})
     art.csv(["operator", "delta_noise", "trial", "N", "error_L2"], curve.rows)
     deltas, errs = zip(*curve.pairs)
@@ -415,7 +415,8 @@ def continuation_grp():
 def _field(p):
     grid = Grid(p["grid_L"], p["grid_n"])
     h = make_bump(p["support"], 0.0, p["sharpness"], grid)
-    ys = np.linspace(0.0, p["y_top"], p["y_levels"])
+    _nonzero("support", np.abs(h.values).max(), "its support")
+    ys = np.linspace(0.0, p["y_top"], _at_least("config key 'y_levels'", p["y_levels"], 2))
     return continuation.extend(h, ys)
 
 

@@ -1,4 +1,4 @@
-"""Extended-precision Hausdorff-moment machinery.
+"""Exact Hausdorff-moment machinery.
 
 Shifted-Legendre algebra on [0,1], Hilbert-matrix conditioning and the
 quantitative moment stability bounds.  The problem is severely ill-posed
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from . import polyx
@@ -28,8 +27,8 @@ from .gridfn import Box, Interval
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Mantissa bits of the sigma_max certificate and of the inversion fit,
-    which gates its own precision (design column check, MGS rank gate)."""
+    """Mantissa bits to which `hilbert_inverse_sigma_max` certifies sigma_max;
+    the inversion fit runs in float64 and reads no precision."""
 
     bits: int = 256
 
@@ -109,7 +108,7 @@ def legendre_ode_residual(m: int):
 # Hilbert-matrix conditioning
 # ---------------------------------------------------------------------------
 
-def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig()) -> mp.mpf:
+def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig()) -> Fraction:
     """sigma_max(H_N^{-1}) = lambda_1 of the exact integer matrix A = H_N^{-1}.
 
     Power iteration on the integers of `LegendreSystem.hilbert_inverse_exact`
@@ -117,10 +116,10 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
     With the exact Rayleigh quotient rho and eps^2 = |Av|^2/|v|^2 - rho^2, and
     lambda_2 <= trace - rho (A is positive definite), Kato-Temple gives
     0 <= lambda_1 - rho <= eps^2/(2 rho - trace); the iteration stops once that
-    is at most rho 2^-(bits+8) (at most 32 steps at 256 bits for N <= 40).
-    No certificate in `bits` steps raises ArithmeticError, as does a float64
-    `eigvalsh` of A that differs by more than 1e-12 relative (measured
-    <= 7e-16 for N <= 40).
+    is at most rho 2^-(bits+8) (at most 32 steps at 256 bits for N <= 40),
+    and returns that rho as an exact Fraction.  No certificate in `bits` steps
+    raises ArithmeticError, as does a float64 `eigvalsh` of A that differs by
+    more than 1e-12 relative (measured <= 7e-16 for N <= 40).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -140,13 +139,11 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
         v = [y >> shift for y in Av]
     else:
         raise ArithmeticError(f"sigma_max(H_{N}^-1): no certificate in {prec.bits} steps")
-    with mp.workprec(prec.bits):
-        lam = mp.mpf(rho.numerator) / rho.denominator
     check = np.linalg.eigvalsh(np.array(hinv, dtype=float))[-1]
-    if not abs(float(lam) - check) <= 1e-12 * check:
+    if not abs(float(rho) - check) <= 1e-12 * check:
         raise ArithmeticError(
-            f"sigma_max(H_{N}^-1): {mp.nstr(lam, 17)} and float64 {check!r} disagree")
-    return lam
+            f"sigma_max(H_{N}^-1): {float(rho)!r} and float64 {check!r} disagree")
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,21 @@ Away from the source interval the four nonlocal operators treated here admit
 convergent expansions whose coefficients are the monomial moments of the
 source.  Fitting those expansions to samples taken on a far region J gives
 the source's coefficients in the orthonormal Legendre basis of I.  The
-inversion is severely ill-posed, so the least squares runs in extended
-precision and the truncation order N acts as the regularizer, chosen by the
-discrepancy principle under noise.  Its one entry is `stability_sweep`, which
-builds one design for its fixed sample geometry (`_design`); per noise draw,
-the selection (`_select`) and the fit (`_fit`) read one projection of the data
-on it (`_project`).
+inversion is severely ill-posed, and the truncation order N acts as the
+regularizer, chosen by the discrepancy principle under noise.  The data carry
+float64 noise, so the least squares runs in float64, by one Householder QR,
+and no fit reads past the design's numerical rank.  Its one entry is
+`stability_sweep`, which builds one design for its fixed sample geometry
+(`_design`); per noise draw, the selection (`_select`) and the fit (`_fit`)
+read one projection of the data on it (`_project`).
 
 The fit is set in the Legendre basis: the k-th design column is the operator
 applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
 kernel(x, y) dy, with the far-field kernel summed in closed form:
 |x - y|^beta up to a factor for the three singular operators, e^(lambda x y)
 for FourierLaplace.  No quadrature rule computes it: each column is a
-closed-form factor times int_{-1}^1 P_k(t) kappa(z, t) dt, a three-term
-recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
+closed-form factor times int_{-1}^1 P_k(t) kappa(z, t) dt, Miller's
+backward recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
 `_design`).
 """
 
@@ -27,12 +28,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from . import multiplier, polyx
 from .gridfn import Interval, SampledFunction, norm
-from .moments import PrecisionConfig
 
 OPERATOR_KINDS = ("Hilbert", "ModifiedHilbert", "RieszInverse", "FourierLaplace")
 
@@ -65,10 +64,7 @@ class RemoteData:
         if self.kind not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "points", np.atleast_1d(np.asarray(self.points)))
-        vals = np.atleast_1d(np.asarray(self.values))
-        if vals.dtype != object:  # object arrays keep extended-precision values
-            vals = vals.astype(complex)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values, complex)))
         if self.points.shape != self.values.shape:
             raise ValueError("points and values must have matching shapes")
         if self.kind == "ModifiedHilbert" and (self.delta is None or self.delta <= 0):
@@ -114,131 +110,113 @@ def _tilde_interval(I: Interval, delta: float) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Extended-precision least squares
+# The least squares
 # ---------------------------------------------------------------------------
 
-def _mp_vec(a):
-    out = []
-    for v in np.atleast_1d(a):
-        if not isinstance(v, (mp.mpf, mp.mpc)):
-            v = complex(v)
-            v = mp.mpc(v) if v.imag != 0 else mp.mpf(v.real)
-        out.append(v)
-    return out
+def _power_integrals(z, beta, M: int, K: int):
+    """f_k(z) = int_{-1}^1 P_k(t) |z - t|^beta dt for k <= M at every point z,
+    |z| > 1, as rows k of an array.  f_k is the minimal solution of
+    (k+beta+2) f_{k+1} = (2k+1) z f_k - (k-beta-1) f_{k-1}, so its ratios
+    r_k = f_k/f_{k-1} = (k-beta-1)/((2k+1)|z| - (k+beta+2) r_{k+1}) come from
+    Miller's backward recurrence started at r_{K+1} = 0, and f_k = f_0 r_1..r_k
+    from the closed-form f_0 = ((z+1)^(beta+1) - (z-1)^(beta+1))/(beta+1),
+    summed as (z-1)^(beta+1) expm1((beta+1) L)/(beta+1), L = log1p(2/(z-1)),
+    so that it does not cancel at large z (L at beta = -1);
+    f_k(-z) = (-1)^k f_k(z)."""
+    s, z = np.sign(z), np.abs(z)
+    p, L = beta + 1, np.log1p(2 / (z - 1))
+    rows = [L if p == 0 else (z - 1) ** p * np.expm1(p * L) / p]
+    r = np.zeros_like(z)
+    for k in range(K, 0, -1):
+        r = (k - p) / ((2 * k + 1) * z - (k + beta + 2) * r)
+        if k <= M:
+            rows.insert(1, r)
+    return np.cumprod(rows, axis=0) * s ** np.arange(M + 1)[:, None]
 
 
-def _vdot(a, b):
-    """sum conj(a_i) b_i."""
-    return mp.fdot(b, a, conjugate=True)
-
-
-def _mgs_qr(cols, bits: int):
-    """Modified Gram-Schmidt QR of a column list, stopped before the first
-    numerically dependent column: the factors cover the independent leading
-    columns, and only a reader of a column past them raises (`_Design.read`)."""
-    with mp.workprec(bits):
-        qs, R = [], []
-        for a in cols:
-            v = list(a)
-            rk = []
-            for q in qs:
-                c = _vdot(q, v)
-                rk.append(c)
-                v = [vi - c * qi for vi, qi in zip(v, q)]
-            nrm = mp.sqrt(_vdot(v, v).real)
-            if nrm < mp.sqrt(_vdot(a, a).real) * mp.mpf(2) ** (-(bits - 16)):
-                break
-            qs.append([vi / nrm for vi in v])
-            R.append(rk + [nrm])
-        return qs, R
-
-
-def _power_integrals(z, beta, N: int):
-    """f_k(z) = int_{-1}^1 P_k(t) |z - t|^beta dt, k <= N, |z| > 1: closed-form
-    f_0 and f_1, then (k+beta+2) f_{k+1} = (2k+1) z f_k - (k-beta-1) f_{k-1}
-    and f_k(-z) = (-1)^k f_k(z).  f_k is the recurrence's minimal solution,
-    so the caller supplies the 2N log2(z + sqrt(z^2 - 1)) bits it loses."""
-    s, z = (1, z) if z > 0 else (-1, -z)
-    if beta == -1:  # f_k = 2 Q_k(z)
-        f = [mp.log((z + 1) / (z - 1))]
-        f.append(z * f[0] - 2)
-    else:
-        f = [((z + 1) ** (beta + 1) - (z - 1) ** (beta + 1)) / (beta + 1)]
-        f.append(z * f[0] - ((z + 1) ** (beta + 2) - (z - 1) ** (beta + 2)) / (beta + 2))
-    for k in range(1, N):
-        f.append(((2 * k + 1) * z * f[k] - (k - beta - 1) * f[k - 1]) / (k + beta + 2))
-    return [s ** k * v for k, v in enumerate(f[:N + 1])]
-
-
-def _power_closed_form(z, beta, N: int):
-    """f_N(z) of `_power_integrals`, |z| > 1, without the recurrence: N
+def _power_closed_form(z: float, beta: float, N: int) -> float:
+    """f_N(z) of `_power_integrals` at one point, without the recurrence: N
     integrations by parts of Rodrigues' formula and the binomial series of
     (1 - t/z)^(beta-N) give sgn(z)^N (-beta)_N / (2^N N!) |z|^(beta-N)
-    B(1/2, N+1) 2F1((N-beta)/2, (N-beta+1)/2; N+3/2; 1/z^2), a series whose
-    terms after the first share one sign (2 Q_N(z) at beta = -1, DLMF 14.3)."""
-    beta, s, z = mp.mpf(beta), mp.sign(z) ** N, abs(z)
-    return (s * mp.rf(-beta, N) / (2 ** N * mp.factorial(N)) * z ** (beta - N)
-            * mp.beta(mp.mpf(1) / 2, N + 1)
-            * mp.hyp2f1((N - beta) / 2, (N - beta + 1) / 2, N + mp.mpf(3) / 2, 1 / z ** 2))
+    B(1/2, N+1) 2F1(a, a + 1/2; N + 3/2; 1/z^2), a = (N-beta)/2 (2 Q_N(z) at
+    beta = -1, DLMF 14.3).  The series' terms after the first share one sign,
+    and past n0 their ratio is below x = 1/z^2, so it stops once the geometric
+    bound on its tail is below 2^-60 of the sum."""
+    x, a, c = z ** -2, (N - beta) / 2, N + 1.5
+    n0 = (a * (a + 0.5) - c) / (beta + 2)
+    term = total = 1.0
+    n = 0
+    while n < n0 or abs(term) * x > 2 ** -60 * (1 - x) * abs(total):
+        term *= (a + n) * (a + 0.5 + n) / ((c + n) * (n + 1)) * x
+        total += term
+        n += 1
+    pre = math.prod(j - beta for j in range(N)) / 2 ** N * math.copysign(1, z) ** N
+    return pre * math.exp(0.5 * math.log(math.pi) - math.lgamma(c)
+                          + (beta - N) * math.log(abs(z))) * total
 
 
-def _exp_integrals(w, N: int):
-    """f_k(w) = int_{-1}^1 P_k(t) e^(wt) dt = 2 w^k/(2k+1)!! 0F1(; k+3/2; w^2/4),
-    k <= N: the Taylor series with the exact int P_k t^m, which `mp.hyp0f1`
-    sums to working precision, with bits added for its cancellation."""
-    return [2 * w ** k / mp.fac2(2 * k + 1) * mp.hyp0f1(k + mp.mpf(3) / 2, w * w / 4)
-            for k in range(N + 1)]
+def _exp_integrals(w, M: int):
+    """f_k(w) = int_{-1}^1 P_k(t) e^(wt) dt = 2 w^k/(2k+1)!! 0F1(; k+3/2; w^2/4)
+    for k <= M at every point w, as rows k of an array; the series is summed in
+    complex128 until, past its largest term, every term is below 2^-60 of its
+    sum."""
+    k = np.arange(M + 1)[:, None]
+    y = w * w / 4
+    term, total = np.ones((M + 1, w.size), complex), np.ones((M + 1, w.size), complex)
+    n = 0
+    while n <= np.abs(y).max() or np.any(np.abs(term) > 2 ** -60 * np.abs(total)):
+        term = term * y / ((k + 1.5 + n) * (n + 1))
+        total += term
+        n += 1
+    return 2 * np.cumprod(np.vstack([np.ones(w.size), w / (2 * k[1:] + 1)]), axis=0) * total
 
-
-# bits a design carries past `bits`: rounding of the closed forms and of
-# z = (x - c)/h, and the polynomial factors of the recurrence's growth
-_GUARD_BITS = 32
 
 # extra fit columns beyond the reported order (tail-absorption buffer); each
 # is kept only while its orthogonalized data coefficient clears the noise gate
 _FIT_BUFFER = 8
 _BUFFER_GATE = 3.0
 
+# the design's sample points keep |z| >= 1 + _Z_GAP in the fit variable: the
+# check's 2F1 takes about 21/(|z| - 1) terms at the nearest point, and its
+# rounding grows like 1/(|z| - 1), to 5e-14 of f_M at 1 + 2^-10
+_Z_GAP = 2.0 ** -10
+
 
 class _Design(NamedTuple):
     """The QR-factored design of one sample geometry (`_design`)."""
     itv: Interval    # the source interval in the fit variable
     order: int       # the design's order M
-    qs: list         # MGS orthonormal columns
-    R: list          # MGS R factor, one row per independent leading column
+    Q: np.ndarray    # m x m unitary factor of the Householder QR
+    R: np.ndarray    # m x (M + 1) triangular factor
+    rank: int        # the leading columns of numerically full rank
     scale: float     # data to fit units: -c_alpha for RieszInverse, else 1
-    bits: int
-
-    def read(self, k: int):
-        """The rank gate: a reader of columns 0..k needs each independent."""
-        if k >= len(self.R):
-            raise ArithmeticError(f"design matrix numerically rank-deficient at column "
-                                  f"{len(self.R)}; increase precision or reduce N")
 
 
-def _design(data: RemoteData, N: int, bits: int) -> _Design:
-    """The design of the sample points of `data`, factored by `_mgs_qr`, which
-    stops before the first dependent column.  Its order M = min(N +
-    _FIT_BUFFER, m//2 - 1) serves every fit up to order N, as MGS works column
-    by column; ModifiedHilbert fits in the tilde variable.
+def _design(data: RemoteData, N: int) -> _Design:
+    """The design of the sample points of `data`, in float64, factored by one
+    Householder QR.  Its order M = min(N + _FIT_BUFFER, m//2 - 1) serves every
+    fit up to order N; its rank is the first k with |R_kk| <= m eps |a_k| (eps the
+    float64 epsilon, a_k column k), and no fit reads a column past it (`_fit`).
+    ModifiedHilbert fits in the tilde variable.
 
     For I = [c - h, c + h] (in the fit variable) and z = (x - c)/h, column k
     at x is sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
     `_power_integrals` at beta = -1; ModifiedHilbert the same times
     1 + 2 pi delta x, less delta int_I G_0 = delta sqrt(2h) for k = 0;
     RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c), f_k
-    from `_exp_integrals` at w = lambda x h.  The power kernels need |z| > 1
-    at every point.  At the sample point that loses most bits, column M must
-    match an independent value to 2^-(bits-64) of its size, else
-    ArithmeticError.  For the three power kernels that value is
-    `_power_closed_form` at bits + 16, which catches the recurrence losing
-    precision; FourierLaplace's is `mp.quad` of G_M e^(lambda x y), with bits
-    added for the integrand's mass, at most sqrt(2h) max_I |e^(lambda x y)| by
-    Cauchy-Schwarz.  RieszInverse data are scaled by -c_alpha into the units
-    of the fit, as the grid operator carries the Riesz-potential constant and
-    the design the bare kernel -|x-y|^{2a-1}.
+    from `_exp_integrals` at w = lambda x h.  The power kernels need
+    |z| >= 1 + _Z_GAP at every point; their backward recurrence starts at
+    K = M + 8 + ceil(56/log2 rho^2), rho = |z| + sqrt(z^2 - 1) at the nearest
+    point, where it converges slowest.  f_M must match an independent value to
+    2^-40 of its size, else ArithmeticError: for the power kernels
+    `_power_closed_form` at the nearest point, for FourierLaplace
+    2 sinh(w)/w r_1..r_M at the point of largest |w|, with the ratios
+    r_k = w/((2k+1) + w r_{k+1}) of the modified spherical Bessel functions
+    from a backward start.  RieszInverse data are scaled by -c_alpha into the
+    units of the fit, as the grid operator carries the Riesz-potential
+    constant and the design the bare kernel -|x-y|^{2a-1}.
     """
-    kind, delta, alpha, beta = data.kind, data.delta, data.alpha, data.beta
+    kind, delta, alpha = data.kind, data.delta, data.alpha
     m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
@@ -248,97 +226,77 @@ def _design(data: RemoteData, N: int, bits: int) -> _Design:
         itv = _tilde_interval(data.source, delta)
     else:
         pts, itv = data.points, data.source
+    c, h = itv.center, 0.5 * itv.length
     if kind == "FourierLaplace":
-        i0, loss = int(np.argmax(np.abs(pts))), 0
+        lam = complex(alpha, data.beta)
+        w = lam * h * pts
+        f = _exp_integrals(w, M)
+        factor = h * np.exp(lam * c * pts)
+        i0 = int(np.argmax(np.abs(w)))
+        check, wi, r = "backward-ratio", w[i0], 0
+        ref = 2 * (np.sinh(wi) / wi if wi else 1)
+        for k in range(M + 16 + math.ceil(2 * abs(wi)), 0, -1):
+            r = wi / ((2 * k + 1) + wi * r)
+            if k <= M:
+                ref *= r
     else:
+        z = (pts.real - c) / h
         # the float64 tilde map can put a point just off I onto its end
-        if np.any((pts.real >= itv.a) & (pts.real <= itv.b)):
+        if np.min(np.abs(z)) < 1 + _Z_GAP:
             raise ValueError("sample points must lie off the source interval in the "
-                             "variable of the fit (|z| > 1)")
-        z_abs = np.abs(pts.real - itv.center) / (0.5 * itv.length)
-        i0 = int(np.argmax(z_abs))
-        loss = 2 * M * math.log2(z_abs[i0] + math.sqrt(z_abs[i0] ** 2 - 1))
-    with mp.workprec(bits + _GUARD_BITS + math.ceil(loss)):
-        c = (mp.mpf(itv.a) + itv.b) / 2
-        h = (mp.mpf(itv.b) - itv.a) / 2
-        xs = _mp_vec(pts)
-        if kind == "FourierLaplace":
-            lam = mp.mpc(alpha, beta)
-            f = [_exp_integrals(lam * x * h, M) for x in xs]
-            factor = [h * mp.exp(lam * x * c) for x in xs]
-        else:
-            power = 2 * mp.mpf(alpha) - 1 if kind == "RieszInverse" else -1
-            zs = [(x - c) / h for x in xs]
-            f = [_power_integrals(z, power, M) for z in zs]
-            if kind == "RieszInverse":
-                factor = [h ** (2 * mp.mpf(alpha))] * len(xs)
-            else:
-                factor = [mp.sign(x - c) / mp.pi for x in xs]
-            if kind == "ModifiedHilbert":
-                factor = [(1 + 2 * mp.pi * delta * x) * s for x, s in zip(xs, factor)]
-        cols = [[mp.sqrt((2 * k + 1) / (2 * h)) * s * fx[k] for s, fx in zip(factor, f)]
-                for k in range(M + 1)]
+                             f"variable of the fit (|z| > 1, at least 1 + {_Z_GAP:.3g})")
+        beta = 2 * alpha - 1 if kind == "RieszInverse" else -1
+        i0 = int(np.argmin(np.abs(z)))
+        K = M + 8 + math.ceil(56 * math.log(2) / (2 * math.acosh(abs(z[i0]))))
+        f = _power_integrals(z, beta, M, K)
+        factor = h ** (2 * alpha) if kind == "RieszInverse" else np.sign(z) / np.pi
         if kind == "ModifiedHilbert":
-            cols[0] = [v - delta * mp.sqrt(2 * h) for v in cols[0]]
-        col = cols[M][i0]
-        if kind == "FourierLaplace":
-            mass = mp.sqrt(2 * h) * max(abs(mp.exp(lam * xs[i0] * y))
-                                        for y in (mp.mpf(itv.a), mp.mpf(itv.b)))
-            extra = max(0, mp.mag(mass) - mp.mag(col)) if col else 0
-    if kind == "FourierLaplace":
-        check = "quadrature"
-        with mp.workprec(bits + extra):
-            ref = mp.quad(lambda y: mp.sqrt((2 * M + 1) / (2 * h)) * mp.legendre(M, (y - c) / h)
-                          * mp.exp(lam * xs[i0] * y), [itv.a, itv.b])
-    else:
-        check = "closed-form"
-        with mp.workprec(bits + 16):
-            ref = mp.sqrt((2 * M + 1) / (2 * h)) * factor[i0] * _power_closed_form(zs[i0], power, M)
-            if kind == "ModifiedHilbert" and M == 0:
-                ref -= delta * mp.sqrt(2 * h)
-    gap = abs(col - ref)
-    if gap > mp.ldexp(abs(col), -(bits - 64)):
+            factor = factor * (1 + 2 * np.pi * delta * pts)
+        check, ref = "closed-form", _power_closed_form(z[i0], beta, M)
+    gap = abs(f[M, i0] - ref)
+    if not gap <= 2 ** -40 * abs(f[M, i0]):
         raise ArithmeticError(f"{kind} design column {M} misses its {check} check by "
-                              f"{float(gap):.3g} (column {float(abs(col)):.3g})")
+                              f"{gap:.3g} (f_{M} = {abs(f[M, i0]):.3g})")
+    A = (np.sqrt((2 * np.arange(M + 1) + 1) / (2 * h))[:, None] * factor * f).T
+    if kind == "ModifiedHilbert":
+        A[:, 0] -= delta * math.sqrt(2 * h)
+    Q, R = np.linalg.qr(A, mode="complete")
+    dependent = np.abs(np.diag(R)) <= m * np.finfo(float).eps * np.linalg.norm(A, axis=0)
+    rank = int(np.argmax(dependent)) if dependent.any() else M + 1
     scale = -multiplier.riesz_constant(alpha) if kind == "RieszInverse" else 1.0
-    return _Design(itv, M, *_mgs_qr(cols, bits), scale, bits)
+    return _Design(itv, M, Q, R, rank, scale)
 
 
 class _Path(NamedTuple):
     """One data set projected on one design (`_project`)."""
     design: _Design
-    rhs: list        # data coefficients on the orthonormal columns
-    residuals: list  # residuals[k]: the data norm left after columns 0..k
+    rhs: np.ndarray        # data coefficients on the columns of Q
+    residuals: np.ndarray  # residuals[k]: the data norm left after columns 0..k
     noise: float     # the noise std-dev in the units of the fit
     floor: float     # the quadrature/float64 roundoff even "clean" samples carry
 
 
 def _project(design: _Design, values, noise: float) -> _Path:
     """`values`, sampled at the design's points with additive noise of std-dev
-    `noise` (0 for clean data), projected on its orthonormal columns."""
-    # a unit scale leaves extended-precision (object) values unrounded
-    vals = values if design.scale == 1.0 else design.scale * values
-    bres, rhs, residuals = _mp_vec(vals), [], []
-    with mp.workprec(design.bits):
-        for q in design.qs:
-            c = _vdot(q, bres)
-            rhs.append(c)
-            bres = [bi - c * qi for bi, qi in zip(bres, q)]
-            residuals.append(float(mp.sqrt(_vdot(bres, bres).real)))
+    `noise` (0 for clean data), projected on the columns of Q; residuals[k] is
+    |rhs[k+1:]|, summed from the far end so that no subtraction cancels."""
+    vals = design.scale * np.asarray(values)
+    rhs = design.Q.conj().T @ vals
+    tail = np.sqrt(np.cumsum(np.abs(rhs[::-1]) ** 2)[::-1])
     floor = 1e-8 * float(np.max(np.abs(vals)))
-    return _Path(design, rhs, residuals, abs(design.scale) * noise, floor)
+    return _Path(design, rhs, tail[1:design.order + 2], abs(design.scale) * noise, floor)
 
 
 def _fit(path: _Path, N: int):
     """The far-field fit at order N from a path of order >= N: its Legendre
     coefficients a_0..a_N (the source is sum_k a_k G_k on I, in the fit
     variable), the fit interval and the fit residual at order N."""
-    # fit a few modes beyond N: the extra columns absorb the source's higher
-    # modes, which would otherwise alias O(1) errors into the top reported
-    # coefficients (the buffer modes themselves are discarded)
+    # fit a few modes beyond N, up to the design's rank: the extra columns
+    # absorb the source's higher modes, which would otherwise alias O(1)
+    # errors into the top reported coefficients (the buffer modes themselves
+    # are discarded)
     d = path.design
-    M_fit = min(N + _FIT_BUFFER, d.order)
-    d.read(M_fit)
+    M_fit = min(N + _FIT_BUFFER, d.rank - 1)
     # keep a buffer column only while its data coefficient clears the noise
     # gate: below it the column fits noise, and its amplified junk coefficient
     # would leak into the reported modes through back substitution
@@ -346,13 +304,9 @@ def _fit(path: _Path, N: int):
     M_use = N
     while M_use < M_fit and abs(path.rhs[M_use + 1]) > gate:
         M_use += 1
-    with mp.workprec(d.bits):
-        x = [mp.mpf(0)] * (M_use + 1)
-        for i in range(M_use, -1, -1):
-            s = path.rhs[i]
-            for l in range(i + 1, M_use + 1):
-                s -= d.R[l][i] * x[l]
-            x[i] = s / d.R[i][i]
+    R, x = d.R[:M_use + 1, :M_use + 1], np.zeros(M_use + 1, complex)
+    for i in range(M_use, -1, -1):
+        x[i] = (path.rhs[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
     return x[:N + 1], d.itv, path.residuals[N]
 
 
@@ -365,8 +319,7 @@ def _select(path: _Path, N_max: int, tau: float) -> int:
     exceeds its expectation never cross the floor and the selection runs away
     to N_max with exponentially amplified error.
     """
-    path.design.read(N_max)
-    floor = tau * path.noise * math.sqrt(len(path.design.qs[0]))
+    floor = tau * path.noise * math.sqrt(len(path.design.Q))
     # residuals are nonincreasing until noise takes over; stop at the first
     # crossing below the floor so later chance fluctuations cannot inflate N
     best = 0
@@ -387,7 +340,7 @@ def _on_grid(data: RemoteData, fit, truth: SampledFunction):
     inside = I.contains(grid.x)
     xs = grid.x[inside]
     t = tilde_variable(xs, data.delta) if data.kind == "ModifiedHilbert" else xs
-    c = np.array([float(mp.re(v)) for v in a]) * np.sqrt((2 * np.arange(len(a)) + 1) / itv.length)
+    c = np.real(a) * np.sqrt((2 * np.arange(len(a)) + 1) / itv.length)
     vals = np.zeros(grid.n)
     vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c)
     if data.kind == "ModifiedHilbert":
@@ -439,14 +392,14 @@ def fit_log_modulus(deltas, errors):
 
 def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
                     levels, trials: int, seed: int = 0, num_samples: int = 64,
-                    N_max: int = 10, prec: PrecisionConfig = PrecisionConfig(),
-                    tau: float = 1.5, **params) -> StabilityCurve:
+                    N_max: int = 10, tau: float = 1.5, **params) -> StabilityCurve:
     """Noise sweep of the full inversion pipeline with a log-modulus fit.
 
     For each noise level the reconstruction error (relative L2 over I) is
     averaged over `trials` independent noise draws; N is re-selected per trial
-    by the discrepancy principle, at most min(N_max, num_samples//2 - 1).
-    The sample geometry is fixed, so one design serves every draw.  RNG
+    by the discrepancy principle, at most min(N_max, num_samples//2 - 1,
+    rank - 1) for the design's rank.  The sample geometry is fixed, so one
+    design serves every draw.  RNG
     streams are derived from (seed, level index, trial) so sweeps are
     reproducible and trial-parallel.
     """
@@ -461,7 +414,8 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
         raise ValueError(f"tau must be > 0, got {tau}")
     clean = sample_remote(kind, f, I, J, num=num_samples, **params)
     N_max = min(N_max, num_samples // 2 - 1)
-    design = _design(clean, N_max, prec.bits)
+    design = _design(clean, N_max)
+    N_max = min(N_max, design.rank - 1)
     rows, averaged = [], []
     for li, lvl in enumerate(levels):
         errs = []

@@ -212,7 +212,8 @@ class TestHilbertSigmaMax:
                 for j in range(N + 1):
                     H[i, j] = mpmath.mpf(1) / (i + j + 1)
             ref = 1 / min(mpmath.eigsy(H, eigvals_only=True))
-            got = hilbert_inverse_sigma_max(N)
+            rho = hilbert_inverse_sigma_max(N)
+            got = mpmath.mpf(rho.numerator) / rho.denominator
             assert abs(got - ref) <= mpmath.mpf(10) ** -30 * ref
 
     def test_order_forty_agrees_with_float64(self):
@@ -243,7 +244,8 @@ class TestHilbertSigmaMax:
                 for j in range(N + 1):
                     H[i, j] = mpmath.mpf(1) / (i + j + 1)
             ref = 1 / min(mpmath.eigsy(H, eigvals_only=True))
-            got = hilbert_inverse_sigma_max(N, PrecisionConfig(bits=512))
+            rho = hilbert_inverse_sigma_max(N, PrecisionConfig(bits=512))
+            got = mpmath.mpf(rho.numerator) / rho.denominator
             assert abs(got - ref) <= mpmath.mpf(2) ** -500 * ref
 
     def test_double_top_eigenvalue_raises(self, monkeypatch):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +11,6 @@ import pytest
 
 from nslab import moments, reconstruct
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
-from nslab.moments import PrecisionConfig
 from nslab.reconstruct import (RemoteData, _design, _fit, _on_grid, _project, _select,
                                sample_remote, stability_sweep)
 
@@ -20,28 +22,127 @@ SYMBOL_PARAMS = {"Hilbert": {}, "ModifiedHilbert": {"delta": 0.05},
 
 
 def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
-    """Extended-precision samples of (1/pi) sum_j f_j x^{-j-1} on J.
+    """Extended-precision samples of (1/pi) sum_j f_j x^{-j-1} on J: the data
+    rounded to float64, and the list of the samples themselves.
 
     f_j are exact moments of a source on (0,1); the series is the analytic
     continuation of the transform off the source interval, so this is an
     independent data oracle for the moment-recovery fit.
     """
     pts = np.linspace(J.a, J.b, num)
-    vals = np.empty(num, dtype=object)
+    vals = []
     with mpmath.workprec(bits):
-        for i, x in enumerate(pts):
+        for x in pts:
             xm = mpmath.mpf(float(x))
             acc = mpmath.mpf(0)
             for j in range(terms):
                 fj = f_j(j)
                 acc += fj * xm ** (-j - 1)
-            vals[i] = acc / mpmath.pi
-    return RemoteData("Hilbert", I01, pts, vals)
+            vals.append(acc / mpmath.pi)
+    return RemoteData("Hilbert", I01, pts, [complex(v) for v in vals]), vals
 
 
-def _path(data, N, bits, noise=0.0):
+def _path(data, N, noise=0.0):
     """The values of `data` projected on the design for fits up to order N."""
-    return _project(_design(data, N, bits), data.values, noise)
+    return _project(_design(data, N), data.values, noise)
+
+
+# ---------------------------------------------------------------------------
+# Extended-precision reference fit of Hilbert data: the design from the
+# forward recurrence with the bits it loses, modified Gram-Schmidt, the
+# projection and the back substitution, all at `bits`
+# ---------------------------------------------------------------------------
+
+def _vdot(a, b):
+    """sum conj(a_i) b_i."""
+    return mpmath.fdot(b, a, conjugate=True)
+
+
+def _mgs_qr(cols, bits):
+    """Modified Gram-Schmidt QR of a column list, stopped before the first
+    numerically dependent column."""
+    with mpmath.workprec(bits):
+        qs, R = [], []
+        for a in cols:
+            v = list(a)
+            rk = []
+            for q in qs:
+                c = _vdot(q, v)
+                rk.append(c)
+                v = [vi - c * qi for vi, qi in zip(v, q)]
+            nrm = mpmath.sqrt(_vdot(v, v).real)
+            if nrm < mpmath.sqrt(_vdot(a, a).real) * mpmath.mpf(2) ** (-(bits - 16)):
+                break
+            qs.append([vi / nrm for vi in v])
+            R.append(rk + [nrm])
+        return qs, R
+
+
+def _ref_design(data, N, bits):
+    """The Hilbert design of order M = min(N + _FIT_BUFFER, m//2 - 1) at the
+    points of `data`, as (itv, M, qs, R, bits): column k at x is
+    sqrt((2k+1)/(2h)) sign(z)/pi f_k(z), z = (x - c)/h, with f_0 = log((z+1)/(z-1)),
+    f_1 = z f_0 - 2 and (k+1) f_{k+1} = (2k+1) z f_k - k f_{k-1} run forward
+    with the 2M log2(|z| + sqrt(z^2 - 1)) bits that it loses."""
+    assert data.kind == "Hilbert"
+    itv, M = data.source, min(N + reconstruct._FIT_BUFFER, data.points.size // 2 - 1)
+    z_far = max(abs(x - itv.center) / (0.5 * itv.length) for x in data.points.real)
+    loss = 2 * M * math.log2(z_far + math.sqrt(z_far ** 2 - 1))
+    with mpmath.workprec(bits + 32 + math.ceil(loss)):
+        c, h = (mpmath.mpf(itv.a) + itv.b) / 2, (mpmath.mpf(itv.b) - itv.a) / 2
+        cols = [[] for _ in range(M + 1)]
+        for x in data.points.real:
+            z = (mpmath.mpf(x) - c) / h
+            s, za = mpmath.sign(z), abs(z)
+            f = [mpmath.log((za + 1) / (za - 1))]
+            f.append(za * f[0] - 2)
+            for k in range(1, M):
+                f.append(((2 * k + 1) * za * f[k] - k * f[k - 1]) / (k + 1))
+            for k in range(M + 1):
+                cols[k].append(mpmath.sqrt((2 * k + 1) / (2 * h)) * s ** (k + 1) / mpmath.pi * f[k])
+    return (itv, M, *_mgs_qr(cols, bits), bits)
+
+
+def _ref_path(data, values, N, bits, noise=0.0):
+    """(design, rhs, residuals, noise, floor) of `values` on `_ref_design`."""
+    design = _ref_design(data, N, bits)
+    qs, bres, rhs, residuals = design[2], list(values), [], []
+    with mpmath.workprec(bits):
+        for q in qs:
+            c = _vdot(q, bres)
+            rhs.append(c)
+            bres = [bi - c * qi for bi, qi in zip(bres, q)]
+            residuals.append(mpmath.sqrt(_vdot(bres, bres).real))
+    return design, rhs, residuals, noise, 1e-8 * max(float(abs(v)) for v in values)
+
+
+def _ref_fit(path, N):
+    """`_fit` of a `_ref_path`: the same buffer and gate, at its bits."""
+    (itv, M, qs, R, bits), rhs, residuals, noise, floor = path
+    M_fit = min(N + reconstruct._FIT_BUFFER, M)
+    gate = reconstruct._BUFFER_GATE * max(noise, floor)
+    M_use = N
+    while M_use < M_fit and abs(rhs[M_use + 1]) > gate:
+        M_use += 1
+    with mpmath.workprec(bits):
+        x = [mpmath.mpf(0)] * (M_use + 1)
+        for i in range(M_use, -1, -1):
+            s = rhs[i]
+            for l in range(i + 1, M_use + 1):
+                s -= R[l][i] * x[l]
+            x[i] = s / R[i][i]
+    return x[:N + 1], itv, residuals[N]
+
+
+def _mp_power_closed_form(z, beta, N):
+    """f_N(z) = int_{-1}^1 P_N(t) |z - t|^beta dt, |z| > 1, at the working
+    precision: sgn(z)^N (-beta)_N / (2^N N!) |z|^(beta-N) B(1/2, N+1)
+    2F1((N-beta)/2, (N-beta+1)/2; N+3/2; 1/z^2)."""
+    beta, s, z = mpmath.mpf(beta), mpmath.sign(z) ** N, abs(z)
+    return (s * mpmath.rf(-beta, N) / (2 ** N * mpmath.factorial(N)) * z ** (beta - N)
+            * mpmath.beta(mpmath.mpf(1) / 2, N + 1)
+            * mpmath.hyp2f1((N - beta) / 2, (N - beta + 1) / 2, N + mpmath.mpf(3) / 2,
+                            1 / z ** 2))
 
 
 def _moment_table(itv: Interval, N: int):
@@ -72,6 +173,7 @@ def fit_moments(fit, bits=256):
     a, itv, _ = fit
     N = len(a) - 1
     with mpmath.workprec(bits):
+        a = [mpmath.mpmathify(complex(v)) if isinstance(v, np.generic) else v for v in a]
         mom = _moment_table(itv, N)
         return [float(mpmath.re(mpmath.fsum(a[k] * mom[k][j] for k in range(N + 1))))
                 for j in range(N + 1)]
@@ -131,21 +233,25 @@ class TestExpansionBasis:
         assert val == pytest.approx(-0.5)
 
 
-def _design_columns(data, N, bits):
-    """Columns 0..N of the fit design of order N, rebuilt from its QR factors;
-    the design for fits up to order N - _FIT_BUFFER has order N."""
-    design = _design(data, N - reconstruct._FIT_BUFFER, bits)
+def _design_columns(data, N):
+    """Columns 0..N of the fit design of order N, rebuilt as Q R; the design
+    for fits up to order N - _FIT_BUFFER has order N."""
+    design = _design(data, N - reconstruct._FIT_BUFFER)
     assert design.order == N
-    qs, R = design.qs, design.R
-    with mpmath.workprec(bits):
-        return [[mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1))
-                 for p in range(data.points.size)] for k in range(N + 1)]
+    return (design.Q @ design.R).T
 
 
 def _orthonormal_legendre(k, y, I):
     c, h = (I.a + I.b) / 2, (I.b - I.a) / 2
     return mpmath.sqrt((2 * k + 1) / (2 * mpmath.mpf(h))) * \
         mpmath.legendre(k, (y - c) / h)
+
+
+def _hilbert_column_reference(k, x):
+    """Column k of the Hilbert design for I = (0, 1) at x:
+    (2/pi) sqrt(2k+1) Q_k(2x - 1)."""
+    return 2 / mpmath.pi * mpmath.sqrt(2 * k + 1) * mpmath.legenq(
+        k, 0, 2 * mpmath.mpf(x) - 1, type=3)
 
 
 class TestDesign:
@@ -164,55 +270,58 @@ class TestDesign:
 
     @pytest.mark.parametrize("bits,tol", [(256, 1e-55), (384, 1e-86)])
     def test_hilbert_columns_match_legendre_q(self, bits, tol):
-        # column k is (2/pi) sqrt((2k+1)/(2h)) Q_k(z), z = (x - c)/h; relative
-        # error, as the far columns fall to ~1e-17
-        data = RemoteData("Hilbert", I01, np.linspace(1.05, 2.05, 64),
-                          np.zeros(64))
-        cols = _design_columns(data, 20, bits)
+        # the extended-precision reference columns, rebuilt from their MGS
+        # factors, meet Q_k to `tol` relative (the far columns fall to ~1e-17);
+        # the float64 columns meet it to 1e-13 of each column's largest entry
+        data = RemoteData("Hilbert", I01, np.linspace(1.05, 2.05, 64), np.zeros(64))
+        _, _, qs, R, _ = _ref_design(data, 12, bits)
+        cols = _design_columns(data, 20)
         with mpmath.workprec(bits):
-            worst = max(
-                abs(cols[k][p] / (2 / mpmath.pi * mpmath.sqrt(2 * k + 1) * mpmath.legenq(
-                    k, 0, 2 * mpmath.mpf(x) - 1, type=3)) - 1)
-                for k in range(21) for p, x in enumerate(data.points))
-        assert worst <= tol
+            ref = [[_hilbert_column_reference(k, x) for x in data.points] for k in range(21)]
+            worst = max(abs(mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1)) / ref[k][p] - 1)
+                        for k in range(21) for p in range(64))
+            assert worst <= tol
+            worst = max(float(max(abs(c - r) for c, r in zip(cols[k], ref[k]))
+                              / max(abs(r) for r in ref[k])) for k in range(21))
+        assert worst <= 1e-13
 
-    @pytest.mark.parametrize("bits", [64, 256])
-    def test_far_point_column_within_the_rank_gate(self, bits):
-        # the recurrence loses 2N log2 rho(z) bits, most at the farthest point,
-        # so the guard bits are charged there: column N, rebuilt from Q R,
-        # meets the closed form to the rank gate's 2^-(bits-16) of its norm
-        N = 18
+    def test_far_point_column_inside_the_rank(self):
+        # the backward recurrence converges slowest at the nearest point and
+        # the columns decay fastest at the farthest: column 17, the highest
+        # inside the float64 rank of this design, meets the 2F1 at every point
         data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, 64), np.zeros(64))
-        col = _design_columns(data, N, bits)[N]
-        with mpmath.workprec(bits + 64):
-            ref = [mpmath.sqrt(2 * N + 1) / mpmath.pi
-                   * reconstruct._power_closed_form(2 * mpmath.mpf(x) - 1, -1, N)
+        design = _design(data, 10)
+        assert (design.order, design.rank) == (18, 18)
+        col = (design.Q @ design.R)[:, 17]
+        with mpmath.workprec(128):
+            ref = [mpmath.sqrt(35) / mpmath.pi * _mp_power_closed_form(2 * mpmath.mpf(x) - 1, -1, 17)
                    for x in data.points]
             gap = max(abs(c - r) for c, r in zip(col, ref))
-            assert gap <= mpmath.ldexp(mpmath.norm(ref), -(bits - 16))
+            assert gap <= 1e-13 * max(abs(r) for r in ref)
 
     def test_riesz_columns_match_quadrature(self):
         alpha = 0.25
         data = RemoteData("RieszInverse", I01, np.linspace(1.05, 2.05, 64),
                           np.zeros(64), alpha=alpha)
-        cols = _design_columns(data, 14, 256)
+        cols = _design_columns(data, 14)
         worst = 0
         with mpmath.workprec(256):
-            for p in (0, 31, 63):
-                x = mpmath.mpf(data.points[p])
-                for k in range(15):
+            for k in range(15):
+                size = max(abs(v) for v in cols[k])
+                for p in (0, 31, 63):
+                    x = mpmath.mpf(data.points[p])
                     ref = mpmath.quad(
                         lambda y: _orthonormal_legendre(k, y, I01)
                         * (x - y) ** (2 * mpmath.mpf(alpha) - 1), [0, 1])
-                    worst = max(worst, abs(cols[k][p] - ref))
-        assert worst <= 1e-50
+                    worst = max(worst, abs(cols[k][p] - ref) / size)
+        assert worst <= 1e-13
 
     @staticmethod
     def _worst_against_quadrature(data, N, kernel, pts, itv):
         """Largest gap between columns 0, N/2, N at three points and `mp.quad`
         at 400 bits, relative to the column's largest entry; `pts` and `itv`
         are in the variable of the fit."""
-        cols = _design_columns(data, N, 256)
+        cols = _design_columns(data, N)
         worst = 0
         with mpmath.workprec(400):
             for k in (0, N // 2, N):
@@ -231,7 +340,7 @@ class TestDesign:
         worst = self._worst_against_quadrature(
             data, 28, lambda x, y: abs(x - y) ** (2 * mpmath.mpf(alpha) - 1),
             data.points, I01)
-        assert worst <= 1e-60
+        assert worst <= 1e-13
 
     def test_modified_hilbert_columns_match_quadrature(self):
         delta = 0.05
@@ -242,7 +351,7 @@ class TestDesign:
             data, 20, lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
             reconstruct.tilde_variable(data.points, delta),
             reconstruct._tilde_interval(I01, delta))
-        assert worst <= 1e-60
+        assert worst <= 1e-13
 
     def test_modified_hilbert_columns_left_of_the_source(self):
         # left of the source: the tilde points, in (-1.61, -1.03), lie nearer
@@ -254,62 +363,68 @@ class TestDesign:
             data, 20, lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
             reconstruct.tilde_variable(data.points, delta),
             reconstruct._tilde_interval(I01, delta))
-        assert worst <= 1e-60
+        assert worst <= 1e-13
 
     def test_fourier_laplace_columns_match_quadrature(self):
         data = RemoteData("FourierLaplace", I01, np.linspace(-0.5, 0.5, 64),
                           np.zeros(64), alpha=0.0, beta=-1.0)
         worst = self._worst_against_quadrature(
             data, 20, lambda x, y: mpmath.exp(-1j * x * y), data.points, I01)
-        assert worst <= 1e-60
+        assert worst <= 1e-13
 
     @pytest.mark.parametrize("beta", [-1, -0.5, 0, 0.5])
     @pytest.mark.parametrize("z", [-1.25, 3.0])
     def test_power_closed_form_matches_quadrature(self, beta, z):
-        with mpmath.workprec(400):
-            z = mpmath.mpf(z)
-            for N in (0, 1, 8, 20):
-                closed = reconstruct._power_closed_form(z, beta, N)
-                if beta == 0 and N >= 1:
-                    assert closed == 0
-                    continue
+        for N in (0, 1, 8, 20):
+            closed = reconstruct._power_closed_form(z, beta, N)
+            if beta == 0 and N >= 1:
+                assert closed == 0
+                continue
+            with mpmath.workprec(400):
                 ref = mpmath.quad(lambda t: mpmath.legendre(N, t) * abs(z - t) ** beta,
                                   [-1, 1])
-                assert abs(closed - ref) <= 1e-100 * abs(ref)
+                assert abs(closed - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("kind", ["Hilbert", "ModifiedHilbert", "RieszInverse"])
     def test_starved_guard_bits_fail_the_self_check(self, monkeypatch, kind):
-        # 200 bits below the requested precision: column N is good to about
-        # 2^-56 of its size, far outside the 2^-(bits-64) check
-        monkeypatch.setattr(reconstruct, "_GUARD_BITS", -200)
+        # the backward recurrence started at K = M, with none of the 56 bits of
+        # damping its start is sized for: column M is off by about 1% of its
+        # size, far outside the 2^-40 check
+        power_integrals = reconstruct._power_integrals
+        monkeypatch.setattr(reconstruct, "_power_integrals",
+                            lambda z, beta, M, K: power_integrals(z, beta, M, M))
         data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
         with pytest.raises(ArithmeticError, match="closed-form check"):
-            _design(data, 6, 256)
+            _design(data, 6)
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_modified_hilbert_low_orders_pass_the_self_check(self, N):
-        # column 0 carries the constant -delta sqrt(2h); the check's value must
-        # too; 2(N+1) samples make the design's order, the checked column, N
+        # column 0 carries the constant -delta sqrt(2h); the check reads f_N,
+        # which does not; 2(N+1) samples make the design's order, the checked
+        # column, N
         m = 2 * (N + 1)
         data = RemoteData("ModifiedHilbert", I01, np.linspace(2, 3, m), np.zeros(m), delta=0.05)
-        design = _design(data, N, 256)
+        design = _design(data, N)
         assert design.order == N
-        assert len(design.qs) == N + 1
+        assert design.rank == N + 1
 
-    @pytest.mark.parametrize("kind,quads", [
-        ("Hilbert", 0), ("ModifiedHilbert", 0), ("RieszInverse", 0), ("FourierLaplace", 1)])
-    def test_power_kernel_design_runs_no_quadrature(self, monkeypatch, kind, quads):
-        calls = []
-        original = mpmath.quad
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mpmath, "quad", counted)
-        data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
-        _design(data, 6, 256)
-        assert len(calls) == quads
+    def test_sweep_imports_no_mpmath(self):
+        # the CLI and a sweep of each kind run without extended precision
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        code = (
+            "import sys, nslab.cli\n"
+            "from nslab.gridfn import Grid, Interval, make_bump\n"
+            "from nslab.reconstruct import stability_sweep\n"
+            "f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, Grid(8.0, 1024))\n"
+            f"for kind, params in {SYMBOL_PARAMS!r}.items():\n"
+            "    stability_sweep(kind, f, Interval(0.0, 1.0), Interval(1.05, 2.05),\n"
+            "                    [1e-2, 1e-3, 1e-4, 1e-5], trials=1, num_samples=16,\n"
+            "                    N_max=4, **params)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("lo,hi", [(-0.9, -0.5), (1.01, 2.0)])
     def test_points_near_the_source_fit(self, grid, lo, hi):
@@ -317,8 +432,8 @@ class TestDesign:
         # Legendre design needs, whatever the distance from the origin
         f = _unit_source(grid)
         data = sample_remote("Hilbert", f, I01, Interval(lo, hi), num=16)
-        design = _design(data, 3, 256)
-        assert len(design.R) == design.order + 1
+        design = _design(data, 3)
+        assert design.rank == design.order + 1
         _, err = _on_grid(data, _fit(_project(design, data.values, 0.0), 3), f)
         # the best L2(I) approximation of f of degree 3 misses it by 0.419
         assert 0.41 <= err <= 0.43
@@ -332,7 +447,15 @@ class TestDesign:
         pts = np.concatenate([[x], np.linspace(1.0, 2.0, 15)])
         data = RemoteData("ModifiedHilbert", I, pts, np.zeros(16), delta=0.5)
         with pytest.raises(ValueError, match=r"\|z\| > 1"):
-            _design(data, 3, 256)
+            _design(data, 3)
+
+    def test_points_within_the_check_gap_rejected(self):
+        # |z| = 1 + 2^-12: the 2F1 of the column check would take 8e4 terms
+        # and lose accuracy with each; the design asks for |z| >= 1 + 2^-10
+        pts = np.concatenate([[1 + 2.0 ** -13], np.linspace(1.5, 2.5, 15)])
+        data = RemoteData("Hilbert", I01, pts, np.zeros(16))
+        with pytest.raises(ValueError, match=r"\|z\| > 1, at least 1 \+ 0.000977"):
+            _design(data, 3)
 
     def test_negative_order_cap_rejected(self, unit_bump):
         with pytest.raises(ValueError, match="N_max must be >= 0, got -1"):
@@ -346,14 +469,20 @@ class TestDesign:
             stability_sweep("Hilbert", unit_bump, Interval(-1, 1), Interval(2, 3),
                             [1e-2, 1e-3, 1e-4, 1e-5], trials=1, tau=tau)
 
-    def test_rank_gate_raises_for_a_read_column(self, grid):
-        # the fit at N = 9 reads columns 0..17, and at 64 bits column 17 is
-        # numerically dependent on the ones before it
-        data = RemoteData("FourierLaplace", I01, np.linspace(1.05, 2.05, 64), np.ones(64),
-                          alpha=1.0, beta=0.5)
-        with pytest.raises(ArithmeticError, match="rank-deficient at column 17"):
-            _fit(_path(data, 9, 64), 9)
-        _on_grid(data, _fit(_path(data, 8, 64), 8), _unit_source(grid))
+    def test_no_fit_reads_past_the_rank(self):
+        # column 18 of this design is numerically dependent (rank 18 of 19
+        # columns); every data coefficient of random values clears the buffer
+        # gate, yet the fit at N = 10 stops its buffer at column 17: a NaN in
+        # column 18 of R leaves it unchanged
+        data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, 64), np.zeros(64))
+        values = np.random.default_rng(0).standard_normal(64)
+        design = _design(data, 10)
+        assert (design.order, design.rank) == (18, 18)
+        R = design.R.copy()
+        R[:, 18] = np.nan
+        fits = [_fit(_project(d, values, 0.0), 10)[0] for d in (design, design._replace(R=R))]
+        assert np.all(np.isfinite(fits[0]))
+        assert np.array_equal(fits[0], fits[1])
 
 
 class TestRemoteData:
@@ -375,26 +504,26 @@ class TestRecoverMoments:
         def f_j(j):
             return mpmath.mpf(1) / (j + 2) - mpmath.mpf(1) / (j + 3)
 
-        data = closed_form_hilbert_data(f_j, J23)
-        got = fit_moments(_fit(_path(data, 6, 320), 6), 320)
+        data, _ = closed_form_hilbert_data(f_j, J23)
+        got = fit_moments(_fit(_path(data, 6), 6), 320)
         errs = [abs(got[j] - (1.0 / (j + 2) - 1.0 / (j + 3))) for j in range(7)]
         assert max(errs) <= 1e-8
 
     def test_zero_data_zero_moments(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 64), np.zeros(64))
-        got = fit_moments(_fit(_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4), 4))
         assert all(abs(complex(v)) == 0.0 for v in got)
 
     def test_sample_count_guard(self):
         data = RemoteData("Hilbert", I01, np.linspace(2, 3, 8), np.zeros(8))
         with pytest.raises(ValueError):
-            _design(data, 6, 256)
+            _design(data, 6)
 
     def test_fourier_laplace_overlapping_window(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("FourierLaplace", f, I01, Interval(-0.5, 0.5),
                              num=64, alpha=0.0, beta=-1.0)
-        got = fit_moments(_fit(_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4), 4))
         mask = I01.contains(grid.x)
         integral = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(got[0] - integral) <= 1e-6
@@ -404,8 +533,8 @@ class TestRecoverMoments:
         data = sample_remote("Hilbert", f, I01, J23, num=64)
         lam = 8.0
         scaled = RemoteData("Hilbert", I01, data.points, lam * data.values)
-        a = fit_moments(_fit(_path(data, 4, 256), 4))
-        b = fit_moments(_fit(_path(scaled, 4, 256), 4))
+        a = fit_moments(_fit(_path(data, 4), 4))
+        b = fit_moments(_fit(_path(scaled, 4), 4))
         for j in range(5):
             assert complex(b[j]) == complex(lam * a[j])
 
@@ -415,7 +544,7 @@ class TestRecoverMoments:
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("ModifiedHilbert", f, I01, J23, num=64,
                              delta=delta)
-        got = fit_moments(_fit(_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(got[0] - f0) <= 1e-5
@@ -423,7 +552,7 @@ class TestRecoverMoments:
     def test_riesz_f0_recovery(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         data = sample_remote("RieszInverse", f, I01, J23, num=64, alpha=0.25)
-        got = fit_moments(_fit(_path(data, 4, 256), 4))
+        got = fit_moments(_fit(_path(data, 4), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
         assert abs(got[0] - f0) <= 1e-5
@@ -435,29 +564,42 @@ class TestRecoverMoments:
         got = []
         for J in (J23, Interval(-3.0, -2.0)):
             data = sample_remote("RieszInverse", f, I01, J, num=64, alpha=0.25)
-            got.append(fit_moments(_fit(_path(data, 4, 256), 4))[0])
+            got.append(fit_moments(_fit(_path(data, 4), 4))[0])
         assert abs(got[1] - f0) <= 1e-5
         assert abs(got[1] - got[0]) <= 1e-5
 
 
 class TestInvert:
-    def test_polynomial_roundtrip(self, grid):
-        def f_j(j):
-            return mpmath.mpf(1) / (j + 2) - mpmath.mpf(1) / (j + 3)
+    @staticmethod
+    def _polynomial_data(grid):
+        """320-bit samples of the transform of x(1 - x) on I, and the truth."""
+        data, exact = closed_form_hilbert_data(
+            lambda j: mpmath.mpf(1) / (j + 2) - mpmath.mpf(1) / (j + 3), J23)
+        truth = SampledFunction(grid, np.where(I01.contains(grid.x), grid.x * (1.0 - grid.x), 0.0))
+        return data, exact, truth
 
-        data = closed_form_hilbert_data(f_j, J23)
-        mask = I01.contains(grid.x)
-        truth_vals = np.where(mask, grid.x * (1.0 - grid.x), 0.0)
-        truth = SampledFunction(grid, truth_vals)
-        rec, err = _on_grid(data, _fit(_path(data, 6, 320), 6), truth)
+    def test_polynomial_roundtrip(self, grid):
+        # the 320-bit reference fit of the 320-bit samples (measured 9.8e-17)
+        data, exact, truth = self._polynomial_data(grid)
+        a, itv, res = _ref_fit(_ref_path(data, exact, 6, 320), 6)
+        _, err = _on_grid(data, (np.array([complex(v) for v in a]), itv, res), truth)
         assert err <= 1e-10
+
+    def test_polynomial_roundtrip_float64(self, grid):
+        # the float64 fit of the samples rounded to float64, as every sweep
+        # feeds it: the bound is u kappa_2(R) = 3.0e-6 for the 7 columns it
+        # solves (kappa = 2.7e10); measured 1.07e-6, and the 320-bit reference
+        # fit of the same rounded data misses by 1.8e-7
+        data, _, truth = self._polynomial_data(grid)
+        _, err = _on_grid(data, _fit(_path(data, 6), 6), truth)
+        assert err <= 3e-6
 
     def test_order_zero_zero_mean(self, grid):
         # odd-about-center source: f_0 = 0, so the order-0 projection vanishes
         base = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         f = SampledFunction(grid, base.values * (grid.x - 0.5))
         data = sample_remote("Hilbert", f, I01, J23, num=64)
-        rec, _ = _on_grid(data, _fit(_path(data, 0, 256), 0), f)
+        rec, _ = _on_grid(data, _fit(_path(data, 0), 0), f)
         # floor set by the quadrature accuracy of the data oracle
         assert np.max(np.abs(rec.values)) <= 1e-5 * np.max(np.abs(f.values))
 
@@ -470,8 +612,8 @@ class TestInvert:
         for noise in (1e-6, 1e-8):
             rng = np.random.default_rng(5)
             data = replace(clean, values=clean.values + noise * rng.standard_normal(64))
-            N = _select(_path(data, 10, 256, noise), 10, 1.5)
-            _, err = _on_grid(data, _fit(_path(data, N, 256, noise), N), f)
+            N = _select(_path(data, 10, noise), 10, 1.5)
+            _, err = _on_grid(data, _fit(_path(data, N, noise), N), f)
             errs.append(err)
         assert errs[1] <= 0.5
         assert errs[1] <= errs[0]
@@ -485,7 +627,7 @@ class TestInvert:
         errs = []
         for J in (Interval(-1.05, -0.05), Interval(1.05, 2.05)):
             data = sample_remote("Hilbert", f, I01, J, num=64)
-            errs.append(_on_grid(data, _fit(_path(data, N, 256), N), f)[1])
+            errs.append(_on_grid(data, _fit(_path(data, N), N), f)[1])
         assert errs[0] == pytest.approx(errs[1], rel=1e-8)
 
 
@@ -509,8 +651,8 @@ class TestStabilitySweep:
                                 num_samples=48, N_max=8)
         zero_err = dict(curve.pairs)[0.0]
         clean = sample_remote("Hilbert", f, I01, Interval(1.05, 2.05), num=48)
-        N = _select(_path(clean, 8, 256), 8, 1.5)
-        _, floor = _on_grid(clean, _fit(_path(clean, N, 256), N), f)
+        N = _select(_path(clean, 8), 8, 1.5)
+        _, floor = _on_grid(clean, _fit(_path(clean, N), N), f)
         assert zero_err == pytest.approx(floor, rel=1e-12)
 
     def test_riesz_constant_sign_family_completes(self, grid):
@@ -525,7 +667,7 @@ class TestStabilitySweep:
     def test_one_design_and_one_projection_per_draw(self, monkeypatch, grid):
         # the order selection and the fit read one projection per draw, and
         # every draw shares the one design the sweep builds
-        counts = {"_mgs_qr": 0, "_project": 0}
+        counts = {"_design": 0, "_project": 0}
         for name in counts:
             def counted(*args, _fn=getattr(reconstruct, name), _name=name):
                 counts[_name] += 1
@@ -533,22 +675,28 @@ class TestStabilitySweep:
             monkeypatch.setattr(reconstruct, name, counted)
         stability_sweep("Hilbert", _unit_source(grid), I01, Interval(1.05, 2.05),
                         [1e-2, 1e-3, 1e-4, 1e-5], trials=2, seed=7, num_samples=64)
-        assert counts == {"_mgs_qr": 1, "_project": 8}
+        assert counts == {"_design": 1, "_project": 8}
+
+    def test_sweep_clamps_the_order_to_the_rank(self, grid):
+        # noise 0 selects N_max; at N_max = 20 this design has order 28 and
+        # rank 18, so the sweep clamps N_max to 17
+        curve = stability_sweep("Hilbert", _unit_source(grid), I01, Interval(1.05, 4.05),
+                                [0.0, 1e-3, 1e-4, 1e-5, 1e-6], trials=1, N_max=20)
+        assert curve.rows[0]["N"] == 17
+        assert all(math.isfinite(r["error_L2"]) for r in curve.rows)
 
     def test_unread_dependent_column_does_not_stop_the_sweep(self, grid):
-        # at 64 bits column 17 of this design is numerically dependent (see
-        # `test_rank_gate_raises_for_a_read_column`); the sweep's path has
-        # order 18, but no fit at the orders selected here reads past column
-        # 10; the rows are those that per-fit designs of order N + 8 gave
-        curve = stability_sweep("FourierLaplace", _unit_source(grid), I01,
-                                Interval(1.05, 2.05), [1e-2, 1e-3, 1e-4, 1e-5],
-                                trials=2, seed=7, N_max=10,
-                                prec=PrecisionConfig(bits=64), alpha=1.0, beta=0.5)
-        assert [r["N"] for r in curve.rows] == [2, 2, 1, 1, 1, 1, 0, 0]
+        # column 18 of this sweep's design is numerically dependent (see
+        # `test_no_fit_reads_past_the_rank`), and no fit reads it; the 256-bit
+        # MGS fit of the same draws gave the same orders and errors within
+        # 8.6e-13 relative
+        curve = stability_sweep("Hilbert", _unit_source(grid), I01, Interval(1.05, 4.05),
+                                [1e-2, 1e-3, 1e-4, 1e-5], trials=2, seed=7, N_max=10)
+        assert [r["N"] for r in curve.rows] == [3, 3, 2, 2, 1, 1, 0, 0]
         assert [r["error_L2"] for r in curve.rows] == pytest.approx(
-            [0.4173153165031352, 0.41743367545220517, 0.7454100280917545,
-             0.7454093844294232, 0.7454085706501402, 0.745408657093878,
-             0.746246810934468, 0.7454119465618605], rel=1e-12)
+            [0.46959328324155103, 0.42060786439624787, 0.4170529886704048,
+             0.4472256652171011, 0.7460887782502609, 0.7463208145306816,
+             0.7484566218093762, 0.7455562365777112], rel=1e-12)
 
 
 def _unit_source(grid):
@@ -565,10 +713,10 @@ def default_geometry_data(grid):
             for kind, params in SYMBOL_PARAMS.items() if kind != "RieszInverse"}
 
 
-def _legendre_sum_reference(data, N, xs):
+def _legendre_sum_reference(data, fit, xs):
     """sum_k Re(a_k) G_k at xs at 256 bits from the fit's own a_k, in the
     tilde variable times e^{2 pi delta x} for ModifiedHilbert."""
-    a, itv, _ = _fit(_path(data, N, 256), N)
+    a, itv, _ = fit
     out = []
     with mpmath.workprec(256):
         L = mpmath.mpf(itv.b) - itv.a
@@ -579,8 +727,8 @@ def _legendre_sum_reference(data, N, xs):
                 x, scale = mpmath.expm1(w * x) / w, mpmath.exp(w * x)
             t = (2 * x - itv.a - itv.b) / L
             out.append(float(scale * mpmath.fsum(
-                mpmath.re(ak) * mpmath.sqrt((2 * k + 1) / L) * mpmath.legendre(k, t)
-                for k, ak in enumerate(a))))
+                mpmath.re(mpmath.mpmathify(ak)) * mpmath.sqrt((2 * k + 1) / L)
+                * mpmath.legendre(k, t) for k, ak in enumerate(a))))
     return np.array(out)
 
 
@@ -588,7 +736,8 @@ class TestLegendreRoute:
     """`_on_grid` sums the fit's Legendre coefficients by `legval`.  A route
     through float64 moments and monomial coefficients misses the same
     reference at the same points by 3e-13 max|ref| at N = 6, 3e-11 at
-    N = 10 and 4e-3 at N = 22."""
+    N = 10 and 4e-3 at N = 22.  N = 22 passes the float64 rank (21) of the
+    Hilbert design, so there `_on_grid` reads the 256-bit reference fit."""
 
     @pytest.mark.parametrize("kind, N", [("Hilbert", N) for N in (6, 10, 14, 18, 22)]
                              + [(kind, N) for kind in ("ModifiedHilbert", "FourierLaplace")
@@ -596,20 +745,28 @@ class TestLegendreRoute:
     def test_matches_extended_precision_legendre_sum(self, grid, default_geometry_data,
                                                      kind, N):
         data = default_geometry_data[kind]
-        rec, _ = _on_grid(data, _fit(_path(data, N, 256), N), _unit_source(grid))
+        if N > 20:
+            a, itv, res = _ref_fit(_ref_path(data, data.values.real, N, 256), N)
+            fit = np.array([complex(v) for v in a]), itv, res
+        else:
+            fit = _fit(_path(data, N), N)
+        rec, _ = _on_grid(data, fit, _unit_source(grid))
         inside = np.flatnonzero(I01.contains(grid.x))
         idx = inside[np.linspace(0, inside.size - 1, 7).astype(int)]
-        ref = _legendre_sum_reference(data, N, grid.x[idx])
+        ref = _legendre_sum_reference(data, fit, grid.x[idx])
         assert np.max(np.abs(rec.values[idx] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_recovered_moments_unchanged(self):
         # f(x) = sqrt(x) on (0, 1) with noise 1e-10, so two buffer columns pass
         # the gate; the moments of the fit through the exact table, bit for bit
-        clean = closed_form_hilbert_data(lambda j: 1 / (j + mpmath.mpf(3) / 2),
-                                         Interval(1.5, 2.5), num=32)
+        clean, _ = closed_form_hilbert_data(lambda j: 1 / (j + mpmath.mpf(3) / 2),
+                                            Interval(1.5, 2.5), num=32)
         noise = 1e-10 * np.random.default_rng(3).standard_normal(32)
         data = RemoteData("Hilbert", I01, clean.points, clean.values + noise)
-        fit = _fit(_path(data, 2, 256, 1e-10), 2)
-        assert fit_moments(fit) == [0.6666676134544282, 0.3999940035633928, 0.285725741354681]
-        assert fit[2] == 1.1159860500550324e-06
+        path = _path(data, 2, 1e-10)
+        gate = reconstruct._BUFFER_GATE * max(path.noise, path.floor)
+        assert [abs(path.rhs[k]) > gate for k in (3, 4, 5)] == [True, True, False]
+        fit = _fit(path, 2)
+        assert fit_moments(fit) == [0.6666676134544032, 0.3999940035635202, 0.28572574135452716]
+        assert fit[2] == 1.1159860500160568e-06
 
