@@ -28,7 +28,7 @@ from .gridfn import Box, Interval
 @dataclass(frozen=True)
 class PrecisionConfig:
     """Mantissa bits to which `hilbert_inverse_sigma_max` certifies sigma_max;
-    the inversion fit runs in float64 and reads no precision."""
+    the inversion fit runs in np.longdouble and reads no precision."""
 
     bits: int = 256
 

@@ -6,7 +6,8 @@ source.  Fitting those expansions to samples taken on a far region J gives
 the source's coefficients in the orthonormal Legendre basis of I.  The
 inversion is severely ill-posed, and the truncation order N acts as the
 regularizer, chosen by the discrepancy principle under noise.  The data carry
-float64 noise, so the least squares runs in float64, by one Householder QR,
+float64 noise, and the least squares runs in np.longdouble, by one Householder
+QR (a float64 fit's own rounding moves its relative L2 error by up to 1e-8),
 and no fit reads past the design's numerical rank.  Its one entry is
 `stability_sweep`, which builds one design for its fixed sample geometry
 (`_design`); per noise draw, the selection (`_select`) and the fit (`_fit`)
@@ -73,12 +74,10 @@ class RemoteData:
             raise ValueError("RieszInverse requires alpha in (0,1)")
         if self.kind == "FourierLaplace" and (self.alpha is None or self.beta is None):
             raise ValueError("FourierLaplace requires alpha and beta")
-        if self.kind != "FourierLaplace":
-            # sample points must avoid the closed source interval (the kernels
-            # are singular there); the entire-kernel case has no such constraint
-            pts = self.points.real
-            if np.any((pts >= self.source.a) & (pts <= self.source.b)):
-                raise ValueError("sample points must avoid the closed source interval")
+        # sample points must avoid the closed source interval (the kernels are
+        # singular there); the entire-kernel case has no such constraint
+        if self.kind != "FourierLaplace" and np.any(self.source.contains(self.points.real)):
+            raise ValueError("sample points must avoid the closed source interval")
 
 
 def sample_remote(kind: str, f: SampledFunction, I: Interval, J: Interval,
@@ -144,8 +143,7 @@ def _power_closed_form(z: float, beta: float, N: int) -> float:
     bound on its tail is below 2^-60 of the sum."""
     x, a, c = z ** -2, (N - beta) / 2, N + 1.5
     n0 = (a * (a + 0.5) - c) / (beta + 2)
-    term = total = 1.0
-    n = 0
+    term, total, n = 1.0, 1.0, 0
     while n < n0 or abs(term) * x > 2 ** -60 * (1 - x) * abs(total):
         term *= (a + n) * (a + 0.5 + n) / ((c + n) * (n + 1)) * x
         total += term
@@ -158,13 +156,13 @@ def _power_closed_form(z: float, beta: float, N: int) -> float:
 def _exp_integrals(w, M: int):
     """f_k(w) = int_{-1}^1 P_k(t) e^(wt) dt = 2 w^k/(2k+1)!! 0F1(; k+3/2; w^2/4)
     for k <= M at every point w, as rows k of an array; the series is summed in
-    complex128 until, past its largest term, every term is below 2^-60 of its
-    sum."""
+    the precision of w until, past its largest term, every term is below 2^-64
+    of its sum."""
     k = np.arange(M + 1)[:, None]
     y = w * w / 4
-    term, total = np.ones((M + 1, w.size), complex), np.ones((M + 1, w.size), complex)
+    term, total = np.ones((M + 1, w.size), w.dtype), np.ones((M + 1, w.size), w.dtype)
     n = 0
-    while n <= np.abs(y).max() or np.any(np.abs(term) > 2 ** -60 * np.abs(total)):
+    while n <= np.abs(y).max() or np.any(np.abs(term) > 2 ** -64 * np.abs(total)):
         term = term * y / ((k + 1.5 + n) * (n + 1))
         total += term
         n += 1
@@ -192,12 +190,25 @@ class _Design(NamedTuple):
     scale: float     # data to fit units: -c_alpha for RieszInverse, else 1
 
 
+def _householder_qr(A):
+    """A = Q R, Q m x m unitary and R m x n upper triangular, by Householder
+    reflections in the precision of A (np.linalg.qr has no np.longdouble)."""
+    Q, R = np.eye(len(A), dtype=A.dtype), A.copy()
+    for k in range(A.shape[1]):
+        v = R[k:, k].copy()
+        v[0] += (v[0] / abs(v[0]) if v[0] else 1) * np.sqrt(np.sum(np.abs(v) ** 2))
+        v /= np.sqrt(np.sum(np.abs(v) ** 2)) or 1  # a zero column is left as it is
+        R[k:, k:] -= 2 * np.outer(v, v.conj() @ R[k:, k:])
+        Q[:, k:] -= 2 * np.outer(Q[:, k:] @ v, v.conj())
+    return Q, np.triu(R)
+
+
 def _design(data: RemoteData, N: int) -> _Design:
-    """The design of the sample points of `data`, in float64, factored by one
-    Householder QR.  Its order M = min(N + _FIT_BUFFER, m//2 - 1) serves every
-    fit up to order N; its rank is the first k with |R_kk| <= m eps |a_k| (eps the
-    float64 epsilon, a_k column k), and no fit reads a column past it (`_fit`).
-    ModifiedHilbert fits in the tilde variable.
+    """The design of the sample points of `data`, in np.longdouble, factored
+    by one Householder QR.  Its order M = min(N + _FIT_BUFFER, m//2 - 1) serves
+    every fit up to order N; its rank is the first k with |R_kk| <= m eps |a_k|
+    (eps the float64 epsilon of the data, a_k column k), and no fit reads a
+    column past it (`_fit`).  ModifiedHilbert fits in the tilde variable.
 
     For I = [c - h, c + h] (in the fit variable) and z = (x - c)/h, column k
     at x is sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
@@ -206,7 +217,7 @@ def _design(data: RemoteData, N: int) -> _Design:
     RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c), f_k
     from `_exp_integrals` at w = lambda x h.  The power kernels need
     |z| >= 1 + _Z_GAP at every point; their backward recurrence starts at
-    K = M + 8 + ceil(56/log2 rho^2), rho = |z| + sqrt(z^2 - 1) at the nearest
+    K = M + 8 + ceil(64/log2 rho^2), rho = |z| + sqrt(z^2 - 1) at the nearest
     point, where it converges slowest.  f_M must match an independent value to
     2^-40 of its size, else ArithmeticError: for the power kernels
     `_power_closed_form` at the nearest point, for FourierLaplace
@@ -216,19 +227,16 @@ def _design(data: RemoteData, N: int) -> _Design:
     units of the fit, as the grid operator carries the Riesz-potential
     constant and the design the bare kernel -|x-y|^{2a-1}.
     """
-    kind, delta, alpha = data.kind, data.delta, data.alpha
-    m = data.points.size
+    kind, delta, alpha, m = data.kind, data.delta, data.alpha, data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
     M = min(N + _FIT_BUFFER, m // 2 - 1)
+    pts, itv = data.points, data.source
     if kind == "ModifiedHilbert":
-        pts = tilde_variable(data.points.real, delta)
-        itv = _tilde_interval(data.source, delta)
-    else:
-        pts, itv = data.points, data.source
+        pts, itv = tilde_variable(pts.real, delta), _tilde_interval(itv, delta)
     c, h = itv.center, 0.5 * itv.length
     if kind == "FourierLaplace":
-        lam = complex(alpha, data.beta)
+        lam, pts = complex(alpha, data.beta), pts.astype(np.clongdouble)
         w = lam * h * pts
         f = _exp_integrals(w, M)
         factor = h * np.exp(lam * c * pts)
@@ -240,19 +248,19 @@ def _design(data: RemoteData, N: int) -> _Design:
             if k <= M:
                 ref *= r
     else:
-        z = (pts.real - c) / h
+        z = (pts.real.astype(np.longdouble) - c) / h
         # the float64 tilde map can put a point just off I onto its end
         if np.min(np.abs(z)) < 1 + _Z_GAP:
             raise ValueError("sample points must lie off the source interval in the "
                              f"variable of the fit (|z| > 1, at least 1 + {_Z_GAP:.3g})")
         beta = 2 * alpha - 1 if kind == "RieszInverse" else -1
         i0 = int(np.argmin(np.abs(z)))
-        K = M + 8 + math.ceil(56 * math.log(2) / (2 * math.acosh(abs(z[i0]))))
+        K = M + 8 + math.ceil(64 * math.log(2) / (2 * math.acosh(abs(z[i0]))))
         f = _power_integrals(z, beta, M, K)
         factor = h ** (2 * alpha) if kind == "RieszInverse" else np.sign(z) / np.pi
         if kind == "ModifiedHilbert":
             factor = factor * (1 + 2 * np.pi * delta * pts)
-        check, ref = "closed-form", _power_closed_form(z[i0], beta, M)
+        check, ref = "closed-form", _power_closed_form(float(z[i0]), beta, M)
     gap = abs(f[M, i0] - ref)
     if not gap <= 2 ** -40 * abs(f[M, i0]):
         raise ArithmeticError(f"{kind} design column {M} misses its {check} check by "
@@ -260,7 +268,7 @@ def _design(data: RemoteData, N: int) -> _Design:
     A = (np.sqrt((2 * np.arange(M + 1) + 1) / (2 * h))[:, None] * factor * f).T
     if kind == "ModifiedHilbert":
         A[:, 0] -= delta * math.sqrt(2 * h)
-    Q, R = np.linalg.qr(A, mode="complete")
+    Q, R = _householder_qr(A)
     dependent = np.abs(np.diag(R)) <= m * np.finfo(float).eps * np.linalg.norm(A, axis=0)
     rank = int(np.argmax(dependent)) if dependent.any() else M + 1
     scale = -multiplier.riesz_constant(alpha) if kind == "RieszInverse" else 1.0
@@ -280,7 +288,7 @@ def _project(design: _Design, values, noise: float) -> _Path:
     """`values`, sampled at the design's points with additive noise of std-dev
     `noise` (0 for clean data), projected on the columns of Q; residuals[k] is
     |rhs[k+1:]|, summed from the far end so that no subtraction cancels."""
-    vals = design.scale * np.asarray(values)
+    vals = design.scale * np.asarray(values, np.clongdouble)
     rhs = design.Q.conj().T @ vals
     tail = np.sqrt(np.cumsum(np.abs(rhs[::-1]) ** 2)[::-1])
     floor = 1e-8 * float(np.max(np.abs(vals)))
@@ -291,23 +299,20 @@ def _fit(path: _Path, N: int):
     """The far-field fit at order N from a path of order >= N: its Legendre
     coefficients a_0..a_N (the source is sum_k a_k G_k on I, in the fit
     variable), the fit interval and the fit residual at order N."""
-    # fit a few modes beyond N, up to the design's rank: the extra columns
-    # absorb the source's higher modes, which would otherwise alias O(1)
-    # errors into the top reported coefficients (the buffer modes themselves
-    # are discarded)
+    # fit a few modes beyond N, below the design's rank: they absorb the
+    # source's higher modes, which would otherwise alias O(1) errors into the
+    # top reported ones; each is kept only while its data coefficient clears
+    # the noise gate, as below it its amplified junk would leak back instead
     d = path.design
     M_fit = min(N + _FIT_BUFFER, d.rank - 1)
-    # keep a buffer column only while its data coefficient clears the noise
-    # gate: below it the column fits noise, and its amplified junk coefficient
-    # would leak into the reported modes through back substitution
     gate = _BUFFER_GATE * max(path.noise, path.floor)
     M_use = N
     while M_use < M_fit and abs(path.rhs[M_use + 1]) > gate:
         M_use += 1
-    R, x = d.R[:M_use + 1, :M_use + 1], np.zeros(M_use + 1, complex)
+    R, x = d.R[:M_use + 1, :M_use + 1], np.zeros(M_use + 1, np.clongdouble)
     for i in range(M_use, -1, -1):
         x[i] = (path.rhs[i] - R[i, i + 1:] @ x[i + 1:]) / R[i, i]
-    return x[:N + 1], d.itv, path.residuals[N]
+    return x[:N + 1].astype(complex), d.itv, float(path.residuals[N])
 
 
 def _select(path: _Path, N_max: int, tau: float) -> int:
@@ -322,12 +327,8 @@ def _select(path: _Path, N_max: int, tau: float) -> int:
     floor = tau * path.noise * math.sqrt(len(path.design.Q))
     # residuals are nonincreasing until noise takes over; stop at the first
     # crossing below the floor so later chance fluctuations cannot inflate N
-    best = 0
-    for k, r in enumerate(path.residuals[:N_max + 1]):
-        if r < floor:
-            break
-        best = k
-    return best
+    crossed = path.residuals[:N_max + 1] < floor
+    return max(int(np.argmax(crossed)) - 1, 0) if crossed.any() else len(crossed) - 1
 
 
 def _on_grid(data: RemoteData, fit, truth: SampledFunction):
@@ -399,9 +400,8 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
     averaged over `trials` independent noise draws; N is re-selected per trial
     by the discrepancy principle, at most min(N_max, num_samples//2 - 1,
     rank - 1) for the design's rank.  The sample geometry is fixed, so one
-    design serves every draw.  RNG
-    streams are derived from (seed, level index, trial) so sweeps are
-    reproducible and trial-parallel.
+    design serves every draw.  RNG streams are derived from (seed, level
+    index, trial) so sweeps are reproducible and trial-parallel.
     """
     levels = sorted(float(d) for d in levels)
     if len(levels) < 4:

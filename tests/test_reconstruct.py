@@ -233,12 +233,19 @@ class TestExpansionBasis:
         assert val == pytest.approx(-0.5)
 
 
+def _columns(design):
+    """The columns of a design, rebuilt as Q R and rounded to float64 or
+    complex128, which mpmath reads (it reads no np.longdouble)."""
+    cols = (design.Q @ design.R).T
+    return cols.astype(complex if np.iscomplexobj(cols) else float)
+
+
 def _design_columns(data, N):
     """Columns 0..N of the fit design of order N, rebuilt as Q R; the design
     for fits up to order N - _FIT_BUFFER has order N."""
     design = _design(data, N - reconstruct._FIT_BUFFER)
     assert design.order == N
-    return (design.Q @ design.R).T
+    return _columns(design)
 
 
 def _orthonormal_legendre(k, y, I):
@@ -272,7 +279,7 @@ class TestDesign:
     def test_hilbert_columns_match_legendre_q(self, bits, tol):
         # the extended-precision reference columns, rebuilt from their MGS
         # factors, meet Q_k to `tol` relative (the far columns fall to ~1e-17);
-        # the float64 columns meet it to 1e-13 of each column's largest entry
+        # the design's columns meet it to 1e-13 of each column's largest entry
         data = RemoteData("Hilbert", I01, np.linspace(1.05, 2.05, 64), np.zeros(64))
         _, _, qs, R, _ = _ref_design(data, 12, bits)
         cols = _design_columns(data, 20)
@@ -285,17 +292,21 @@ class TestDesign:
                               / max(abs(r) for r in ref[k])) for k in range(21))
         assert worst <= 1e-13
 
-    def test_far_point_column_inside_the_rank(self):
+    @pytest.mark.parametrize("num", [64, 256])
+    def test_far_point_column_within_the_rank_gate(self, num):
         # the backward recurrence converges slowest at the nearest point and
-        # the columns decay fastest at the farthest: column 17, the highest
-        # inside the float64 rank of this design, meets the 2F1 at every point
-        data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, 64), np.zeros(64))
+        # the columns decay fastest at the farthest: the highest column inside
+        # the rank gate m eps |a_k|, which grows with the sample count m
+        # (column 17 of 19 at 64 points, all 19 at 256), meets the 2F1 at
+        # every point
+        data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, num), np.zeros(num))
         design = _design(data, 10)
-        assert (design.order, design.rank) == (18, 18)
-        col = (design.Q @ design.R)[:, 17]
+        assert (design.order, design.rank) == (18, {64: 18, 256: 19}[num])
+        k = design.rank - 1
+        col = _columns(design)[k]
         with mpmath.workprec(128):
-            ref = [mpmath.sqrt(35) / mpmath.pi * _mp_power_closed_form(2 * mpmath.mpf(x) - 1, -1, 17)
-                   for x in data.points]
+            ref = [mpmath.sqrt(2 * k + 1) / mpmath.pi
+                   * _mp_power_closed_form(2 * mpmath.mpf(x) - 1, -1, k) for x in data.points]
             gap = max(abs(c - r) for c, r in zip(col, ref))
             assert gap <= 1e-13 * max(abs(r) for r in ref)
 
@@ -387,7 +398,7 @@ class TestDesign:
 
     @pytest.mark.parametrize("kind", ["Hilbert", "ModifiedHilbert", "RieszInverse"])
     def test_starved_guard_bits_fail_the_self_check(self, monkeypatch, kind):
-        # the backward recurrence started at K = M, with none of the 56 bits of
+        # the backward recurrence started at K = M, with none of the 64 bits of
         # damping its start is sized for: column M is off by about 1% of its
         # size, far outside the 2^-40 check
         power_integrals = reconstruct._power_integrals
@@ -407,6 +418,23 @@ class TestDesign:
         design = _design(data, N)
         assert design.order == N
         assert design.rank == N + 1
+
+    @pytest.mark.parametrize("kind,series", [
+        ("Hilbert", 0), ("ModifiedHilbert", 0), ("RieszInverse", 0), ("FourierLaplace", 1)])
+    def test_power_kernel_design_runs_no_quadrature(self, monkeypatch, kind, series):
+        # no quadrature rule builds a design: the power kernels' columns come
+        # from the backward recurrence, FourierLaplace's from one 0F1 series
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the design ran a quadrature rule")
+
+        calls = []
+        exp_integrals = reconstruct._exp_integrals
+        monkeypatch.setattr(reconstruct.multiplier, "adaptive_gauss", no_quadrature)
+        monkeypatch.setattr(reconstruct, "_exp_integrals",
+                            lambda *args: calls.append(args) or exp_integrals(*args))
+        data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
+        _design(data, 6)
+        assert len(calls) == series
 
     def test_sweep_imports_no_mpmath(self):
         # the CLI and a sweep of each kind run without extended precision
@@ -586,10 +614,10 @@ class TestInvert:
         assert err <= 1e-10
 
     def test_polynomial_roundtrip_float64(self, grid):
-        # the float64 fit of the samples rounded to float64, as every sweep
-        # feeds it: the bound is u kappa_2(R) = 3.0e-6 for the 7 columns it
-        # solves (kappa = 2.7e10); measured 1.07e-6, and the 320-bit reference
-        # fit of the same rounded data misses by 1.8e-7
+        # the fit of the samples rounded to float64, as every sweep feeds it:
+        # the bound is u kappa_2(R) = 3.0e-6 for the 7 columns it solves
+        # (kappa = 2.7e10, u of float64); measured 1.80e-7, as the 320-bit
+        # reference fit of the same rounded data misses by 1.8e-7
         data, _, truth = self._polynomial_data(grid)
         _, err = _on_grid(data, _fit(_path(data, 6), 6), truth)
         assert err <= 3e-6
@@ -736,8 +764,9 @@ class TestLegendreRoute:
     """`_on_grid` sums the fit's Legendre coefficients by `legval`.  A route
     through float64 moments and monomial coefficients misses the same
     reference at the same points by 3e-13 max|ref| at N = 6, 3e-11 at
-    N = 10 and 4e-3 at N = 22.  N = 22 passes the float64 rank (21) of the
-    Hilbert design, so there `_on_grid` reads the 256-bit reference fit."""
+    N = 10 and 4e-3 at N = 22.  N = 22 passes the rank (21, at float64's
+    resolution) of the Hilbert design, so there `_on_grid` reads the 256-bit
+    reference fit."""
 
     @pytest.mark.parametrize("kind, N", [("Hilbert", N) for N in (6, 10, 14, 18, 22)]
                              + [(kind, N) for kind in ("ModifiedHilbert", "FourierLaplace")
@@ -767,6 +796,6 @@ class TestLegendreRoute:
         gate = reconstruct._BUFFER_GATE * max(path.noise, path.floor)
         assert [abs(path.rhs[k]) > gate for k in (3, 4, 5)] == [True, True, False]
         fit = _fit(path, 2)
-        assert fit_moments(fit) == [0.6666676134544032, 0.3999940035635202, 0.28572574135452716]
-        assert fit[2] == 1.1159860500160568e-06
+        assert fit_moments(fit) == [0.6666676134544263, 0.3999940035634036, 0.28572574135466566]
+        assert fit[2] == 1.1159860500444817e-06
 
