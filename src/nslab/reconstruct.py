@@ -5,22 +5,14 @@ convergent expansions whose coefficients are the monomial moments of the
 source.  Fitting those expansions to samples taken on a far region J gives
 the source's coefficients in the orthonormal Legendre basis of I.  The
 inversion is severely ill-posed, and the truncation order N acts as the
-regularizer, chosen by the discrepancy principle under noise.  The data carry
-float64 noise, and the least squares runs in np.longdouble, by one Householder
-QR (a float64 fit's own rounding moves its relative L2 error by up to 1e-8),
-and no fit reads past the design's numerical rank.  Its one entry is
-`stability_sweep`, which builds one design for its fixed sample geometry
-(`_design`); per noise draw, the selection (`_select`) and the fit (`_fit`)
-read one projection of the data on it (`_project`).
-
-The fit is set in the Legendre basis: the k-th design column is the operator
-applied to the k-th orthonormal Legendre mode G_k of I, i.e. int_I G_k(y)
-kernel(x, y) dy, with the far-field kernel summed in closed form:
-|x - y|^beta up to a factor for the three singular operators, e^(lambda x y)
-for FourierLaplace.  No quadrature rule computes it: each column is a
-closed-form factor times int_{-1}^1 P_k(t) kappa(z, t) dt, Miller's
-backward recurrence in k for |z - t|^beta and a 0F1 series for e^(wt) (see
-`_design`).
+regularizer, chosen by the discrepancy principle under noise.  Its one entry
+is `stability_sweep`, which builds one design for its fixed sample geometry
+(`_design`, in np.longdouble); per noise draw, the selection (`_select`) and
+the fit (`_fit`) read one projection of the data on it (`_project`).  The
+k-th design column is the operator's far-field kernel, summed in closed
+form, applied to the k-th orthonormal Legendre mode G_k of I: no quadrature
+rule computes it, and Miller's backward recurrence in k gives it at every
+sample point at once.
 """
 
 from __future__ import annotations
@@ -74,10 +66,12 @@ class RemoteData:
             raise ValueError("RieszInverse requires alpha in (0,1)")
         if self.kind == "FourierLaplace" and (self.alpha is None or self.beta is None):
             raise ValueError("FourierLaplace requires alpha and beta")
-        # sample points must avoid the closed source interval (the kernels are
-        # singular there); the entire-kernel case has no such constraint
-        if self.kind != "FourierLaplace" and np.any(self.source.contains(self.points.real)):
-            raise ValueError("sample points must avoid the closed source interval")
+        if self.kind != "FourierLaplace":
+            # sample points must avoid the closed source interval (the kernels
+            # are singular there); the entire-kernel case has no such constraint
+            pts = self.points.real
+            if np.any((pts >= self.source.a) & (pts <= self.source.b)):
+                raise ValueError("sample points must avoid the closed source interval")
 
 
 def sample_remote(kind: str, f: SampledFunction, I: Interval, J: Interval,
@@ -112,25 +106,31 @@ def _tilde_interval(I: Interval, delta: float) -> Interval:
 # The least squares
 # ---------------------------------------------------------------------------
 
+def _miller(f0, ratio, M: int, K: int):
+    """Rows f_0..f_M, at every point, of the minimal solution of a three-term
+    recurrence in k, from f_0 and the ratios r_k = f_k/f_{k-1} =
+    ratio(k, r_{k+1}) of Miller's backward recurrence started at r_{K+1} = 0."""
+    rows, r = [f0], np.zeros_like(f0)
+    for k in range(K, 0, -1):
+        r = ratio(k, r)
+        if k <= M:
+            rows.insert(1, r)
+    return np.cumprod(rows, axis=0)
+
+
 def _power_integrals(z, beta, M: int, K: int):
     """f_k(z) = int_{-1}^1 P_k(t) |z - t|^beta dt for k <= M at every point z,
     |z| > 1, as rows k of an array.  f_k is the minimal solution of
-    (k+beta+2) f_{k+1} = (2k+1) z f_k - (k-beta-1) f_{k-1}, so its ratios
-    r_k = f_k/f_{k-1} = (k-beta-1)/((2k+1)|z| - (k+beta+2) r_{k+1}) come from
-    Miller's backward recurrence started at r_{K+1} = 0, and f_k = f_0 r_1..r_k
-    from the closed-form f_0 = ((z+1)^(beta+1) - (z-1)^(beta+1))/(beta+1),
-    summed as (z-1)^(beta+1) expm1((beta+1) L)/(beta+1), L = log1p(2/(z-1)),
-    so that it does not cancel at large z (L at beta = -1);
-    f_k(-z) = (-1)^k f_k(z)."""
+    (k+beta+2) f_{k+1} = (2k+1) z f_k - (k-beta-1) f_{k-1}, so `_miller` gives
+    it from r_k = (k-beta-1)/((2k+1)|z| - (k+beta+2) r_{k+1}) and the
+    closed-form f_0 = ((z+1)^(beta+1) - (z-1)^(beta+1))/(beta+1), summed as
+    (z-1)^(beta+1) expm1((beta+1) L)/(beta+1), L = log1p(2/(z-1)), so that it
+    does not cancel at large z (L at beta = -1); f_k(-z) = (-1)^k f_k(z)."""
     s, z = np.sign(z), np.abs(z)
     p, L = beta + 1, np.log1p(2 / (z - 1))
-    rows = [L if p == 0 else (z - 1) ** p * np.expm1(p * L) / p]
-    r = np.zeros_like(z)
-    for k in range(K, 0, -1):
-        r = (k - p) / ((2 * k + 1) * z - (k + beta + 2) * r)
-        if k <= M:
-            rows.insert(1, r)
-    return np.cumprod(rows, axis=0) * s ** np.arange(M + 1)[:, None]
+    f0 = L if p == 0 else (z - 1) ** p * np.expm1(p * L) / p
+    f = _miller(f0, lambda k, r: (k - p) / ((2 * k + 1) * z - (k + beta + 2) * r), M, K)
+    return f * s ** np.arange(M + 1)[:, None]
 
 
 def _power_closed_form(z: float, beta: float, N: int) -> float:
@@ -143,7 +143,8 @@ def _power_closed_form(z: float, beta: float, N: int) -> float:
     bound on its tail is below 2^-60 of the sum."""
     x, a, c = z ** -2, (N - beta) / 2, N + 1.5
     n0 = (a * (a + 0.5) - c) / (beta + 2)
-    term, total, n = 1.0, 1.0, 0
+    term = total = 1.0
+    n = 0
     while n < n0 or abs(term) * x > 2 ** -60 * (1 - x) * abs(total):
         term *= (a + n) * (a + 0.5 + n) / ((c + n) * (n + 1)) * x
         total += term
@@ -153,20 +154,37 @@ def _power_closed_form(z: float, beta: float, N: int) -> float:
                           + (beta - N) * math.log(abs(z))) * total
 
 
-def _exp_integrals(w, M: int):
-    """f_k(w) = int_{-1}^1 P_k(t) e^(wt) dt = 2 w^k/(2k+1)!! 0F1(; k+3/2; w^2/4)
-    for k <= M at every point w, as rows k of an array; the series is summed in
-    the precision of w until, past its largest term, every term is below 2^-64
-    of its sum."""
-    k = np.arange(M + 1)[:, None]
-    y = w * w / 4
-    term, total = np.ones((M + 1, w.size), w.dtype), np.ones((M + 1, w.size), w.dtype)
-    n = 0
-    while n <= np.abs(y).max() or np.any(np.abs(term) > 2 ** -64 * np.abs(total)):
-        term = term * y / ((k + 1.5 + n) * (n + 1))
-        total += term
-        n += 1
-    return 2 * np.cumprod(np.vstack([np.ones(w.size), w / (2 * k[1:] + 1)]), axis=0) * total
+def _exp_integrals(w, M: int, K: int):
+    """f_k(w) = int_{-1}^1 P_k(t) e^(wt) dt = 2 i_k(w), i_k the modified
+    spherical Bessel function, for k <= M at every point w, as rows k of an
+    array.  f_k is the minimal solution of f_{k+1} = f_{k-1} - (2k+1)/w f_k,
+    so `_miller` gives it from r_k = w/((2k+1) + w r_{k+1}) and
+    f_0 = 2 sinh(w)/w (2 at w = 0).  Neither cancels at any w, where the 0F1
+    series of `_exp_closed_form` does near the imaginary axis."""
+    w1 = np.where(w == 0, 1, w)
+    f0 = np.where(w == 0, 2, 2 * np.sinh(w1) / w1)
+    return _miller(f0, lambda k, r: w / ((2 * k + 1) + w * r), M, K)
+
+
+def _exp_closed_form(w, N: int) -> complex:
+    """f_N(w) of `_exp_integrals` at one point w (np.clongdouble) by its series
+    2 w^N/(2N+1)!! 0F1(; N + 3/2; w^2/4).  Near the imaginary axis its terms
+    grow to about e^|w| times its sum, so the 0F1 is summed exactly, in
+    integers over a common denominator D: with w = (a + ib)/d, each term is
+    the last times (a + ib)^2 / q, q = 2 d^2 (2N + 3 + 2n)(n + 1).  Past its
+    largest term it stops once a term is below 2^-64 of the sum."""
+    (a, p), (b, q) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    d = max(p, q)  # both are powers of two
+    a, b = a * (d // p), b * (d // q)
+    a2, b2 = a * a - b * b, 2 * a * b
+    tr, ti, sr, si = 1, 0, 1, 0
+    D, n = 1, 0
+    while 2 * n <= abs(w) or tr * tr + ti * ti > (sr * sr + si * si) >> 128:
+        q = 2 * d * d * (2 * N + 3 + 2 * n) * (n + 1)
+        tr, ti = tr * a2 - ti * b2, tr * b2 + ti * a2
+        sr, si, D, n = sr * q + tr, si * q + ti, D * q, n + 1
+    pre = 2 * math.prod(complex(w) / (2 * j + 1) for j in range(1, N + 1))
+    return pre * complex(sr / D, si / D)
 
 
 # extra fit columns beyond the reported order (tail-absorption buffer); each
@@ -184,23 +202,25 @@ class _Design(NamedTuple):
     """The QR-factored design of one sample geometry (`_design`)."""
     itv: Interval    # the source interval in the fit variable
     order: int       # the design's order M
-    Q: np.ndarray    # m x m unitary factor of the Householder QR
-    R: np.ndarray    # m x (M + 1) triangular factor
+    V: np.ndarray    # m x (M + 1) Householder vectors of Q (`_householder_qr`)
+    R: np.ndarray    # (M + 1) x (M + 1) triangular factor
     rank: int        # the leading columns of numerically full rank
     scale: float     # data to fit units: -c_alpha for RieszInverse, else 1
 
 
 def _householder_qr(A):
-    """A = Q R, Q m x m unitary and R m x n upper triangular, by Householder
-    reflections in the precision of A (np.linalg.qr has no np.longdouble)."""
-    Q, R = np.eye(len(A), dtype=A.dtype), A.copy()
+    """A = Q R by Householder reflections in the precision of A (np.linalg.qr
+    has no np.longdouble), as (V, R): column k of V is the unit vector v_k,
+    zero above row k, of the reflection H_k = I - 2 v_k v_k^H, with
+    Q = H_0 H_1 .. H_{n-1}, and R is n x n upper triangular.  Q is not formed."""
+    R, V = A.copy(), np.zeros_like(A)
     for k in range(A.shape[1]):
         v = R[k:, k].copy()
         v[0] += (v[0] / abs(v[0]) if v[0] else 1) * np.sqrt(np.sum(np.abs(v) ** 2))
         v /= np.sqrt(np.sum(np.abs(v) ** 2)) or 1  # a zero column is left as it is
         R[k:, k:] -= 2 * np.outer(v, v.conj() @ R[k:, k:])
-        Q[:, k:] -= 2 * np.outer(Q[:, k:] @ v, v.conj())
-    return Q, np.triu(R)
+        V[k:, k] = v
+    return V, np.triu(R[:A.shape[1]])
 
 
 def _design(data: RemoteData, N: int) -> _Design:
@@ -208,45 +228,45 @@ def _design(data: RemoteData, N: int) -> _Design:
     by one Householder QR.  Its order M = min(N + _FIT_BUFFER, m//2 - 1) serves
     every fit up to order N; its rank is the first k with |R_kk| <= m eps |a_k|
     (eps the float64 epsilon of the data, a_k column k), and no fit reads a
-    column past it (`_fit`).  ModifiedHilbert fits in the tilde variable.
+    column past it (`_fit`).  np.longdouble must carry 64 bits or more (x86
+    extended precision, IEEE quad), else ArithmeticError: a float64 fit's own
+    rounding moves its error by up to 1e-8.
 
-    For I = [c - h, c + h] (in the fit variable) and z = (x - c)/h, column k
-    at x is sqrt((2k+1)/(2h)) f_k times: Hilbert sign(z)/pi, f_k from
-    `_power_integrals` at beta = -1; ModifiedHilbert the same times
-    1 + 2 pi delta x, less delta int_I G_0 = delta sqrt(2h) for k = 0;
-    RieszInverse h^(2a), beta = 2a - 1; FourierLaplace h e^(lambda x c), f_k
-    from `_exp_integrals` at w = lambda x h.  The power kernels need
-    |z| >= 1 + _Z_GAP at every point; their backward recurrence starts at
-    K = M + 8 + ceil(64/log2 rho^2), rho = |z| + sqrt(z^2 - 1) at the nearest
-    point, where it converges slowest.  f_M must match an independent value to
-    2^-40 of its size, else ArithmeticError: for the power kernels
-    `_power_closed_form` at the nearest point, for FourierLaplace
-    2 sinh(w)/w r_1..r_M at the point of largest |w|, with the ratios
-    r_k = w/((2k+1) + w r_{k+1}) of the modified spherical Bessel functions
-    from a backward start.  RieszInverse data are scaled by -c_alpha into the
-    units of the fit, as the grid operator carries the Riesz-potential
+    For I = [c - h, c + h] (in the fit variable, the tilde variable for
+    ModifiedHilbert) and z = (x - c)/h, column k at x is sqrt((2k+1)/(2h)) f_k
+    times: Hilbert sign(z)/pi, f_k from `_power_integrals` at beta = -1;
+    ModifiedHilbert the same times 1 + 2 pi delta x, less delta int_I G_0 =
+    delta sqrt(2h) for k = 0; RieszInverse h^(2a), beta = 2a - 1;
+    FourierLaplace h e^(lambda x c), f_k from `_exp_integrals` at
+    w = lambda x h.  Each backward recurrence is started for the point where it
+    converges slowest, the nearest for the power kernels (which need
+    |z| >= 1 + _Z_GAP), the one of largest |w| for FourierLaplace, and there
+    f_M must match `_power_closed_form` or `_exp_closed_form` to 2^-40 of its
+    size, else ArithmeticError.  RieszInverse data are scaled by -c_alpha into
+    the units of the fit, as the grid operator carries the Riesz-potential
     constant and the design the bare kernel -|x-y|^{2a-1}.
     """
-    kind, delta, alpha, m = data.kind, data.delta, data.alpha, data.points.size
+    if np.finfo(np.longdouble).nmant < 63:
+        raise ArithmeticError("the inversion needs an np.longdouble of 64 bits or more")
+    kind, delta, alpha = data.kind, data.delta, data.alpha
+    m = data.points.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
     M = min(N + _FIT_BUFFER, m // 2 - 1)
-    pts, itv = data.points, data.source
     if kind == "ModifiedHilbert":
-        pts, itv = tilde_variable(pts.real, delta), _tilde_interval(itv, delta)
+        pts = tilde_variable(data.points.real, delta)
+        itv = _tilde_interval(data.source, delta)
+    else:
+        pts, itv = data.points, data.source
     c, h = itv.center, 0.5 * itv.length
     if kind == "FourierLaplace":
         lam, pts = complex(alpha, data.beta), pts.astype(np.clongdouble)
         w = lam * h * pts
-        f = _exp_integrals(w, M)
-        factor = h * np.exp(lam * c * pts)
+        # past k = |w|/2 each step damps the start's error by (|w|/(2k+1))^2
         i0 = int(np.argmax(np.abs(w)))
-        check, wi, r = "backward-ratio", w[i0], 0
-        ref = 2 * (np.sinh(wi) / wi if wi else 1)
-        for k in range(M + 16 + math.ceil(2 * abs(wi)), 0, -1):
-            r = wi / ((2 * k + 1) + wi * r)
-            if k <= M:
-                ref *= r
+        f = _exp_integrals(w, M, M + 16 + math.ceil(2 * abs(w[i0])))
+        factor = h * np.exp(lam * c * pts)
+        check, ref = "series", _exp_closed_form(w[i0], M)
     else:
         z = (pts.real.astype(np.longdouble) - c) / h
         # the float64 tilde map can put a point just off I onto its end
@@ -254,6 +274,7 @@ def _design(data: RemoteData, N: int) -> _Design:
             raise ValueError("sample points must lie off the source interval in the "
                              f"variable of the fit (|z| > 1, at least 1 + {_Z_GAP:.3g})")
         beta = 2 * alpha - 1 if kind == "RieszInverse" else -1
+        # 64 bits of damping, by rho^-2 per step, rho = |z| + sqrt(z^2 - 1)
         i0 = int(np.argmin(np.abs(z)))
         K = M + 8 + math.ceil(64 * math.log(2) / (2 * math.acosh(abs(z[i0]))))
         f = _power_integrals(z, beta, M, K)
@@ -268,11 +289,11 @@ def _design(data: RemoteData, N: int) -> _Design:
     A = (np.sqrt((2 * np.arange(M + 1) + 1) / (2 * h))[:, None] * factor * f).T
     if kind == "ModifiedHilbert":
         A[:, 0] -= delta * math.sqrt(2 * h)
-    Q, R = _householder_qr(A)
+    V, R = _householder_qr(A)
     dependent = np.abs(np.diag(R)) <= m * np.finfo(float).eps * np.linalg.norm(A, axis=0)
     rank = int(np.argmax(dependent)) if dependent.any() else M + 1
     scale = -multiplier.riesz_constant(alpha) if kind == "RieszInverse" else 1.0
-    return _Design(itv, M, Q, R, rank, scale)
+    return _Design(itv, M, V, R, rank, scale)
 
 
 class _Path(NamedTuple):
@@ -286,12 +307,14 @@ class _Path(NamedTuple):
 
 def _project(design: _Design, values, noise: float) -> _Path:
     """`values`, sampled at the design's points with additive noise of std-dev
-    `noise` (0 for clean data), projected on the columns of Q; residuals[k] is
-    |rhs[k+1:]|, summed from the far end so that no subtraction cancels."""
-    vals = design.scale * np.asarray(values, np.clongdouble)
-    rhs = design.Q.conj().T @ vals
+    `noise` (0 for clean data), projected on the columns of Q: rhs = Q^H v, by
+    the design's reflections in turn; residuals[k] is |rhs[k+1:]|, summed from
+    the far end so that no subtraction cancels."""
+    rhs = design.scale * np.asarray(values, np.clongdouble)
+    floor = 1e-8 * float(np.max(np.abs(rhs)))
+    for k, v in enumerate(design.V.T):
+        rhs[k:] -= 2 * v[k:] * (v[k:].conj() @ rhs[k:])
     tail = np.sqrt(np.cumsum(np.abs(rhs[::-1]) ** 2)[::-1])
-    floor = 1e-8 * float(np.max(np.abs(vals)))
     return _Path(design, rhs, tail[1:design.order + 2], abs(design.scale) * noise, floor)
 
 
@@ -299,12 +322,15 @@ def _fit(path: _Path, N: int):
     """The far-field fit at order N from a path of order >= N: its Legendre
     coefficients a_0..a_N (the source is sum_k a_k G_k on I, in the fit
     variable), the fit interval and the fit residual at order N."""
-    # fit a few modes beyond N, below the design's rank: they absorb the
-    # source's higher modes, which would otherwise alias O(1) errors into the
-    # top reported ones; each is kept only while its data coefficient clears
-    # the noise gate, as below it its amplified junk would leak back instead
+    # fit a few modes beyond N, below the design's rank: the extra columns
+    # absorb the source's higher modes, which would otherwise alias O(1)
+    # errors into the top reported coefficients (the buffer modes themselves
+    # are discarded)
     d = path.design
     M_fit = min(N + _FIT_BUFFER, d.rank - 1)
+    # keep a buffer column only while its data coefficient clears the noise
+    # gate: below it the column fits noise, and its amplified junk coefficient
+    # would leak into the reported modes through back substitution
     gate = _BUFFER_GATE * max(path.noise, path.floor)
     M_use = N
     while M_use < M_fit and abs(path.rhs[M_use + 1]) > gate:
@@ -324,11 +350,15 @@ def _select(path: _Path, N_max: int, tau: float) -> int:
     exceeds its expectation never cross the floor and the selection runs away
     to N_max with exponentially amplified error.
     """
-    floor = tau * path.noise * math.sqrt(len(path.design.Q))
+    floor = tau * path.noise * math.sqrt(len(path.rhs))
     # residuals are nonincreasing until noise takes over; stop at the first
     # crossing below the floor so later chance fluctuations cannot inflate N
-    crossed = path.residuals[:N_max + 1] < floor
-    return max(int(np.argmax(crossed)) - 1, 0) if crossed.any() else len(crossed) - 1
+    best = 0
+    for k, r in enumerate(path.residuals[:N_max + 1]):
+        if r < floor:
+            break
+        best = k
+    return best
 
 
 def _on_grid(data: RemoteData, fit, truth: SampledFunction):

@@ -234,10 +234,14 @@ class TestExpansionBasis:
 
 
 def _columns(design):
-    """The columns of a design, rebuilt as Q R and rounded to float64 or
-    complex128, which mpmath reads (it reads no np.longdouble)."""
-    cols = (design.Q @ design.R).T
-    return cols.astype(complex if np.iscomplexobj(cols) else float)
+    """The columns of a design, rebuilt as Q R = H_0 .. H_M R from its
+    Householder vectors and rounded to float64 or complex128, which mpmath
+    reads (it reads no np.longdouble)."""
+    V = design.V
+    A = np.vstack([design.R, np.zeros((len(V) - len(design.R), V.shape[1]), V.dtype)])
+    for v in V.T[::-1]:
+        A -= 2 * np.outer(v, v.conj() @ A)
+    return A.T.astype(complex if np.iscomplexobj(A) else float)
 
 
 def _design_columns(data, N):
@@ -383,6 +387,27 @@ class TestDesign:
             data, 20, lambda x, y: mpmath.exp(-1j * x * y), data.points, I01)
         assert worst <= 1e-13
 
+    def test_fourier_laplace_columns_near_the_imaginary_axis(self):
+        # w = -22i x/2 reaches |w| = 22.6, where the 0F1 series' terms grow
+        # to about e^|w| times column 0 (in longdouble it missed column 0 by
+        # 2.9e-11, though column 20 passed); the backward ratios do not cancel
+        data = RemoteData("FourierLaplace", I01, np.linspace(1.05, 2.05, 64),
+                          np.zeros(64), alpha=0.0, beta=-22.0)
+        worst = self._worst_against_quadrature(
+            data, 20, lambda x, y: mpmath.exp(-22j * x * y), data.points, I01)
+        assert worst <= 1e-13
+
+    def test_exp_closed_form_matches_quadrature(self):
+        for w in (0.5, -3 + 4j, 30j, -40.0):
+            w = np.clongdouble(w)
+            for N in (0, 1, 8, 20):
+                closed = reconstruct._exp_closed_form(w, N)
+                with mpmath.workprec(400):
+                    wm = mpmath.mpc(complex(w))
+                    ref = mpmath.quad(lambda t: mpmath.legendre(N, t) * mpmath.exp(wm * t),
+                                      mpmath.linspace(-1, 1, 9))
+                    assert abs(closed - ref) <= 1e-15 * abs(ref)
+
     @pytest.mark.parametrize("beta", [-1, -0.5, 0, 0.5])
     @pytest.mark.parametrize("z", [-1.25, 3.0])
     def test_power_closed_form_matches_quadrature(self, beta, z):
@@ -408,6 +433,26 @@ class TestDesign:
         with pytest.raises(ArithmeticError, match="closed-form check"):
             _design(data, 6)
 
+    def test_starved_exp_recurrence_fails_the_series_check(self, monkeypatch):
+        # the backward ratios started at K = M: r_M is off by about
+        # w^2/((2M+1)(2M+3)), 2% at |w| = 3 and M = 6
+        exp_integrals = reconstruct._exp_integrals
+        monkeypatch.setattr(reconstruct, "_exp_integrals",
+                            lambda w, M, K: exp_integrals(w, M, M))
+        data = RemoteData("FourierLaplace", I01, np.linspace(2, 3, 16), np.zeros(16),
+                          **SYMBOL_PARAMS["FourierLaplace"])
+        with pytest.raises(ArithmeticError, match="series check"):
+            _design(data, 6)
+
+    def test_design_needs_an_extended_longdouble(self, monkeypatch):
+        # where np.longdouble is float64 (MSVC, macOS on arm64), no design
+        finfo = np.finfo
+        monkeypatch.setattr(np, "finfo", lambda t: finfo(float) if t is np.longdouble
+                            else finfo(t))
+        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.zeros(16))
+        with pytest.raises(ArithmeticError, match="np.longdouble of 64 bits or more"):
+            _design(data, 3)
+
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_modified_hilbert_low_orders_pass_the_self_check(self, N):
         # column 0 carries the constant -delta sqrt(2h); the check reads f_N,
@@ -422,8 +467,8 @@ class TestDesign:
     @pytest.mark.parametrize("kind,series", [
         ("Hilbert", 0), ("ModifiedHilbert", 0), ("RieszInverse", 0), ("FourierLaplace", 1)])
     def test_power_kernel_design_runs_no_quadrature(self, monkeypatch, kind, series):
-        # no quadrature rule builds a design: the power kernels' columns come
-        # from the backward recurrence, FourierLaplace's from one 0F1 series
+        # no quadrature rule builds a design: the columns come from the
+        # backward recurrences, FourierLaplace's from one `_exp_integrals`
         def no_quadrature(*args, **kwargs):
             raise AssertionError("the design ran a quadrature rule")
 
@@ -714,6 +759,34 @@ class TestStabilitySweep:
         assert all(math.isfinite(r["error_L2"]) for r in curve.rows)
 
     def test_unread_dependent_column_does_not_stop_the_sweep(self, grid):
+        # columns 16 to 18 of this design are numerically dependent (rank 16
+        # of 19 columns); the sweep's design has order 18, but no fit at the
+        # orders selected here reads past column 10; the rows are those that
+        # per-fit designs of order N + 8 gave
+        curve = stability_sweep("FourierLaplace", _unit_source(grid), I01,
+                                Interval(1.05, 2.05), [1e-2, 1e-3, 1e-4, 1e-5],
+                                trials=2, seed=7, N_max=10, alpha=1.0, beta=0.5)
+        assert [r["N"] for r in curve.rows] == [2, 2, 1, 1, 1, 1, 0, 0]
+        assert [r["error_L2"] for r in curve.rows] == pytest.approx(
+            [0.4173153165031352, 0.41743367545220517, 0.7454100280917545,
+             0.7454093844294232, 0.7454085706501402, 0.745408657093878,
+             0.746246810934468, 0.7454119465618605], rel=1e-12)
+
+    @pytest.mark.parametrize("num,errors", [
+        (4, [1.0585409240597727, 1.0576142745909596, 1.0647447773056244, 0.9516096821455746]),
+        (8, [0.7871503863453118, 0.7809671384514525, 1.0588200066834663, 1.0543687785290097]),
+        (12, [267.60322206478315, 268.15249644888104, 1.0680799909317156, 1.0887841400746645])])
+    def test_few_samples_near_the_imaginary_axis(self, grid, num, errors):
+        # beta = -30 puts |w| at 30.75, where the 0F1 series summed in
+        # longdouble misses the checked column 1, 3 or 5 by about 4e-9 of its
+        # size; the rows are those of a 256-bit series fit
+        curve = stability_sweep("FourierLaplace", _unit_source(grid), I01,
+                                Interval(1.05, 2.05), [1e-2, 1e-3, 1e-4, 1e-5], trials=1,
+                                seed=7, N_max=0, num_samples=num, alpha=0.0, beta=-30.0)
+        assert [r["N"] for r in curve.rows] == [0, 0, 0, 0]
+        assert [r["error_L2"] for r in curve.rows] == pytest.approx(errors, rel=1e-12)
+
+    def test_unread_dependent_hilbert_column_does_not_stop_the_sweep(self, grid):
         # column 18 of this sweep's design is numerically dependent (see
         # `test_no_fit_reads_past_the_rank`), and no fit reads it; the 256-bit
         # MGS fit of the same draws gave the same orders and errors within
@@ -796,6 +869,6 @@ class TestLegendreRoute:
         gate = reconstruct._BUFFER_GATE * max(path.noise, path.floor)
         assert [abs(path.rhs[k]) > gate for k in (3, 4, 5)] == [True, True, False]
         fit = _fit(path, 2)
-        assert fit_moments(fit) == [0.6666676134544263, 0.3999940035634036, 0.28572574135466566]
-        assert fit[2] == 1.1159860500444817e-06
+        assert fit_moments(fit) == [0.6666676134544263, 0.39999400356340353, 0.2857257413546657]
+        assert fit[2] == 1.1159860500444815e-06
 
