@@ -6,19 +6,21 @@ source.  Fitting those expansions to samples taken on a far region J gives
 the source's coefficients in the orthonormal Legendre basis of I.  The
 inversion is severely ill-posed, and the truncation order N acts as the
 regularizer, chosen by the discrepancy principle under noise.  Its one entry
-is `stability_sweep`, which builds one design for its fixed sample geometry
-(`_design`, in np.longdouble); per noise draw, the selection (`_select`) and
-the fit (`_fit`) read one projection of the data on it (`_project`).  The
-k-th design column is the operator's far-field kernel, summed in closed
-form, applied to the k-th orthonormal Legendre mode G_k of I: no quadrature
-rule computes it, and Miller's backward recurrence in k gives it at every
-sample point at once.
+is `stability_sweep`, which takes the operator as the `multiplier.SymbolSpec`
+the quadrature oracle samples (`_SYMBOL_OF`) and builds one design for its
+fixed sample geometry (`_design`, in np.longdouble); per noise draw, the
+selection (`_select`) and the fit (`_fit`) read one projection of the data
+on it (`_project`).  The k-th design column is the oracle's kernel, summed
+in closed form, applied to the k-th orthonormal Legendre mode G_k of I, so
+data, noise and floors stay in the units of the data: no quadrature rule
+computes it, and Miller's backward recurrence in k gives it at every sample
+point at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -26,64 +28,13 @@ import numpy as np
 from . import multiplier, polyx
 from .gridfn import Interval, SampledFunction, norm
 
-OPERATOR_KINDS = ("Hilbert", "ModifiedHilbert", "RieszInverse", "FourierLaplace")
-
+# each operator's symbol kind, and the parameters that kind reads
 _SYMBOL_OF = {
-    "Hilbert": lambda d: multiplier.symbol("HilbertSign"),
-    "ModifiedHilbert": lambda d: multiplier.symbol("ModifiedCoth", delta=d.delta),
-    "RieszInverse": lambda d: multiplier.symbol("RieszInverse", alpha=d.alpha),
-    "FourierLaplace": lambda d: multiplier.symbol("FourierLaplace", alpha=d.alpha, beta=d.beta),
+    "Hilbert": ("HilbertSign", ()),
+    "ModifiedHilbert": ("ModifiedCoth", ("delta",)),
+    "RieszInverse": ("RieszInverse", ("alpha",)),
+    "FourierLaplace": ("FourierLaplace", ("alpha", "beta")),
 }
-
-
-@dataclass(frozen=True)
-class RemoteData:
-    """Samples of one nonlocal operator applied to an unknown source on I.
-
-    kind: one of OPERATOR_KINDS; `source` is the interval I carrying the
-    unknown; `points` lie in the measurement region (complex allowed for
-    FourierLaplace).
-    """
-
-    kind: str
-    source: Interval
-    points: np.ndarray
-    values: np.ndarray
-    delta: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        object.__setattr__(self, "points", np.atleast_1d(np.asarray(self.points)))
-        object.__setattr__(self, "values", np.atleast_1d(np.asarray(self.values, complex)))
-        if self.points.shape != self.values.shape:
-            raise ValueError("points and values must have matching shapes")
-        if self.kind == "ModifiedHilbert" and (self.delta is None or self.delta <= 0):
-            raise ValueError("ModifiedHilbert requires delta > 0")
-        if self.kind == "RieszInverse" and (self.alpha is None or not 0 < self.alpha < 1):
-            raise ValueError("RieszInverse requires alpha in (0,1)")
-        if self.kind == "FourierLaplace" and (self.alpha is None or self.beta is None):
-            raise ValueError("FourierLaplace requires alpha and beta")
-        if self.kind != "FourierLaplace":
-            # sample points must avoid the closed source interval (the kernels
-            # are singular there); the entire-kernel case has no such constraint
-            pts = self.points.real
-            if np.any((pts >= self.source.a) & (pts <= self.source.b)):
-                raise ValueError("sample points must avoid the closed source interval")
-
-
-def sample_remote(kind: str, f: SampledFunction, I: Interval, J: Interval,
-                  num: int = 64, **params) -> RemoteData:
-    """Clean quadrature-oracle samples of the operator on `num` equispaced
-    points of J; `stability_sweep` adds its seeded noise to them."""
-    if num < 2:
-        raise ValueError("need at least two sample points")
-    pts = np.linspace(J.a, J.b, num)
-    data = RemoteData(kind, I, pts, np.zeros(num, dtype=complex), **params)
-    vals = multiplier.oracle_quadrature(_SYMBOL_OF[kind](data), f, I, pts)
-    return replace(data, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +156,6 @@ class _Design(NamedTuple):
     V: np.ndarray    # m x (M + 1) Householder vectors of Q (`_householder_qr`)
     R: np.ndarray    # (M + 1) x (M + 1) triangular factor
     rank: int        # the leading columns of numerically full rank
-    scale: float     # data to fit units: -c_alpha for RieszInverse, else 1
 
 
 def _householder_qr(A):
@@ -223,9 +173,10 @@ def _householder_qr(A):
     return V, np.triu(R[:A.shape[1]])
 
 
-def _design(data: RemoteData, N: int) -> _Design:
-    """The design of the sample points of `data`, in np.longdouble, factored
-    by one Householder QR.  Its order M = min(N + _FIT_BUFFER, m//2 - 1) serves
+def _design(spec: multiplier.SymbolSpec, I: Interval, points, N: int) -> _Design:
+    """The design of the operator `spec` (a symbol kind of `_SYMBOL_OF`) with
+    source interval I at `points`, in np.longdouble, factored by one
+    Householder QR.  Its order M = min(N + _FIT_BUFFER, m//2 - 1) serves
     every fit up to order N; its rank is the first k with |R_kk| <= m eps |a_k|
     (eps the float64 epsilon of the data, a_k column k), and no fit reads a
     column past it (`_fit`).  np.longdouble must carry 64 bits or more (x86
@@ -233,34 +184,35 @@ def _design(data: RemoteData, N: int) -> _Design:
     rounding moves its error by up to 1e-8.
 
     For I = [c - h, c + h] (in the fit variable, the tilde variable for
-    ModifiedHilbert) and z = (x - c)/h, column k at x is sqrt((2k+1)/(2h)) f_k
-    times: Hilbert sign(z)/pi, f_k from `_power_integrals` at beta = -1;
-    ModifiedHilbert the same times 1 + 2 pi delta x, less delta int_I G_0 =
-    delta sqrt(2h) for k = 0; RieszInverse h^(2a), beta = 2a - 1;
+    ModifiedCoth) and z = (x - c)/h, column k at x is sqrt((2k+1)/(2h)) f_k
+    times: HilbertSign sign(z)/pi, f_k from `_power_integrals` at beta = -1;
+    ModifiedCoth the same times 1 + 2 pi delta x, less delta int_I G_0 =
+    delta sqrt(2h) for k = 0; RieszInverse -h^(2a)/c_a, beta = 2a - 1, the
+    normalisation of the kernel the oracle integrates (`multiplier._kernel`);
     FourierLaplace h e^(lambda x c), f_k from `_exp_integrals` at
     w = lambda x h.  Each backward recurrence is started for the point where it
     converges slowest, the nearest for the power kernels (which need
     |z| >= 1 + _Z_GAP), the one of largest |w| for FourierLaplace, and there
     f_M must match `_power_closed_form` or `_exp_closed_form` to 2^-40 of its
-    size, else ArithmeticError.  RieszInverse data are scaled by -c_alpha into
-    the units of the fit, as the grid operator carries the Riesz-potential
-    constant and the design the bare kernel -|x-y|^{2a-1}.
+    size, else ArithmeticError.
     """
     if np.finfo(np.longdouble).nmant < 63:
         raise ArithmeticError("the inversion needs an np.longdouble of 64 bits or more")
-    kind, delta, alpha = data.kind, data.delta, data.alpha
-    m = data.points.size
+    kind, delta, alpha = spec.kind, spec.delta, spec.alpha
+    if kind not in {k for k, _ in _SYMBOL_OF.values()}:
+        raise ValueError(f"no far-field design for symbol kind {kind!r}")
+    pts = np.asarray(points)
+    m = pts.size
     if m < 2 * (N + 1):
         raise ValueError(f"need at least {2 * (N + 1)} samples for N={N}, got {m}")
     M = min(N + _FIT_BUFFER, m // 2 - 1)
-    if kind == "ModifiedHilbert":
-        pts = tilde_variable(data.points.real, delta)
-        itv = _tilde_interval(data.source, delta)
+    if kind == "ModifiedCoth":
+        pts, itv = tilde_variable(pts.real, delta), _tilde_interval(I, delta)
     else:
-        pts, itv = data.points, data.source
+        itv = I
     c, h = itv.center, 0.5 * itv.length
     if kind == "FourierLaplace":
-        lam, pts = complex(alpha, data.beta), pts.astype(np.clongdouble)
+        lam, pts = complex(alpha, spec.beta), pts.astype(np.clongdouble)
         w = lam * h * pts
         # past k = |w|/2 each step damps the start's error by (|w|/(2k+1))^2
         i0 = int(np.argmax(np.abs(w)))
@@ -278,8 +230,9 @@ def _design(data: RemoteData, N: int) -> _Design:
         i0 = int(np.argmin(np.abs(z)))
         K = M + 8 + math.ceil(64 * math.log(2) / (2 * math.acosh(abs(z[i0]))))
         f = _power_integrals(z, beta, M, K)
-        factor = h ** (2 * alpha) if kind == "RieszInverse" else np.sign(z) / np.pi
-        if kind == "ModifiedHilbert":
+        factor = (-h ** (2 * alpha) / multiplier.riesz_constant(alpha)
+                  if kind == "RieszInverse" else np.sign(z) / np.pi)
+        if kind == "ModifiedCoth":
             factor = factor * (1 + 2 * np.pi * delta * pts)
         check, ref = "closed-form", _power_closed_form(float(z[i0]), beta, M)
     gap = abs(f[M, i0] - ref)
@@ -287,13 +240,12 @@ def _design(data: RemoteData, N: int) -> _Design:
         raise ArithmeticError(f"{kind} design column {M} misses its {check} check by "
                               f"{gap:.3g} (f_{M} = {abs(f[M, i0]):.3g})")
     A = (np.sqrt((2 * np.arange(M + 1) + 1) / (2 * h))[:, None] * factor * f).T
-    if kind == "ModifiedHilbert":
+    if kind == "ModifiedCoth":
         A[:, 0] -= delta * math.sqrt(2 * h)
     V, R = _householder_qr(A)
     dependent = np.abs(np.diag(R)) <= m * np.finfo(float).eps * np.linalg.norm(A, axis=0)
     rank = int(np.argmax(dependent)) if dependent.any() else M + 1
-    scale = -multiplier.riesz_constant(alpha) if kind == "RieszInverse" else 1.0
-    return _Design(itv, M, V, R, rank, scale)
+    return _Design(itv, M, V, R, rank)
 
 
 class _Path(NamedTuple):
@@ -301,7 +253,7 @@ class _Path(NamedTuple):
     design: _Design
     rhs: np.ndarray        # data coefficients on the columns of Q
     residuals: np.ndarray  # residuals[k]: the data norm left after columns 0..k
-    noise: float     # the noise std-dev in the units of the fit
+    noise: float     # the noise std-dev
     floor: float     # the quadrature/float64 roundoff even "clean" samples carry
 
 
@@ -310,12 +262,12 @@ def _project(design: _Design, values, noise: float) -> _Path:
     `noise` (0 for clean data), projected on the columns of Q: rhs = Q^H v, by
     the design's reflections in turn; residuals[k] is |rhs[k+1:]|, summed from
     the far end so that no subtraction cancels."""
-    rhs = design.scale * np.asarray(values, np.clongdouble)
+    rhs = np.array(values, np.clongdouble)
     floor = 1e-8 * float(np.max(np.abs(rhs)))
     for k, v in enumerate(design.V.T):
         rhs[k:] -= 2 * v[k:] * (v[k:].conj() @ rhs[k:])
     tail = np.sqrt(np.cumsum(np.abs(rhs[::-1]) ** 2)[::-1])
-    return _Path(design, rhs, tail[1:design.order + 2], abs(design.scale) * noise, floor)
+    return _Path(design, rhs, tail[1:design.order + 2], noise, floor)
 
 
 def _fit(path: _Path, N: int):
@@ -344,7 +296,7 @@ def _fit(path: _Path, N: int):
 def _select(path: _Path, N_max: int, tau: float) -> int:
     """Discrepancy principle: the largest N <= N_max whose fit residual stays
     at or above the noise floor tau * delta * sqrt(#samples) (ties broken
-    toward smaller N), with delta in the units of the fit (`_project`).
+    toward smaller N).
 
     tau > 1 is the usual safety factor: without it, noise draws whose norm
     exceeds its expectation never cross the floor and the selection runs away
@@ -361,21 +313,21 @@ def _select(path: _Path, N_max: int, tau: float) -> int:
     return best
 
 
-def _on_grid(data: RemoteData, fit, truth: SampledFunction):
+def _on_grid(spec: multiplier.SymbolSpec, I: Interval, fit, truth: SampledFunction):
     """(sum_{k<=N} Re(a_k) G_k of a `_fit` result on the grid points in I of
     `truth`, its relative L2(I) error against `truth`): G_k = sqrt((2k+1)/L)
     P_k((2x - a - b)/L) on the fit interval (a, b), summed by `legval`, in the
-    tilde variable and times e^{2 pi delta x} for ModifiedHilbert."""
+    tilde variable and times e^{2 pi delta x} for ModifiedCoth."""
     a, itv, _ = fit
-    I, grid = data.source, truth.grid
+    grid = truth.grid
     inside = I.contains(grid.x)
     xs = grid.x[inside]
-    t = tilde_variable(xs, data.delta) if data.kind == "ModifiedHilbert" else xs
+    t = tilde_variable(xs, spec.delta) if spec.kind == "ModifiedCoth" else xs
     c = np.real(a) * np.sqrt((2 * np.arange(len(a)) + 1) / itv.length)
     vals = np.zeros(grid.n)
     vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c)
-    if data.kind == "ModifiedHilbert":
-        vals[inside] *= np.exp(2.0 * np.pi * data.delta * xs)
+    if spec.kind == "ModifiedCoth":
+        vals[inside] *= np.exp(2.0 * np.pi * spec.delta * xs)
     diff = norm(SampledFunction(grid, vals - np.real(truth.values)), "L2", region=I)
     denom = norm(truth, "L2", region=I)
     return SampledFunction(grid, vals), diff / denom if denom > 0 else diff
@@ -426,35 +378,53 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
                     N_max: int = 10, tau: float = 1.5, **params) -> StabilityCurve:
     """Noise sweep of the full inversion pipeline with a log-modulus fit.
 
-    For each noise level the reconstruction error (relative L2 over I) is
-    averaged over `trials` independent noise draws; N is re-selected per trial
-    by the discrepancy principle, at most min(N_max, num_samples//2 - 1,
-    rank - 1) for the design's rank.  The sample geometry is fixed, so one
-    design serves every draw.  RNG streams are derived from (seed, level
-    index, trial) so sweeps are reproducible and trial-parallel.
+    `kind` is a key of `_SYMBOL_OF` and `params` the symbol parameters it
+    reads.  The operator is sampled by the quadrature oracle on `num_samples`
+    equispaced points of J.  For each noise level the reconstruction error
+    (relative L2 over I) is averaged over `trials` independent noise draws;
+    N is re-selected per trial by the discrepancy principle, at most
+    min(N_max, num_samples//2 - 1, rank - 1) for the design's rank.  The
+    sample geometry is fixed, so one design serves every draw.  RNG streams
+    are derived from (seed, level index, trial) so sweeps are reproducible
+    and trial-parallel.
     """
     levels = sorted(float(d) for d in levels)
-    if len(levels) < 4:
-        raise ValueError("need at least 4 noise levels")
+    bad = [l for l in levels if not l >= 0]
+    if bad:
+        raise ValueError(f"noise levels must be >= 0, got {bad[0]}")
+    if sum(l > 0 for l in levels) < 4:
+        raise ValueError("need at least 4 positive noise levels")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if N_max < 0:
         raise ValueError(f"N_max must be >= 0, got {N_max}")
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    clean = sample_remote(kind, f, I, J, num=num_samples, **params)
+    if num_samples < 2:
+        raise ValueError(f"num_samples must be >= 2, got {num_samples}")
+    if kind not in _SYMBOL_OF:
+        raise ValueError(f"unknown operator {kind!r}, not one of {', '.join(_SYMBOL_OF)}")
+    symbol_kind, reads = _SYMBOL_OF[kind]
+    unread = [k for k in params if k not in reads]
+    if unread:
+        raise ValueError(f"operator {kind} does not read {unread[0]!r}")
+    spec = multiplier.symbol(symbol_kind, **params)
+    if kind == "RieszInverse" and not 0 < spec.alpha < 1:
+        raise ValueError(f"RieszInverse requires alpha in (0, 1), got {spec.alpha}")
+    pts = np.linspace(J.a, J.b, num_samples)
     N_max = min(N_max, num_samples // 2 - 1)
-    design = _design(clean, N_max)
+    design = _design(spec, I, pts, N_max)
     N_max = min(N_max, design.rank - 1)
+    clean = multiplier.oracle_quadrature(spec, f, I, pts)
     rows, averaged = [], []
     for li, lvl in enumerate(levels):
         errs = []
         for t in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence((seed, li, t)))
-            vals = clean.values + (lvl * rng.standard_normal(num_samples) if lvl > 0 else 0.0)
+            vals = clean + (lvl * rng.standard_normal(num_samples) if lvl > 0 else 0.0)
             path = _project(design, vals, lvl)
             N = _select(path, N_max, tau)
-            _, err = _on_grid(clean, _fit(path, N), f)
+            _, err = _on_grid(spec, I, _fit(path, N), f)
             errs.append(err)
             rows.append({"operator": kind, "delta_noise": lvl, "trial": t,
                          "N": N, "error_L2": err})

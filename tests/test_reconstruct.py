@@ -2,23 +2,42 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 import pytest
 
-from nslab import moments, reconstruct
+from nslab import moments, multiplier, reconstruct
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
-from nslab.reconstruct import (RemoteData, _design, _fit, _on_grid, _project, _select,
-                               sample_remote, stability_sweep)
+from nslab.reconstruct import _design, _fit, _on_grid, _project, _select, stability_sweep
 
 I01 = Interval(0.0, 1.0)
 J23 = Interval(2.0, 3.0)
 SYMBOL_PARAMS = {"Hilbert": {}, "ModifiedHilbert": {"delta": 0.05},
                  "RieszInverse": {"alpha": 0.25},
                  "FourierLaplace": {"alpha": 0.0, "beta": -1.0}}
+
+
+def _spec(kind, **params):
+    """The symbol spec that `stability_sweep` builds for the operator `kind`."""
+    return multiplier.symbol(reconstruct._SYMBOL_OF[kind][0], **params)
+
+
+class Samples(NamedTuple):
+    """Samples at `points` of the operator `spec` applied to a source on I."""
+    spec: multiplier.SymbolSpec
+    I: Interval
+    points: np.ndarray
+    values: np.ndarray
+
+
+def sample(kind, f, I, J, num, **params):
+    """Clean quadrature-oracle samples on `num` equispaced points of J, as
+    `stability_sweep` takes them before its noise draws."""
+    spec, pts = _spec(kind, **params), np.linspace(J.a, J.b, num)
+    return Samples(spec, I, pts, multiplier.oracle_quadrature(spec, f, I, pts))
 
 
 def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
@@ -39,12 +58,12 @@ def closed_form_hilbert_data(f_j, J, num=64, bits=320, terms=400):
                 fj = f_j(j)
                 acc += fj * xm ** (-j - 1)
             vals.append(acc / mpmath.pi)
-    return RemoteData("Hilbert", I01, pts, [complex(v) for v in vals]), vals
+    return Samples(_spec("Hilbert"), I01, pts, np.array([complex(v) for v in vals])), vals
 
 
 def _path(data, N, noise=0.0):
     """The values of `data` projected on the design for fits up to order N."""
-    return _project(_design(data, N), data.values, noise)
+    return _project(_design(data.spec, data.I, data.points, N), data.values, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +103,8 @@ def _ref_design(data, N, bits):
     sqrt((2k+1)/(2h)) sign(z)/pi f_k(z), z = (x - c)/h, with f_0 = log((z+1)/(z-1)),
     f_1 = z f_0 - 2 and (k+1) f_{k+1} = (2k+1) z f_k - k f_{k-1} run forward
     with the 2M log2(|z| + sqrt(z^2 - 1)) bits that it loses."""
-    assert data.kind == "Hilbert"
-    itv, M = data.source, min(N + reconstruct._FIT_BUFFER, data.points.size // 2 - 1)
+    assert data.spec.kind == "HilbertSign"
+    itv, M = data.I, min(N + reconstruct._FIT_BUFFER, data.points.size // 2 - 1)
     z_far = max(abs(x - itv.center) / (0.5 * itv.length) for x in data.points.real)
     loss = 2 * M * math.log2(z_far + math.sqrt(z_far ** 2 - 1))
     with mpmath.workprec(bits + 32 + math.ceil(loss)):
@@ -244,10 +263,10 @@ def _columns(design):
     return A.T.astype(complex if np.iscomplexobj(A) else float)
 
 
-def _design_columns(data, N):
-    """Columns 0..N of the fit design of order N, rebuilt as Q R; the design
-    for fits up to order N - _FIT_BUFFER has order N."""
-    design = _design(data, N - reconstruct._FIT_BUFFER)
+def _design_columns(spec, points, N):
+    """Columns 0..N of the fit design of order N for I = (0, 1), rebuilt as
+    Q R; the design for fits up to order N - _FIT_BUFFER has order N."""
+    design = _design(spec, I01, points, N - reconstruct._FIT_BUFFER)
     assert design.order == N
     return _columns(design)
 
@@ -256,6 +275,13 @@ def _orthonormal_legendre(k, y, I):
     c, h = (I.a + I.b) / 2, (I.b - I.a) / 2
     return mpmath.sqrt((2 * k + 1) / (2 * mpmath.mpf(h))) * \
         mpmath.legendre(k, (y - c) / h)
+
+
+def _riesz_kernel(alpha, x, y):
+    """-|x - y|^(2a-1)/c_a, c_a = 2 cos(pi a) Gamma(2a), at the working
+    precision: the kernel that the oracle integrates (`multiplier._kernel`)."""
+    a = mpmath.mpf(alpha)
+    return -abs(x - y) ** (2 * a - 1) / (2 * mpmath.cos(mpmath.pi * a) * mpmath.gamma(2 * a))
 
 
 def _hilbert_column_reference(k, x):
@@ -284,9 +310,9 @@ class TestDesign:
         # the extended-precision reference columns, rebuilt from their MGS
         # factors, meet Q_k to `tol` relative (the far columns fall to ~1e-17);
         # the design's columns meet it to 1e-13 of each column's largest entry
-        data = RemoteData("Hilbert", I01, np.linspace(1.05, 2.05, 64), np.zeros(64))
+        data = Samples(_spec("Hilbert"), I01, np.linspace(1.05, 2.05, 64), np.zeros(64))
         _, _, qs, R, _ = _ref_design(data, 12, bits)
-        cols = _design_columns(data, 20)
+        cols = _design_columns(data.spec, data.points, 20)
         with mpmath.workprec(bits):
             ref = [[_hilbert_column_reference(k, x) for x in data.points] for k in range(21)]
             worst = max(abs(mpmath.fsum(R[k][i] * qs[i][p] for i in range(k + 1)) / ref[k][p] - 1)
@@ -303,40 +329,40 @@ class TestDesign:
         # the rank gate m eps |a_k|, which grows with the sample count m
         # (column 17 of 19 at 64 points, all 19 at 256), meets the 2F1 at
         # every point
-        data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, num), np.zeros(num))
-        design = _design(data, 10)
+        pts = np.linspace(1.05, 4.05, num)
+        design = _design(_spec("Hilbert"), I01, pts, 10)
         assert (design.order, design.rank) == (18, {64: 18, 256: 19}[num])
         k = design.rank - 1
         col = _columns(design)[k]
         with mpmath.workprec(128):
             ref = [mpmath.sqrt(2 * k + 1) / mpmath.pi
-                   * _mp_power_closed_form(2 * mpmath.mpf(x) - 1, -1, k) for x in data.points]
+                   * _mp_power_closed_form(2 * mpmath.mpf(x) - 1, -1, k) for x in pts]
             gap = max(abs(c - r) for c, r in zip(col, ref))
             assert gap <= 1e-13 * max(abs(r) for r in ref)
 
     def test_riesz_columns_match_quadrature(self):
+        # the columns carry the oracle's kernel -|x - y|^(2a-1)/c_a
         alpha = 0.25
-        data = RemoteData("RieszInverse", I01, np.linspace(1.05, 2.05, 64),
-                          np.zeros(64), alpha=alpha)
-        cols = _design_columns(data, 14)
+        pts = np.linspace(1.05, 2.05, 64)
+        cols = _design_columns(_spec("RieszInverse", alpha=alpha), pts, 14)
         worst = 0
         with mpmath.workprec(256):
             for k in range(15):
                 size = max(abs(v) for v in cols[k])
                 for p in (0, 31, 63):
-                    x = mpmath.mpf(data.points[p])
+                    x = mpmath.mpf(pts[p])
                     ref = mpmath.quad(
                         lambda y: _orthonormal_legendre(k, y, I01)
-                        * (x - y) ** (2 * mpmath.mpf(alpha) - 1), [0, 1])
+                        * _riesz_kernel(alpha, x, y), [0, 1])
                     worst = max(worst, abs(cols[k][p] - ref) / size)
         assert worst <= 1e-13
 
     @staticmethod
-    def _worst_against_quadrature(data, N, kernel, pts, itv):
-        """Largest gap between columns 0, N/2, N at three points and `mp.quad`
-        at 400 bits, relative to the column's largest entry; `pts` and `itv`
-        are in the variable of the fit."""
-        cols = _design_columns(data, N)
+    def _worst_against_quadrature(spec, points, N, kernel, pts, itv):
+        """Largest gap between columns 0, N/2, N at three of `points` and
+        `mp.quad` at 400 bits, relative to the column's largest entry; `pts`
+        and `itv` are those points and I in the variable of the fit."""
+        cols = _design_columns(spec, points, N)
         worst = 0
         with mpmath.workprec(400):
             for k in (0, N // 2, N):
@@ -350,21 +376,20 @@ class TestDesign:
 
     def test_riesz_columns_left_of_the_source(self):
         alpha = 0.75
-        data = RemoteData("RieszInverse", I01, np.linspace(-3, -2, 64),
-                          np.zeros(64), alpha=alpha)
+        pts = np.linspace(-3, -2, 64)
         worst = self._worst_against_quadrature(
-            data, 28, lambda x, y: abs(x - y) ** (2 * mpmath.mpf(alpha) - 1),
-            data.points, I01)
+            _spec("RieszInverse", alpha=alpha), pts, 28,
+            lambda x, y: _riesz_kernel(alpha, x, y), pts, I01)
         assert worst <= 1e-13
 
     def test_modified_hilbert_columns_match_quadrature(self):
         delta = 0.05
-        data = RemoteData("ModifiedHilbert", I01, np.linspace(1.25, 2.25, 64),
-                          np.zeros(64), delta=delta)
+        pts = np.linspace(1.25, 2.25, 64)
         # the fit runs in the tilde variable, on the tilde image of I
         worst = self._worst_against_quadrature(
-            data, 20, lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
-            reconstruct.tilde_variable(data.points, delta),
+            _spec("ModifiedHilbert", delta=delta), pts, 20,
+            lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
+            reconstruct.tilde_variable(pts, delta),
             reconstruct._tilde_interval(I01, delta))
         assert worst <= 1e-13
 
@@ -372,29 +397,29 @@ class TestDesign:
         # left of the source: the tilde points, in (-1.61, -1.03), lie nearer
         # the origin than the tilde image (0, 1.17) of I reaches, yet |z| > 1
         delta = 0.05
-        data = RemoteData("ModifiedHilbert", I01, np.linspace(-2.25, -1.25, 64),
-                          np.zeros(64), delta=delta)
+        pts = np.linspace(-2.25, -1.25, 64)
         worst = self._worst_against_quadrature(
-            data, 20, lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
-            reconstruct.tilde_variable(data.points, delta),
+            _spec("ModifiedHilbert", delta=delta), pts, 20,
+            lambda x, y: (1 / mpmath.pi + 2 * delta * x) / (x - y) - delta,
+            reconstruct.tilde_variable(pts, delta),
             reconstruct._tilde_interval(I01, delta))
         assert worst <= 1e-13
 
     def test_fourier_laplace_columns_match_quadrature(self):
-        data = RemoteData("FourierLaplace", I01, np.linspace(-0.5, 0.5, 64),
-                          np.zeros(64), alpha=0.0, beta=-1.0)
+        pts = np.linspace(-0.5, 0.5, 64)
         worst = self._worst_against_quadrature(
-            data, 20, lambda x, y: mpmath.exp(-1j * x * y), data.points, I01)
+            _spec("FourierLaplace", alpha=0.0, beta=-1.0), pts, 20,
+            lambda x, y: mpmath.exp(-1j * x * y), pts, I01)
         assert worst <= 1e-13
 
     def test_fourier_laplace_columns_near_the_imaginary_axis(self):
         # w = -22i x/2 reaches |w| = 22.6, where the 0F1 series' terms grow
         # to about e^|w| times column 0 (in longdouble it missed column 0 by
         # 2.9e-11, though column 20 passed); the backward ratios do not cancel
-        data = RemoteData("FourierLaplace", I01, np.linspace(1.05, 2.05, 64),
-                          np.zeros(64), alpha=0.0, beta=-22.0)
+        pts = np.linspace(1.05, 2.05, 64)
         worst = self._worst_against_quadrature(
-            data, 20, lambda x, y: mpmath.exp(-22j * x * y), data.points, I01)
+            _spec("FourierLaplace", alpha=0.0, beta=-22.0), pts, 20,
+            lambda x, y: mpmath.exp(-22j * x * y), pts, I01)
         assert worst <= 1e-13
 
     def test_exp_closed_form_matches_quadrature(self):
@@ -429,9 +454,8 @@ class TestDesign:
         power_integrals = reconstruct._power_integrals
         monkeypatch.setattr(reconstruct, "_power_integrals",
                             lambda z, beta, M, K: power_integrals(z, beta, M, M))
-        data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
         with pytest.raises(ArithmeticError, match="closed-form check"):
-            _design(data, 6)
+            _design(_spec(kind, **SYMBOL_PARAMS[kind]), I01, np.linspace(2, 3, 16), 6)
 
     def test_starved_exp_recurrence_fails_the_series_check(self, monkeypatch):
         # the backward ratios started at K = M: r_M is off by about
@@ -439,19 +463,17 @@ class TestDesign:
         exp_integrals = reconstruct._exp_integrals
         monkeypatch.setattr(reconstruct, "_exp_integrals",
                             lambda w, M, K: exp_integrals(w, M, M))
-        data = RemoteData("FourierLaplace", I01, np.linspace(2, 3, 16), np.zeros(16),
-                          **SYMBOL_PARAMS["FourierLaplace"])
+        spec = _spec("FourierLaplace", **SYMBOL_PARAMS["FourierLaplace"])
         with pytest.raises(ArithmeticError, match="series check"):
-            _design(data, 6)
+            _design(spec, I01, np.linspace(2, 3, 16), 6)
 
     def test_design_needs_an_extended_longdouble(self, monkeypatch):
         # where np.longdouble is float64 (MSVC, macOS on arm64), no design
         finfo = np.finfo
         monkeypatch.setattr(np, "finfo", lambda t: finfo(float) if t is np.longdouble
                             else finfo(t))
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 16), np.zeros(16))
         with pytest.raises(ArithmeticError, match="np.longdouble of 64 bits or more"):
-            _design(data, 3)
+            _design(_spec("Hilbert"), I01, np.linspace(2, 3, 16), 3)
 
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_modified_hilbert_low_orders_pass_the_self_check(self, N):
@@ -459,8 +481,7 @@ class TestDesign:
         # which does not; 2(N+1) samples make the design's order, the checked
         # column, N
         m = 2 * (N + 1)
-        data = RemoteData("ModifiedHilbert", I01, np.linspace(2, 3, m), np.zeros(m), delta=0.05)
-        design = _design(data, N)
+        design = _design(_spec("ModifiedHilbert", delta=0.05), I01, np.linspace(2, 3, m), N)
         assert design.order == N
         assert design.rank == N + 1
 
@@ -477,8 +498,7 @@ class TestDesign:
         monkeypatch.setattr(reconstruct.multiplier, "adaptive_gauss", no_quadrature)
         monkeypatch.setattr(reconstruct, "_exp_integrals",
                             lambda *args: calls.append(args) or exp_integrals(*args))
-        data = RemoteData(kind, I01, np.linspace(2, 3, 16), np.zeros(16), **SYMBOL_PARAMS[kind])
-        _design(data, 6)
+        _design(_spec(kind, **SYMBOL_PARAMS[kind]), I01, np.linspace(2, 3, 16), 6)
         assert len(calls) == series
 
     def test_sweep_imports_no_mpmath(self):
@@ -504,10 +524,10 @@ class TestDesign:
         # left of the source, and 0.01 off its end: |z| > 1 is all the
         # Legendre design needs, whatever the distance from the origin
         f = _unit_source(grid)
-        data = sample_remote("Hilbert", f, I01, Interval(lo, hi), num=16)
-        design = _design(data, 3)
+        data = sample("Hilbert", f, I01, Interval(lo, hi), 16)
+        design = _design(data.spec, I01, data.points, 3)
         assert design.rank == design.order + 1
-        _, err = _on_grid(data, _fit(_project(design, data.values, 0.0), 3), f)
+        _, err = _on_grid(data.spec, I01, _fit(_project(design, data.values, 0.0), 3), f)
         # the best L2(I) approximation of f of degree 3 misses it by 0.419
         assert 0.41 <= err <= 0.43
 
@@ -518,17 +538,15 @@ class TestDesign:
         x = np.nextafter(0.7, 1.0)
         assert reconstruct.tilde_variable(x, 0.5) == reconstruct._tilde_interval(I, 0.5).b
         pts = np.concatenate([[x], np.linspace(1.0, 2.0, 15)])
-        data = RemoteData("ModifiedHilbert", I, pts, np.zeros(16), delta=0.5)
         with pytest.raises(ValueError, match=r"\|z\| > 1"):
-            _design(data, 3)
+            _design(_spec("ModifiedHilbert", delta=0.5), I, pts, 3)
 
     def test_points_within_the_check_gap_rejected(self):
         # |z| = 1 + 2^-12: the 2F1 of the column check would take 8e4 terms
         # and lose accuracy with each; the design asks for |z| >= 1 + 2^-10
         pts = np.concatenate([[1 + 2.0 ** -13], np.linspace(1.5, 2.5, 15)])
-        data = RemoteData("Hilbert", I01, pts, np.zeros(16))
         with pytest.raises(ValueError, match=r"\|z\| > 1, at least 1 \+ 0.000977"):
-            _design(data, 3)
+            _design(_spec("Hilbert"), I01, pts, 3)
 
     def test_negative_order_cap_rejected(self, unit_bump):
         with pytest.raises(ValueError, match="N_max must be >= 0, got -1"):
@@ -547,9 +565,8 @@ class TestDesign:
         # columns); every data coefficient of random values clears the buffer
         # gate, yet the fit at N = 10 stops its buffer at column 17: a NaN in
         # column 18 of R leaves it unchanged
-        data = RemoteData("Hilbert", I01, np.linspace(1.05, 4.05, 64), np.zeros(64))
         values = np.random.default_rng(0).standard_normal(64)
-        design = _design(data, 10)
+        design = _design(_spec("Hilbert"), I01, np.linspace(1.05, 4.05, 64), 10)
         assert (design.order, design.rank) == (18, 18)
         R = design.R.copy()
         R[:, 18] = np.nan
@@ -557,18 +574,22 @@ class TestDesign:
         assert np.all(np.isfinite(fits[0]))
         assert np.array_equal(fits[0], fits[1])
 
-
-class TestRemoteData:
     def test_sample_points_inside_source_rejected(self):
-        with pytest.raises(ValueError):
-            RemoteData("Hilbert", I01, [0.5, 2.0], [0.0, 0.0])
+        # a power kernel is singular on the closed source interval
+        with pytest.raises(ValueError, match=r"\|z\| > 1"):
+            _design(_spec("Hilbert"), I01, [0.5, 2.0], 0)
 
     def test_fourier_laplace_overlap_allowed(self):
-        RemoteData("FourierLaplace", I01, [0.5], [0.0], alpha=0.0, beta=-1.0)
+        # the entire kernel e^(lambda x y) may be sampled over the source
+        design = _design(_spec("FourierLaplace", alpha=0.0, beta=-1.0), I01, [0.5, 2.0], 0)
+        assert design.rank == 1
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            RemoteData("Mellin", I01, [2.0], [0.0])
+    def test_unknown_kind(self, unit_bump):
+        with pytest.raises(ValueError, match="no far-field design for symbol kind 'AbsPow'"):
+            _design(multiplier.symbol("AbsPow", two_s=1.0), I01, [2.0, 3.0], 0)
+        with pytest.raises(ValueError, match="unknown operator 'Mellin'"):
+            stability_sweep("Mellin", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [1e-2, 1e-3, 1e-4, 1e-5], trials=1)
 
 
 class TestRecoverMoments:
@@ -583,19 +604,17 @@ class TestRecoverMoments:
         assert max(errs) <= 1e-8
 
     def test_zero_data_zero_moments(self):
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 64), np.zeros(64))
+        data = Samples(_spec("Hilbert"), I01, np.linspace(2, 3, 64), np.zeros(64))
         got = fit_moments(_fit(_path(data, 4), 4))
         assert all(abs(complex(v)) == 0.0 for v in got)
 
     def test_sample_count_guard(self):
-        data = RemoteData("Hilbert", I01, np.linspace(2, 3, 8), np.zeros(8))
-        with pytest.raises(ValueError):
-            _design(data, 6)
+        with pytest.raises(ValueError, match="need at least 14 samples for N=6, got 8"):
+            _design(_spec("Hilbert"), I01, np.linspace(2, 3, 8), 6)
 
     def test_fourier_laplace_overlapping_window(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
-        data = sample_remote("FourierLaplace", f, I01, Interval(-0.5, 0.5),
-                             num=64, alpha=0.0, beta=-1.0)
+        data = sample("FourierLaplace", f, I01, Interval(-0.5, 0.5), 64, alpha=0.0, beta=-1.0)
         got = fit_moments(_fit(_path(data, 4), 4))
         mask = I01.contains(grid.x)
         integral = float(np.sum(f.values[mask]) * grid.dx)
@@ -603,9 +622,9 @@ class TestRecoverMoments:
 
     def test_gauge_invariance_power_of_two(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
-        data = sample_remote("Hilbert", f, I01, J23, num=64)
+        data = sample("Hilbert", f, I01, J23, 64)
         lam = 8.0
-        scaled = RemoteData("Hilbert", I01, data.points, lam * data.values)
+        scaled = data._replace(values=lam * data.values)
         a = fit_moments(_fit(_path(data, 4), 4))
         b = fit_moments(_fit(_path(scaled, 4), 4))
         for j in range(5):
@@ -615,8 +634,7 @@ class TestRecoverMoments:
         # the pullback moment F_0 equals f_0 by the change of variables
         delta = 0.05
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
-        data = sample_remote("ModifiedHilbert", f, I01, J23, num=64,
-                             delta=delta)
+        data = sample("ModifiedHilbert", f, I01, J23, 64, delta=delta)
         got = fit_moments(_fit(_path(data, 4), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
@@ -624,7 +642,7 @@ class TestRecoverMoments:
 
     def test_riesz_f0_recovery(self, grid):
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
-        data = sample_remote("RieszInverse", f, I01, J23, num=64, alpha=0.25)
+        data = sample("RieszInverse", f, I01, J23, 64, alpha=0.25)
         got = fit_moments(_fit(_path(data, 4), 4))
         mask = I01.contains(grid.x)
         f0 = float(np.sum(f.values[mask]) * grid.dx)
@@ -636,7 +654,7 @@ class TestRecoverMoments:
         f0 = float(np.sum(f.values[I01.contains(grid.x)]) * grid.dx)
         got = []
         for J in (J23, Interval(-3.0, -2.0)):
-            data = sample_remote("RieszInverse", f, I01, J, num=64, alpha=0.25)
+            data = sample("RieszInverse", f, I01, J, 64, alpha=0.25)
             got.append(fit_moments(_fit(_path(data, 4), 4))[0])
         assert abs(got[1] - f0) <= 1e-5
         assert abs(got[1] - got[0]) <= 1e-5
@@ -655,7 +673,7 @@ class TestInvert:
         # the 320-bit reference fit of the 320-bit samples (measured 9.8e-17)
         data, exact, truth = self._polynomial_data(grid)
         a, itv, res = _ref_fit(_ref_path(data, exact, 6, 320), 6)
-        _, err = _on_grid(data, (np.array([complex(v) for v in a]), itv, res), truth)
+        _, err = _on_grid(data.spec, I01, (np.array([complex(v) for v in a]), itv, res), truth)
         assert err <= 1e-10
 
     def test_polynomial_roundtrip_float64(self, grid):
@@ -664,15 +682,15 @@ class TestInvert:
         # (kappa = 2.7e10, u of float64); measured 1.80e-7, as the 320-bit
         # reference fit of the same rounded data misses by 1.8e-7
         data, _, truth = self._polynomial_data(grid)
-        _, err = _on_grid(data, _fit(_path(data, 6), 6), truth)
+        _, err = _on_grid(data.spec, I01, _fit(_path(data, 6), 6), truth)
         assert err <= 3e-6
 
     def test_order_zero_zero_mean(self, grid):
         # odd-about-center source: f_0 = 0, so the order-0 projection vanishes
         base = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         f = SampledFunction(grid, base.values * (grid.x - 0.5))
-        data = sample_remote("Hilbert", f, I01, J23, num=64)
-        rec, _ = _on_grid(data, _fit(_path(data, 0), 0), f)
+        data = sample("Hilbert", f, I01, J23, 64)
+        rec, _ = _on_grid(data.spec, I01, _fit(_path(data, 0), 0), f)
         # floor set by the quadrature accuracy of the data oracle
         assert np.max(np.abs(rec.values)) <= 1e-5 * np.max(np.abs(f.values))
 
@@ -680,13 +698,13 @@ class TestInvert:
         f = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         nrm = norm(f, "L2", region=I01)
         f = SampledFunction(grid, f.values / nrm)
-        clean = sample_remote("Hilbert", f, I01, J23, num=64)
+        clean = sample("Hilbert", f, I01, J23, 64)
         errs = []
         for noise in (1e-6, 1e-8):
             rng = np.random.default_rng(5)
-            data = replace(clean, values=clean.values + noise * rng.standard_normal(64))
+            data = clean._replace(values=clean.values + noise * rng.standard_normal(64))
             N = _select(_path(data, 10, noise), 10, 1.5)
-            _, err = _on_grid(data, _fit(_path(data, N, noise), N), f)
+            _, err = _on_grid(data.spec, I01, _fit(_path(data, N, noise), N), f)
             errs.append(err)
         assert errs[1] <= 0.5
         assert errs[1] <= errs[0]
@@ -699,8 +717,8 @@ class TestInvert:
         f = _unit_source(grid)
         errs = []
         for J in (Interval(-1.05, -0.05), Interval(1.05, 2.05)):
-            data = sample_remote("Hilbert", f, I01, J, num=64)
-            errs.append(_on_grid(data, _fit(_path(data, N), N), f)[1])
+            data = sample("Hilbert", f, I01, J, 64)
+            errs.append(_on_grid(data.spec, I01, _fit(_path(data, N), N), f)[1])
         assert errs[0] == pytest.approx(errs[1], rel=1e-8)
 
 
@@ -709,6 +727,27 @@ class TestStabilitySweep:
         with pytest.raises(ValueError):
             stability_sweep("Hilbert", unit_bump, Interval(-1, 1),
                             Interval(2, 3), [1e-2, 1e-4], trials=1)
+
+    def test_four_positive_levels_needed(self, unit_bump):
+        # the log-modulus fit reads the positive levels only
+        with pytest.raises(ValueError, match="need at least 4 positive noise levels"):
+            stability_sweep("Hilbert", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [0.0, 1e-2, 1e-3, 1e-4], trials=1)
+
+    def test_negative_level_rejected(self, unit_bump):
+        # its discrepancy floor would be negative, and N would run to N_max
+        with pytest.raises(ValueError, match="noise levels must be >= 0, got -0.001"):
+            stability_sweep("Hilbert", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [-1e-3, 1e-2, 1e-3, 1e-4, 1e-5], trials=1)
+
+    @pytest.mark.parametrize("alpha", [1.25, -0.25])
+    def test_riesz_alpha_outside_the_unit_interval_rejected(self, monkeypatch, unit_bump,
+                                                            alpha):
+        # before any sampling: the oracle is never called
+        monkeypatch.setattr(multiplier, "oracle_quadrature", None)
+        with pytest.raises(ValueError, match="RieszInverse requires alpha"):
+            stability_sweep("RieszInverse", unit_bump, Interval(-1, 1), Interval(2, 3),
+                            [1e-2, 1e-3, 1e-4, 1e-5], trials=1, alpha=alpha)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, unit_bump, trials):
@@ -723,9 +762,9 @@ class TestStabilitySweep:
                                 [0.0, 1e-3, 1e-4, 1e-5, 1e-6], trials=1,
                                 num_samples=48, N_max=8)
         zero_err = dict(curve.pairs)[0.0]
-        clean = sample_remote("Hilbert", f, I01, Interval(1.05, 2.05), num=48)
+        clean = sample("Hilbert", f, I01, Interval(1.05, 2.05), 48)
         N = _select(_path(clean, 8), 8, 1.5)
-        _, floor = _on_grid(clean, _fit(_path(clean, N), N), f)
+        _, floor = _on_grid(clean.spec, I01, _fit(_path(clean, N), N), f)
         assert zero_err == pytest.approx(floor, rel=1e-12)
 
     def test_riesz_constant_sign_family_completes(self, grid):
@@ -736,6 +775,18 @@ class TestStabilitySweep:
                                 num_samples=48, N_max=6, alpha=0.25)
         assert len(curve.pairs) == 4
         assert all(e >= 0 for _, e in curve.pairs)
+
+    def test_riesz_rows_unchanged(self, grid):
+        # the columns carry -1/c_a where the data were scaled by -c_a; the
+        # orders are those of the scaled fit, and the errors within 1e-12
+        curve = stability_sweep("RieszInverse", _unit_source(grid), I01, Interval(1.05, 2.05),
+                                [1e-2, 1e-3, 1e-4, 1e-5], trials=2, seed=7, N_max=10,
+                                alpha=0.25)
+        assert [r["N"] for r in curve.rows] == [2, 2, 2, 2, 1, 0, 0, 0]
+        assert [r["error_L2"] for r in curve.rows] == pytest.approx(
+            [0.4468627017470843, 0.4263827285863184, 0.4515572871561658,
+             0.45675960719315595, 0.7468632711894022, 0.7454472635166874,
+             0.7455797214844824, 0.745838441952103], rel=1e-12)
 
     def test_one_design_and_one_projection_per_draw(self, monkeypatch, grid):
         # the order selection and the fit read one projection per draw, and
@@ -810,7 +861,7 @@ def default_geometry_data(grid):
     """Clean samples of the unit bump at the `reconstruct sweep` defaults
     (I = (0, 1), J = (1.05, 2.05), 64 points), one draw per operator kind."""
     f = _unit_source(grid)
-    return {kind: sample_remote(kind, f, I01, Interval(1.05, 2.05), num=64, **params)
+    return {kind: sample(kind, f, I01, Interval(1.05, 2.05), 64, **params)
             for kind, params in SYMBOL_PARAMS.items() if kind != "RieszInverse"}
 
 
@@ -823,8 +874,8 @@ def _legendre_sum_reference(data, fit, xs):
         L = mpmath.mpf(itv.b) - itv.a
         for x in xs:
             x, scale = mpmath.mpf(float(x)), 1
-            if data.kind == "ModifiedHilbert":
-                w = 2 * mpmath.pi * data.delta
+            if data.spec.kind == "ModifiedCoth":
+                w = 2 * mpmath.pi * data.spec.delta
                 x, scale = mpmath.expm1(w * x) / w, mpmath.exp(w * x)
             t = (2 * x - itv.a - itv.b) / L
             out.append(float(scale * mpmath.fsum(
@@ -852,7 +903,7 @@ class TestLegendreRoute:
             fit = np.array([complex(v) for v in a]), itv, res
         else:
             fit = _fit(_path(data, N), N)
-        rec, _ = _on_grid(data, fit, _unit_source(grid))
+        rec, _ = _on_grid(data.spec, I01, fit, _unit_source(grid))
         inside = np.flatnonzero(I01.contains(grid.x))
         idx = inside[np.linspace(0, inside.size - 1, 7).astype(int)]
         ref = _legendre_sum_reference(data, fit, grid.x[idx])
@@ -864,7 +915,7 @@ class TestLegendreRoute:
         clean, _ = closed_form_hilbert_data(lambda j: 1 / (j + mpmath.mpf(3) / 2),
                                             Interval(1.5, 2.5), num=32)
         noise = 1e-10 * np.random.default_rng(3).standard_normal(32)
-        data = RemoteData("Hilbert", I01, clean.points, clean.values + noise)
+        data = clean._replace(values=clean.values + noise)
         path = _path(data, 2, 1e-10)
         gate = reconstruct._BUFFER_GATE * max(path.noise, path.floor)
         assert [abs(path.rhs[k]) > gate for k in (3, 4, 5)] == [True, True, False]
