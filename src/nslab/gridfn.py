@@ -213,17 +213,11 @@ def _fullline_sobolev(f: SampledFunction, s: float, homogeneous: bool) -> float:
     return float(np.sqrt(np.sum((w * np.abs(fhat)) ** 2) * (np.pi / g.L) / (2.0 * np.pi)))
 
 
-def _region_mask(f: SampledFunction, region: Interval) -> np.ndarray:
-    if region.a < -f.grid.L or region.b > f.grid.L:
-        raise ValueError("region outside grid domain")
-    return region.contains(f.grid.x)
-
-
 def norm(f: SampledFunction, space: str, region: Interval | None = None, s: float | None = None) -> float:
     """Norm of a sampled function.
 
     space: "L2" (Riemann sum over region), "Hs" (inhomogeneous Sobolev via FFT),
-    "HsDot" (homogeneous), "HnegS_local" (smooth-cutoff surrogate
+    "HsDot" (homogeneous; neither takes a region), "HnegS_local" (smooth-cutoff surrogate
     ||chi_region * f||_{H^{-s}(R)} for the local negative norm).
     """
     if space == "L2":
@@ -237,11 +231,7 @@ def norm(f: SampledFunction, space: str, region: Interval | None = None, s: floa
         if not (-2.0 < s <= 2.0):
             raise ValueError("s must lie in (-2, 2]")
         if region is not None:
-            mask = _region_mask(f, region)
-            out = np.abs(f.values[~mask])
-            scale = np.max(np.abs(f.values)) if f.values.size else 0.0
-            if scale > 0 and out.size and np.max(out) > 1e-8 * scale:
-                raise ValueError("Sobolev norm over a region requires f to vanish outside it")
+            raise ValueError(f"{space} is a full-line norm and takes no region")
         return _fullline_sobolev(f, s, homogeneous=(space == "HsDot"))
     if space == "HnegS_local":
         if s is None or region is None:

@@ -11,8 +11,8 @@ Two evaluation routes are provided for every operator:
   symbol at xi = 0 (jump, kink, |xi|^{-2a} singularity) is handled by a
   windowed Taylor correction: inside a smooth frequency window the integrand
   F f(xi) e^{i x xi} is replaced by its Taylor polynomial (whose coefficients
-  are moments of f about x) and the resulting one-sided power integrals are
-  evaluated in closed form (finite part where needed).  This removes the
+  are moments of f about x); the resulting integrals I_q of m w xi^q are a
+  closed-form finite part plus one `adaptive_gauss` call.  This removes the
   slow spatial decay that aliasing cannot handle and brings FFT output into
   1e-6+ agreement with direct kernel quadrature.  The padding factor (32),
   window width (0.45) and Taylor degree (44) are fixed.  On the n-point grid
@@ -21,10 +21,10 @@ Two evaluation routes are provided for every operator:
   degree 44 in x - y whose weights do not depend on x.
   Every symbol applied has a real kernel (m(-xi) = conj m(xi)), so t is real:
   :func:`dealiased_rows` builds it at the offsets k = -(n-1)..n-1 from one
-  32n-point `irfft` of the symbol at the `rfftfreq` points plus the real part
-  of that polynomial, and convolves the real and imaginary parts of r rows
-  with it by 2n-point `rfft`: one 32n-point `irfft` per call plus
-  O(r*n log n).
+  32n-point `irfft` of the symbol at the `rfftfreq` points plus that
+  polynomial, summed in float64 on Re(i^q W_q), and convolves the real and
+  imaginary parts of r rows with it by 2n-point `rfft`: one 32n-point `irfft`
+  per call plus O(r*n log n).
   Nyquist convention: `irfft` gives the xi = +-pi/dx bin the mean of
   m(+-pi/dx), 0 for an odd imaginary symbol; m(-pi/dx) there would add
   (m(-pi/dx) - mean) (-1)^i/(32n) sum_j (-1)^j f_j to output i (1e-10 relative
@@ -33,6 +33,10 @@ Two evaluation routes are provided for every operator:
   so symbol algebra stays exact at every bin (H o H = -I); a symbol that is
   imaginary there, such as an odd one, adds m(-pi/dx) (-1)^i/n
   sum_j (-1)^j f_j to output i, an imaginary part on real data.
+
+The oracles `oracle_symbols` and `oracle_quadrature` integrate each kind's
+`_kernel` against the trigonometric interpolant of f with the same
+`adaptive_gauss`, the module's one quadrature.
 
 Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 """
@@ -100,13 +104,20 @@ def symbol(kind: str, **params) -> SymbolSpec:
     return SymbolSpec(kind, **params)
 
 
+# 2^(2k) B_(2k)/(2k)!, k = 1..11: the Taylor coefficients of coth(u) - 1/u
+_COTH_SERIES = (1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555, -1382 / 638512875,
+                4 / 18243225, -3617 / 162820783125, 87734 / 38979295480125,
+                -349222 / 1531329465290625, 310732 / 13447856940643125)
+
+
 def _coth_minus_inv(u):
-    """coth(u) - 1/u, stable near u = 0 (odd, analytic)."""
+    """coth(u) - 1/u (odd, analytic): its Taylor series through u^21 for
+    |u| < 1/2, where 1/tanh(u) - 1/u cancels, and that difference beyond."""
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
-    small = np.abs(u) < 1e-3
+    small = np.abs(u) < 0.5
     us = u[small]
-    out[small] = us / 3.0 - us**3 / 45.0 + 2.0 * us**5 / 945.0
+    out[small] = us * np.polynomial.polynomial.polyval(us * us, _COTH_SERIES)
     ub = u[~small]
     out[~small] = 1.0 / np.tanh(ub) - 1.0 / ub
     return out
@@ -142,29 +153,29 @@ def evaluate(spec: SymbolSpec, xi) -> np.ndarray:
     raise ValueError(f"symbol kind {k!r} has no pointwise multiplier (use the dedicated operator)")
 
 
-def _hom_terms(spec: SymbolSpec) -> list[tuple[float, complex, complex]]:
+def _hom_term(spec: SymbolSpec) -> tuple[float, complex, complex]:
     """Piecewise-homogeneous model of the symbol near xi = 0.
 
-    Returns terms (lam, c_plus, c_minus) meaning c_plus*|xi|^lam on xi>0 and
+    Returns (lam, c_plus, c_minus) meaning c_plus*|xi|^lam on xi>0 and
     c_minus*|xi|^lam on xi<0; the remainder (symbol minus model) is smooth at 0.
     """
     k = spec.kind
     if k == "AbsPow":
-        return [(spec.two_s, 1.0 + 0j, 1.0 + 0j)]
+        return spec.two_s, 1.0 + 0j, 1.0 + 0j
     if k == "HilbertSign":
-        return [(0.0, -1j, 1j)]
+        return 0.0, -1j, 1j
     if k == "ModifiedCoth":
         # -i coth(xi/(2 delta)) = -2i*delta/xi + smooth
-        return [(-1.0, -2j * spec.delta, 2j * spec.delta)]
+        return -1.0, -2j * spec.delta, 2j * spec.delta
     if k == "RieszInverse":
-        return [(-2.0 * spec.alpha, -1.0 + 0j, -1.0 + 0j)]
+        return -2.0 * spec.alpha, -1.0 + 0j, -1.0 + 0j
     if k == "SignPow":
-        return [(spec.two_s, 1j, -1j)]
+        return spec.two_s, 1j, -1j
     raise ValueError(f"{k!r} has no real-kernel multiplier model")
 
 
 def _rest_values(spec: SymbolSpec, xi: np.ndarray) -> np.ndarray:
-    """Symbol minus its homogeneous model (smooth near 0); only ModifiedCoth has one."""
+    """Symbol minus its homogeneous model (smooth, odd); only ModifiedCoth has one."""
     if spec.kind == "ModifiedCoth":
         return -1j * _coth_minus_inv(xi / (2.0 * spec.delta))
     return np.zeros_like(xi, dtype=complex)
@@ -206,18 +217,7 @@ def apply(spec: SymbolSpec, f: SampledFunction) -> SampledFunction:
 # Line-accurate (dealiased) application
 # ---------------------------------------------------------------------------
 
-_GAUSS_NODES = 200
 _PAD, _XI0, _DEGREE = 32, 0.45, 44  # padding factor, window width, Taylor degree
-
-
-@lru_cache(maxsize=8)
-def _gauss_rule(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
-def _integral_0_to(fvals_func, b: float):
-    t, w = _gauss_rule(_GAUSS_NODES)
-    return 0.5 * b * np.sum(fvals_func(0.5 * b * t + 0.5 * b) * w, axis=-1)
 
 
 def _window(xi):
@@ -233,27 +233,25 @@ def _correction_weights(spec: SymbolSpec, grid: Grid):
     xic = 1.35 * _XI0
     qs = np.arange(_DEGREE + 1)
 
-    # I_q = (finite-part) int_{-xic}^{xic} m(xi) w(xi) xi^q dxi
-    I = np.zeros(_DEGREE + 1, dtype=complex)
-    for lam, cp, cm in _hom_terms(spec):
-        par = cp + cm * (-1.0) ** qs  # one-sided to two-sided parity factors
-        denom = qs + lam + 1
-        safe = np.where(denom == 0, 1.0, denom)
-        fp = np.where(denom == 0, 0.0, xic**safe / safe)  # analytic continuation in lam
-        if np.any((denom == 0) & (np.abs(par) > 1e-14)):
-            raise ValueError("logarithmic finite part encountered; symbol model unsupported")
+    # I_q = (finite-part) int_{-xic}^{xic} m w xi^q, m = c_+-|xi|^lam + r with r odd, folded
+    # onto (0, xic) as par (fp + int (w - 1) xi^(q+lam)) + odd int w r xi^q, fp the finite
+    # part of int_0^xic xi^(q+lam): the parity factors make an I_q that vanishes exactly 0,
+    # where a relative tolerance could only chase rounding
+    lam, cp, cm = _hom_term(spec)
+    par = cp + cm * (-1.0) ** qs  # one-sided to two-sided parity factors
+    odd = 1.0 - (-1.0) ** qs
+    denom = qs + lam + 1
+    safe = np.where(denom == 0, 1.0, denom)
+    fp = np.where(denom == 0, 0.0, xic**safe / safe)  # analytic continuation in lam
+    if np.any((denom == 0) & (np.abs(par) > 1e-14)):
+        raise ValueError("logarithmic finite part encountered; symbol model unsupported")
 
-        def wrest(x, lam=lam):
-            return (_window(x) - 1.0) * x ** (qs[:, None] + lam)
+    def integrand(x):
+        w = _window(x)
+        return (par[:, None] * (w - 1.0) * x ** (qs[:, None] + lam)
+                + odd[:, None] * w * _rest_values(spec, x) * x ** qs[:, None])
 
-        I += par * (fp + _integral_0_to(wrest, xic))
-    # smooth remainder of the symbol (both sides, regular integral)
-    def rest_int(x):
-        rp, rm = _rest_values(spec, x), _rest_values(spec, -x)
-        return _window(x) * (rp * x ** qs[:, None] + rm * (-x) ** qs[:, None])
-
-    if spec.kind == "ModifiedCoth":
-        I += _integral_0_to(rest_int, xic)
+    I = par * fp + adaptive_gauss(integrand, 0.0, xic)
 
     # D_q = dxi * sum over nonzero fine-grid nodes of m w xi^q
     kmax = int(xic / dxi) + 1
@@ -267,15 +265,13 @@ def _correction_weights(spec: SymbolSpec, grid: Grid):
 
 def _correction_kernel(spec: SymbolSpec, grid: Grid) -> np.ndarray:
     """The windowed-Taylor correction at the offsets x - y = k dx, k = -(n-1)..n-1:
-    sum_q i^q W_q (k/(n-1))^q dx / 2 pi, summed by Horner with R = (n-1) dx,
-    so that |k/(n-1)| <= 1."""
-    n = grid.n
-    W = _correction_weights(spec, grid)
-    u = 1j * np.arange(-(n - 1), n) / (n - 1)
-    corr = np.full(u.size, W[-1])
-    for w in W[-2::-1]:
-        corr = corr * u + w
-    return corr * (grid.dx / (2.0 * np.pi))
+    sum_q c_q (k/(n-1))^q dx / 2 pi with c_q = Re(i^q W_q), summed by Horner in
+    float64 with R = (n-1) dx, so that |k/(n-1)| <= 1.  m(-xi) = conj m(xi)
+    makes i^q W_q real up to rounding, which this drops."""
+    n, W = grid.n, _correction_weights(spec, grid)
+    c = (W * 1j ** np.arange(W.size)).real
+    u = np.arange(-(n - 1), n) / (n - 1)
+    return np.polynomial.polynomial.polyval(u, c) * (grid.dx / (2.0 * np.pi))
 
 
 def branch_split(spec: SymbolSpec) -> tuple[complex, complex]:
@@ -293,7 +289,7 @@ def dealiased_rows(spec: SymbolSpec, grid: Grid, F: np.ndarray) -> np.ndarray:
     A symbol with no real kernel (BranchCut, FourierLaplace) raises ValueError."""
     supp = _check_support(grid, F)
     n = grid.n
-    t = _correction_kernel(spec, grid).real   # `_hom_terms` raises for the rest
+    t = _correction_kernel(spec, grid)   # `_hom_term` raises for the rest
     # plus the circulant column of the multiplier on the _PAD-times-larger
     # periodic domain, where a negative k wraps to k mod 32n
     xib = 2.0 * np.pi * np.fft.rfftfreq(n * _PAD, d=grid.dx)
@@ -317,8 +313,13 @@ def apply_dealiased(spec: SymbolSpec, f: SampledFunction) -> SampledFunction:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature oracles
+# Quadrature and the oracles
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _gauss_rule(nodes: int):
+    return np.polynomial.legendre.leggauss(nodes)
+
 
 def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64,
                    max_depth: int = 24):
@@ -397,9 +398,12 @@ def riesz_constant(alpha: float) -> float:
 
 
 def _kernel(spec: SymbolSpec, x, y) -> np.ndarray:
-    """Off-diagonal kernel matching the symbol normalization of `evaluate`."""
-    u = x - y
+    """Integral kernel matching the symbol normalization of `evaluate`: the
+    off-diagonal kernel of the real-kernel kinds, e^{(a+ib) x y} for FourierLaplace."""
     k = spec.kind
+    if k == "FourierLaplace":
+        return np.exp(complex(spec.alpha, spec.beta) * x * y)
+    u = x - y
     if k == "HilbertSign":
         return 1.0 / (math.pi * u)
     if k == "ModifiedCoth":
@@ -418,18 +422,24 @@ def _kernel(spec: SymbolSpec, x, y) -> np.ndarray:
 
 def oracle_symbols(specs, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
     """Direct Gauss-Legendre evaluation (relative tolerance 1e-12) of every
-    real-kernel operator in `specs` at points outside I-bar, in one adaptive
-    pass: the (len(specs), points) result, each entry bit for bit its own
-    single-symbol, single-point integral.
+    operator in `specs` at `eval_points`, in one adaptive pass: the
+    (len(specs), points) result, each entry bit for bit its own single-symbol,
+    single-point integral.  Real points stay float64.  FourierLaplace takes
+    points anywhere, complex ones too; every other kind takes real points
+    outside I-bar only and raises ValueError for the rest.
 
     Values match the symbol normalization used by `apply`/`apply_dealiased`
     (for RieszInverse this includes the 1D Riesz-potential constant; see
     `riesz_constant`).
     """
-    pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
-    inside = pts[(pts >= I.a) & (pts <= I.b)]
-    if inside.size:
-        raise ValueError(f"evaluation point {inside[0]} lies inside the closed source interval")
+    pts = np.atleast_1d(np.asarray(eval_points))
+    pts = pts if np.iscomplexobj(pts) else pts.astype(float)
+    if any(spec.kind != "FourierLaplace" for spec in specs):
+        if np.iscomplexobj(pts):
+            raise ValueError("complex evaluation points are for FourierLaplace only")
+        inside = pts[(pts >= I.a) & (pts <= I.b)]
+        if inside.size:
+            raise ValueError(f"evaluation point {inside[0]} lies inside the closed source interval")
 
     def integrand(y):
         fy = trig_interp(f, y)
@@ -439,19 +449,5 @@ def oracle_symbols(specs, f: SampledFunction, I: Interval, eval_points) -> np.nd
 
 
 def oracle_quadrature(spec: SymbolSpec, f: SampledFunction, I: Interval, eval_points) -> np.ndarray:
-    """One row of `oracle_symbols`; FourierLaplace goes to `fourier_laplace`."""
-    if spec.kind == "FourierLaplace":
-        return fourier_laplace(f, I, spec.alpha, spec.beta, eval_points)
+    """One row of `oracle_symbols`."""
     return oracle_symbols([spec], f, I, eval_points)[0]
-
-
-def fourier_laplace(f: SampledFunction, I: Interval, alpha: float, beta: float,
-                    eval_points) -> np.ndarray:
-    """T_{a,b} f(x) = int exp((a+ib) x y) f(y) dy over I (x may be complex)."""
-    pts = np.atleast_1d(np.asarray(eval_points))
-    lam = alpha + 1j * beta
-
-    def integrand(y):
-        return trig_interp(f, y) * np.exp(lam * pts[..., None] * y)
-
-    return adaptive_gauss(integrand, I.a, I.b)

@@ -105,11 +105,13 @@ class TestNorm:
         expect = math.sqrt(norm(f, "L2") ** 2 + norm(fp, "L2") ** 2)
         assert norm(f, "Hs", s=1.0) == pytest.approx(expect, rel=1e-8)
 
-    def test_hs_region_requires_vanishing(self):
+    @pytest.mark.parametrize("space", ["Hs", "HsDot"])
+    def test_hs_region_rejected(self, space):
+        # a full-line norm takes no region, even for f vanishing outside it
         g = Grid(8.0, 4096)
-        f = SampledFunction(g, np.ones(g.n))
-        with pytest.raises(ValueError):
-            norm(f, "Hs", region=Interval(0.0, 1.0), s=0.5)
+        f = make_bump(Interval(0.0, 1.0), 0.0, 1.0, g)
+        with pytest.raises(ValueError, match=f"{space} is a full-line norm and takes no region"):
+            norm(f, space, region=Interval(0.0, 1.0), s=0.5)
 
     def test_negative_norm_surrogate_below_l2(self):
         g = Grid(8.0, 4096)

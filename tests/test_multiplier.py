@@ -8,9 +8,8 @@ import pytest
 from nslab import multiplier, polyx
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump
 from nslab.multiplier import (apply, apply_dealiased, evaluate,
-                              fourier_laplace, oracle_quadrature,
-                              oracle_symbols, riesz_constant, symbol,
-                              trig_interp)
+                              oracle_quadrature, oracle_symbols,
+                              riesz_constant, symbol, trig_interp)
 
 
 def _hilbert_derivative_kernel(x, y, k):
@@ -215,6 +214,16 @@ class TestSymbolValues:
         with pytest.raises(ValueError):
             symbol("RieszInverse", alpha=0.5)
 
+    def test_coth_minus_inv_matches_mpmath(self):
+        # the Taylor series below |u| = 1/2 and the difference above it; just
+        # past the switch 1/tanh(u) - 1/u still cancels by a factor of 12
+        u = np.geomspace(1e-8, 20.0, 401)
+        u = np.concatenate([u, -u])
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.coth(x) - 1 / mpmath.mpf(x)) for x in u])
+        got = multiplier._coth_minus_inv(u)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+
 
 class TestApply:
     def test_hilbert_squared_is_minus_identity(self, grid):
@@ -292,6 +301,14 @@ class TestOracleQuadrature:
             oracle_quadrature(symbol("HilbertSign"), f, Interval(0.0, 1.0), [0.5])
         with pytest.raises(ValueError, match="evaluation point 1.0 lies inside"):
             oracle_quadrature(symbol("HilbertSign"), f, Interval(0.0, 1.0), [2.0, 1.0, 0.5])
+        # FourierLaplace has no singularity at x = y and takes the point; stacked
+        # with a singular kernel, the point is rejected all the same
+        fl = symbol("FourierLaplace", alpha=0.0, beta=-1.0)
+        assert np.all(np.isfinite(oracle_quadrature(fl, f, Interval(0.0, 1.0), [0.5])))
+        with pytest.raises(ValueError, match="evaluation point 0.5 lies inside"):
+            oracle_symbols([fl, symbol("HilbertSign")], f, Interval(0.0, 1.0), [0.5])
+        with pytest.raises(ValueError, match="complex evaluation points"):
+            oracle_quadrature(symbol("HilbertSign"), f, Interval(0.0, 1.0), [2.0 + 1.0j])
 
     def test_odd_function_leading_moment_vanishes(self, grid):
         I = Interval(-1.0, 1.0)
@@ -339,7 +356,7 @@ class TestVectorQuadrature:
         spec = symbol("FourierLaplace", alpha=0.2, beta=-1.0)
         pts = np.array([0.3 + 0.5j, -1.2j, 2.0, 0.0, 4.0 - 3.0j])
         many = oracle_quadrature(spec, f, I, pts)
-        one = np.concatenate([fourier_laplace(f, I, 0.2, -1.0, [x]) for x in pts])
+        one = np.concatenate([oracle_quadrature(spec, f, I, [x]) for x in pts])
         assert np.array_equal(many, one)
 
     def test_small_component_keeps_its_own_relative_accuracy(self):
@@ -466,6 +483,92 @@ class TestDealiasedCorrection:
         assert np.max(np.abs(got - corr)) <= 1e-13 * np.max(np.abs(corr))
 
 
+def _spec_id(spec):
+    return "-".join([spec.kind] + [f"{v:g}" for v in (spec.two_s, spec.delta, spec.alpha)
+                                   if v is not None])
+
+
+def _window_model(spec):
+    """(lam, c_plus, c_minus, r): the symbol near 0 as c_+-|xi|^lam plus the
+    odd smooth remainder r (None if 0), in mpmath."""
+    k = spec.kind
+    if k == "ModifiedCoth":
+        d = mpmath.mpf(spec.delta)
+        return -1, -2j * d, 2j * d, lambda x: -1j * (mpmath.coth(x / (2 * d)) - 2 * d / x)
+    if k == "RieszInverse":
+        return -2 * mpmath.mpf(spec.alpha), -1, -1, None
+    if k == "HilbertSign":
+        return 0, -1j, 1j, None
+    lam = mpmath.mpf(spec.two_s)
+    return (lam, 1, 1, None) if k == "AbsPow" else (lam, 1j, -1j, None)
+
+
+def _window_integral(spec, q):
+    """int (w m - c_+-|xi|^lam) xi^q over (-1.35 xi0, 1.35 xi0) in mpmath: the
+    part of I_q that `_correction_weights` leaves to quadrature, unfolded."""
+    lam, cp, cm, r = _window_model(spec)
+    xi0 = mpmath.mpf(multiplier._XI0)
+    xic = mpmath.mpf(1.35 * multiplier._XI0)
+
+    def f(x):
+        one_minus_w = -mpmath.expm1(-(x / xi0) ** 16)
+        v = -one_minus_w * (cp if x > 0 else cm) * abs(x) ** lam
+        if r is not None:
+            v += (1 - one_minus_w) * r(x)
+        return v * x ** q
+
+    return complex(mpmath.quad(f, [-xic, -xi0, 0, xi0, xic]))
+
+
+class TestCorrectionWeights:
+    """I_q = par fp + one `adaptive_gauss` integral over (0, 1.35 xi0), whose
+    components that vanish by parity are exactly 0."""
+
+    GRIDS = [Grid(L, n) for L in (4.0, 8.0) for n in (512, 4096)]
+    SPECS = ([symbol("HilbertSign")]
+             + [symbol("ModifiedCoth", delta=d) for d in (0.001, 0.01, 0.1, 0.5, 1.0, 10.0, 100.0)]
+             + [symbol("RieszInverse", alpha=a) for a in (0.05, 0.25, 0.4, 0.6, 0.75, 0.99)]
+             + [symbol(kind, two_s=t) for kind in ("AbsPow", "SignPow")
+                for t in (0.3, 0.5, 0.9, 1.2, 1.5, 1.98)])
+    REFERENCE = [symbol("HilbertSign"), symbol("ModifiedCoth", delta=0.1),
+                 symbol("ModifiedCoth", delta=1.0), symbol("RieszInverse", alpha=0.25),
+                 symbol("RieszInverse", alpha=0.75), symbol("AbsPow", two_s=1.5),
+                 symbol("SignPow", two_s=1.2)]
+
+    @staticmethod
+    def _integrals(spec, g):
+        """(weights, the values of every `adaptive_gauss` call they made), uncached."""
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(real_gauss(*args, **kwargs))
+            return seen[-1]
+
+        real_gauss = multiplier.adaptive_gauss
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiplier, "adaptive_gauss", spy)
+            W = multiplier._correction_weights.__wrapped__(spec, g)
+        return W, seen
+
+    @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
+    def test_converges_with_one_quadrature(self, spec):
+        for g in self.GRIDS:
+            W, seen = self._integrals(spec, g)
+            assert len(seen) == 1
+            assert np.all(np.isfinite(W))
+
+    @pytest.mark.parametrize("spec", REFERENCE, ids=_spec_id)
+    def test_integrals_match_mpmath(self, spec):
+        _, (J,) = self._integrals(spec, Grid(8.0, 1024))
+        with mpmath.workdps(40):
+            for q in (0, 1, 10, 11, 43, 44):
+                ref = _window_integral(spec, q)
+                if J[q] == 0:
+                    assert abs(ref) <= 1e-40   # exactly 0 by parity
+                else:
+                    assert abs(J[q] - ref) <= 2e-14 * abs(ref), q
+
+
 def _padded_symbol(spec, k, g, nbig):
     """The symbol times (i xi)^k at the `fftfreq(nbig, dx)` points."""
     xib = 2.0 * np.pi * np.fft.fftfreq(nbig, d=g.dx)
@@ -524,12 +627,12 @@ def _parent_padded_route(spec, k, f):
 
 def _real_kernel(spec, k, g):
     """(t, correction): the real Toeplitz kernel at the offsets -(n-1)..n-1,
-    a 32n-point `irfft` plus the real part of the complex correction."""
+    a 32n-point `irfft` plus the correction polynomial."""
     n = g.n
     xib = 2.0 * np.pi * np.fft.rfftfreq(32 * n, d=g.dx)
     m = evaluate(spec, xib) * (1j * xib) ** k
     corr = _correction_kernel(spec, k, g)
-    return np.fft.irfft(m, 32 * n)[np.arange(-(n - 1), n)] + corr.real, corr
+    return np.fft.irfft(m, 32 * n)[np.arange(-(n - 1), n)] + corr, corr
 
 
 def _complex_route(spec, k, g, F):
@@ -612,10 +715,14 @@ class TestDealiasedRows:
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("spec,k", REAL, ids=[f"{spec.kind}-{k}" for spec, k in REAL])
     def test_correction_kernel_is_real(self, spec, k, n):
-        # m(-xi) = conj m(xi) makes i^q W_q real; `dealiased_rows` drops the
-        # roundoff left in the imaginary part
-        t, corr = _real_kernel(spec, k, Grid(8.0, n))
-        assert np.max(np.abs(corr.imag)) <= 1e-15 * np.max(np.abs(t))
+        # m(-xi) = conj m(xi) makes i^q W_q real; `_correction_kernel` sums
+        # Re(i^q W_q) and drops the roundoff left in Im(i^q W_q), which moves
+        # no offset (|k/(n-1)| <= 1) by more than its sum
+        g = Grid(8.0, n)
+        t, _ = _real_kernel(spec, k, g)
+        W = _weights(spec, k, g, (n - 1) * g.dx)
+        dropped = np.sum(np.abs((W * 1j ** np.arange(W.size)).imag)) * g.dx / (2.0 * np.pi)
+        assert dropped <= 1e-15 * np.max(np.abs(t))
 
     @pytest.mark.parametrize("spec,k", REAL, ids=[f"{spec.kind}-{k}" for spec, k in REAL])
     def test_real_rows_give_real_output(self, spec, k):
