@@ -1,14 +1,14 @@
 """Discretized exterior-value problem for L_s = (-d^2/dx^2)^s + q, its Poisson
 operator, and the quantitative exterior-approximation experiment.
 
-The operator is a circulant column, the inverse FFT of the |xi|^{2s}
-multiplier on the grid, and each block an experiment reads is a Toeplitz
-window over one diagonal run of it; Dirichlet data live on an exterior region
-W disjoint from Omega, and the Poisson operator A maps W-values (H^s(W) inner
-product) to the solution restricted to Omega (L^2(Omega) inner product).  Its
-SVD is taken in Ritz form, with one solve against the H^s(W) Gram; its
-singular values decay exponentially, which prices exterior control of
-interior targets at exp(C eps^-mu).
+The operator is a circulant column, the inverse FFT of the |xi|^{2s} multiplier
+on the grid, and each block read is a Toeplitz window over one diagonal run of
+it; Dirichlet data live on an exterior region W disjoint from Omega, and the
+Poisson operator A maps W-values (H^s(W) inner product) to u|_Omega (L^2(Omega)
+inner product).  Its SVD is taken in Ritz form with two half-size solves, as the
+node reflection splits the symmetric Toeplitz H^s(W) Gram (Cantoni & Butler,
+Linear Algebra Appl. 13, 1976); its singular values decay exponentially, which
+prices exterior control of interior targets at exp(C eps^-mu).
 """
 
 from __future__ import annotations
@@ -52,41 +52,45 @@ def dense_multiplier_matrix(spec: multiplier.SymbolSpec, grid: Grid) -> np.ndarr
     return _circulant_block(np.fft.ifft(multiplier.evaluate(spec, grid.xi)), i, i)
 
 
+def _fold(X) -> np.ndarray:
+    """P X along axis 0, P = P^T = P^-1 the reflection whose rows are the even
+    parts (x_i + x_{m-1-i}) / sqrt 2, the middle entry for odd m, then the odd
+    parts reversed; P M P = diag(E, O), exactly, for a symmetric Toeplitz M."""
+    m, h = len(X), len(X) // 2
+    Y = np.empty(np.shape(X))                 # one allocation: no temporaries
+    np.add(X[:h], X[m - h:][::-1], out=Y[:h])
+    np.subtract(X[:h], X[m - h:][::-1], out=Y[m - h:][::-1])
+    Y *= math.sqrt(0.5)
+    Y[h:m - h] = X[h:m - h]
+    return Y
+
+
 @dataclass
 class RungeProblem:
     s: float
     grid: Grid
     Omega: Interval
     W: Interval
-    q: np.ndarray               # potential values on the Omega nodes
+    q: float                    # constant potential on Omega
     c: np.ndarray               # real first column of |D|^{2s}'s circulant
     omega_idx: np.ndarray = field(repr=False, default=None)
     w_idx: np.ndarray = field(repr=False, default=None)
     condition_number: float = 0.0
-    lam: np.ndarray = field(repr=False, default=None)   # eigenvalues and
-    vecs: np.ndarray = field(repr=False, default=None)  # eigenvectors of B
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Block rows x cols of the operator matrix T[i, j] = c[(i - j) mod n],
-        for consecutive index ranges rows and cols."""
-        return _circulant_block(self.c, rows, cols)
-
-    @property
-    def interior_block(self) -> np.ndarray:
-        A = self.block(self.omega_idx, self.omega_idx)
-        A[np.diag_indices_from(A)] += self.q
-        return A
+    eig: tuple = field(repr=False, default=None)  # eigh of E and of O, P B P = diag(E, O)
 
     def solve(self, X) -> np.ndarray:
-        """B^-1 X = vecs diag(1/lam) vecs^T X for the interior block B, from
-        build's eigh; X is one right-hand side or a column stack of them."""
-        return self.vecs @ ((self.vecs.T @ X).T / self.lam).T
+        """B^-1 X = P diag(E^-1, O^-1) P X for the interior block B, each half
+        from build's eigh; X is one right-hand side or a column stack of them."""
+        halves = zip(self.eig, np.split(_fold(X), [self.eig[0][0].size]))
+        return _fold(np.concatenate([V @ ((V.T @ Z).T / lam).T for (lam, V), Z in halves]))
 
 
 def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem:
     """Form the operator's circulant column; verify the interior block is invertible."""
     if not (0.5 <= s < 1.0):
         raise ValueError("s must lie in [1/2, 1)")
+    if np.ndim(q) or not math.isfinite(q):
+        raise ValueError(f"potential q must be a finite constant, got {q!r}")
     if not (W.b <= Omega.a or Omega.b <= W.a):
         raise ValueError("exterior region W must be disjoint from Omega")
     omega_idx = np.flatnonzero(Omega.contains(grid.x))   # consecutive nodes
@@ -101,30 +105,23 @@ def build(s: float, q, Omega: Interval, W: Interval, grid: Grid) -> RungeProblem
     asym = np.max(np.abs(c - c_t)) / np.max(np.abs(c))
     if asym > 1e-10:
         raise ValueError(f"operator matrix asymmetry {asym:.2e} exceeds 1e-10")
-    qv = np.broadcast_to(np.asarray(q, dtype=float), omega_idx.shape).copy()
-    prob = RungeProblem(s=s, grid=grid, Omega=Omega, W=W, q=qv,
-                        c=np.real(0.5 * (c + c_t)),
-                        omega_idx=omega_idx, w_idx=w_idx)
-    # the block is exactly symmetric, so its singular values are |eigenvalues|
-    # (eigh, not eigvalsh: the latter's small eigenvalues are less accurate)
-    lam, vecs = np.linalg.eigh(prob.interior_block)
-    sv = np.abs(lam)
+    prob = RungeProblem(s=s, grid=grid, Omega=Omega, W=W, q=float(q),
+                        c=np.real(0.5 * (c + c_t)), omega_idx=omega_idx, w_idx=w_idx)
+    # F = P B P = diag(E, O), B = T_OO + q I; B's singular values are E's and O's |lam|
+    F = _fold(_fold(_circulant_block(prob.c, omega_idx, omega_idx)).T)
+    F[np.diag_indices_from(F)] += prob.q
+    h = (omega_idx.size + 1) // 2
+    prob.eig = (np.linalg.eigh(F[:h, :h]), np.linalg.eigh(F[h:, h:]))
+    sv = np.abs(np.concatenate([lam for lam, _ in prob.eig]))
     k = int(np.argmin(sv))
     if sv[k] < _EIG_TOL * sv.max():
+        e = np.split(np.eye(1, sv.size, k)[0], [h])
         raise DirichletEigenvalueError(
             "interior block numerically singular: zero behaves as a Dirichlet "
-            f"eigenvalue (sigma_min/sigma_max = {sv[k] / sv.max():.2e})", vecs[:, k])
+            f"eigenvalue (sigma_min/sigma_max = {sv[k] / sv.max():.2e})",
+            _fold(np.concatenate([V @ z for (_, V), z in zip(prob.eig, e)])))
     prob.condition_number = float(sv.max() / sv[k])
-    prob.lam, prob.vecs = lam, vecs
     return prob
-
-
-def _hs_gram(p: RungeProblem) -> np.ndarray:
-    """Gram matrix of the H^s(W) inner product on zero-extended W-values: the
-    W x W block of the circulant of the weight's inverse FFT."""
-    weight = (1.0 + p.grid.xi ** 2) ** p.s
-    G = p.grid.dx * _circulant_block(np.real(np.fft.ifft(weight)), p.w_idx, p.w_idx)
-    return 0.5 * (G + G.T)
 
 
 @dataclass
@@ -141,27 +138,30 @@ class PoissonSVD:
 
 def poisson_svd(p: RungeProblem) -> PoissonSVD:
     """SVD of the Poisson operator A: W-values (H^s(W)) -> u|_Omega (L^2);
-    sigma, w and phi hold only the certified triplets, those >= _SIGMA_FLOOR
-    * sigma_1.
+    sigma, w and phi hold only the certified triplets, >= _SIGMA_FLOOR * sigma_1.
 
-    They are the triplets of Atil = sqrt(dx) A R^-1 (G = R^T R the H^s(W)
-    Gram), taken in Ritz form: Atil is never formed.  Q spans a seeded
-    Gaussian sketch of range(A) = range(Atil) after one power step (Halko,
-    Martinsson & Tropp, SIAM Review 53, 2011); Y is a G-orthonormal basis (QR,
-    then Cholesky QR twice) of Z = G^-1 (Q^T A)^T, the image under R^-1 of
-    Q^T Atil's row space; the SVD U_b S V_b^T of sqrt(dx) Q^T A Y gives
-    w = Q U_b / sqrt(dx) and phi = Y V_b.  With X = A - Q Q^T A and G = dx C_WW
-    for the circulant C of the weights (1 + xi^2)^s >= 1, ||Atil - Q Q^T
-    Atil||_F^2 = tr(X C_WW^-1 X^T) is at most ||X||_F^2 (Cauchy interlacing)
-    and at most the H^-s norm^2 of X's zero-extended rows (C_WW^-1 <=
-    (C^-1)_WW), each over 1 - slack, slack = n log2(n) eps max(weight) for the
-    ifft's roundoff in G's column.  Once either is below the floor, Weyl's
+    They are the triplets of Atil = sqrt(dx) A R^-1 (G = R^T R the H^s(W) Gram),
+    taken in Ritz form: Atil is never formed.  Q spans a seeded Gaussian sketch
+    of range(A) = range(Atil) after one power step (Halko, Martinsson & Tropp,
+    SIAM Review 53, 2011); Y is a G-orthonormal basis (QR, then Cholesky QR
+    twice) of Z = G^-1 (Q^T A)^T, two half-size solves with the blocks of P G P,
+    the image under R^-1 of Q^T Atil's row space; the SVD U_b S V_b^T of
+    sqrt(dx) Q^T A Y gives w = Q U_b / sqrt(dx) and phi = Y V_b.  With X = A - Q
+    Q^T A and G = dx C_WW for the circulant C of the weights (1 + xi^2)^s >= 1,
+    ||Atil - Q Q^T Atil||_F^2 = tr(X C_WW^-1 X^T) is at most ||X||_F^2 (Cauchy
+    interlacing) and at most the H^-s norm^2 of X's zero-extended rows (C_WW^-1
+    <= (C^-1)_WW), each over 1 - slack, slack = n log2(n) eps max(weight) for
+    the ifft's roundoff in G's column.  Once either is below the floor, Weyl's
     inequality puts every discarded singular value below it; until then the
     width doubles, and at min(|Omega|, |W|) Q spans all of range(A)."""
-    A = -p.solve(p.block(p.omega_idx, p.w_idx))
-    G = _hs_gram(p)
+    A = -p.solve(_circulant_block(p.c, p.omega_idx, p.w_idx))
     n, sqdx = p.grid.n, math.sqrt(p.grid.dx)
+    h = (p.w_idx.size + 1) // 2               # size of the Gram's even block
     weight = (1.0 + p.grid.xi ** 2) ** p.s
+    G = p.grid.dx * _circulant_block(np.real(np.fft.ifft(weight)), p.w_idx, p.w_idx)
+    G = 0.5 * (G + G.T)                       # symmetric Toeplitz, as B is
+    Ge = _fold(_fold(G).T)                    # P G P = diag(Ge, Go)
+    Ge, Go = Ge[:h, :h].copy(), Ge[h:, h:].copy()   # copies, so P G P is freed
     slack = n * math.log2(n) * np.finfo(float).eps * weight.max()
     floor = _SIGMA_FLOOR * math.sqrt(max(1.0 - slack, 0.0))
     width = _SKETCH_WIDTH
@@ -170,7 +170,9 @@ def poisson_svd(p: RungeProblem) -> PoissonSVD:
         Q = np.linalg.qr(A @ sketch)[0]
         Q = np.linalg.qr(A @ np.linalg.qr(A.T @ Q)[0])[0]
         B = Q.T @ A
-        Y = np.linalg.qr(np.linalg.solve(G, B.T))[0]
+        Z = np.split(_fold(B.T), [h])
+        Z = np.linalg.solve(Ge, Z[0]), np.linalg.solve(Go, Z[1])
+        Y = np.linalg.qr(_fold(np.concatenate(Z)))[0]
         for _ in range(2):
             Y = np.linalg.solve(np.linalg.cholesky(Y.T @ G @ Y), Y.T).T
         Ub, sig, Vt = np.linalg.svd(sqdx * (B @ Y))
@@ -197,8 +199,7 @@ def runge_approximate(p: RungeProblem, v, eps: float, svd: PoissonSVD = None):
 
     Truncated-SVD construction: f_eps = sum_{j<=k} sigma_j^{-1} <v, w_j> phi_j
     with minimal k.  Returns (f_eps on W, achieved relative error, cost
-    ||f_eps||_{H^s(W)}, k, floor_flag).
-    """
+    ||f_eps||_{H^s(W)}, k, floor_flag)."""
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     vv = np.asarray(v, dtype=float)
@@ -241,8 +242,7 @@ def epsilon_sweep(p: RungeProblem, v, eps_list=(0.5, 0.2, 0.1, 0.05, 0.02),
     """Cost curve over the eps ladder with an exp(C2 * eps^-mu) envelope fit.
 
     Fits log cost = log C + C2 * eps^-mu by scanning mu and solving the linear
-    subproblem; returns (rows, fit dict with mu_hat, C, C2, r_squared).
-    """
+    subproblem; returns (rows, fit dict with mu_hat, C, C2, r_squared)."""
     if svd is None:
         svd = poisson_svd(p)
     rows = []
@@ -286,8 +286,8 @@ def dual_ucp_experiment(p: RungeProblem, v):
     V = vv.reshape(-1, p.omega_idx.size)
     lo, hi = p.omega_idx[0], p.omega_idx[-1] + 1   # Omega's nodes are consecutive
     Wo = p.solve(V.T)
-    Lw = p.block(np.arange(p.grid.n), p.omega_idx) @ Wo
-    Lw[lo:hi] += p.q[:, None] * Wo
+    Lw = _circulant_block(p.c, np.arange(p.grid.n), p.omega_idx) @ Wo
+    Lw[lo:hi] += p.q * Wo
     w, v_full = np.zeros((2, V.shape[0], p.grid.n))
     w[:, lo:hi], v_full[:, lo:hi] = Wo.T, V
     reports = []
@@ -312,7 +312,7 @@ def reciprocity_defect(p: RungeProblem, rng=None, trials: int = 5) -> float:
     rng = np.random.default_rng(rng)
     F, V = map(np.array, zip(*[(rng.standard_normal(p.w_idx.size),
                                 rng.standard_normal(p.omega_idx.size)) for _ in range(trials)]))
-    X = p.solve(np.hstack([p.block(p.omega_idx, p.w_idx) @ F.T, V.T]))
+    X = p.solve(np.hstack([_circulant_block(p.c, p.omega_idx, p.w_idx) @ F.T, V.T]))
     a = -p.grid.dx * np.sum(X[:, :trials] * V.T, axis=0)
-    b = -p.grid.dx * np.sum(F.T * (p.block(p.w_idx, p.omega_idx) @ X[:, trials:]), axis=0)
+    b = -p.grid.dx * np.sum(F.T * (_circulant_block(p.c, p.w_idx, p.omega_idx) @ X[:, trials:]), axis=0)
     return float(np.max(np.abs(a - b) / (np.abs(a) + np.abs(b) + 1.0)))

@@ -22,14 +22,14 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
     fv = np.broadcast_to(np.asarray(f, dtype=float), p.w_idx.shape)
     u = np.zeros(p.grid.n)
     u[p.w_idx] = fv
-    rhs = -p.block(p.omega_idx, p.w_idx) @ fv
+    rhs = -_block(p, p.omega_idx, p.w_idx) @ fv
     if F_interior is not None:
         rhs = rhs + np.broadcast_to(np.asarray(F_interior, dtype=float),
                                     p.omega_idx.shape)
     u[p.omega_idx] = p.solve(rhs)
     nodes = np.arange(p.grid.n)
     # T u over u's two consecutive column ranges; u is zero off Omega and W
-    full = p.block(nodes, p.omega_idx) @ u[p.omega_idx] + p.block(nodes, p.w_idx) @ fv
+    full = _block(p, nodes, p.omega_idx) @ u[p.omega_idx] + _block(p, nodes, p.w_idx) @ fv
     res = full[p.omega_idx] + p.q * u[p.omega_idx]
     if F_interior is not None:
         res = res - F_interior
@@ -41,12 +41,34 @@ def solve_dirichlet(p: RungeProblem, f, F_interior=None) -> SampledFunction:
     return SampledFunction(p.grid, u)
 
 
+def _block(p, rows, cols):
+    """Block rows x cols of the operator matrix T[i, j] = c[(i - j) mod n],
+    for consecutive index ranges rows and cols."""
+    return runge._circulant_block(p.c, rows, cols)
+
+
+def _interior_block(p):
+    """The interior block B = T_OO + q I, formed in full."""
+    B = _block(p, p.omega_idx, p.omega_idx)
+    B[np.diag_indices_from(B)] += p.q
+    return B
+
+
+def _hs_gram(p):
+    """Gram matrix of the H^s(W) inner product on zero-extended W-values: the
+    W x W block of the circulant of the weight's inverse FFT, as poisson_svd
+    forms it."""
+    weight = (1.0 + p.grid.xi ** 2) ** p.s
+    G = p.grid.dx * runge._circulant_block(np.real(np.fft.ifft(weight)), p.w_idx, p.w_idx)
+    return 0.5 * (G + G.T)
+
+
 def _poisson_svd_reference(p):
     """The dense route: the full SVD of the whitened Poisson operator, with
     LU solves of the interior block and of the Cholesky factor, every
     triplet kept."""
-    A = -np.linalg.solve(p.interior_block, p.block(p.omega_idx, p.w_idx))
-    R = np.linalg.cholesky(runge._hs_gram(p)).T
+    A = -np.linalg.solve(_interior_block(p), _block(p, p.omega_idx, p.w_idx))
+    R = np.linalg.cholesky(_hs_gram(p)).T
     Atil = math.sqrt(p.grid.dx) * np.linalg.solve(R.T, A.T).T
     U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
     return runge.PoissonSVD(problem=p, sigma=sig, phi=np.linalg.solve(R, Vt.T),
@@ -68,11 +90,33 @@ def _certificate_slack(p):
 def _orthonormality_residuals(svd):
     """Max deviation from the identity of the H^s(W) Gram of phi and the
     L^2(Omega) Gram of w."""
-    gram_phi = svd.phi.T @ runge._hs_gram(svd.problem) @ svd.phi
+    gram_phi = svd.phi.T @ _hs_gram(svd.problem) @ svd.phi
     gram_w = svd.problem.grid.dx * (svd.w.T @ svd.w)
     k = svd.sigma.size
     return (float(np.max(np.abs(gram_phi - np.eye(k)))),
             float(np.max(np.abs(gram_w - np.eye(k)))))
+
+
+def _linalg_calls(monkeypatch, run):
+    """(name, shape of the first argument, shape of the second or None) of
+    every call run() makes to the np.linalg factorizations and solves."""
+    calls = []
+
+    def wrap(name):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *rest, **kw):
+            calls.append((name, np.shape(a), np.shape(rest[0]) if rest else None))
+            return real(a, *rest, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    for name in ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "qr"):
+        wrap(name)
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +138,7 @@ def bump_target(problem):
 def _full_block(p):
     """The whole n x n operator matrix, gathered from the problem's column."""
     nodes = np.arange(p.grid.n)
-    return p.block(nodes, nodes)
+    return _block(p, nodes, nodes)
 
 
 def _multiplier_matrix_reference(symbol_values):
@@ -143,7 +187,7 @@ class TestBuild:
         nodes = np.arange(GRID.n)
         o, w = problem.omega_idx, problem.w_idx
         for rows, cols in ((o, o), (o, w), (w, o), (w, w), (nodes, o), (nodes, nodes)):
-            assert np.array_equal(problem.block(rows, cols),
+            assert np.array_equal(_block(problem, rows, cols),
                                   _circulant_block_reference(problem.c, rows, cols))
 
     def test_hs_gram_matches_fft_of_identity(self, problem):
@@ -151,7 +195,7 @@ class TestBuild:
         S = np.real(_multiplier_matrix_reference(weight))
         ref = GRID.dx * S[np.ix_(problem.w_idx, problem.w_idx)]
         ref = 0.5 * (ref + ref.T)
-        got = runge._hs_gram(problem)
+        got = _hs_gram(problem)
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
         assert np.array_equal(got, got.T)
 
@@ -185,16 +229,23 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(0.6, 0.0, OMEGA, Interval(0.5, 2.0), GRID)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), -float("inf"),
+                                   np.array([0.0, 0.1, 0.2])],
+                             ids=["nan", "inf", "-inf", "array"])
+    def test_nonfinite_or_nonconstant_potential_rejected(self, q):
+        with pytest.raises(ValueError, match="finite constant"):
+            build(0.6, q, OMEGA, W, GRID)
+
     def test_s_range(self):
         with pytest.raises(ValueError):
             build(0.3, 0.0, OMEGA, W, GRID)
 
     def test_condition_number_matches_svd(self, problem):
-        sv = np.linalg.svd(problem.interior_block, compute_uv=False)
+        sv = np.linalg.svd(_interior_block(problem), compute_uv=False)
         assert problem.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
 
     def test_dirichlet_eigenvalue_raises_with_near_null_vector(self, problem):
-        T_oo = problem.block(problem.omega_idx, problem.omega_idx)
+        T_oo = _block(problem, problem.omega_idx, problem.omega_idx)
         q = -np.linalg.eigvalsh(T_oo)[0]     # shifts the lowest eigenvalue to 0
         with pytest.raises(DirichletEigenvalueError) as info:
             build(0.6, q, OMEGA, W, GRID)
@@ -223,6 +274,72 @@ class TestBuild:
         assert peak_svd < bound
 
 
+class TestFold:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 513])
+    def test_reflection_is_symmetric_orthogonal_involution(self, n):
+        P = runge._fold(np.eye(n))
+        assert np.max(np.abs(P - P.T)) <= 1e-15
+        assert np.max(np.abs(P @ P.T - np.eye(n))) <= 1e-15
+        X = np.random.default_rng(n).standard_normal((n, 3))
+        for x in (X, X[:, 0]):
+            back = runge._fold(runge._fold(x))
+            assert np.all(np.abs(back - x) <= 4 * np.spacing(np.max(np.abs(x))))
+
+    @pytest.mark.parametrize("m", [6, 7, 128, 129])
+    def test_symmetric_toeplitz_splits_exactly(self, m):
+        col = np.random.default_rng(m).standard_normal(m)
+        M = col[np.abs(np.subtract.outer(np.arange(m), np.arange(m)))]
+        F = runge._fold(runge._fold(M).T)
+        h = (m + 1) // 2
+        assert np.all(F[:h, h:] == 0.0) and np.all(F[h:, :h] == 0.0)
+        assert np.array_equal(F, F.T)
+
+
+class TestReflectionSplit:
+    """build at an odd |Omega| (the default Omega, 129 nodes) and an even one
+    (Omega = [-1, 0.99], 128 nodes)."""
+
+    @pytest.fixture(params=[OMEGA, Interval(-1.0, 0.99)], ids=["odd", "even"])
+    def omega(self, request):
+        return request.param
+
+    def test_node_count_parity(self, omega):
+        m = build(0.6, 0.0, omega, W, GRID).omega_idx.size
+        assert m == (129 if omega is OMEGA else 128)
+
+    @pytest.mark.parametrize("q", [0.0, -0.7, 2.5])
+    def test_solve_and_condition_number(self, omega, q):
+        p = build(0.6, q, omega, W, GRID)
+        B = _interior_block(p)
+        X = np.random.default_rng(6).standard_normal((p.omega_idx.size, 3))
+        for rhs in (X, X[:, 0]):
+            ref = np.linalg.solve(B, rhs)
+            assert np.linalg.norm(p.solve(rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+        sv = np.linalg.svd(B, compute_uv=False)
+        assert p.condition_number == pytest.approx(sv[0] / sv[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["lowest", "second"])
+    def test_near_null_vector(self, omega, which):
+        # the two lowest eigenvalues of T_OO have even and odd eigenvectors,
+        # so the near-null vector comes from each half in turn
+        p = build(0.6, 0.0, omega, W, GRID)
+        T_oo = _block(p, p.omega_idx, p.omega_idx)
+        q = -np.linalg.eigvalsh(T_oo)[which]
+        with pytest.raises(DirichletEigenvalueError) as info:
+            build(0.6, q, omega, W, GRID)
+        v = info.value.near_null
+        B = T_oo + q * np.eye(T_oo.shape[0])
+        assert v.shape == p.omega_idx.shape
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(B @ v) <= 1e-8 * np.linalg.norm(B, 2)
+
+    def test_two_half_size_eigensolves(self, omega, monkeypatch):
+        calls = _linalg_calls(monkeypatch, lambda: build(0.6, 0.0, omega, W, GRID))
+        m = build(0.6, 0.0, omega, W, GRID).omega_idx.size
+        assert [(name, shape) for name, shape, _ in calls] == \
+            [("eigh", ((m + 1) // 2,) * 2), ("eigh", (m // 2,) * 2)]
+
+
 class TestInteriorSolve:
     @pytest.mark.parametrize("indefinite", [False, True], ids=["q0", "indefinite_q"])
     def test_solve_matches_lu(self, problem, indefinite):
@@ -230,12 +347,12 @@ class TestInteriorSolve:
         if indefinite:
             # a constant q halfway between the two lowest eigenvalues of T_OO
             # leaves one eigenvalue of the block negative and none near 0
-            lam = np.linalg.eigvalsh(problem.block(problem.omega_idx, problem.omega_idx))
+            lam = np.linalg.eigvalsh(_block(problem, problem.omega_idx, problem.omega_idx))
             p = build(0.6, -0.5 * (lam[0] + lam[1]), OMEGA, W, GRID)
-            assert np.sum(p.lam < 0) == 1
+            assert sum(np.sum(lam < 0) for lam, _ in p.eig) == 1
         X = np.random.default_rng(5).standard_normal((p.omega_idx.size, 4))
         for rhs in (X, X[:, 0]):
-            ref = np.linalg.solve(p.interior_block, rhs)
+            ref = np.linalg.solve(_interior_block(p), rhs)
             assert np.linalg.norm(p.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -306,13 +423,13 @@ class TestPoissonSVD:
         # interlacing, and dx G^-1 = C_WW^-1 is below (C^-1)_WW for C the
         # weight's circulant
         p = build(s, 0.0, OMEGA, W, GRID)
-        G = runge._hs_gram(p)
+        G = _hs_gram(p)
         weight = (1.0 + GRID.xi ** 2) ** s
         lam = np.linalg.eigvalsh(G)[0]
         assert lam >= GRID.dx * weight.min()
         scale = 1.0 / math.sqrt(1.0 - _certificate_slack(p))
         assert math.sqrt(GRID.dx / lam) <= scale
-        A = -np.linalg.solve(p.interior_block, p.block(p.omega_idx, p.w_idx))
+        A = -np.linalg.solve(_interior_block(p), _block(p, p.omega_idx, p.w_idx))
         R = np.linalg.cholesky(G).T
         Atil = math.sqrt(GRID.dx) * np.linalg.solve(R.T, A.T).T
         rng = np.random.default_rng(4)
@@ -327,28 +444,18 @@ class TestPoissonSVD:
 
     @pytest.mark.parametrize("s,n", [(0.6, 512), (0.6, 2048), (0.9, 2048)])
     def test_one_gram_solve_with_at_most_width_columns(self, monkeypatch, s, n):
-        # at s = 0.9, n = 2048, ||X||_F exceeds the floor at width 48 and the
-        # H^-s bound certifies it, so the width does not double
+        # the one solve against the H^s(W) Gram runs as two half-size solves
+        # with the blocks of its reflection split, and no |W| x |W| one is
+        # made; at s = 0.9, n = 2048, ||X||_F exceeds the floor at width 48
+        # and the H^-s bound certifies it, so the width does not double
         problem = build(s, 0.0, OMEGA, W, Grid(4.0, n))
-        calls = []
-
-        def wrap(name):
-            real = getattr(np.linalg, name)
-
-            def counted(a, *rest, **kw):
-                calls.append((name, np.shape(a), np.shape(rest[0]) if rest else None))
-                return real(a, *rest, **kw)
-            monkeypatch.setattr(np.linalg, name, counted)
-
-        for name in ("solve", "cholesky", "inv", "eigh", "eigvalsh", "svd", "qr"):
-            wrap(name)
-        poisson_svd(problem)
-        monkeypatch.undo()
+        calls = _linalg_calls(monkeypatch, lambda: poisson_svd(problem))
         m = problem.w_idx.size
         big = [c for c in calls if min(c[1]) > runge._SKETCH_WIDTH]
-        assert len(big) == 1
-        name, shape, rhs = big[0]
-        assert name == "solve" and shape == (m, m) and rhs[1] <= runge._SKETCH_WIDTH
+        assert [(name, shape) for name, shape, _ in big] == \
+            [("solve", ((m + 1) // 2,) * 2), ("solve", (m // 2,) * 2)]
+        assert all(rhs[1] <= runge._SKETCH_WIDTH for _, _, rhs in big)
+        assert not any(c[1] == (m, m) for c in calls)
         assert sum(c[0] == "cholesky" for c in calls) == 2
 
     def test_sigma1_below_apriori_bound(self, problem, svd, rng):
