@@ -23,7 +23,6 @@ import numpy as np
 
 from . import branchcut, continuation, moments, multiplier, reconstruct, runge
 from .gridfn import Grid, Interval, SampledFunction, make_bump, norm
-from .moments import PrecisionConfig
 
 SCHEMA_VERSION = "nsl-csv-1"
 
@@ -81,10 +80,10 @@ def _read_keys(cfg: dict, keys: dict) -> dict:
     return p
 
 
-def _config_hash(cfg: dict, seed: int, bits: int, opts: dict) -> str:
-    """Hash of the config, the seed, the precision and the command's options."""
+def _config_hash(cfg: dict, seed: int, opts: dict) -> str:
+    """Hash of the config, the seed and the command's options."""
     canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-    canon += f"\nseed={seed}\nprecision_bits={bits}"
+    canon += f"\nseed={seed}"
     canon += "".join(f"\n--{k}={opts[k]}" for k in sorted(opts))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -135,7 +134,6 @@ class Artifacts:
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-        return self._path("csv")
 
     def json(self, summary: dict):
         payload = {"schema": SCHEMA_VERSION, "config_hash": self.hash,
@@ -143,7 +141,6 @@ class Artifacts:
         with open(self._path("json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, default=float)
             fh.write("\n")
-        return self._path("json")
 
     def svg(self, x, y, xlabel: str, ylabel: str, logx=False, logy=False):
         """Hand-rolled static polyline plot; no plotting dependency."""
@@ -171,7 +168,6 @@ class Artifacts:
             f'config {self.hash}</text>\n</svg>\n')
         with open(self._path("svg"), "w") as fh:
             fh.write(svg)
-        return self._path("svg")
 
 
 def _show(default) -> str:
@@ -198,8 +194,7 @@ def _experiment(group, command: str, name: str, keys: dict, *options):
         @click.pass_obj
         def cmd(obj, **opts):
             p = _read_keys(obj["cfg"], keys)
-            art = Artifacts(obj["out"], name,
-                            _config_hash(obj["cfg"], obj["seed"], obj["bits"], opts))
+            art = Artifacts(obj["out"], name, _config_hash(obj["cfg"], obj["seed"], opts))
             try:
                 summary = run(obj, art, p, **opts)
             except ValueError as exc:
@@ -218,14 +213,11 @@ def _experiment(group, command: str, name: str, keys: dict, *options):
               help="flat key=value config file")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--precision-bits", type=int, default=256, show_default=True,
-              help="mantissa bits of the sigma_max certificate (moments hilbert-growth)")
 @click.pass_context
-def main(ctx, config, seed, out, precision_bits):
+def main(ctx, config, seed, out):
     """Moment-inversion, comparison-operator, continuation, and
     exterior-approximation experiments."""
-    ctx.obj = {"cfg": _load_config(config), "seed": seed, "out": out,
-               "bits": precision_bits}
+    ctx.obj = {"cfg": _load_config(config), "seed": seed, "out": out}
 
 
 # config keys shared by several commands
@@ -252,10 +244,10 @@ def hilbert_growth(obj, art, p, nmax):
     keeps it visibly below the limit in this N range.
     """
     _at_least("--nmax", nmax, 0)
-    prec = PrecisionConfig(bits=obj["bits"])
     rows, prev = [], None
     for N in range(nmax + 1):
-        sig = float(moments.hilbert_inverse_sigma_max(N, prec))
+        # 64 bits, the least width: the stop test certifies the printed double at every width
+        sig = float(moments.hilbert_inverse_sigma_max(N, moments.PrecisionConfig(bits=64)))
         rate = math.log(sig) - math.log(prev) if prev else 0.0
         rows.append({"N": N, "sigma_max": sig, "log_sigma_over_Nplus1": rate})
         prev = sig

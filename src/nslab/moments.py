@@ -27,8 +27,8 @@ from .gridfn import Box, Interval
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Mantissa bits to which `hilbert_inverse_sigma_max` certifies sigma_max;
-    the inversion fit runs in np.longdouble and reads no precision."""
+    """Width of the sigma_max certificate: the Fraction is within 2^-(bits+8)
+    relative and rounds to lambda_1's float64 at any width; `nsl` uses 64."""
 
     bits: int = 256
 
@@ -73,13 +73,9 @@ class LegendreSystem:
 
     def gram_exact(self):
         """Chat^T Chat as exact rationals."""
-        C = self.C
-        N = self.N
-        out = [[Fraction(0)] * (N + 1) for _ in range(N + 1)]
-        for j in range(N + 1):
-            for k in range(N + 1):
-                out[j][k] = sum(C[m][j] * C[m][k] / Fraction(2 * m + 1) for m in range(N + 1))
-        return out
+        C, n = self.C, self.N + 1
+        return [[sum(C[m][j] * C[m][k] / Fraction(2 * m + 1) for m in range(n))
+                 for k in range(n)] for j in range(n)]
 
     def hilbert_inverse_exact(self):
         """H_N^{-1} via the closed binomial formula (exact integers)."""
@@ -115,16 +111,17 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
     from v = ((-1)^i), Av shifted right to about bits + 64 bits each step.
     With the exact Rayleigh quotient rho and eps^2 = |Av|^2/|v|^2 - rho^2, and
     lambda_2 <= trace - rho (A is positive definite), Kato-Temple gives
-    0 <= lambda_1 - rho <= eps^2/(2 rho - trace); the iteration stops once that
-    is at most rho 2^-(bits+8) (at most 32 steps at 256 bits for N <= 40),
-    and returns that rho as an exact Fraction.  No certificate in `bits` steps
+    0 <= lambda_1 - rho <= eps^2/(2 rho - trace).  The iteration stops once this
+    bracket is certified to 2^-(bits+8) and to the double it rounds to (both
+    ends round to one float64): 5-10 steps at 64 bits, 15-32 at 256, 1 <= N <= 40.
+    It returns that rho as an exact Fraction.  No certificate in `bits` steps
     raises ArithmeticError, as does a float64 `eigvalsh` of A that differs by
     more than 1e-12 relative (measured <= 7e-16 for N <= 40).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N > 40:
-        raise ValueError("N > 40 not supported under the default precision policy")
+        raise ValueError(f"N must be <= 40, the orders the certificate is measured on, got {N}")
     hinv = LegendreSystem(N).hilbert_inverse_exact()
     trace = sum(row[i] for i, row in enumerate(hinv))
     v = [(-1) ** i for i in range(N + 1)]
@@ -133,7 +130,8 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
         vv = sum(x * x for x in v)
         rho = Fraction(sum(x * y for x, y in zip(v, Av)), vv)
         eps2 = Fraction(sum(y * y for y in Av), vv) - rho * rho
-        if 2 * rho > trace and eps2 <= (2 * rho - trace) * rho / 2 ** (prec.bits + 8):
+        if 2 * rho > trace and eps2 <= (2 * rho - trace) * rho / 2 ** (prec.bits + 8) \
+                and float(rho) == float(rho + eps2 / (2 * rho - trace)):
             break
         shift = max(max(abs(y) for y in Av).bit_length() - (prec.bits + 64), 0)
         v = [y >> shift for y in Av]

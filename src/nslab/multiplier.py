@@ -44,6 +44,7 @@ Symbols use the convention (F f)(xi) = int f(x) e^{-i x xi} dx.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -316,6 +317,9 @@ def apply_dealiased(spec: SymbolSpec, f: SampledFunction) -> SampledFunction:
 # Quadrature and the oracles
 # ---------------------------------------------------------------------------
 
+_MAX_CALLS = 2000  # integrand calls per adaptive_gauss; `nsl`'s defaults make at most 15
+
+
 @lru_cache(maxsize=8)
 def _gauss_rule(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
@@ -330,11 +334,16 @@ def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64
     tolerance, and only the components that have not converged recurse into a
     sub-panel, so every component gets exactly the sum that integrating it on
     its own would give.  A non-finite panel sum raises ArithmeticError, and
-    so does a component still unconverged on a panel at `max_depth`.
+    so does a component still unconverged at `max_depth` or after `_MAX_CALLS`
+    calls of ``fun``.
     """
     t, w = _gauss_rule(order)
+    calls = itertools.count(1)
 
     def values(lo, hi):
+        if next(calls) > _MAX_CALLS:
+            raise ArithmeticError(f"quadrature unconverged on [{lo!r}, {hi!r}] "
+                                  f"after {_MAX_CALLS} integrand calls")
         return np.asarray(fun(0.5 * (hi - lo) * t + 0.5 * (hi + lo)))
 
     def panel(lo, hi, vals):

@@ -200,7 +200,7 @@ class TestHilbertSigmaMax:
     def test_invalid_orders(self):
         with pytest.raises(ValueError):
             hilbert_inverse_sigma_max(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N must be <= 40"):
             hilbert_inverse_sigma_max(41)
 
     @pytest.mark.parametrize("N", [13, 17, 20])
@@ -229,12 +229,25 @@ class TestHilbertSigmaMax:
             hilbert_inverse_sigma_max(3)
 
     def test_float_equals_full_eigensolve(self):
-        # reference: every eigenvalue of the integer matrix at 256 bits
+        # reference: every eigenvalue of the integer matrix at 256 bits; the
+        # default width and the 64 bits that `nsl` runs print the same double
         for N in range(21):
             hinv = LegendreSystem(N).hilbert_inverse_exact()
             with mpmath.workprec(256):
                 ref = max(mpmath.eigsy(mpmath.matrix(hinv), eigvals_only=True))
-            assert float(hilbert_inverse_sigma_max(N)) == float(ref)
+            for prec in (PrecisionConfig(), PrecisionConfig(bits=64)):
+                assert float(hilbert_inverse_sigma_max(N, prec)) == float(ref)
+
+    def test_near_midpoint_rounds_to_the_double_of_lambda_1(self, monkeypatch):
+        # lambda_1 = 2^53 + 1 + 2.2e-16 lies just above the midpoint of two
+        # doubles: a bracket 2^-72 wide relative still straddles it, so the stop test
+        # also needs both ends to round to one double
+        M = [[2**53 + 1, 1], [1, 2**52]]
+        monkeypatch.setattr(LegendreSystem, "hilbert_inverse_exact", lambda self: M)
+        with mpmath.workprec(400):
+            ref = float(max(mpmath.eigsy(mpmath.matrix(M), eigvals_only=True)))
+        assert ref == 9007199254740994.0
+        assert float(hilbert_inverse_sigma_max(1, PrecisionConfig(bits=64))) == ref
 
     def test_certified_to_512_bits(self):
         N = 20

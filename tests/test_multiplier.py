@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -385,6 +386,21 @@ class TestVectorQuadrature:
         with pytest.raises(ArithmeticError):
             multiplier.adaptive_gauss(nan_integrand, 0.0, 1.0, order=8)
         assert calls == [8]
+
+    def test_oscillatory_integrand_exhausts_the_call_budget(self):
+        # sin(1e7 x) converges only after 262,143 calls (2.9-7.3 s on 2 shared
+        # vCPUs without a budget); the budget stops it after 2,000, in 0.03-0.08 s
+        calls = []
+
+        def wave(x):
+            calls.append(x.size)
+            return np.sin(1e7 * x)
+
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="after 2000 integrand calls"):
+            multiplier.adaptive_gauss(wave, 0.0, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert len(calls) == 2000
 
     def test_unconverged_at_max_depth_raises(self):
         # the panel holding x = 1/3 never meets the tolerance; the partial sum
