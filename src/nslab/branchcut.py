@@ -105,11 +105,6 @@ def defects(pair: ComparisonPair, J1: Interval, J2: Interval) -> dict:
     return out
 
 
-def frequency_content(g: SampledFunction, s: float) -> float:
-    """F = |g|_{H^{2s}} / |g|_{L2}, the family-ordering parameter."""
-    return norm(g, "Hs", s=2.0 * s) / norm(g, "L2")
-
-
 def poincare_ratio(g: SampledFunction, I: Interval, s: float) -> float:
     """|g|_{L2} / (|I|^s |g|_{Hs-dot}); dilation-invariant."""
     den = I.length ** s * norm(g, "HsDot", s=s)
@@ -131,15 +126,14 @@ def stability_experiment_fraclap(family, s: float, I: Interval,
     if not (J1.b <= I.a and I.b <= J2.a):
         raise ValueError("J1 must lie left of I and J2 right of I")
     spec = multiplier.symbol("AbsPow", two_s=2.0 * s)
-    Pg = multiplier.dealiased_rows(spec, family[0].grid, np.array([g.values for g in family]))
-    rows = []
-    for k, (g, Pg_k) in enumerate(zip(family, Pg)):
-        F = frequency_content(g, s)
-        out = SampledFunction(g.grid, Pg_k)
-        r1 = norm(out, "HnegS_local", region=J1, s=s)
-        r2 = norm(out, "HnegS_local", region=J2, s=s)
-        r = math.sqrt(r1 * r1 + r2 * r2) / norm(g, "Hs", s=2.0 * s)
-        rows.append({"k": k, "F": F, "r": r})
+    grid = family[0].grid
+    G = SampledFunction(grid, np.array([g.values for g in family]))
+    out = SampledFunction(grid, multiplier.dealiased_rows(spec, grid, G.values))
+    hs = norm(G, "Hs", s=2.0 * s)
+    F = (hs / norm(G, "L2")).tolist()
+    r1, r2 = (norm(out, "HnegS_local", region=J, s=s).tolist() for J in (J1, J2))
+    rows = [{"k": k, "F": F[k], "r": math.sqrt(a * a + b * b) / h}
+            for k, (a, b, h) in enumerate(zip(r1, r2, hs.tolist()))]
     rows.sort(key=lambda row: row["F"])
     F = np.array([row["F"] for row in rows])
     r = np.array([row["r"] for row in rows])
@@ -186,25 +180,22 @@ def slice_experiment_2d(g2: np.ndarray, grid: Grid, s: float, local: str,
     Returns dict with per-row ratios and the aggregate surrogate ratio.
     """
     _check_s(s)
-    g2 = np.asarray(g2, dtype=complex)
+    g2 = np.asarray(g2)
     if g2.shape != (grid.n, grid.n):
         raise ValueError("2D field must be grid.n x grid.n")
-    q_rows = np.flatnonzero(Q.contains(grid.x))
-    Pg = _apply_2d(g2, grid, s, local, q_rows)
-    rows = []
-    total_num = 0.0
-    total_den = 0.0
-    for i, Pg_i in zip(q_rows, Pg):
-        prof = SampledFunction(grid, g2[i])
-        if norm(prof, "L2") == 0.0:
+    x = grid.x
+    q_rows = np.flatnonzero(Q.contains(x))
+    prof = SampledFunction(grid, g2[q_rows])
+    out = SampledFunction(grid, _apply_2d(g2, grid, s, local, q_rows))
+    l2 = norm(prof, "L2").tolist()
+    r1, r2 = (norm(out, "HnegS_local", region=J, s=s).tolist() for J in (J1, J2))
+    dens = norm(prof, "Hs", s=2.0 * s).tolist()
+    rows, total_num, total_den = [], 0.0, 0.0
+    for i, l2_i, r1_i, r2_i, den in zip(q_rows.tolist(), l2, r1, r2, dens):
+        if l2_i == 0.0:
             continue
-        out = SampledFunction(grid, Pg_i)
-        r1 = norm(out, "HnegS_local", region=J1, s=s)
-        r2 = norm(out, "HnegS_local", region=J2, s=s)
-        den = norm(prof, "Hs", s=2.0 * s)
-        rows.append({"i": int(i), "x1": float(grid.x[i]),
-                     "r": math.sqrt(r1 * r1 + r2 * r2) / den})
-        total_num += r1 * r1 + r2 * r2
+        rows.append({"i": i, "x1": float(x[i]), "r": math.sqrt(r1_i * r1_i + r2_i * r2_i) / den})
+        total_num += r1_i * r1_i + r2_i * r2_i
         total_den += den * den
     agg = math.sqrt(total_num / total_den) if total_den > 0 else 0.0
     return {"rows": rows, "aggregate": agg, "local": local}

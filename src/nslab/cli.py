@@ -268,10 +268,9 @@ def verify_bounds(obj, art, p, npoly, degree):
     _at_least("--npoly", npoly, 1)
     _at_least("--degree", degree, 0)
     rng = np.random.default_rng(obj["seed"])
+    coeffs = [rng.standard_normal(degree + 1).tolist() for _ in range(npoly)]
     rows, violations = [], 0
-    for k in range(npoly):
-        coeffs = rng.standard_normal(degree + 1).tolist()
-        bounds = moments.verify_festmom(coeffs, p["interval"], 8)
+    for k, bounds in enumerate(moments.verify_festmom_stack(coeffs, p["interval"], 8)):
         for N in range(1, 9):
             lhs, rhs, holds = bounds[N]
             violations += 0 if holds else 1

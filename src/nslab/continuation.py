@@ -71,11 +71,7 @@ def extend(h: SampledFunction, y_levels) -> HalfPlaneField:
     if np.any(ys < 0):
         raise ValueError("y-levels must be nonnegative")
     fhat = np.fft.fft(np.asarray(h.values, dtype=complex))
-    damp = np.abs(h.grid.xi)
-    vals = np.empty((ys.size, h.grid.n), dtype=complex)
-    for j, y in enumerate(ys):
-        vals[j] = np.fft.ifft(fhat * np.exp(-y * damp))
-    return HalfPlaneField(h.grid, ys, vals)
+    return HalfPlaneField(h.grid, ys, np.fft.ifft(fhat * np.exp(-ys[:, None] * np.abs(h.grid.xi))))
 
 
 def three_balls_report(u: HalfPlaneField, center: tuple[float, float], r: float):

@@ -113,7 +113,7 @@ class SampledFunction:
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.shape != (self.grid.n,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.n:
             raise ValueError("values length must equal grid size")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sampled function must have finite entries")
@@ -200,29 +200,33 @@ def _sobolev_weight(xi, s: float, homogeneous: bool):
     return (1.0 + xi * xi) ** (0.5 * s)
 
 
-def _fullline_sobolev(f: SampledFunction, s: float, homogeneous: bool) -> float:
+def _fullline_sobolev(f: SampledFunction, s: float, homogeneous: bool):
     g = f.grid
     fhat = g.dx * np.fft.fft(f.values)
     if homogeneous and s < 0:
-        dc = abs(fhat[0])
-        total = np.sqrt(np.sum(np.abs(fhat) ** 2))
-        if total > 0 and dc > 1e-8 * total:
+        dc = np.abs(fhat[..., 0])
+        total = np.sqrt(np.sum(np.abs(fhat) ** 2, axis=-1))
+        if np.any((total > 0) & (dc > 1e-8 * total)):
             raise ValueError("homogeneous negative-order norm is ill-posed for nonzero-mean data")
     w = _sobolev_weight(g.xi, s, homogeneous)
     # Plancherel: ||f||^2 = (2 pi)^-1 int |Ff|^2 dxi, dxi = pi/L
-    return float(np.sqrt(np.sum((w * np.abs(fhat)) ** 2) * (np.pi / g.L) / (2.0 * np.pi)))
+    out = np.sqrt(np.sum((w * np.abs(fhat)) ** 2, axis=-1) * (np.pi / g.L) / (2.0 * np.pi))
+    return float(out) if out.ndim == 0 else out
 
 
-def norm(f: SampledFunction, space: str, region: Interval | None = None, s: float | None = None) -> float:
-    """Norm of a sampled function.
+def norm(f: SampledFunction, space: str, region: Interval | None = None, s: float | None = None):
+    """Norm of a sampled function; of each row, bit for bit, for a (rows, n) stack.
 
-    space: "L2" (Riemann sum over region), "Hs" (inhomogeneous Sobolev via FFT),
+    space: "L2" (Riemann sum over region; one row only), "Hs" (inhomogeneous Sobolev via FFT),
     "HsDot" (homogeneous; neither takes a region), "HnegS_local" (smooth-cutoff surrogate
     ||chi_region * f||_{H^{-s}(R)} for the local negative norm).
     """
     if space == "L2":
         if region is None:
-            return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.dx))
+            out = np.sqrt(np.sum(np.abs(f.values) ** 2, axis=-1) * f.grid.dx)
+            return float(out) if out.ndim == 0 else out
+        if f.values.ndim != 1:
+            raise ValueError("L2 over a region takes one row, not a stack")
         xs, vs = _interval_samples(f, region)
         return float(np.sqrt(max(np.trapezoid(np.abs(vs) ** 2, xs).real, 0.0)))
     if space in ("Hs", "HsDot"):

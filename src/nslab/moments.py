@@ -162,16 +162,21 @@ def _box_constant(I, n_dim: int) -> float:
 
 
 def verify_festmom(f, I, N: int):
-    """Both sides of the moment stability bound at every order 0..N; moments
-    taken in the unit-interval pullback variable of each box factor (the
-    rescaled estimate).
+    """`verify_festmom_stack` for the one-row stack [f]."""
+    return verify_festmom_stack([f], I, N)[0]
 
-    Returns one (lhs, rhs, holds) per order n = 0..N, with lhs =
+
+def verify_festmom_stack(F, I, N: int):
+    """Both sides of the moment stability bound at every order 0..N for each
+    f of the stack F; moments taken in the unit-interval pullback variable of
+    each box factor (the rescaled estimate).
+
+    Returns, per f, one (lhs, rhs, holds) per order n = 0..N, with lhs =
     ||f||^2_{L2(I)} and rhs = e^{C(n+1)} sum_{|j| <= n} |f_j|^2 +
-    ||grad f||^2_{L2(I)} / (4(n+1)^2).  f is a nonempty coefficient list on an
-    Interval or a matrix c[i][j] x^i y^j on a 2D Box.  ||f||^2, each moment
-    sum and ||grad f||^2 are exact rationals from one `_hilbert_sums` pass,
-    each rounded to float once.
+    ||grad f||^2_{L2(I)} / (4(n+1)^2).  Each f is a nonempty coefficient list
+    on an Interval or a matrix c[i][j] x^i y^j on a 2D Box, all of one shape.
+    ||f||^2, each moment sum and ||grad f||^2 are exact rationals from one
+    `_hilbert_sums` pass over the stack, each rounded to float once.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
@@ -185,14 +190,11 @@ def verify_festmom(f, I, N: int):
             raise ValueError("box must lie inside the unit square")
     else:
         raise ValueError("verify_festmom supports intervals and 2D boxes")
-    lhs, msums, grad = _hilbert_sums(f, factors, N)
-    C = _box_constant(I, len(factors))
-    lhs = float(lhs)
-    out = []
-    for n, msum in enumerate(msums):
-        rhs = math.exp(C * (n + 1)) * float(msum) + float(grad) / (4.0 * (n + 1) ** 2)
-        out.append((lhs, rhs, lhs <= rhs * (1 + 1e-12)))
-    return out
+    l2s, msums, grads = _hilbert_sums(F, factors, N)
+    growth = np.array([math.exp(_box_constant(I, len(factors)) * n) for n in range(1, N + 2)])
+    rhs = growth * msums + grads[:, None] / (4.0 * np.arange(1, N + 2) ** 2)
+    return [[(lhs, r, lhs <= r * (1 + 1e-12)) for r in row]
+            for lhs, row in zip(l2s.tolist(), rhs.tolist())]
 
 
 def _along(p, k, M):
@@ -201,11 +203,11 @@ def _along(p, k, M):
 
 
 def _hilbert_apply(p, rows):
-    """(Hp, L): along each axis k, the integer Hilbert block L_k/(i+m+1)
-    (i < rows[k], m < p.shape[k], L_k the lcm of its denominators) applied to
-    p; L is the product of the L_k, so Hp / L holds the sums of p/(i+m+1)."""
+    """(Hp, L): along each of the last len(rows) axes k, the integer Hilbert block
+    L_k/(i+m+1) (i < rows[k], m < p.shape[k], L_k the lcm of its denominators) applied
+    to p; L is the product of the L_k, so Hp / L holds the sums of p/(i+m+1)."""
     L = 1
-    for k, r in enumerate(rows):
+    for k, r in enumerate(rows, p.ndim - len(rows)):
         n = p.shape[k]
         Lk = math.lcm(*range(1, r + n))
         p = _along(p, k, [[Lk // (i + m + 1) for m in range(n)] for i in range(r)])
@@ -213,29 +215,32 @@ def _hilbert_apply(p, rows):
     return p, L
 
 
-def _hilbert_sums(f, factors, N):
-    """Exact ||f||^2_{L2(I)}, the list of sum_{|j|<=n} |f_j|^2 for n = 0..N,
-    and ||grad f||^2_{L2(I)}.
+def _hilbert_sums(F, factors, N):
+    """Float arrays over the stack F (axis 0) of ||f||^2_{L2(I)}, sum_{|j|<=n} |f_j|^2
+    for n = 0..N (a row per f) and ||grad f||^2_{L2(I)}, each an exact rational rounded once.
 
-    The pullback F(t) = f(a + lam t) onto the unit box is p(t)/D with integer
-    coefficients p (one axis per factor) and one integer D.  Since
-    int_0^1 t^m dt = 1/(m+1), the pullback moments are (H_{N,d} p)/D and
-    ||F||^2 = p . H_{d,d} p / D^2 along every axis, with H the Hilbert block
-    1/(i+m+1): each is one integer sum over one common denominator.  The
-    Jacobian prod(lam) and the chain-rule factor 1/lam_k of d/dx_k carry
-    these back to I; the moments f_j are prod(lam) times the pullback ones.
-    The Hilbert block is applied once, at N: the sum for order n is over the
-    leading (n+1)^d block of its result.
+    The pullback g(t) = f(a + lam t) onto the unit box is p(t)/D with integer
+    coefficients p (one axis per factor) and one integer D for the stack (the
+    largest power of two for floats).  Since int_0^1 t^m dt = 1/(m+1), the
+    pullback moments are (H_{N,d} p)/D and ||g||^2 = p . H_{d,d} p / D^2 along
+    every axis, with H the Hilbert block 1/(i+m+1): each is one integer sum
+    over one common denominator.  The Jacobian prod(lam) and the chain-rule
+    factor 1/lam_k of d/dx_k carry these back to I; the moments f_j are
+    prod(lam) times the pullback ones.  Each integer matrix acts once on the
+    stack, the Hilbert block at N (order n sums its leading (n+1)^d block, read
+    off cumulative sums); int / int rounds each sum as float(Fraction) would.
     """
-    c = np.frompyfunc(Fraction, 1, 1)(np.array(f, dtype=object))
-    if c.ndim != len(factors):
-        raise ValueError("coefficients must have one axis per box factor")
+    c = np.array(F, dtype=object)
+    if c.ndim != len(factors) + 1:
+        raise ValueError("coefficients must have one axis per box factor and one shape")
     if not c.size:
         raise ValueError("f must have at least one coefficient")
-    D = math.lcm(*(v.denominator for v in c.flat))
-    p = np.frompyfunc(lambda v: v.numerator * (D // v.denominator), 1, 1)(c)
+    num, den = np.frompyfunc(
+        lambda v: (v if isinstance(v, float) else Fraction(v)).as_integer_ratio(), 1, 2)(c)
+    D = math.lcm(*den.flat)
+    p = num * (D // den)
     lams = []
-    for k, fac in enumerate(factors):
+    for k, fac in enumerate(factors, 1):
         a = Fraction(fac.a).limit_denominator(10**12)
         lam = Fraction(fac.b).limit_denominator(10**12) - a
         q = math.lcm(a.denominator, lam.denominator)
@@ -247,16 +252,20 @@ def _hilbert_sums(f, factors, N):
         D *= q ** d
         lams.append(lam)
     vol = math.prod(lams)
-    Hp, L = _hilbert_apply(p, p.shape)
-    l2 = vol * Fraction(np.sum(p * Hp), D * D * L)
-    mom, L = _hilbert_apply(p, [N + 1] * p.ndim)
-    sq = mom * mom
-    msums = [vol ** 2 * Fraction(np.sum(sq[(slice(n + 1),) * p.ndim]), (D * L) ** 2)
-             for n in range(N + 1)]
-    grad = Fraction(0)
-    for k, n in enumerate(p.shape):
+    axes = tuple(range(1, p.ndim))
+    # one name for the Hilbert-applied arrays, so each dies when the next is made
+    H, L = _hilbert_apply(p, p.shape[1:])
+    l2 = vol / (D * D * L) * np.sum(p * H, axis=axes)
+    H, L = _hilbert_apply(p, [N + 1] * len(factors))
+    H = H * H
+    for k in axes:
+        H = np.cumsum(H, axis=k)
+    num, den = (vol ** 2 / (D * L) ** 2).as_integer_ratio()
+    msums = H[(slice(None),) + (np.arange(N + 1),) * len(factors)] * num / den
+    grad = np.zeros(len(l2), dtype=object)
+    for k, n in enumerate(p.shape[1:], 1):
         if n > 1:
             dp = _along(p, k, [[i if i == m + 1 else 0 for i in range(n)] for m in range(n - 1)])
-            Hdp, L = _hilbert_apply(dp, dp.shape)
-            grad += vol / lams[k] ** 2 * Fraction(np.sum(dp * Hdp), D * D * L)
-    return l2, msums, grad
+            H, L = _hilbert_apply(dp, dp.shape[1:])
+            grad = grad + vol / (lams[k - 1] ** 2 * D * D * L) * np.sum(dp * H, axis=axes)
+    return l2.astype(float), msums.astype(float), grad.astype(float)

@@ -290,14 +290,14 @@ def dual_ucp_experiment(p: RungeProblem, v):
     Lw[lo:hi] += p.q * Wo
     w, v_full = np.zeros((2, V.shape[0], p.grid.n))
     w[:, lo:hi], v_full[:, lo:hi] = Wo.T, V
-    reports = []
-    for v_k, w_k, Lw_k in zip(v_full, w, Lw.T):
-        wf = SampledFunction(p.grid, w_k)
-        lhs = norm(SampledFunction(p.grid, v_k), "HnegS_local", region=p.Omega, s=p.s)
-        rhs = norm(SampledFunction(p.grid, Lw_k), "HnegS_local", region=p.W, s=p.s)
-        w_hs = norm(wf, "Hs", s=p.s)
-        reports.append({"lhs": lhs, "rhs": rhs, "w": wf, "w_hs": w_hs,
-                        "equivalence_constant": w_hs / lhs if lhs > 0 else 0.0})
+    # contiguous rows of Lw.T keep each row's transform bit for bit its single-row one
+    lhs = norm(SampledFunction(p.grid, v_full), "HnegS_local", region=p.Omega, s=p.s).tolist()
+    rhs = norm(SampledFunction(p.grid, np.ascontiguousarray(Lw.T)), "HnegS_local",
+               region=p.W, s=p.s).tolist()
+    w_hs = norm(SampledFunction(p.grid, w), "Hs", s=p.s).tolist()
+    reports = [{"lhs": l, "rhs": r, "w": SampledFunction(p.grid, w_k), "w_hs": h,
+                "equivalence_constant": h / l if l > 0 else 0.0}
+               for l, r, w_k, h in zip(lhs, rhs, w, w_hs)]
     return reports if vv.ndim == 2 else reports[0]
 
 

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from nslab import branchcut, multiplier
-from nslab.branchcut import (comparison_pair, defects, frequency_content,
-                             modulated_family, poincare_ratio,
+from nslab.branchcut import (comparison_pair, defects, modulated_family, poincare_ratio,
                              slice_experiment_2d, stability_experiment_fraclap)
 from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm
 
 I = Interval(-1.0, 1.0)
 J_LEFT = Interval(-3.0, -2.0)
 J_RIGHT = Interval(2.0, 3.0)
+
+
+def frequency_content(g: SampledFunction, s: float) -> float:
+    """F = |g|_{H^{2s}} / |g|_{L2}, the family-ordering parameter that
+    `stability_experiment_fraclap` computes over its stacked members."""
+    return norm(g, "Hs", s=2.0 * s) / norm(g, "L2")
 
 
 class TestComparisonPair:

@@ -120,6 +120,44 @@ class TestNorm:
             <= 1.5 * norm(f, "L2")
 
 
+class TestStackedNorm:
+    GRID = Grid(8.0, 512)
+
+    def _rows(self):
+        # zero-mean rows (so every HsDot order applies), one of them complex,
+        # and a zero row
+        g = self.GRID
+        bump = make_bump(Interval(-1.0, 1.0), 0.0, 1.0, g).values
+        rows = np.array([bump * np.sin(k * g.x) for k in (1.0, 3.0, 7.0)] + [0 * bump],
+                        dtype=complex)
+        rows[1] *= 1.0 - 2.0j
+        return rows - rows.mean(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("space, kw", [
+        ("L2", {}), ("Hs", {"s": 1.5}), ("Hs", {"s": -0.75}), ("HsDot", {"s": 0.5}),
+        ("HsDot", {"s": -0.5}), ("HnegS_local", {"region": Interval(-2.0, 0.5), "s": 0.75})])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_equals_row_norms_bit_for_bit(self, space, kw, real):
+        rows = self._rows().real.copy() if real else self._rows()
+        got = norm(SampledFunction(self.GRID, rows), space, **kw)
+        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+        assert got.tolist() == [norm(SampledFunction(self.GRID, r), space, **kw) for r in rows]
+        assert isinstance(norm(SampledFunction(self.GRID, rows[0]), space, **kw), float)
+
+    def test_shape_and_mean_checks(self):
+        g = self.GRID
+        with pytest.raises(ValueError, match="grid size"):
+            SampledFunction(g, np.zeros((3, g.n // 2)))
+        with pytest.raises(ValueError, match="grid size"):
+            SampledFunction(g, np.zeros((2, 3, g.n)))
+        rows = self._rows()
+        rows[2] += 1e-3   # one row with nonzero mean
+        with pytest.raises(ValueError, match="nonzero-mean"):
+            norm(SampledFunction(g, rows), "HsDot", s=-0.5)
+        with pytest.raises(ValueError, match="one row"):
+            norm(SampledFunction(g, rows), "L2", region=Interval(-1.0, 1.0))
+
+
 class TestIntegrate:
     def test_constant(self):
         g = Grid(8.0, 4096)

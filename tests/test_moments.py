@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nslab import moments, polyx
 from nslab.gridfn import Box, Interval, SampledFunction, make_bump
 from nslab.moments import (LegendreSystem, PrecisionConfig, hilbert_inverse_sigma_max,
-                           legendre_ode_residual, verify_festmom)
+                           legendre_ode_residual, verify_festmom, verify_festmom_stack)
 from nslab.multiplier import adaptive_gauss, trig_interp
 from test_polyx import _as_exact, _p_compose_affine, _p_eval, _p_integral, _p_l2sq
 
@@ -437,6 +437,32 @@ class TestFestmomBox:
             verify_festmom([[1.0]], Box((Interval(0.5, 1.5), Interval(0.0, 1.0))), 1)
         with pytest.raises(ValueError):
             verify_festmom([[[1.0]]], Box((Interval(0.0, 1.0),) * 3), 1)
+
+
+class TestFestmomStack:
+    BOX = Box((Interval(0.1, 0.9), Interval(0.2, 0.7)))
+
+    @pytest.mark.parametrize("I, shape", [
+        (Interval(0.1, 0.9), (11,)), (Interval(0.0, 1.0), (4,)), (Interval(0.2, 0.8), (1,)),
+        (BOX, (3, 3)), (BOX, (4, 2)), (Box((Interval(0.0, 1.0),) * 2), (1, 1))])
+    def test_equals_per_f(self, I, shape):
+        # one common denominator over rows of very different scales and
+        # denominators (dyadic floats, thirds) and the zero polynomial; the
+        # (1,) and (1, 1) shapes are degree 0
+        rng = np.random.default_rng(7)
+        F = [(rng.standard_normal(shape) * scale).tolist() for scale in (1.0, 2.0 ** -40, 1e6)]
+        F += [np.zeros(shape).tolist(),
+              np.vectorize(lambda v: Fraction(round(3 * v), 3))(rng.standard_normal(shape)).tolist()]
+        got = verify_festmom_stack(F, I, 4)
+        assert got == [verify_festmom(f, I, 4) for f in F]
+        assert got == [[_festmom_single_order_reference(f, I, N) for N in range(5)] for f in F]
+        assert got[3][4] == (0.0, 0.0, True)
+
+    def test_ragged_stack_raises(self):
+        with pytest.raises(ValueError, match="one shape"):
+            verify_festmom_stack([[1.0, 2.0], [1.0]], Interval(0.1, 0.9), 2)
+        with pytest.raises(ValueError, match="one shape"):
+            verify_festmom_stack([[[1.0, 2.0], [3.0, 4.0]], [[1.0]]], self.BOX, 2)
 
 
 _SERIES_TERMS = 400  # moments of f summed into G
