@@ -155,7 +155,7 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
     each link replaces the measured n_2r with n_r^a n_4r^(1-a) evaluated with
     the propagated smallness in place of n_r.
     count: the number of balls in the chain (grows ~ -log tau).
-    One walk of the longest chain serves every tau: the chain for a larger
+    One plan and one walk of the longest chain serve every tau: the chain for a larger
     tau is a prefix of it, and the chained bound after its last ball depends
     on that prefix only.
     """
@@ -171,13 +171,16 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
         t *= fac
     if not taus:
         raise ValueError("no admissible tau for this field's y-resolution")
-    y_top = float(field.y_levels[-1])
-    chains = [plan_ball_chain(I, J, tau, y_top=y_top) for tau in taus]
     if not (I.b <= J.a or J.b <= I.a):
         raise ValueError("target and data regions must have disjoint closures")
+    chain = plan_ball_chain(I, J, taus[-1], y_top=float(field.y_levels[-1]))
+    # a larger tau's chain: the horizontal leg, then a ball per height above 2 tau
+    ys = [cy for _, cy in chain.centers]
+    leg = ys.count(ys[0])
+    counts = [leg + sum(y > 2.0 * tau for y in ys[leg - 1:-1]) for tau in taus]
     small = None
     walk = []
-    for cx, cy in max(chains, key=lambda c: c.count).centers:
+    for cx, cy in chain.centers:
         # measurement radius y/8 keeps the 4r-ball inside y > 0
         n1, n2, n4, alpha = three_balls_report(field, (cx, cy), cy / 8.0)
         if small is None:
@@ -190,11 +193,11 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
         walk.append(float(small))
     best = None
     rows = []
-    for tau, chain in zip(taus, chains):
+    for tau, count in zip(taus, counts):
         strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) if tau >= y1 else 0.0
-        bound = strip + walk[chain.count - 1]
-        rows.append({"tau": tau, "strip": strip, "chain": walk[chain.count - 1],
-                     "count": chain.count, "bound": bound})
+        bound = strip + walk[count - 1]
+        rows.append({"tau": tau, "strip": strip, "chain": walk[count - 1],
+                     "count": count, "bound": bound})
         if best is None or bound < best[1]:
             best = (tau, bound)
     return best[0], best[1], rows

@@ -12,7 +12,6 @@ Compactly supported functions are expected to live well inside the grid
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -181,7 +180,6 @@ def _smoothstep(u):
     return out
 
 
-@lru_cache(maxsize=64)
 def smooth_cutoff(region: Interval, grid: Grid) -> np.ndarray:
     """Fixed C^inf cutoff equal to 1 on the region, supported in 1.1*region."""
     outer = region.dilate(1.1)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class PrecisionConfig:
 # Shifted-Legendre system on [0, 1]
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
 def legendre_coeff_matrix(N: int):
     """Exact C[m][l] = (2m+1)(-1)^(m+l) (m+l)! / ((m-l)! (l!)^2), 0 <= l <= m <= N."""
     C = []

@@ -226,7 +226,6 @@ def _window(xi):
     return np.exp(-((xi / _XI0) ** 16))
 
 
-@lru_cache(maxsize=128)
 def _correction_weights(spec: SymbolSpec, grid: Grid):
     """W_q = R^q (I_q - D_q)/q!, q = 0.._DEGREE, for the windowed-Taylor
     correction on `grid`, with R = (n-1) dx."""
@@ -317,6 +316,7 @@ def apply_dealiased(spec: SymbolSpec, f: SampledFunction) -> SampledFunction:
 # Quadrature and the oracles
 # ---------------------------------------------------------------------------
 
+_RTOL, _ORDER, _MAX_DEPTH = 1e-12, 64, 24  # relative tolerance, nodes per panel, splits
 _MAX_CALLS = 2000  # integrand calls per adaptive_gauss; `nsl`'s defaults make at most 15
 
 
@@ -325,19 +325,18 @@ def _gauss_rule(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 
 
-def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64,
-                   max_depth: int = 24):
+def adaptive_gauss(fun, a: float, b: float):
     """Adaptive panel-split Gauss-Legendre quadrature of a vectorized integrand.
 
     ``fun(x)`` returns shape ``(..., len(x))`` and the result has shape
-    ``(...)``.  All components share one panel tree but each has its own
-    tolerance, and only the components that have not converged recurse into a
-    sub-panel, so every component gets exactly the sum that integrating it on
-    its own would give.  A non-finite panel sum raises ArithmeticError, and
-    so does a component still unconverged at `max_depth` or after `_MAX_CALLS`
-    calls of ``fun``.
+    ``(...)``.  Each panel takes `_ORDER` nodes.  All components share one
+    panel tree but each has its own tolerance (`_RTOL` relative), and only the
+    components that have not converged recurse into a sub-panel, so every
+    component gets exactly the sum that integrating it on its own would give.
+    A non-finite panel sum raises ArithmeticError, and so does a component
+    still unconverged after `_MAX_DEPTH` splits or `_MAX_CALLS` calls of ``fun``.
     """
-    t, w = _gauss_rule(order)
+    t, w = _gauss_rule(_ORDER)
     calls = itertools.count(1)
 
     def values(lo, hi):
@@ -354,25 +353,25 @@ def adaptive_gauss(fun, a: float, b: float, rtol: float = 1e-12, order: int = 64
 
     def recurse(lo, hi, whole, tol, rows, depth):
         mid = 0.5 * (lo + hi)
-        left = panel(lo, mid, values(lo, mid).reshape(-1, order)[rows])
-        right = panel(mid, hi, values(mid, hi).reshape(-1, order)[rows])
+        left = panel(lo, mid, values(lo, mid).reshape(-1, t.size)[rows])
+        right = panel(mid, hi, values(mid, hi).reshape(-1, t.size)[rows])
         total = left + right
         todo = np.flatnonzero(np.abs(total - whole) > tol)
         if todo.size:
-            if depth == max_depth:
+            if depth == _MAX_DEPTH:
                 raise ArithmeticError(f"{todo.size} quadrature component(s) unconverged "
-                                      f"on [{lo!r}, {hi!r}] at depth {max_depth}")
+                                      f"on [{lo!r}, {hi!r}] at depth {_MAX_DEPTH}")
             total[todo] = (recurse(lo, mid, left[todo], tol[todo], rows[todo], depth + 1)
                            + recurse(mid, hi, right[todo], tol[todo], rows[todo], depth + 1))
         return total
 
     first = values(a, b)
-    vals = first.reshape(-1, order)
+    vals = first.reshape(-1, t.size)
     whole = panel(a, b, vals)
     # absolute floor tied to the integrand's mass so that cancellation-dominated
     # integrals (result near zero) terminate at roundoff instead of max depth
     absmass = 0.5 * (b - a) * np.sum(np.abs(vals) * w, axis=-1)
-    tol = np.maximum(np.maximum(rtol * np.abs(whole), 1e-15 * absmass), 1e-30)
+    tol = np.maximum(np.maximum(_RTOL * np.abs(whole), 1e-15 * absmass), 1e-30)
     out = recurse(a, b, whole, tol, np.arange(whole.size), 0)
     return out.reshape(first.shape[:-1])[()]
 

@@ -404,6 +404,21 @@ class TestPropagateSmallness:
         assert len(calls) == max(r["count"] for r in rows)
         assert len(set(calls)) == len(calls)
 
+    def test_certificate_plans_one_chain(self, monkeypatch):
+        # every tau's count is a prefix length of the longest chain
+        taus = []
+        real = continuation.plan_ball_chain
+
+        def counted(I, J, tau, **kwargs):
+            taus.append(tau)
+            return real(I, J, tau, **kwargs)
+
+        monkeypatch.setattr(continuation, "plan_ball_chain", counted)
+        _, _, rows = smallness_certificate(_poisson_field(), Interval(-2.0, -1.0),
+                                           Interval(1.0, 2.0), decades=2.5)
+        assert len(rows) > 1
+        assert taus == [rows[-1]["tau"]]
+
 
 class TestBulkBoundary:
     def test_single_mode_ratios_finite(self):

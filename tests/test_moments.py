@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslab import moments, polyx
+from nslab import moments, multiplier, polyx
 from nslab.gridfn import Box, Interval, SampledFunction, make_bump
 from nslab.moments import (LegendreSystem, PrecisionConfig, hilbert_inverse_sigma_max,
                            legendre_ode_residual, verify_festmom, verify_festmom_stack)
@@ -75,7 +76,8 @@ def _sampled_moments(f: SampledFunction, I: Interval, N: int):
         return trig_interp(f, y) * np.array([y**j for j in range(N + 1)])
 
     vals = adaptive_gauss(integrand, I.a, I.b)
-    coarse = adaptive_gauss(integrand, I.a, I.b, order=32, max_depth=6)
+    with mock.patch.multiple(multiplier, _ORDER=32, _MAX_DEPTH=6):
+        coarse = adaptive_gauss(integrand, I.a, I.b)
     err = float(np.max(np.abs(vals - coarse)))
     vals = [v.real if abs(v.imag) < 1e-13 * (abs(v) + 1e-300) else v for v in map(complex, vals)]
     return vals, err
@@ -468,6 +470,7 @@ class TestFestmomStack:
 _SERIES_TERMS = 400  # moments of f summed into G
 
 
+@mock.patch.object(multiplier, "_RTOL", 1e-10)
 def _weighted_moment_bounds(f, I, gamma, signed):
     """Both sides of the weighted moment bounds.
 
@@ -498,7 +501,7 @@ def _weighted_moment_bounds(f, I, gamma, signed):
     def G(x):
         return _p_eval(wmoms, np.asarray(x, dtype=float))
 
-    Gnorm = math.sqrt(abs(adaptive_gauss(lambda x: G(x) ** 2, I.a, I.b, rtol=1e-10)))
+    Gnorm = math.sqrt(abs(adaptive_gauss(lambda x: G(x) ** 2, I.a, I.b)))
     Cbox = 6.5 - 2.0 * math.log(I.length)
     front = math.exp(Cbox * r) / min(abs(g) for g in gam[: Nf + 1])
     if not signed:
@@ -509,7 +512,7 @@ def _weighted_moment_bounds(f, I, gamma, signed):
         def Gp(x):
             return _p_eval(dmoms, np.asarray(x, dtype=float))
 
-        Gpnorm = math.sqrt(abs(adaptive_gauss(lambda x: Gp(x) ** 2, I.a, I.b, rtol=1e-10)))
+        Gpnorm = math.sqrt(abs(adaptive_gauss(lambda x: Gp(x) ** 2, I.a, I.b)))
         rhs = front * (Gnorm + Gpnorm / (Nf + 1))
     return l2, rhs, l2 <= rhs * (1 + 1e-9)
 
