@@ -26,8 +26,8 @@ from .gridfn import Box, Interval
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    """Width of the sigma_max certificate: the Fraction is within 2^-(bits+8)
-    relative and rounds to lambda_1's float64 at any width; `nsl` uses 64."""
+    """Width of the sigma_max certificate, within 2^-(bits+8) relative and rounding to
+    lambda_1's float64 at any width: 1 exact step at 64 (`nsl`'s), <= 20 at 256, <= 50 at 512."""
 
     bits: int = 256
 
@@ -42,16 +42,9 @@ class PrecisionConfig:
 
 def legendre_coeff_matrix(N: int):
     """Exact C[m][l] = (2m+1)(-1)^(m+l) (m+l)! / ((m-l)! (l!)^2), 0 <= l <= m <= N."""
-    C = []
-    for m in range(N + 1):
-        row = []
-        for l in range(m + 1):
-            num = Fraction((2 * m + 1) * math.factorial(m + l),
-                           math.factorial(m - l) * math.factorial(l) ** 2)
-            row.append(num if (m + l) % 2 == 0 else -num)
-        row += [Fraction(0)] * (N - m)
-        C.append(row)
-    return tuple(tuple(r) for r in C)
+    f = math.factorial
+    return tuple(tuple(Fraction((-1) ** (m + l) * (2 * m + 1) * f(m + l), f(m - l) * f(l) ** 2)
+                       if l <= m else Fraction(0) for l in range(N + 1)) for m in range(N + 1))
 
 
 @dataclass(frozen=True)
@@ -76,11 +69,11 @@ class LegendreSystem:
                  for k in range(n)] for j in range(n)]
 
     def hilbert_inverse_exact(self):
-        """H_N^{-1} via the closed binomial formula (exact integers)."""
-        n = self.N + 1
-        return [[(-1) ** (i + j) * (i + j + 1) * math.comb(n + i, n - j - 1)
-                 * math.comb(n + j, n - i - 1) * math.comb(i + j, i) ** 2
-                 for j in range(n)] for i in range(n)]
+        """H_N^{-1} in exact integers from its factored form (-1)^(i+j) a_i a_j / (i+j+1),
+        a_i = (n+i)! / ((i!)^2 (n-i-1)!), n = N + 1; every division is exact."""
+        n, f = self.N + 1, math.factorial
+        a = [(-1) ** i * f(n + i) // (f(i) ** 2 * f(n - i - 1)) for i in range(n)]
+        return [[ai * aj // (i + j + 1) for j, aj in enumerate(a)] for i, ai in enumerate(a)]
 
     def raw_polynomial(self, m: int):
         """Exact monomial coefficients of L_m on [0,1] (norm sqrt(2m+1))."""
@@ -106,23 +99,24 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
     """sigma_max(H_N^{-1}) = lambda_1 of the exact integer matrix A = H_N^{-1}.
 
     Power iteration on the integers of `LegendreSystem.hilbert_inverse_exact`
-    from v = ((-1)^i), Av shifted right to about bits + 64 bits each step.
-    With the exact Rayleigh quotient rho and eps^2 = |Av|^2/|v|^2 - rho^2, and
-    lambda_2 <= trace - rho (A is positive definite), Kato-Temple gives
-    0 <= lambda_1 - rho <= eps^2/(2 rho - trace).  The iteration stops once this
-    bracket is certified to 2^-(bits+8) and to the double it rounds to (both
-    ends round to one float64): 5-10 steps at 64 bits, 15-32 at 256, 1 <= N <= 40.
-    It returns that rho as an exact Fraction.  No certificate in `bits` steps
-    raises ArithmeticError, as does a float64 `eigvalsh` of A that differs by
-    more than 1e-12 relative (measured <= 7e-16 for N <= 40).
+    from round(2^62 u / max|u|), u the top eigenvector of one float64 `eigh`
+    of A, Av shifted right to about bits + 64 bits each step.  With the exact
+    Rayleigh quotient rho and eps^2 = |Av|^2/|v|^2 - rho^2, and lambda_2 <=
+    trace - rho (A is positive definite), Kato-Temple gives 0 <= lambda_1 - rho
+    <= eps^2/(2 rho - trace) from any start.  The first rho whose bracket is
+    certified to 2^-(bits+8) and to one double (both ends round to it) is
+    returned: after one step at 64 bits, <= 20 at 256, <= 50 at 512 (N <= 40).
+    No certificate in `bits` steps raises ArithmeticError, as does an `eigh`
+    top eigenvalue off by more than 1e-12 relative (measured <= 7e-16).
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if N > 40:
         raise ValueError(f"N must be <= 40, the orders the certificate is measured on, got {N}")
     hinv = LegendreSystem(N).hilbert_inverse_exact()
-    trace = sum(row[i] for i, row in enumerate(hinv))
-    v = [(-1) ** i for i in range(N + 1)]
+    trace = sum(hinv[i][i] for i in range(N + 1))
+    w, U = np.linalg.eigh(np.array(hinv, dtype=float))
+    v = [round(x) for x in (2.0 ** 62 * U[:, -1] / np.max(np.abs(U[:, -1]))).tolist()]
     for _ in range(prec.bits):
         Av = [sum(a * x for a, x in zip(row, v)) for row in hinv]
         vv = sum(x * x for x in v)
@@ -135,10 +129,9 @@ def hilbert_inverse_sigma_max(N: int, prec: PrecisionConfig = PrecisionConfig())
         v = [y >> shift for y in Av]
     else:
         raise ArithmeticError(f"sigma_max(H_{N}^-1): no certificate in {prec.bits} steps")
-    check = np.linalg.eigvalsh(np.array(hinv, dtype=float))[-1]
-    if not abs(float(rho) - check) <= 1e-12 * check:
+    if not abs(float(rho) - w[-1]) <= 1e-12 * w[-1]:
         raise ArithmeticError(
-            f"sigma_max(H_{N}^-1): {float(rho)!r} and float64 {check!r} disagree")
+            f"sigma_max(H_{N}^-1): {float(rho)!r} and float64 {w[-1]!r} disagree")
     return rho
 
 

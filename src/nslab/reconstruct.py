@@ -313,24 +313,27 @@ def _select(path: _Path, N_max: int, tau: float) -> int:
     return best
 
 
-def _on_grid(spec: multiplier.SymbolSpec, I: Interval, fit, truth: SampledFunction):
-    """(sum_{k<=N} Re(a_k) G_k of a `_fit` result on the grid points in I of
-    `truth`, its relative L2(I) error against `truth`): G_k = sqrt((2k+1)/L)
-    P_k((2x - a - b)/L) on the fit interval (a, b), summed by `legval`, in the
-    tilde variable and times e^{2 pi delta x} for ModifiedCoth."""
-    a, itv, _ = fit
+def _on_grid(spec: multiplier.SymbolSpec, I: Interval, truth: SampledFunction):
+    """The map from a `_fit` result to (sum_{k<=N} Re(a_k) G_k on the grid points in I
+    of `truth`, its relative L2(I) error): G_k = sqrt((2k+1)/L) P_k((2x - a - b)/L) on
+    the fit interval (a, b), by `legval`, in the tilde variable and times e^{2 pi delta x}
+    for ModifiedCoth.  What no fit changes (points, tilde map, factor, ||truth||) is made once."""
     grid = truth.grid
     inside = I.contains(grid.x)
     xs = grid.x[inside]
-    t = tilde_variable(xs, spec.delta) if spec.kind == "ModifiedCoth" else xs
-    c = np.real(a) * np.sqrt((2 * np.arange(len(a)) + 1) / itv.length)
-    vals = np.zeros(grid.n)
-    vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c)
+    t, factor = xs, 1.0
     if spec.kind == "ModifiedCoth":
-        vals[inside] *= np.exp(2.0 * np.pi * spec.delta * xs)
-    diff = norm(SampledFunction(grid, vals - np.real(truth.values)), "L2", region=I)
+        t, factor = tilde_variable(xs, spec.delta), np.exp(2.0 * np.pi * spec.delta * xs)
     denom = norm(truth, "L2", region=I)
-    return SampledFunction(grid, vals), diff / denom if denom > 0 else diff
+
+    def evaluate(fit):
+        a, itv, _ = fit
+        c = np.real(a) * np.sqrt((2 * np.arange(len(a)) + 1) / itv.length)
+        vals = np.zeros(grid.n)
+        vals[inside] = np.polynomial.legendre.legval((2 * t - itv.a - itv.b) / itv.length, c) * factor
+        diff = norm(SampledFunction(grid, vals - np.real(truth.values)), "L2", region=I)
+        return SampledFunction(grid, vals), diff / denom if denom > 0 else diff
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +419,7 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
     design = _design(spec, I, pts, N_max)
     N_max = min(N_max, design.rank - 1)
     clean = multiplier.oracle_quadrature(spec, f, I, pts)
+    on_grid = _on_grid(spec, I, f)
     rows, averaged = [], []
     for li, lvl in enumerate(levels):
         errs = []
@@ -424,7 +428,7 @@ def stability_sweep(kind: str, f: SampledFunction, I: Interval, J: Interval,
             vals = clean + (lvl * rng.standard_normal(num_samples) if lvl > 0 else 0.0)
             path = _project(design, vals, lvl)
             N = _select(path, N_max, tau)
-            _, err = _on_grid(spec, I, _fit(path, N), f)
+            _, err = on_grid(_fit(path, N))
             errs.append(err)
             rows.append({"operator": kind, "delta_noise": lvl, "trial": t,
                          "N": N, "error_L2": err})

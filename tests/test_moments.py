@@ -225,10 +225,53 @@ class TestHilbertSigmaMax:
         assert got == pytest.approx(np.linalg.eigvalsh(hinv)[-1], rel=1e-12)
 
     def test_float64_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(moments.np.linalg, "eigvalsh",
-                            lambda a: np.array([2.0 * np.max(np.abs(a))]))
+        eigh = np.linalg.eigh
+
+        def doubled_top(a):
+            w, U = eigh(a)
+            w[-1] *= 2.0
+            return w, U
+        monkeypatch.setattr(moments.np.linalg, "eigh", doubled_top)
         with pytest.raises(ArithmeticError):
             hilbert_inverse_sigma_max(3)
+
+    @pytest.mark.parametrize("start", ["second", "alternating"])
+    def test_any_start_prints_the_same_double(self, monkeypatch, start):
+        # the certificate holds from any starting vector: start from lambda_2's
+        # eigenvector, or from the alternating ((-1)^i), in place of lambda_1's
+        eigh = np.linalg.eigh
+        expected = {(N, bits): float(hilbert_inverse_sigma_max(N, PrecisionConfig(bits)))
+                    for N in range(21) for bits in (64, 256)}
+
+        def other_start(a):
+            w, U = eigh(a)
+            n = len(w)
+            if start == "alternating":
+                U[:, -1] = (-1.0) ** np.arange(n) / math.sqrt(n)
+            elif n > 1:
+                U[:, [-2, -1]] = U[:, [-1, -2]]
+            return w, U
+        monkeypatch.setattr(moments.np.linalg, "eigh", other_start)
+        for (N, bits), val in expected.items():
+            assert float(hilbert_inverse_sigma_max(N, PrecisionConfig(bits))) == val
+
+    def test_one_product_at_64_bits(self, monkeypatch):
+        # the float64 eigenvector start certifies after one matrix-vector
+        # product at every order: the rows are iterated once for the float64
+        # copy that `eigh` reads and once per product
+        class Rows(list):
+            passes = 0
+
+            def __iter__(self):
+                Rows.passes += 1
+                return super().__iter__()
+        exact = LegendreSystem.hilbert_inverse_exact
+        monkeypatch.setattr(LegendreSystem, "hilbert_inverse_exact",
+                            lambda self: Rows(exact(self)))
+        for N in range(41):
+            Rows.passes = 0
+            hilbert_inverse_sigma_max(N, PrecisionConfig(bits=64))
+            assert Rows.passes == 1 + 1, N
 
     def test_float_equals_full_eigensolve(self):
         # reference: every eigenvalue of the integer matrix at 256 bits; the
@@ -272,6 +315,14 @@ class TestHilbertSigmaMax:
 
 
 class TestGramIdentity:
+    @pytest.mark.parametrize("N", range(41))
+    def test_factored_inverse_equals_binomial_formula(self, N):
+        n = N + 1
+        ref = [[(-1) ** (i + j) * (i + j + 1) * math.comb(n + i, n - j - 1)
+                * math.comb(n + j, n - i - 1) * math.comb(i + j, i) ** 2
+                for j in range(n)] for i in range(n)]
+        assert LegendreSystem(N).hilbert_inverse_exact() == ref
+
     @pytest.mark.parametrize("N", [1, 4, 8])
     def test_orthonormal_gram_equals_hilbert_inverse(self, N):
         sys = LegendreSystem(N)

@@ -527,7 +527,7 @@ class TestDesign:
         data = sample("Hilbert", f, I01, Interval(lo, hi), 16)
         design = _design(data.spec, I01, data.points, 3)
         assert design.rank == design.order + 1
-        _, err = _on_grid(data.spec, I01, _fit(_project(design, data.values, 0.0), 3), f)
+        _, err = _on_grid(data.spec, I01, f)(_fit(_project(design, data.values, 0.0), 3))
         # the best L2(I) approximation of f of degree 3 misses it by 0.419
         assert 0.41 <= err <= 0.43
 
@@ -673,7 +673,7 @@ class TestInvert:
         # the 320-bit reference fit of the 320-bit samples (measured 9.8e-17)
         data, exact, truth = self._polynomial_data(grid)
         a, itv, res = _ref_fit(_ref_path(data, exact, 6, 320), 6)
-        _, err = _on_grid(data.spec, I01, (np.array([complex(v) for v in a]), itv, res), truth)
+        _, err = _on_grid(data.spec, I01, truth)((np.array([complex(v) for v in a]), itv, res))
         assert err <= 1e-10
 
     def test_polynomial_roundtrip_float64(self, grid):
@@ -682,7 +682,7 @@ class TestInvert:
         # (kappa = 2.7e10, u of float64); measured 1.80e-7, as the 320-bit
         # reference fit of the same rounded data misses by 1.8e-7
         data, _, truth = self._polynomial_data(grid)
-        _, err = _on_grid(data.spec, I01, _fit(_path(data, 6), 6), truth)
+        _, err = _on_grid(data.spec, I01, truth)(_fit(_path(data, 6), 6))
         assert err <= 3e-6
 
     def test_order_zero_zero_mean(self, grid):
@@ -690,7 +690,7 @@ class TestInvert:
         base = make_bump(Interval(0.2, 0.8), 0.0, 1.0, grid)
         f = SampledFunction(grid, base.values * (grid.x - 0.5))
         data = sample("Hilbert", f, I01, J23, 64)
-        rec, _ = _on_grid(data.spec, I01, _fit(_path(data, 0), 0), f)
+        rec, _ = _on_grid(data.spec, I01, f)(_fit(_path(data, 0), 0))
         # floor set by the quadrature accuracy of the data oracle
         assert np.max(np.abs(rec.values)) <= 1e-5 * np.max(np.abs(f.values))
 
@@ -704,7 +704,7 @@ class TestInvert:
             rng = np.random.default_rng(5)
             data = clean._replace(values=clean.values + noise * rng.standard_normal(64))
             N = _select(_path(data, 10, noise), 10, 1.5)
-            _, err = _on_grid(data.spec, I01, _fit(_path(data, N, noise), N), f)
+            _, err = _on_grid(data.spec, I01, f)(_fit(_path(data, N, noise), N))
             errs.append(err)
         assert errs[1] <= 0.5
         assert errs[1] <= errs[0]
@@ -718,7 +718,7 @@ class TestInvert:
         errs = []
         for J in (Interval(-1.05, -0.05), Interval(1.05, 2.05)):
             data = sample("Hilbert", f, I01, J, 64)
-            errs.append(_on_grid(data.spec, I01, _fit(_path(data, N), N), f)[1])
+            errs.append(_on_grid(data.spec, I01, f)(_fit(_path(data, N), N))[1])
         assert errs[0] == pytest.approx(errs[1], rel=1e-8)
 
 
@@ -764,7 +764,7 @@ class TestStabilitySweep:
         zero_err = dict(curve.pairs)[0.0]
         clean = sample("Hilbert", f, I01, Interval(1.05, 2.05), 48)
         N = _select(_path(clean, 8), 8, 1.5)
-        _, floor = _on_grid(clean.spec, I01, _fit(_path(clean, N), N), f)
+        _, floor = _on_grid(clean.spec, I01, f)(_fit(_path(clean, N), N))
         assert zero_err == pytest.approx(floor, rel=1e-12)
 
     def test_riesz_constant_sign_family_completes(self, grid):
@@ -903,7 +903,7 @@ class TestLegendreRoute:
             fit = np.array([complex(v) for v in a]), itv, res
         else:
             fit = _fit(_path(data, N), N)
-        rec, _ = _on_grid(data.spec, I01, fit, _unit_source(grid))
+        rec, _ = _on_grid(data.spec, I01, _unit_source(grid))(fit)
         inside = np.flatnonzero(I01.contains(grid.x))
         idx = inside[np.linspace(0, inside.size - 1, 7).astype(int)]
         ref = _legendre_sum_reference(data, fit, grid.x[idx])
