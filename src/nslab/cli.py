@@ -366,7 +366,10 @@ def branchcut_grp():
 def defects_cmd(obj, art, p):
     """Support and imaginary-part defects under grid refinement."""
     n0 = p["grid_n"]
-    s_list = [float(v) for v in p["s_values"].split(",")]
+    try:
+        s_list = [_cast(float, v) for v in p["s_values"].split(",")]
+    except ValueError as exc:
+        raise _Invalid(f"config key 's_values': {exc}")
     rows = []
     for n in (n0, 2 * n0):
         g = make_bump(p["I"], 0.0, p["sharpness"], Grid(p["grid_L"], n))
@@ -436,8 +439,7 @@ def propagate_cmd(obj, art, p):
     art.csv(["tau", "strip", "chain", "count", "bound"], rows)
     art.svg([r["tau"] for r in rows], [r["count"] for r in rows],
             "tau", "ball count", logx=True)
-    direct = field.rectangle_norm(
-        continuation.HalfPlaneRectangle(p["I"], 0.0, tau))
+    direct = field.strip_norm(p["I"], tau)
     return {"best_tau": tau, "best_bound": bound, "direct_norm": direct}
 
 

@@ -3,8 +3,8 @@ propagation-of-smallness instrumentation.
 
 A boundary function h on the line is extended to y > 0 by Poisson evolution
 e^{-y|xi|}.  On top of the extension the module measures three-balls triples,
-plans ball chains whose radii shrink proportionally to the height, and chains
-the three-balls bounds along them into a smallness certificate.
+plans ball chains that descend toward the line, and chains the three-balls
+bounds along them into a smallness certificate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import Grid, HalfPlaneRectangle, Interval, SampledFunction
+from .gridfn import Grid, Interval, SampledFunction
 
 
 @dataclass
@@ -37,13 +37,17 @@ class HalfPlaneField:
         # the |values|^2 and y-cell widths that ball_norm sums over
         self.power, self.wy = np.abs(self.values) ** 2, np.gradient(self.y_levels)
 
-    def rectangle_norm(self, rect: HalfPlaneRectangle) -> float:
-        """L2 norm over base x [y0, y1] by trapezoid-in-y Riemann sums."""
+    def strip_norm(self, base: Interval, tau: float) -> float:
+        """L2 norm over base x [0, tau] by trapezoid-in-y Riemann sums; the
+        strip must lie inside the sampled levels, which it does not clip."""
         ys = self.y_levels
-        sel = (ys >= rect.y0 - 1e-12) & (ys <= rect.y1 + 1e-12)
+        if ys[0] > 1e-12 or tau > ys[-1] + 1e-12:
+            raise ValueError(f"strip [0, {tau}] leaves the sampled levels "
+                             f"[{ys[0]}, {ys[-1]}]")
+        sel = ys <= tau + 1e-12
         if np.count_nonzero(sel) < 2:
-            raise ValueError("rectangle spans fewer than two y-levels")
-        xmask = rect.base.contains(self.grid.x)
+            raise ValueError("strip spans fewer than two y-levels")
+        xmask = base.contains(self.grid.x)
         rows = np.sum(self.power[sel][:, xmask], axis=1) * self.grid.dx
         return float(math.sqrt(max(np.trapezoid(rows, ys[sel]), 0.0)))
 
@@ -85,8 +89,6 @@ def three_balls_report(u: HalfPlaneField, center: tuple[float, float], r: float)
     if r <= 0:
         raise ValueError("radius must be positive")
     ys = u.y_levels
-    if cy - 4 * r < -1e-12:
-        raise ValueError("4r-ball must stay inside y > 0")
     if (cy - 4 * r < ys[0] - 1e-12 or cy + 4 * r > ys[-1] + 1e-12
             or cx - 4 * r < -u.grid.L or cx + 4 * r > u.grid.L):
         raise ValueError("4r-ball must lie inside the sampled rectangle")
@@ -101,12 +103,10 @@ def three_balls_report(u: HalfPlaneField, center: tuple[float, float], r: float)
 
 @dataclass(frozen=True)
 class BallChain:
-    """Planned centers/radii: a horizontal leg at fixed height from above the
-    small region to above the target, then a vertical descent with radius
-    halving in proportion to the height."""
+    """Planned centers: a horizontal leg at fixed height from above the small
+    region to above the target, then a vertical descent in geometric heights."""
 
     centers: tuple
-    radii: tuple
 
     @property
     def count(self) -> int:
@@ -119,35 +119,34 @@ _MAX_LEG_BALLS = 10_000  # the leg from J to I holds ~|I - J| / (0.15 y_top) bal
 def plan_ball_chain(I: Interval, J: Interval, tau: float,
                     y_top: float = 1.0) -> BallChain:
     """Greedy horizontal-then-vertical chain from above J down to height tau
-    above I; radius = y/2 at height y, so the count grows like -log(tau)."""
+    above I; the leg steps by a quarter of its height and each descending ball
+    sits at 3/4 of the last one's height, so the count grows like -log(tau)."""
     if not (0.0 < tau < 0.5):
         raise ValueError("tau must lie in (0, 1/2)")
     xj = 0.5 * (J.a + J.b)
     xi_ = 0.5 * (I.a + I.b)
     y0 = 0.6 * y_top
-    r0 = 0.5 * y0
-    centers, radii = [], []
-    # horizontal leg: step by half a radius for generous overlap
-    nsteps = max(1, int(math.ceil(abs(xi_ - xj) / (0.5 * r0))))
+    centers = []
+    # horizontal leg: step by a quarter of its height for generous overlap
+    nsteps = max(1, int(math.ceil(abs(xi_ - xj) / (0.25 * y0))))
     if nsteps >= _MAX_LEG_BALLS:
         raise ValueError(f"y_top: {y_top} plans {nsteps + 1} balls on the leg from J "
                          f"to I, more than {_MAX_LEG_BALLS}")
     for k in range(nsteps + 1):
         centers.append((xj + (xi_ - xj) * k / nsteps, y0))
-        radii.append(r0)
     # vertical descent above I: geometric heights until the strip top
     y = y0
     while y > 2.0 * tau:
         y *= 0.75
         centers.append((xi_, y))
-        radii.append(0.5 * y)
-    return BallChain(tuple(centers), tuple(radii))
+    return BallChain(tuple(centers))
 
 
 def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
                           decades: float):
     """Optimize strip + chain over a logarithmic tau grid (16 points per
-    decade); returns (best_tau, best_bound, rows), one row per tau.
+    decade from 0.45, the grid points above the field's top level left out);
+    returns (best_tau, best_bound, rows), one row per tau.
 
     strip: the measured L2 norm over I x [0, tau].
     chain: the three-balls estimates chained multiplicatively along the
@@ -159,7 +158,7 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
     tau is a prefix of it, and the chained bound after its last ball depends
     on that prefix only.
     """
-    y1 = float(field.y_levels[1])
+    y1, top = float(field.y_levels[1]), float(field.y_levels[-1])
     taus = []
     t = 0.45
     npts = int(decades * 16)
@@ -167,13 +166,14 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
     for _ in range(npts):
         if t < 2.0 * y1:
             break
-        taus.append(t)
+        if t <= top + 1e-12:  # strip_norm measures no strip above the field
+            taus.append(t)
         t *= fac
     if not taus:
         raise ValueError("no admissible tau for this field's y-resolution")
     if not (I.b <= J.a or J.b <= I.a):
         raise ValueError("target and data regions must have disjoint closures")
-    chain = plan_ball_chain(I, J, taus[-1], y_top=float(field.y_levels[-1]))
+    chain = plan_ball_chain(I, J, taus[-1], y_top=top)
     # a larger tau's chain: the horizontal leg, then a ball per height above 2 tau
     ys = [cy for _, cy in chain.centers]
     leg = ys.count(ys[0])
@@ -194,7 +194,7 @@ def smallness_certificate(field: HalfPlaneField, I: Interval, J: Interval,
     best = None
     rows = []
     for tau, count in zip(taus, counts):
-        strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) if tau >= y1 else 0.0
+        strip = field.strip_norm(I, tau)   # tau >= 2 y1: two levels at least
         bound = strip + walk[count - 1]
         rows.append({"tau": tau, "strip": strip, "chain": walk[count - 1],
                      "count": count, "bound": bound})

@@ -92,19 +92,6 @@ class Box:
         return v
 
 
-@dataclass(frozen=True)
-class HalfPlaneRectangle:
-    """Interval x [y0, y1] inside the upper half-plane."""
-
-    base: Interval
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.y0 < self.y1):
-            raise ValueError("rectangle requires 0 <= y0 < y1")
-
-
 @dataclass
 class SampledFunction:
     grid: Grid

@@ -129,7 +129,6 @@ class PoissonSVD:
     """Truncated SVD of the Poisson operator A: sigma, w and phi hold only
     the certified triplets, sigma_j >= _SIGMA_FLOOR * sigma_1, and every
     discarded singular value lies below that floor (see poisson_svd)."""
-    problem: RungeProblem
     sigma: np.ndarray          # nonincreasing positive singular values
     phi: np.ndarray            # exterior basis, columns H^s(W)-orthonormal
     w: np.ndarray              # interior basis, columns L^2(Omega)-orthonormal
@@ -182,7 +181,7 @@ def poisson_svd(p: RungeProblem) -> PoissonSVD:
             break
         width *= 2
     k = int(np.sum(sig >= _SIGMA_FLOOR * sig[0]))
-    return PoissonSVD(problem=p, sigma=sig[:k], phi=Y @ Vt[:k].T,
+    return PoissonSVD(sigma=sig[:k], phi=Y @ Vt[:k].T,
                       w=Q @ Ub[:, :k] / sqdx, A=A)
 
 
@@ -214,8 +213,7 @@ def runge_approximate(p: RungeProblem, v, eps: float, svd: PoissonSVD = None):
     res2 = vnorm ** 2 - np.cumsum(c ** 2)
     res = np.sqrt(np.maximum(res2, 0.0))
     target = eps * vnorm
-    # modes below the relative floor carry pure roundoff; never truncate there
-    rank = int(np.sum(svd.sigma >= _SIGMA_FLOOR * svd.sigma[0]))
+    rank = svd.sigma.size                 # the certified triplets only
     hit = np.flatnonzero(res <= target)
     k = int(hit[0]) + 1 if hit.size else rank
     k = min(k, rank)

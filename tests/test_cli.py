@@ -100,11 +100,12 @@ def test_cli_import_loads_no_scipy():
 
 def test_propagate_tiny_y_top_exit_2_under_memory_cap(tmp_path):
     # y_top = 1e-6 plans ~2e7 balls on the leg from J to I for every tau; the
-    # cap on the address space makes an unbounded plan fail here, not the host
+    # cap on the address space makes an unbounded plan fail here, not the host.
+    # Six decades reach the grid's taus at or below y_top, so a chain is planned
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("y_top=1e-6\n")
+    cfg.write_text("y_top=1e-6\ndecades=6\n")
     code = ("import resource, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
             "from nslab.cli import main; main(sys.argv[1:])")
@@ -177,6 +178,12 @@ BAD_CONFIGS = [
     # the r-, 2r- and 4r-balls hold the same lattice nodes: alpha_hat undefined
     (("continuation", "three-balls"), "radius=0.001",
      "radius: 0.001 leaves alpha_hat undefined"),
+    # a malformed list names its key, as every other key's cast error does
+    *[(("branchcut", "defects"), f"s_values={value}", f"config key 's_values': {message}")
+      for value, message in [("abc", "could not convert string to float: 'abc'"),
+                             ("0.6;0.75", "could not convert string to float: '0.6;0.75'"),
+                             ("0.6,,0.75", "could not convert string to float: ''"),
+                             ("0.6,inf", "must be finite, got inf")]],
     *[(command, f"{key}={value}", f"config key '{key}': must be finite, got {value}")
       for command, key, value in [
           (("operators", "crosscheck"), "sharpness", "inf"),
@@ -470,6 +477,19 @@ class TestExperiments:
         n1, n2, n4 = summary["norms"]
         assert n1 <= n2 <= n4
         assert 0.0 < summary["alpha_hat"] <= 1.0 + 1e-12
+
+    def test_continuation_propagate_no_tau_above_y_top(self, runner, tmp_path):
+        # the strip I x [0, tau] must lie inside the sampled field: at y_top = 0.1
+        # the 11 grid points from 0.45 down to 0.107 leave no row
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("y_top=0.1\n")
+        res = runner.invoke(main, ["--config", str(cfg), "--out", str(tmp_path),
+                                   "continuation", "propagate"])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in
+                _read(tmp_path / "continuation_propagate.csv").splitlines()[2:]]
+        assert len(rows) == 21
+        assert all(float(tau) <= 0.1 for tau, *_ in rows)
 
     def test_runge_cost_curve(self, runner, tmp_path):
         res = runner.invoke(main, ["--out", str(tmp_path), "runge",

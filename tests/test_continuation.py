@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from nslab import continuation
 from nslab.continuation import (HalfPlaneField, extend, plan_ball_chain,
                                 smallness_certificate, three_balls_report)
-from nslab.gridfn import (Grid, HalfPlaneRectangle, Interval, SampledFunction,
-                          make_bump, norm, smooth_cutoff)
+from nslab.gridfn import Grid, Interval, SampledFunction, make_bump, norm, smooth_cutoff
 
 
 def _level(field, j):
@@ -39,23 +38,25 @@ def _ball_norm_reference(field, center, r):
     return float(math.sqrt(total))
 
 
-def _rectangle_norm_reference(field, rect):
-    """Reference: |values|^2 taken on the gathered rectangle."""
+def _strip_norm_reference(field, base, tau):
+    """Reference: |values|^2 taken on the gathered strip base x [0, tau]."""
     ys = field.y_levels
-    sel = (ys >= rect.y0 - 1e-12) & (ys <= rect.y1 + 1e-12)
-    xmask = rect.base.contains(field.grid.x)
+    sel = ys <= tau + 1e-12
+    xmask = base.contains(field.grid.x)
     rows = np.sum(np.abs(field.values[sel][:, xmask]) ** 2, axis=1) * field.grid.dx
     return float(math.sqrt(max(np.trapezoid(rows, ys[sel]), 0.0)))
 
 
 def _certificate_reference(field, I, J, decades):
-    """Certificate rows from one full ball-chain walk per tau."""
+    """Certificate rows from one full ball-chain walk per tau at or below
+    the field's top level."""
+    top = float(field.y_levels[-1])
+
     def propagate(tau):
-        strip = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, tau)) \
-            if tau >= field.y_levels[1] else 0.0
-        chain = plan_ball_chain(I, J, tau, y_top=float(field.y_levels[-1]))
+        strip = field.strip_norm(I, tau)
+        chain = plan_ball_chain(I, J, tau, y_top=top)
         small = None
-        for (cx, cy), r in zip(chain.centers, chain.radii):
+        for cx, cy in chain.centers:
             n1, n2, n4, alpha = three_balls_report(field, (cx, cy), cy / 8.0)
             if small is None:
                 small = n2
@@ -72,9 +73,10 @@ def _certificate_reference(field, I, J, decades):
     for _ in range(int(decades * 16)):
         if t < 2.0 * float(field.y_levels[1]):
             break
-        strip, chain, count = propagate(t)
-        rows.append({"tau": t, "strip": strip, "chain": chain,
-                     "count": count, "bound": strip + chain})
+        if t <= top:
+            strip, chain, count = propagate(t)
+            rows.append({"tau": t, "strip": strip, "chain": chain,
+                         "count": count, "bound": strip + chain})
         t *= 10.0 ** (-1.0 / 16.0)
     return rows
 
@@ -170,11 +172,16 @@ def _bulk_boundary_check(h, I, c, k, s):
     lhs1 = float(math.sqrt(max(np.trapezoid(rows, ys), 0.0)))
     rhs1 = norm(h, "L2")
     lhs2 = norm(h, "HnegS_local", region=I, s=s)
-    rhs2 = field.rectangle_norm(HalfPlaneRectangle(I.dilate(k), 0.0, c))
+    rhs2 = field.strip_norm(I.dilate(k), c)
     return {
         "boundary_pair": (lhs1, rhs1, lhs1 / rhs1 if rhs1 > 0 else None),
         "bulk_pair": (lhs2, rhs2, lhs2 / rhs2 if rhs2 > 0 else None),
     }
+
+
+def _low_poisson_field():
+    """A Poisson field sampled up to y = 0.1, below most of the tau grid."""
+    return _poisson_field(y_top=0.1)
 
 
 def _zero_field():
@@ -330,6 +337,35 @@ class TestThreeBalls:
             assert 0.0 < alpha <= 1.0 + 1e-12
 
 
+class TestStripNorm:
+    def test_constant_field(self):
+        # |1|^2 over the base's nodes times the strip height, trapezoid-exact
+        g = Grid(8.0, 1024)
+        field = HalfPlaneField(g, np.linspace(0.0, 1.0, 129), np.ones((129, g.n)))
+        base = Interval(-2.0, -1.0)
+        nodes = np.count_nonzero(base.contains(g.x))
+        assert field.strip_norm(base, 0.5) == pytest.approx(math.sqrt(nodes * g.dx * 0.5),
+                                                             rel=1e-14)
+
+    def test_strip_above_the_top_level_raises(self):
+        field = _low_poisson_field()
+        assert field.strip_norm(Interval(-2.0, -1.0), 0.1) > 0.0
+        with pytest.raises(ValueError, match="leaves the sampled levels"):
+            field.strip_norm(Interval(-2.0, -1.0), 0.107)
+
+    def test_strip_below_the_lowest_level_raises(self):
+        g = Grid(8.0, 256)
+        ys = np.linspace(0.5, 1.0, 9)
+        field = HalfPlaneField(g, ys, np.ones((9, g.n)))
+        with pytest.raises(ValueError, match="leaves the sampled levels"):
+            field.strip_norm(Interval(-1.0, 1.0), 0.75)
+
+    def test_strip_under_two_levels_raises(self):
+        field = _poisson_field()
+        with pytest.raises(ValueError, match="fewer than two y-levels"):
+            field.strip_norm(Interval(-2.0, -1.0), 0.5 * float(field.y_levels[1]))
+
+
 class TestBallChain:
     def test_count_affine_in_log_tau(self):
         taus = [2.0 ** -k for k in range(3, 11)]
@@ -364,11 +400,12 @@ class TestPropagateSmallness:
         field = _poisson_field(n=1024, levels=257)
         I, J = Interval(-2.0, -1.0), Interval(1.0, 2.0)
         tau, bound, rows = smallness_certificate(field, I, J, decades=2.0)
-        direct = field.rectangle_norm(HalfPlaneRectangle(I, 0.0, 1.0))
+        direct = field.strip_norm(I, 1.0)
         assert bound <= 10.0 * direct
         assert all(r["count"] >= rows[0]["count"] for r in rows)
 
-    @pytest.mark.parametrize("make_field", [_poisson_field, _zero_field])
+    @pytest.mark.parametrize("make_field", [_poisson_field, _zero_field,
+                                            _low_poisson_field])
     def test_certificate_rows_equal_per_tau_walks(self, make_field):
         field = make_field()
         I, J = Interval(-2.0, -1.0), Interval(1.0, 2.0)
@@ -381,12 +418,12 @@ class TestPropagateSmallness:
     @pytest.mark.parametrize("levels", [129, 257])
     def test_certificate_rows_equal_per_level_norms(self, monkeypatch, levels):
         # ball_norm sums a slice of the field's |values|^2 per level and
-        # rectangle_norm gathers from it; both must give the references' bits
+        # strip_norm gathers from it; both must give the references' bits
         field = _poisson_field(levels=levels)
         I, J = Interval(-2.0, -1.0), Interval(1.0, 2.0)
         got = smallness_certificate(field, I, J, decades=2.0)
         monkeypatch.setattr(HalfPlaneField, "ball_norm", _ball_norm_reference)
-        monkeypatch.setattr(HalfPlaneField, "rectangle_norm", _rectangle_norm_reference)
+        monkeypatch.setattr(HalfPlaneField, "strip_norm", _strip_norm_reference)
         assert got == smallness_certificate(field, I, J, decades=2.0)
 
     def test_certificate_walks_the_chain_once(self, monkeypatch):

@@ -71,7 +71,7 @@ def _poisson_svd_reference(p):
     R = np.linalg.cholesky(_hs_gram(p)).T
     Atil = math.sqrt(p.grid.dx) * np.linalg.solve(R.T, A.T).T
     U, sig, Vt = np.linalg.svd(Atil, full_matrices=False)
-    return runge.PoissonSVD(problem=p, sigma=sig, phi=np.linalg.solve(R, Vt.T),
+    return runge.PoissonSVD(sigma=sig, phi=np.linalg.solve(R, Vt.T),
                             w=U / math.sqrt(p.grid.dx), A=A)
 
 
@@ -87,11 +87,11 @@ def _certificate_slack(p):
     return p.grid.n * math.log2(p.grid.n) * np.finfo(float).eps * weight.max()
 
 
-def _orthonormality_residuals(svd):
+def _orthonormality_residuals(p, svd):
     """Max deviation from the identity of the H^s(W) Gram of phi and the
-    L^2(Omega) Gram of w."""
-    gram_phi = svd.phi.T @ _hs_gram(svd.problem) @ svd.phi
-    gram_w = svd.problem.grid.dx * (svd.w.T @ svd.w)
+    L^2(Omega) Gram of w, for the SVD of problem p's Poisson operator."""
+    gram_phi = svd.phi.T @ _hs_gram(p) @ svd.phi
+    gram_w = p.grid.dx * (svd.w.T @ svd.w)
     k = svd.sigma.size
     return (float(np.max(np.abs(gram_phi - np.eye(k)))),
             float(np.max(np.abs(gram_w - np.eye(k)))))
@@ -405,14 +405,14 @@ class TestPoissonSVD:
         assert np.all(np.diff(sig) <= 1e-15)
         assert np.all(sig[:30] > 0)
 
-    def test_orthonormality(self, svd):
-        r_phi, r_w = _orthonormality_residuals(svd)
+    def test_orthonormality(self, problem, svd):
+        r_phi, r_w = _orthonormality_residuals(problem, svd)
         assert r_phi <= 1e-10 and r_w <= 1e-10
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_orthonormality_to_roundoff(self, n):
         p = build(0.6, 0.0, OMEGA, W, Grid(4.0, n))
-        r_phi, r_w = _orthonormality_residuals(poisson_svd(p))
+        r_phi, r_w = _orthonormality_residuals(p, poisson_svd(p))
         assert r_phi <= 1e-13 and r_w <= 1e-13
 
     @pytest.mark.parametrize("s", [0.5, 0.6, 0.9])
